@@ -21,9 +21,6 @@ from .model import (
     EquivClass,
     ExpansionResult,
     SchubertModel,
-    kadd,
-    kdual,
-    kmul,
     weyl_act,
 )
 from .ring import KClass, LineReport, SchubertRing, SignReport
@@ -36,7 +33,7 @@ from .roots import (
     root_datum_from_cartan,
     weyl_dimension,
 )
-from .univariate import UniPoly, UniRational, sum_and_evaluate_at_one
+from .univariate import UniPoly
 
 __all__ = [
     "BoundExceededError",
@@ -57,17 +54,12 @@ __all__ = [
     "SchubertRing",
     "SignReport",
     "UniPoly",
-    "UniRational",
     "WeylElement",
     "WeylGroup",
     "build_root_datum",
-    "kadd",
-    "kdual",
-    "kmul",
     "root_datum_from_cartan",
-    "sum_and_evaluate_at_one",
     "weyl_act",
     "weyl_dimension",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -7,13 +7,15 @@ pole at t = 1, or a route mismatch).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+import tempfile
+from dataclasses import dataclass
 
 from .errors import (
     BoundExceededError,
@@ -39,7 +41,7 @@ EXIT_INTEGRITY = 3
 
 @dataclass
 class JobConfig:
-    """Parsed command configuration; round-trips through JSON."""
+    """Parsed command configuration."""
 
     type_letter: str | None = None
     rank: int | None = None
@@ -55,13 +57,6 @@ class JobConfig:
     max_weyl: int = 10000
     fmt: str = "json"
     out: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "JobConfig":
-        return cls(**json.loads(blob))
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -96,6 +91,8 @@ def _config_from_args(args) -> JobConfig:
         cfg.mu = _parse_int_list(args.mu, "--mu")
     cfg.which = getattr(args, "which", "all")
     cfg.jobs = getattr(args, "jobs", 1)
+    if cfg.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {cfg.jobs}")
     cfg.cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR)
     cfg.max_weyl = getattr(args, "max_weyl", 10000)
     cfg.fmt = getattr(args, "format", "json")
@@ -143,15 +140,23 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
 
 
 def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: SchubertModel) -> str | None:
-    """Write the Schubert restriction table; failures warn and return None."""
-    path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
+    """Write the Schubert restriction table through a unique temp file, so
+    concurrent writers never interleave; failures warn and return None."""
+    name = f"schubert-table-{datum.label}.json"
+    path = os.path.join(cache_dir, name)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         payload = _table_to_payload(datum, group, model)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.chmod(tmp, 0o644)  # mkstemp creates 0600
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path
     except OSError as exc:
         print(f"warning: cache store failed: {exc}", file=sys.stderr)
@@ -215,25 +220,23 @@ def _word(w) -> list[int]:
     return list(w.word)
 
 
-def _constants_rows(ring: SchubertRing, constants: dict, with_n, u, v):
-    rows = []
-    for w, c in constants.items():
-        row = {"w": _word(w), "c": c}
-        if with_n:
-            row["N"] = ring.n_degree(u, v, w)
-        rows.append(row)
+def _sorted_rows(rows: list[dict]) -> list[dict]:
+    """Coefficient rows ordered by the length of w, then by its word."""
     rows.sort(key=lambda r: (len(r["w"]), r["w"]))
     return rows
 
 
 def _emit(obj: dict, cfg: JobConfig, csv_rows=None, csv_header=None) -> None:
+    """Write obj as JSON, or in csv format the rows alone, w as a spaced word."""
     if cfg.fmt == "csv":
         if csv_rows is None:
             raise ConfigError("csv output is only available for constants tables")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows(
+            [" ".join(map(str, r["w"])), *(r[k] for k in csv_header[1:])] for r in csv_rows
+        )
         text = buf.getvalue()
     else:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -282,15 +285,22 @@ def _element_from_config_word(group, word, what: str):
     return group.from_word(word)
 
 
+def _emit_constants(obj: dict, constants: dict, dim: int, u, v, cfg: JobConfig) -> None:
+    """Emit a constants table with N = codim w - codim u - codim v in dimension dim."""
+    rows = _sorted_rows([
+        {"w": _word(w), "c": c, "N": u.length + v.length - w.length - dim}
+        for w, c in constants.items()
+    ])
+    obj["constants"] = rows
+    _emit(obj, cfg, csv_rows=rows, csv_header=["w", "c", "N"])
+
+
 def cmd_constants(cfg: JobConfig) -> int:
     datum, group, ring = _build_ring(cfg)
     u = _element_from_config_word(group, cfg.u, "u")
     v = _element_from_config_word(group, cfg.v, "v")
-    constants = ring.structure_constants(u, v)
-    rows = _constants_rows(ring, constants, True, u, v)
-    obj = {"group": datum.label, "u": _word(u), "v": _word(v), "constants": rows}
-    csv_rows = [[" ".join(map(str, r["w"])), r["c"], r["N"]] for r in rows]
-    _emit(obj, cfg, csv_rows=csv_rows, csv_header=["w", "c", "N"])
+    obj = {"group": datum.label, "u": _word(u), "v": _word(v)}
+    _emit_constants(obj, ring.structure_constants(u, v), ring.dimension, u, v, cfg)
     return EXIT_OK
 
 
@@ -302,21 +312,13 @@ def cmd_parabolic_constants(cfg: JobConfig) -> int:
     u = _element_from_config_word(group, cfg.u, "u")
     v = _element_from_config_word(group, cfg.v, "v")
     constants = ring.parabolic_structure_constants(pdata, u, v)
-    dim = ring.parabolic_dimension(pdata)
-    rows = []
-    for w, c in constants.items():
-        n = (dim - w.length) - (dim - u.length) - (dim - v.length)
-        rows.append({"w": _word(w), "c": c, "N": n})
-    rows.sort(key=lambda r: (len(r["w"]), r["w"]))
     obj = {
         "group": datum.label,
         "parabolic": list(pdata.subset),
         "u": _word(u),
         "v": _word(v),
-        "constants": rows,
     }
-    csv_rows = [[" ".join(map(str, r["w"])), r["c"], r["N"]] for r in rows]
-    _emit(obj, cfg, csv_rows=csv_rows, csv_header=["w", "c", "N"])
+    _emit_constants(obj, constants, ring.parabolic_dimension(pdata), u, v, cfg)
     return EXIT_OK
 
 
@@ -334,8 +336,7 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
         bad = {w: c for w, c in coeffs.items() if c < 0}
         if bad:
             raise IntegrityError(f"negative coefficients for dominant weight: {bad}")
-    rows = [{"w": _word(w), "c": c} for w, c in coeffs.items()]
-    rows.sort(key=lambda r: (len(r["w"]), r["w"]))
+    rows = _sorted_rows([{"w": _word(w), "c": c} for w, c in coeffs.items()])
     obj = {
         "group": datum.label,
         "v": _word(v),
@@ -343,8 +344,7 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
         "dominant": dominant,
         "coeffs": rows,
     }
-    csv_rows = [[" ".join(map(str, r["w"])), r["c"]] for r in rows]
-    _emit(obj, cfg, csv_rows=csv_rows, csv_header=["w", "c"])
+    _emit(obj, cfg, csv_rows=rows, csv_header=["w", "c"])
     return EXIT_OK
 
 
@@ -353,8 +353,7 @@ def cmd_richardson(cfg: JobConfig) -> int:
     v = _element_from_config_word(group, cfg.u, "u")
     w = _element_from_config_word(group, cfg.v, "v")
     cls = ring.richardson_class(v, w)
-    rows = [{"w": _word(x), "c": c} for x, c in cls.coeffs.items()]
-    rows.sort(key=lambda r: (len(r["w"]), r["w"]))
+    rows = _sorted_rows([{"w": _word(x), "c": c} for x, c in cls.coeffs.items()])
     obj = {
         "group": datum.label,
         "v": _word(v),
@@ -430,7 +429,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", help="weight in fundamental coordinates, comma-separated")
     parser.add_argument("--mu", dest="mu", help="second weight for the line-identity recursion")
     parser.add_argument("--which", choices=["signs", "richardson", "line", "all"], default="all")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps (>= 1)")
     parser.add_argument("--cache-dir", dest="cache_dir", help=f"cache directory (default ${CACHE_ENV_VAR})")
     parser.add_argument("--max-weyl", dest="max_weyl", type=int, default=10000)
     parser.add_argument("--format", choices=["json", "csv"], default="json")

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .roots import RootDatum, WeylElement, WeylGroup
-from .univariate import UniPoly, UniRational, poly_divexact
+from .univariate import UniPoly, poly_divexact
 
 
 class EquivClass:
@@ -107,16 +107,31 @@ class ExpansionResult:
                 self.specialized[w] = n
 
 
-def kmul(a: EquivClass, b: EquivClass) -> EquivClass:
-    return a * b
+def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
+    """Unitriangular back-substitution from the top of the Bruhat order.
 
-
-def kadd(a: EquivClass, b: EquivClass) -> EquivClass:
-    return a + b
-
-
-def kdual(a: EquivClass) -> EquivClass:
-    return a.dual()
+    ``elements`` lists the Weyl group in an order refining Bruhat order,
+    ``rows(w)`` maps each u to the entry of basis vector w at u (pivot
+    included) and ``divide(c, d)`` is the exact quotient, raising when there
+    is none.  Returns the coordinates of ``vec`` and the residual left over.
+    """
+    residual = {w: c for w, c in vec.items() if c}
+    coords = {}
+    for w in reversed(elements):
+        c = residual.get(w)
+        if c is None:
+            continue
+        row = rows(w)
+        q = divide(c, row[w])
+        coords[w] = q
+        for u, m in row.items():
+            old = residual.get(u)
+            n = -(q * m) if old is None else old - q * m
+            if n:
+                residual[u] = n
+            else:
+                residual.pop(u, None)
+    return coords, residual
 
 
 def weyl_act(group: WeylGroup, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
@@ -280,16 +295,6 @@ class SchubertModel:
         self._denominator_profiles[v.index] = out
         return out
 
-    def denominator(self, v: WeylElement) -> UniPoly:
-        """The specialized fixed-point denominator as an expanded polynomial."""
-        k = self.cocharacter
-        out = UniPoly.one()
-        for alpha in self.datum.positive_roots:
-            beta = self.group.apply(v, alpha)
-            n = sum(x * ki for x, ki in zip(beta, k))
-            out = out * UniPoly.one_minus_power(n)
-        return out
-
     def _common_denominator_profile(self) -> dict[int, int]:
         if self._common_denominator is None:
             common: dict[int, int] = {}
@@ -346,12 +351,15 @@ class SchubertModel:
 
     @staticmethod
     def _classify_pole(num: UniPoly, remaining: list[int]):
-        den = UniPoly.one()
-        for h in remaining:
-            den = den * UniPoly.one_minus_power(h)
-        frac = UniRational(num, den)
-        if frac.den.eval_at_one() == 0:
-            raise PoleAtOneError("localization sum has a pole at t = 1")
+        """Raise for num / prod_h (1 - t^h), which is not a polynomial.  Each
+        factor vanishes to order 1 at t = 1, so there is a pole iff num
+        vanishes there to lower order than len(remaining)."""
+        one_minus_t = UniPoly.one_minus_power(1)
+        for _ in remaining:
+            try:
+                num = poly_divexact(num, one_minus_t)
+            except NotDivisibleError:
+                raise PoleAtOneError("localization sum has a pole at t = 1") from None
         raise IntegrityError("localization sum is not a Laurent polynomial")
 
     def euler_characteristic_via_expansion(self, f: EquivClass) -> int:
@@ -365,22 +373,13 @@ class SchubertModel:
         both failures mean the class is outside the span (or a convention
         bug) and raise.
         """
-        residual = dict(f.restrictions)
-        coeffs: dict[WeylElement, LaurentPoly] = {}
-        for w in reversed(self.group.elements):
-            rv = residual.get(w)
-            if rv is None or rv.is_zero():
-                residual.pop(w, None)
-                continue
-            psi = self._schubert[w.index]
-            c = rv.exact_div(psi.restriction(w))
-            coeffs[w] = c
-            for v, pv in psi.restrictions.items():
-                n = residual.get(v, LaurentPoly.zero(self.rank)) - c * pv
-                if n.is_zero():
-                    residual.pop(v, None)
-                else:
-                    residual[v] = n
+        table = self._schubert
+        coeffs, residual = back_solve(
+            self.group.elements,
+            f.restrictions,
+            lambda w: table[w.index].restrictions,
+            LaurentPoly.exact_div,
+        )
         if residual:
             raise NonzeroResidualError("expansion left a nonzero residual")
         return ExpansionResult(coeffs)

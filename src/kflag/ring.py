@@ -8,12 +8,13 @@ sign/positivity sweeps report violations as data rather than raising.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntegrityError
 from .laurent import LaurentPoly
-from .model import EquivClass, SchubertModel
+from .model import EquivClass, SchubertModel, back_solve
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -198,24 +199,10 @@ class SchubertRing:
     def coords_in_basis(self, o_vector: dict[WeylElement, int], basis: str):
         """Coordinates of an O-basis vector in another basis (exact back-solve)."""
         rows = self.basis_matrix(basis)
-        vec = dict(o_vector)
-        out: dict[WeylElement, int] = {}
-        for w in reversed(self.group.elements):
-            c = vec.get(w, 0)
-            if c == 0:
-                continue
-            d = rows[w][w]
-            q = c // d
-            if q * d != c:
-                raise IntegrityError("basis change produced a non-integer coordinate")
-            out[w] = q
-            for u, m in rows[w].items():
-                n = vec.get(u, 0) - q * m
-                if n:
-                    vec[u] = n
-                else:
-                    vec.pop(u, None)
-        if vec:
+        out, residual = back_solve(
+            self.group.elements, o_vector, rows.__getitem__, _int_exact_div
+        )
+        if residual:
             raise IntegrityError("basis change left a residual")
         return out
 
@@ -307,8 +294,7 @@ class SchubertRing:
             w = self.group.mul(x, wop_inv)
             if w not in reps or x.length != w.length + wop.length:
                 raise IntegrityError("coefficient outside parabolic image")
-        for x, c in shifted.items():
-            out[self.group.mul(x, wop_inv)] = c
+            out[w] = c
         return out
 
     # -- verifiers ----------------------------------------------------------------
@@ -375,8 +361,9 @@ class SchubertRing:
             for i, u in enumerate(labels)
             for v in labels[i:]
         ]
-        if jobs > 1 and parabolic is None:
-            tables = _parallel_structure_constants(self, pairs, jobs)
+        workers = pool_size(jobs, len(pairs))
+        if workers > 1 and parabolic is None:
+            tables = _parallel_structure_constants(self, pairs, workers)
         else:
             tables = [constants(u, v) for u, v in pairs]
         violations = []
@@ -406,14 +393,13 @@ class SchubertRing:
         group = self.group
         for w in group.elements:
             for v in group.elements:
+                prod = self.model.opposite_schubert_class(v) * self.model.schubert_class(w)
                 if not group.bruhat_leq(v, w):
-                    prod = self.model.opposite_schubert_class(v) * self.model.schubert_class(w)
                     if prod.restrictions:
                         violations.append((v.word, w.word, "nonzero-empty-intersection"))
                     continue
                 checked += 1
                 dim_y = w.length - v.length
-                prod = self.model.opposite_schubert_class(v) * self.model.schubert_class(w)
                 coeffs = self.model.expand_in_schubert_basis(prod).specialized
                 for u, c in coeffs.items():
                     sign_ok = (c > 0) == ((dim_y - u.length) % 2 == 0)
@@ -553,6 +539,18 @@ def _ms(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
+def _int_exact_div(c: int, d: int) -> int:
+    q, r = divmod(c, d)
+    if r:
+        raise IntegrityError("basis change produced a non-integer coordinate")
+    return q
+
+
+def pool_size(jobs: int, pairs: int) -> int:
+    """Worker processes for a sweep: min(jobs, CPUs, pairs), at least 1."""
+    return max(1, min(jobs, os.cpu_count() or 1, pairs))
+
+
 # Shared state for fork-based parallel sweeps; set only around Pool usage.
 _PARALLEL_RING: SchubertRing | None = None
 
@@ -583,16 +581,11 @@ def _parallel_structure_constants(ring: SchubertRing, pairs, jobs: int):
             results = pool.map(_constants_worker, chunks)
     finally:
         _PARALLEL_RING = None
-    merged: dict[tuple[int, int], dict] = {}
-    for chunk, tables in zip(chunks, results):
-        for (u_idx, v_idx), table in zip(chunk, tables):
-            merged[(u_idx, v_idx)] = {
-                ring.group.elements[w_idx]: c for w_idx, c in table.items()
-            }
+    # pair p is entry p // jobs of chunk p % jobs
+    elements = ring.group.elements
     out = []
-    for u, v in pairs:
-        table = merged[(u.index, v.index)]
-        key = (u.index, v.index)
+    for p, key in enumerate(idx_pairs):
+        table = {elements[w_idx]: c for w_idx, c in results[p % jobs][p // jobs].items()}
         ring._sc_memo[key] = table
         out.append(table)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BoundExceededError, ConfigError, IntegrityError
 
@@ -77,7 +77,7 @@ def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
         raise ConfigError("Cartan matrix must be square and nonempty")
     for i in range(r):
         for j in range(r):
-            if not isinstance(a[i][j], int):
+            if isinstance(a[i][j], bool) or not isinstance(a[i][j], int):
                 raise ConfigError("Cartan entries must be integers")
             if i == j and a[i][j] != 2:
                 raise ConfigError("Cartan diagonal entries must equal 2")
@@ -129,16 +129,8 @@ def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                     raise ConfigError("Cartan matrix is not symmetrizable")
     scale = lcm(*(x.denominator for x in d))
     out = tuple(int(x * scale) for x in d)
-    g = 0
-    for x in out:
-        g = _gcd(g, x)
+    g = gcd(*out)
     return tuple(x // g for x in out)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _close_positive_roots(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -221,8 +213,10 @@ def build_root_datum(type_letter: str, rank: int) -> RootDatum:
 
 
 def root_datum_from_cartan(a, label: str = "custom") -> RootDatum:
-    """Root datum from an explicit Cartan matrix (finite type required)."""
-    a = tuple(tuple(int(x) for x in row) for row in a)
+    """Root datum from an explicit Cartan matrix (finite type, int entries)."""
+    if not isinstance(a, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in a):
+        raise ConfigError("Cartan matrix must be a list of integer rows")
+    a = tuple(tuple(row) for row in a)
     _validate_cartan(a)
     r = len(a)
     coords = _close_positive_roots(a)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from kflag.cli import CACHE_ENV_VAR, JobConfig, main
+from kflag.cli import CACHE_ENV_VAR, main
 
 
 def run_cli(capsys, *argv):
@@ -256,17 +256,44 @@ def test_explicit_cartan_file(tmp_path, capsys):
     assert obj["weyl_order"] == 12
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2, "x"], [-1, 2]],
+        "abc",
+        [[2, -1.5], [-1, 2]],
+        [[2.0, -1], [-1, 2]],
+        [[2, False], [False, 2]],
+        [[2, -1], [-1]],
+        [2, -1],
+        {"a": 1},
+    ],
+)
+def test_invalid_cartan_is_a_config_error(tmp_path, capsys, matrix):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run_cli(capsys, "describe", "--cartan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "1", "--which", "signs", f"--jobs={jobs}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_max_weyl_bound(capsys):
     code, _, err = run_cli(
         capsys, "describe", "--type", "A", "--rank", "3", "--max-weyl", "5"
     )
     assert code == 2
     assert "bound" in err
-
-
-def test_jobconfig_round_trip():
-    cfg = JobConfig(type_letter="B", rank=2, parabolic=[1], lam=[1, 0], which="line")
-    assert JobConfig.from_json(cfg.to_json()) == cfg
 
 
 # -- cache behaviour ---------------------------------------------------------------
@@ -366,6 +393,42 @@ def test_cache_table_fidelity(tmp_path):
     loaded = SchubertModel(group, table=table)
     for w in group.elements:
         assert loaded.schubert_class(w) == model.schubert_class(w)
+
+
+def _a2_stack():
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+
+    datum = build_root_datum("A", 2)
+    group = WeylGroup(datum)
+    return datum, group, SchubertModel(group)
+
+
+def test_cache_store_ignores_a_stale_tmp_path(tmp_path, capsys):
+    """A leftover <table>.tmp (here a directory) must not block the store."""
+    from kflag.cli import cache_load, cache_store
+
+    (tmp_path / "schubert-table-A2.json.tmp").mkdir()
+    datum, group, model = _a2_stack()
+    path = cache_store(str(tmp_path), datum, group, model)
+    assert path == str(tmp_path / "schubert-table-A2.json")
+    assert capsys.readouterr().err == ""
+    assert cache_load(str(tmp_path), datum, group) is not None
+    assert sorted(os.listdir(tmp_path)) == [
+        "schubert-table-A2.json", "schubert-table-A2.json.tmp"
+    ]
+
+
+def test_cache_store_failure_removes_its_temp_file(tmp_path, capsys, monkeypatch):
+    from kflag.cli import cache_store
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    datum, group, model = _a2_stack()
+    assert cache_store(str(tmp_path), datum, group, model) is None
+    assert "cache store failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kflag import ConfigError, IntegrityError, kdual, kmul
+from kflag import ConfigError, IntegrityError
 from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
@@ -172,6 +172,32 @@ def test_basis_change_round_trip(engines):
         assert back.coeffs == cls.coeffs
 
 
+def test_back_solve_on_a_chain():
+    from kflag.model import back_solve
+    from kflag.ring import _int_exact_div
+
+    rows = {"a": {"a": 1}, "b": {"b": -1, "a": 2}, "c": {"c": 2}}.__getitem__
+    coords, residual = back_solve(["a", "b"], {"a": 5, "b": 3, "x": 0}, rows, _int_exact_div)
+    assert coords == {"b": -3, "a": 11} and residual == {}
+    _, residual = back_solve(["a"], {"a": 1, "b": 4}, rows, _int_exact_div)
+    assert residual == {"b": 4}
+    with pytest.raises(IntegrityError):
+        back_solve(["c"], {"c": 3}, rows, _int_exact_div)
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    from kflag.ring import pool_size
+
+    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
+    assert pool_size(8, 100) == 4
+    assert pool_size(2, 100) == 2
+    assert pool_size(8, 3) == 3
+    assert pool_size(1, 100) == 1
+    assert pool_size(8, 0) == 1
+    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: None)
+    assert pool_size(8, 100) == 1
+
+
 def test_duality_routes_agree(engines):
     """Model-level involution matches the basis-level dualizing formula:
     [O_{X_w}]^* = (-1)^codim [omega_{X_w}] . [L(2 rho)], with the right side
@@ -183,9 +209,7 @@ def test_duality_routes_agree(engines):
         two_rho = tuple(2 * x for x in g.datum.rho)
         l2rho = m.expand_in_schubert_basis(m.line_bundle_class(two_rho)).specialized
         for w in g.elements:
-            model_route = m.expand_in_schubert_basis(
-                kdual(m.schubert_class(w))
-            ).specialized
+            model_route = m.expand_in_schubert_basis(m.schubert_class(w).dual()).specialized
             omega_vec = r.omega_class(w).coeffs
             integer_route = r.o_basis_product(omega_vec, l2rho)
             if r.codim(w) % 2:
@@ -244,11 +268,11 @@ def test_extraction_routes_agree(engines):
     m = engines.model("A2")
     for u in g.elements:
         for v in g.elements:
-            f = kmul(m.schubert_class(u), m.schubert_class(v))
+            f = m.schubert_class(u) * m.schubert_class(v)
             got = r.extract_coefficients_via_pairing(f)
             assert got == r.structure_constants(u, v)
     lam = g.datum.fundamental_weight(1)
-    f = kmul(m.line_bundle_class(lam), m.schubert_class(g.w_o))
+    f = m.line_bundle_class(lam) * m.schubert_class(g.w_o)
     assert r.extract_coefficients_via_pairing(f) == r.line_bundle_coeffs(g.w_o, lam)
 
 

@@ -1,13 +1,15 @@
-"""Univariate Laurent polynomials, gcd reduction, exact fraction sums."""
+"""Univariate Laurent polynomials, and the gcd fraction sums of the chi oracle."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import PoleAtOneError, UniPoly, UniRational, sum_and_evaluate_at_one
+from kflag import PoleAtOneError, UniPoly
 from kflag.errors import IntegrityError
-from kflag.univariate import poly_divexact, poly_gcd
+from kflag.univariate import poly_divexact
+
+from chi_oracle import UniRational, poly_gcd, sum_and_evaluate_at_one
 
 
 def upoly(terms):
