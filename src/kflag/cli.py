@@ -150,7 +150,9 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                # same bytes as json.dump, but json.dumps runs the C encoder
+                # where json.dump streams through the pure-Python one
+                fh.write(json.dumps(payload, sort_keys=True))
             os.chmod(tmp, 0o644)  # mkstemp creates 0600
             os.replace(tmp, path)
         except BaseException:

@@ -51,9 +51,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.rank: 1}
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

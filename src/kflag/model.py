@@ -64,15 +64,7 @@ class EquivClass:
         return EquivClass(self.rank, {v: -p for v, p in self.restrictions.items()})
 
     def __mul__(self, other: "EquivClass") -> "EquivClass":
-        a, b = self.restrictions, other.restrictions
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for v, p in a.items():
-            q = b.get(v)
-            if q is not None:
-                out[v] = p * q
-        return EquivClass(self.rank, out)
+        return EquivClass(self.rank, pointwise_product(self.restrictions, other.restrictions))
 
     def scale(self, poly: LaurentPoly) -> "EquivClass":
         """Multiply every restriction by a fixed global character."""
@@ -86,6 +78,18 @@ class EquivClass:
         body = ", ".join(f"{v!r}: {p!r}" for v, p in sorted(
             self.restrictions.items(), key=lambda t: t[0].index))
         return f"EquivClass({{{body}}})"
+
+
+def pointwise_product(a: dict, b: dict) -> dict:
+    """Product of two restriction maps at their common fixed points."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for v, p in a.items():
+        q = b.get(v)
+        if q is not None:
+            out[v] = p * q
+    return out
 
 
 class ExpansionResult:
@@ -134,6 +138,13 @@ def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
     return coords, residual
 
 
+def laurent_divexact(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Exact quotient in Z[t, 1/t]: both operands are shifted to minimum
+    degree 0 (monomials are units), divided, and the quotient shifted back."""
+    sa, sb = a.min_degree(), b.min_degree()
+    return poly_divexact(a.shift(-sa), b.shift(-sb)).shift(sa - sb)
+
+
 def weyl_act(group: WeylGroup, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
     """Relabel exponents by w: e^lam -> e^{w(lam)} (a ring automorphism)."""
     return p.map_exponents(lambda e: group.apply(w, e))
@@ -167,6 +178,9 @@ class SchubertModel:
         ] * len(group.elements)
         self._common_denominator: dict[int, int] | None = None
         self._cofactors: list[UniPoly | None] = [None] * len(group.elements)
+        self._specialized: list[dict[WeylElement, UniPoly] | None] = [None] * len(
+            group.elements
+        )
 
     # -- class constructors -----------------------------------------------
 
@@ -270,6 +284,53 @@ class SchubertModel:
         """The unit [O_X] (optionally scaled by a global character)."""
         p = poly if poly is not None else LaurentPoly.one(self.rank)
         return EquivClass(self.rank, {v: p for v in self.group.elements})
+
+    # -- specialization -----------------------------------------------------
+
+    def specialize(self, f: EquivClass) -> dict[WeylElement, UniPoly]:
+        """Restrictions of f under e^lam -> t^<lam, k>, zero images dropped.
+
+        For the regular cocharacter k this is a ring homomorphism that sends
+        every pivot prod_{beta}(1 - e^beta) to a nonzero polynomial.
+        """
+        k = self.cocharacter
+        out = {}
+        for v, p in f.restrictions.items():
+            q = p.specialize(k)
+            if q:
+                out[v] = q
+        return out
+
+    def specialized_schubert_class(self, w: WeylElement) -> dict[WeylElement, UniPoly]:
+        """specialize([O_{X_w}]), built on first use and kept on the model."""
+        row = self._specialized[w.index]
+        if row is None:
+            row = self._specialized[w.index] = self.specialize(self._schubert[w.index])
+        return row
+
+    def integer_coefficients(self, f) -> dict[WeylElement, int]:
+        """Integer Schubert-basis coefficients of f, computed in Z[t, 1/t].
+
+        ``f`` is a model class or restrictions already specialized (a map
+        fixed point -> UniPoly, such as a pointwise product of specialized
+        classes).  Specialization commutes with the triangular solve, so the
+        values at t = 1 equal ``expand_in_schubert_basis(f).specialized``.
+        A failed division or a nonzero residual raises, but one variable
+        catches fewer classes outside the span than the multivariate route.
+        """
+        if isinstance(f, EquivClass):
+            f = self.specialize(f)
+        coeffs, residual = back_solve(
+            self.group.elements, f, self.specialized_schubert_class, laurent_divexact
+        )
+        if residual:
+            raise NonzeroResidualError("expansion left a nonzero residual")
+        out = {}
+        for w, c in coeffs.items():
+            n = c.eval_at_one()
+            if n:
+                out[w] = n
+        return out
 
     # -- pushforward and expansion ------------------------------------------
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntegrityError
 from .laurent import LaurentPoly
-from .model import EquivClass, SchubertModel, back_solve
+from .model import EquivClass, SchubertModel, back_solve, pointwise_product
 from .roots import ParabolicData, Weight, WeylElement
+from .univariate import UniPoly
 
 O_BASIS = "O"
 IDEAL_BASIS = "IDEAL"
@@ -82,6 +83,7 @@ class SchubertRing:
         self._sc_memo: dict[tuple[int, int], dict[WeylElement, int]] = {}
         self._line_memo: dict[Weight, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._basis_matrix_memo: dict[str, dict[WeylElement, dict[WeylElement, int]]] = {}
+        self._canonical: dict[WeylElement, UniPoly] | None = None
 
     # -- grading -----------------------------------------------------------
 
@@ -100,8 +102,10 @@ class SchubertRing:
         got = self._sc_memo.get(key)
         if got is not None:
             return got
-        prod = self.model.schubert_class(u) * self.model.schubert_class(v)
-        out = self.model.expand_in_schubert_basis(prod).specialized
+        m = self.model
+        out = m.integer_coefficients(
+            pointwise_product(m.specialized_schubert_class(u), m.specialized_schubert_class(v))
+        )
         self._sc_memo[key] = out
         return out
 
@@ -131,7 +135,7 @@ class SchubertRing:
 
     def expand(self, f: EquivClass) -> KClass:
         """O-basis expansion of a model class, specialized to integers."""
-        return KClass(O_BASIS, dict(self.model.expand_in_schubert_basis(f).specialized))
+        return KClass(O_BASIS, self.model.integer_coefficients(f))
 
     # -- the four bases ------------------------------------------------------
 
@@ -159,6 +163,13 @@ class SchubertRing:
         """(-1)^codim . dual(f) . [omega_X]: the duality route to omega-classes."""
         out = f.dual() * self.model.canonical_class()
         return out if codimension % 2 == 0 else -out
+
+    def _specialized_twist(self, spec: dict, codimension: int) -> dict:
+        """dualizing_twist on specialized restrictions, where the dual is t -> 1/t."""
+        if self._canonical is None:
+            self._canonical = self.model.specialize(self.model.canonical_class())
+        sign = -1 if codimension % 2 else 1
+        return {x: p.involute() * self._canonical[x] * sign for x, p in spec.items()}
 
     def omega_class(self, w: WeylElement) -> KClass:
         """[omega_{X_w}] expanded over the O-basis."""
@@ -247,8 +258,11 @@ class SchubertRing:
 
     def richardson_class(self, v: WeylElement, w: WeylElement) -> KClass:
         """[O_{X^v intersect X_w}]; the zero class when v is not below w."""
-        prod = self.model.opposite_schubert_class(v) * self.model.schubert_class(w)
-        return self.expand(prod)
+        m = self.model
+        prod = pointwise_product(
+            m.specialize(m.opposite_schubert_class(v)), m.specialized_schubert_class(w)
+        )
+        return KClass(O_BASIS, m.integer_coefficients(prod))
 
     def line_bundle_coeffs(self, v: WeylElement, lam) -> dict[WeylElement, int]:
         """Coefficients of [L_{X_v}(lam)] over the Schubert basis."""
@@ -259,11 +273,12 @@ class SchubertRing:
         got = self._line_memo.get(lam)
         if got is not None:
             return got
-        lclass = self.model.line_bundle_class(lam)
+        m = self.model
+        lclass = m.specialize(m.line_bundle_class(lam))
         table = {}
         for v in self.group.elements:
-            prod = lclass * self.model.schubert_class(v)
-            table[v] = self.model.expand_in_schubert_basis(prod).specialized
+            prod = pointwise_product(lclass, m.specialized_schubert_class(v))
+            table[v] = m.integer_coefficients(prod)
         self._line_memo[lam] = table
         return table
 
@@ -391,24 +406,27 @@ class SchubertRing:
         violations = []
         checked = 0
         group = self.group
+        m = self.model
+        opposite = [m.specialize(m.opposite_schubert_class(v)) for v in group.elements]
         for w in group.elements:
+            psi_w = m.specialized_schubert_class(w)
             for v in group.elements:
-                prod = self.model.opposite_schubert_class(v) * self.model.schubert_class(w)
                 if not group.bruhat_leq(v, w):
+                    # a nonzero product can specialize to zero, so this
+                    # emptiness test keeps the multivariate product
+                    prod = m.opposite_schubert_class(v) * m.schubert_class(w)
                     if prod.restrictions:
                         violations.append((v.word, w.word, "nonzero-empty-intersection"))
                     continue
                 checked += 1
                 dim_y = w.length - v.length
-                coeffs = self.model.expand_in_schubert_basis(prod).specialized
-                for u, c in coeffs.items():
+                prod = pointwise_product(opposite[v.index], psi_w)
+                for u, c in m.integer_coefficients(prod).items():
                     sign_ok = (c > 0) == ((dim_y - u.length) % 2 == 0)
                     if not sign_ok:
                         violations.append((v.word, w.word, u.word, c, dim_y - u.length))
-                omega_y = self.dualizing_twist(prod, v.length + self.codim(w))
-                coords = self.coords_in_basis(
-                    self.model.expand_in_schubert_basis(omega_y).specialized, OMEGA_BASIS
-                )
+                omega_y = self._specialized_twist(prod, v.length + self.codim(w))
+                coords = self.coords_in_basis(m.integer_coefficients(omega_y), OMEGA_BASIS)
                 for u, c in coords.items():
                     if c < 0:
                         violations.append((v.word, w.word, u.word, c, "omega-basis"))
@@ -520,9 +538,9 @@ class SchubertRing:
         count = 0
         for i in range(1, datum.rank + 1):
             omega_i = datum.fundamental_weight(i)
-            got = self.model.expand_in_schubert_basis(
+            got = self.model.integer_coefficients(
                 self.model.line_bundle_class(neg(omega_i))
-            ).specialized
+            )
             want = {w_o: 1, group.right_mul(w_o, i): -1}
             count += 1
             if got != want:
@@ -546,9 +564,17 @@ def _int_exact_div(c: int, d: int) -> int:
     return q
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(jobs: int, pairs: int) -> int:
-    """Worker processes for a sweep: min(jobs, CPUs, pairs), at least 1."""
-    return max(1, min(jobs, os.cpu_count() or 1, pairs))
+    """Worker processes for a sweep: min(jobs, usable CPUs, pairs), at least 1."""
+    return max(1, min(jobs, _usable_cpus(), pairs))
 
 
 # Shared state for fork-based parallel sweeps; set only around Pool usage.
@@ -573,6 +599,9 @@ def _parallel_structure_constants(ring: SchubertRing, pairs, jobs: int):
     except ValueError:
         # no fork on this platform; the sweep stays correct, just serial
         return [ring.structure_constants(u, v) for u, v in pairs]
+    # workers inherit the specialized table instead of each rebuilding it
+    for w in ring.group.elements:
+        ring.model.specialized_schubert_class(w)
     idx_pairs = [(u.index, v.index) for u, v in pairs]
     chunks = [idx_pairs[i::jobs] for i in range(jobs)]
     _PARALLEL_RING = ring

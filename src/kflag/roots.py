@@ -201,10 +201,6 @@ class RootDatum:
     def zero_weight(self) -> Weight:
         return (0,) * self.rank
 
-    def height_pairing(self, lam: Weight) -> int:
-        """Pairing of lam with the sum of all simple coroots (= height on roots)."""
-        return sum(lam)
-
 
 def build_root_datum(type_letter: str, rank: int) -> RootDatum:
     """Root datum of a simple group from its (type, rank) pair."""
@@ -315,7 +311,6 @@ class WeylGroup:
             WeylElement(index=idx, word=words[idx], length=rec[1], key=rec[0])
             for idx, rec in enumerate(records)
         )
-        self._by_key = {w.key: w for w in self.elements}
         self.identity = self.elements[0]
         self.w_o = self.elements[-1]
         if self.w_o.length != len(datum.positive_roots):
@@ -385,9 +380,6 @@ class WeylGroup:
                 raise ConfigError(f"letter {i} out of range in word {list(word)}")
             idx = self._right[i - 1][idx]
         return self.elements[idx]
-
-    def from_key(self, key: Weight) -> WeylElement:
-        return self._by_key[key]
 
     # -- group operations ----------------------------------------------
 
@@ -460,9 +452,6 @@ class WeylGroup:
             out = self._bruhat(u_idx, sw)
         memo[(u_idx, w_idx)] = out
         return out
-
-    def bruhat_interval_below(self, w: WeylElement) -> tuple[WeylElement, ...]:
-        return tuple(u for u in self.elements if self.bruhat_leq(u, w))
 
     # -- parabolic combinatorics ------------------------------------------
 

@@ -69,27 +69,38 @@ class UniPoly:
         return UniPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            n = out.get(e, 0) - c
+            if n:
+                out[e] = n
+            else:
+                del out[e]
+        return UniPoly(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return UniPoly({e: c * other for e, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
         out: dict[int, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 e = ea + eb
-                n = out.get(e, 0) + ca * cb
-                if n:
-                    out[e] = n
-                else:
-                    del out[e]
-        return UniPoly(out)
+                out[e] = get(e, 0) + ca * cb
+        return UniPoly(out)  # drops the terms that cancelled
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by t^k."""
         return UniPoly({e + k: c for e, c in self.terms.items()})
+
+    def involute(self) -> "UniPoly":
+        """t -> 1/t, the image of the duality involution e^lam -> e^(-lam)."""
+        return UniPoly({-e: c for e, c in self.terms.items()})
 
     def min_degree(self) -> int:
         return min(self.terms)

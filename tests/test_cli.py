@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -416,6 +417,22 @@ def test_cache_store_ignores_a_stale_tmp_path(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == [
         "schubert-table-A2.json", "schubert-table-A2.json.tmp"
     ]
+
+
+def test_cache_store_bytes_are_the_sorted_dump(tmp_path):
+    """The stored file is json.dumps(payload, sort_keys=True), byte for byte,
+    which is also what the streaming json.dump writes."""
+    from kflag.cli import _table_to_payload, cache_store
+
+    datum, group, model = _a2_stack()
+    path = cache_store(str(tmp_path), datum, group, model)
+    payload = _table_to_payload(datum, group, model)
+    want = json.dumps(payload, sort_keys=True)
+    streamed = io.StringIO()
+    json.dump(payload, streamed, sort_keys=True)
+    assert streamed.getvalue() == want
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode("utf-8")
 
 
 def test_cache_store_failure_removes_its_temp_file(tmp_path, capsys, monkeypatch):

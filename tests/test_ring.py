@@ -188,6 +188,8 @@ def test_back_solve_on_a_chain():
 def test_pool_size_is_bounded(monkeypatch):
     from kflag.ring import pool_size
 
+    # a platform without affinity masks falls back to the CPU count
+    monkeypatch.delattr("kflag.ring.os.sched_getaffinity", raising=False)
     monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
     assert pool_size(8, 100) == 4
     assert pool_size(2, 100) == 2
@@ -196,6 +198,13 @@ def test_pool_size_is_bounded(monkeypatch):
     assert pool_size(8, 0) == 1
     monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: None)
     assert pool_size(8, 100) == 1
+    # pinned to one CPU of four (as under taskset -c 1), --jobs 2 stays serial
+    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {1}, raising=False)
+    assert pool_size(2, 100) == 1
+    monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+    assert pool_size(8, 100) == 3
+    assert pool_size(2, 100) == 2
 
 
 def test_duality_routes_agree(engines):

@@ -1,0 +1,154 @@
+"""The specialize-first integer path against the multivariate reference.
+
+``SchubertModel.integer_coefficients`` solves in one variable t after
+e^lam -> t^<lam, k>; ``expand_in_schubert_basis`` solves in the full
+Laurent ring.  Specialization is a ring homomorphism that keeps every
+pivot nonzero, so the integers must agree exactly on every class.
+"""
+from __future__ import annotations
+
+import pytest
+
+from kflag import EquivClass, LaurentPoly, NotDivisibleError, UniPoly
+from kflag.cli import _default_line_sweep
+from kflag.model import laurent_divexact, pointwise_product
+from kflag.ring import _parallel_structure_constants
+
+
+def reference(model, f: EquivClass) -> dict:
+    return model.expand_in_schubert_basis(f).specialized
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2"])
+def test_every_product_matches_the_multivariate_route(label, engines):
+    m, g, r = engines.model(label), engines.group(label), engines.ring(label)
+    for u in g.elements:
+        for v in g.elements:
+            prod = m.schubert_class(u) * m.schubert_class(v)
+            want = reference(m, prod)
+            assert m.integer_coefficients(prod) == want
+            assert r.structure_constants(u, v) == want
+
+
+def _stratified_pairs(group, count: int):
+    """``count`` unordered pairs spread evenly over all pairs ordered by
+    (l(u) + l(v), u, v), so every length stratum is represented."""
+    els = group.elements
+    pairs = sorted(
+        ((u, v) for i, u in enumerate(els) for v in els[i:]),
+        key=lambda p: (p[0].length + p[1].length, p[0].index, p[1].index),
+    )
+    step = (len(pairs) - 1) / (count - 1)
+    return [pairs[round(k * step)] for k in range(count)]
+
+
+@pytest.mark.parametrize("label", ["B3", "C3"])
+def test_stratified_sample_matches_the_multivariate_route(label, engines):
+    m, g, r = engines.model(label), engines.group(label), engines.ring(label)
+    pairs = _stratified_pairs(g, 50)
+    assert len(set(pairs)) == 50
+    for u, v in pairs:
+        want = reference(m, m.schubert_class(u) * m.schubert_class(v))
+        assert r.structure_constants(u, v) == want
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_richardson_classes_match_the_multivariate_route(label, engines):
+    m, g, r = engines.model(label), engines.group(label), engines.ring(label)
+    for w in g.elements:
+        for v in g.elements:
+            prod = m.opposite_schubert_class(v) * m.schubert_class(w)
+            assert r.richardson_class(v, w).coeffs == reference(m, prod)
+            if not g.bruhat_leq(v, w):
+                continue
+            codim = v.length + r.codim(w)
+            spec = pointwise_product(
+                m.specialize(m.opposite_schubert_class(v)), m.specialized_schubert_class(w)
+            )
+            twisted = r._specialized_twist(spec, codim)
+            assert twisted == m.specialize(r.dualizing_twist(prod, codim))
+            assert m.integer_coefficients(twisted) == reference(
+                m, r.dualizing_twist(prod, codim)
+            )
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_omega_classes_match_the_multivariate_route(label, engines):
+    m, g, r = engines.model(label), engines.group(label), engines.ring(label)
+    for w in g.elements:
+        codim = r.codim(w)
+        assert r.omega_class(w).coeffs == reference(
+            m, r.dualizing_twist(m.schubert_class(w), codim)
+        )
+        assert r.omega_boundary_class(w).coeffs == reference(
+            m, r.dualizing_twist(r.ideal_equiv(w), codim)
+        )
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_line_classes_of_the_default_sweep_match(label, engines):
+    """Every weight the default line sweep reads: lambda, -lambda and
+    lambda + mu over the sweep, which includes every -omega_i of the
+    Chevalley check."""
+    d, m, g, r = engines.datum(label), engines.model(label), engines.group(label), engines.ring(label)
+    sweep = _default_line_sweep(d)
+    weights = set(sweep)
+    weights.update(tuple(-x for x in lam) for lam in sweep)
+    weights.update(tuple(a + b for a, b in zip(lam, mu)) for lam in sweep for mu in sweep)
+    for lam in sorted(weights):
+        lclass = m.line_bundle_class(lam)
+        assert m.integer_coefficients(lclass) == reference(m, lclass)
+        for v in g.elements:
+            want = reference(m, lclass * m.schubert_class(v))
+            assert r.line_bundle_coeffs(v, lam) == want
+
+
+def test_class_outside_the_span_raises(engines):
+    m = engines.model("A1")
+    g = engines.group("A1")
+    bad = EquivClass(1, {g.identity: LaurentPoly.one(1)})
+    with pytest.raises(NotDivisibleError):
+        m.integer_coefficients(bad)
+
+
+def test_specialized_rows_are_lazy(engines):
+    from kflag import SchubertModel
+
+    g = engines.group("B2")
+    m = SchubertModel(g)
+    assert all(row is None for row in m._specialized)
+    m.integer_coefficients(m.schubert_class(g.w_o))
+    assert m._specialized[g.w_o.index] is not None
+    assert m._specialized[g.identity.index] is None
+    row = m.specialized_schubert_class(g.w_o)
+    assert m.specialized_schubert_class(g.w_o) is row
+    assert row == m.specialize(m.schubert_class(g.w_o))
+
+
+def test_fork_workers_inherit_the_specialized_table(engines):
+    from kflag import SchubertModel, SchubertRing
+
+    g = engines.group("A2")
+    ring = SchubertRing(SchubertModel(g))
+    pairs = [(u, v) for i, u in enumerate(g.elements) for v in g.elements[i:]]
+    got = _parallel_structure_constants(ring, pairs, 2)
+    assert all(row is not None for row in ring.model._specialized)
+    want = engines.ring("A2")
+    assert got == [want.structure_constants(u, v) for u, v in pairs]
+
+
+def test_laurent_divexact():
+    # (t^-2 - t^3) / (1 - t^5) = t^-2, shifted operands on both sides
+    a = UniPoly({-2: 1, 3: -1})
+    assert laurent_divexact(a, UniPoly.one_minus_power(5)) == UniPoly({-2: 1})
+    assert laurent_divexact(a, UniPoly({4: 1, 9: -1})) == UniPoly({-6: 1})
+    with pytest.raises(NotDivisibleError):
+        laurent_divexact(a, UniPoly.one_minus_power(2))
+    with pytest.raises(NotDivisibleError):
+        laurent_divexact(UniPoly.one(), UniPoly.one_minus_power(1))
+
+
+def test_unipoly_involute_is_the_image_of_the_dual():
+    k = (2, 3)
+    p = LaurentPoly(2, {(1, 0): 4, (0, -1): -1, (2, 1): 7})
+    assert p.involute().specialize(k) == p.specialize(k).involute()
