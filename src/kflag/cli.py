@@ -178,6 +178,9 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     except (OSError, json.JSONDecodeError) as exc:
         print(f"warning: cache unreadable ({exc}); recomputing", file=sys.stderr)
         return None
+    if not isinstance(payload, dict):
+        print("warning: cache malformed (not a JSON object); recomputing", file=sys.stderr)
+        return None
     digest = payload.pop("digest", None)
     if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
         print("warning: cache schema version mismatch; recomputing", file=sys.stderr)

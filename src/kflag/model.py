@@ -1,7 +1,8 @@
 """Fixed-point localization model of equivariant K-theory of G/B.
 
 A class is a map from Weyl-group fixed points to exact Laurent polynomials
-(its restrictions).  Schubert structure-sheaf classes are produced by the
+(its restrictions), in the weight lattice or, once specialized, in one
+variable t.  Schubert structure-sheaf classes are produced by the
 divided-difference recursion from the point class; products, sums and the
 duality involution act pointwise; the pushforward to a point is the
 fixed-point sum, made computable in one variable by a generic cocharacter.
@@ -24,15 +25,18 @@ from .univariate import UniPoly, poly_divexact
 
 
 class EquivClass:
-    """A localized equivariant K-class: fixed point -> Laurent polynomial."""
+    """A localized equivariant K-class: fixed point -> restriction, a
+    ``LaurentPoly`` or, after ``SchubertModel.specialize``, a ``UniPoly``;
+    the ring operations use only what both types provide."""
 
     __slots__ = ("rank", "restrictions")
 
-    def __init__(self, rank: int, restrictions: dict[WeylElement, LaurentPoly]):
+    def __init__(self, rank: int, restrictions: dict[WeylElement, LaurentPoly | UniPoly]):
         self.rank = rank
         self.restrictions = {v: p for v, p in restrictions.items() if not p.is_zero()}
 
     def restriction(self, v: WeylElement) -> LaurentPoly:
+        """The restriction at v of a class in the weight lattice."""
         got = self.restrictions.get(v)
         return got if got is not None else LaurentPoly.zero(self.rank)
 
@@ -64,10 +68,19 @@ class EquivClass:
         return EquivClass(self.rank, {v: -p for v, p in self.restrictions.items()})
 
     def __mul__(self, other: "EquivClass") -> "EquivClass":
-        return EquivClass(self.rank, pointwise_product(self.restrictions, other.restrictions))
+        """Pointwise product at the common fixed points."""
+        a, b = self.restrictions, other.restrictions
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for v, p in a.items():
+            q = b.get(v)
+            if q is not None:
+                out[v] = p * q
+        return EquivClass(self.rank, out)
 
-    def scale(self, poly: LaurentPoly) -> "EquivClass":
-        """Multiply every restriction by a fixed global character."""
+    def scale(self, poly) -> "EquivClass":
+        """Multiply every restriction by a fixed global character or integer."""
         return EquivClass(self.rank, {v: p * poly for v, p in self.restrictions.items()})
 
     def dual(self) -> "EquivClass":
@@ -78,18 +91,6 @@ class EquivClass:
         body = ", ".join(f"{v!r}: {p!r}" for v, p in sorted(
             self.restrictions.items(), key=lambda t: t[0].index))
         return f"EquivClass({{{body}}})"
-
-
-def pointwise_product(a: dict, b: dict) -> dict:
-    """Product of two restriction maps at their common fixed points."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for v, p in a.items():
-        q = b.get(v)
-        if q is not None:
-            out[v] = p * q
-    return out
 
 
 class ExpansionResult:
@@ -104,11 +105,17 @@ class ExpansionResult:
 
     def __init__(self, coeffs: dict[WeylElement, LaurentPoly]):
         self.coeffs = coeffs
-        self.specialized = {}
-        for w, c in coeffs.items():
-            n = c.eval_at_one()
-            if n:
-                self.specialized[w] = n
+        self.specialized = _values_at_one(coeffs)
+
+
+def _values_at_one(coeffs: dict) -> dict[WeylElement, int]:
+    """The integer value at 1 of each coefficient, zero values omitted."""
+    out = {}
+    for w, c in coeffs.items():
+        n = c.eval_at_one()
+        if n:
+            out[w] = n
+    return out
 
 
 def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
@@ -163,7 +170,7 @@ class SchubertModel:
         self.datum: RootDatum = group.datum
         self.rank = self.datum.rank
         self.dimension = len(self.datum.positive_roots)
-        self.cocharacter = _choose_cocharacter(self.datum)
+        self.cocharacter = _height_cocharacter(self.datum)
         self._point = self._build_point_class()
         if table is None:
             self._schubert = self._build_schubert_table()
@@ -178,9 +185,7 @@ class SchubertModel:
         ] * len(group.elements)
         self._common_denominator: dict[int, int] | None = None
         self._cofactors: list[UniPoly | None] = [None] * len(group.elements)
-        self._specialized: list[dict[WeylElement, UniPoly] | None] = [None] * len(
-            group.elements
-        )
+        self._specialized: list[EquivClass | None] = [None] * len(group.elements)
 
     # -- class constructors -----------------------------------------------
 
@@ -287,50 +292,43 @@ class SchubertModel:
 
     # -- specialization -----------------------------------------------------
 
-    def specialize(self, f: EquivClass) -> dict[WeylElement, UniPoly]:
-        """Restrictions of f under e^lam -> t^<lam, k>, zero images dropped.
+    def specialize(self, f: EquivClass) -> EquivClass:
+        """f under e^lam -> t^<lam, k>, restrictions in one variable.
 
         For the regular cocharacter k this is a ring homomorphism that sends
         every pivot prod_{beta}(1 - e^beta) to a nonzero polynomial.
         """
         k = self.cocharacter
-        out = {}
-        for v, p in f.restrictions.items():
-            q = p.specialize(k)
-            if q:
-                out[v] = q
-        return out
+        return EquivClass(self.rank, {v: p.specialize(k) for v, p in f.restrictions.items()})
 
-    def specialized_schubert_class(self, w: WeylElement) -> dict[WeylElement, UniPoly]:
+    def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
         """specialize([O_{X_w}]), built on first use and kept on the model."""
         row = self._specialized[w.index]
         if row is None:
             row = self._specialized[w.index] = self.specialize(self._schubert[w.index])
         return row
 
-    def integer_coefficients(self, f) -> dict[WeylElement, int]:
-        """Integer Schubert-basis coefficients of f, computed in Z[t, 1/t].
+    def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
+        """Integer Schubert-basis coefficients of f = ``specialize(g)``,
+        solved in Z[t, 1/t].
 
-        ``f`` is a model class or restrictions already specialized (a map
-        fixed point -> UniPoly, such as a pointwise product of specialized
-        classes).  Specialization commutes with the triangular solve, so the
-        values at t = 1 equal ``expand_in_schubert_basis(f).specialized``.
-        A failed division or a nonzero residual raises, but one variable
-        catches fewer classes outside the span than the multivariate route.
+        Specialization commutes with the triangular solve, so the values at
+        t = 1 equal ``expand_in_schubert_basis(g).specialized``.  A failed
+        division or a nonzero residual raises, but one variable catches
+        fewer classes outside the span than the multivariate route.
         """
-        if isinstance(f, EquivClass):
-            f = self.specialize(f)
+        return _values_at_one(
+            self._solve(f, self.specialized_schubert_class, laurent_divexact)
+        )
+
+    def _solve(self, f: EquivClass, row, divide) -> dict:
+        """Coordinates of f against the Schubert rows ``row(w)``; a residual raises."""
         coeffs, residual = back_solve(
-            self.group.elements, f, self.specialized_schubert_class, laurent_divexact
+            self.group.elements, f.restrictions, lambda w: row(w).restrictions, divide
         )
         if residual:
             raise NonzeroResidualError("expansion left a nonzero residual")
-        out = {}
-        for w, c in coeffs.items():
-            n = c.eval_at_one()
-            if n:
-                out[w] = n
-        return out
+        return coeffs
 
     # -- pushforward and expansion ------------------------------------------
 
@@ -434,50 +432,22 @@ class SchubertModel:
         both failures mean the class is outside the span (or a convention
         bug) and raise.
         """
-        table = self._schubert
-        coeffs, residual = back_solve(
-            self.group.elements,
-            f.restrictions,
-            lambda w: table[w.index].restrictions,
-            LaurentPoly.exact_div,
-        )
-        if residual:
-            raise NonzeroResidualError("expansion left a nonzero residual")
-        return ExpansionResult(coeffs)
-
-
-def _choose_cocharacter(datum: RootDatum) -> tuple[int, ...]:
-    """A cocharacter pairing non-trivially with every root.
-
-    The default is the height functional: the integer vector k solving
-    A^T k = c * (1, ..., 1) pairs every root beta to c * height(beta) != 0,
-    and keeps specialized degrees at root-height scale.  If a pathological
-    explicit matrix ever produced a collision, fall back to powers of a
-    large base (above twice the maximal root height times the group
-    diameter), growing the base until every root pairs to a nonzero
-    integer.
-    """
-    k = _height_cocharacter(datum)
-    if _cocharacter_valid(datum, k):
-        return k
-    max_height = max(sum(c) for c in datum.positive_root_coords)
-    base = 2 * max_height * max(2 * len(datum.positive_roots), 1) + 1
-    while True:
-        k = tuple(base**j for j in range(1, datum.rank + 1))
-        if _cocharacter_valid(datum, k):
-            return k
-        base += 1
+        return ExpansionResult(self._solve(f, self.schubert_class, LaurentPoly.exact_div))
 
 
 def _height_cocharacter(datum: RootDatum) -> tuple[int, ...]:
-    """Solve A^T k = c * ones over the rationals and clear denominators."""
+    """The cocharacter k pairing every root beta to c * height(beta), c > 0.
+
+    k solves A^T k = c * (1, ..., 1): over the rationals, then with the
+    denominators cleared.  Every simple root pairs to c, so k is regular
+    and specialized degrees stay at root-height scale.  No row swap is
+    needed: the leading minors of A^T are those of A, which
+    ``roots._validate_cartan`` has checked are positive.
+    """
     r = datum.rank
     m = [[Fraction(datum.cartan[j][i]) for j in range(r)] for i in range(r)]
     rhs = [Fraction(1)] * r
     for col in range(r):
-        pivot = next(row for row in range(col, r) if m[row][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
         rhs[col] = rhs[col] * inv
@@ -489,8 +459,3 @@ def _height_cocharacter(datum: RootDatum) -> tuple[int, ...]:
     scale = lcm(*(x.denominator for x in rhs))
     return tuple(int(x * scale) for x in rhs)
 
-
-def _cocharacter_valid(datum: RootDatum, k: tuple[int, ...]) -> bool:
-    return all(
-        sum(x * ki for x, ki in zip(beta, k)) != 0 for beta in datum.positive_roots
-    )

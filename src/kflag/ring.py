@@ -13,10 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntegrityError
-from .laurent import LaurentPoly
-from .model import EquivClass, SchubertModel, back_solve, pointwise_product
+from .model import EquivClass, SchubertModel, back_solve
 from .roots import ParabolicData, Weight, WeylElement
-from .univariate import UniPoly
 
 O_BASIS = "O"
 IDEAL_BASIS = "IDEAL"
@@ -83,7 +81,7 @@ class SchubertRing:
         self._sc_memo: dict[tuple[int, int], dict[WeylElement, int]] = {}
         self._line_memo: dict[Weight, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._basis_matrix_memo: dict[str, dict[WeylElement, dict[WeylElement, int]]] = {}
-        self._canonical: dict[WeylElement, UniPoly] | None = None
+        self._canonical: EquivClass | None = None
 
     # -- grading -----------------------------------------------------------
 
@@ -104,7 +102,7 @@ class SchubertRing:
             return got
         m = self.model
         out = m.integer_coefficients(
-            pointwise_product(m.specialized_schubert_class(u), m.specialized_schubert_class(v))
+            m.specialized_schubert_class(u) * m.specialized_schubert_class(v)
         )
         self._sc_memo[key] = out
         return out
@@ -128,14 +126,12 @@ class SchubertRing:
         acc = EquivClass(self.model.rank, {})
         for w, c in kclass.coeffs.items():
             if c:
-                acc = acc + self.model.schubert_class(w).scale(
-                    LaurentPoly.one(self.model.rank) * c
-                )
+                acc = acc + self.model.schubert_class(w).scale(c)
         return acc
 
     def expand(self, f: EquivClass) -> KClass:
         """O-basis expansion of a model class, specialized to integers."""
-        return KClass(O_BASIS, self.model.integer_coefficients(f))
+        return KClass(O_BASIS, self.model.integer_coefficients(self.model.specialize(f)))
 
     # -- the four bases ------------------------------------------------------
 
@@ -164,12 +160,12 @@ class SchubertRing:
         out = f.dual() * self.model.canonical_class()
         return out if codimension % 2 == 0 else -out
 
-    def _specialized_twist(self, spec: dict, codimension: int) -> dict:
-        """dualizing_twist on specialized restrictions, where the dual is t -> 1/t."""
+    def _specialized_twist(self, spec: EquivClass, codimension: int) -> EquivClass:
+        """dualizing_twist on a specialized class, where the dual is t -> 1/t."""
         if self._canonical is None:
             self._canonical = self.model.specialize(self.model.canonical_class())
-        sign = -1 if codimension % 2 else 1
-        return {x: p.involute() * self._canonical[x] * sign for x, p in spec.items()}
+        out = spec.dual() * self._canonical
+        return out if codimension % 2 == 0 else -out
 
     def omega_class(self, w: WeylElement) -> KClass:
         """[omega_{X_w}] expanded over the O-basis."""
@@ -259,9 +255,7 @@ class SchubertRing:
     def richardson_class(self, v: WeylElement, w: WeylElement) -> KClass:
         """[O_{X^v intersect X_w}]; the zero class when v is not below w."""
         m = self.model
-        prod = pointwise_product(
-            m.specialize(m.opposite_schubert_class(v)), m.specialized_schubert_class(w)
-        )
+        prod = m.specialize(m.opposite_schubert_class(v)) * m.specialized_schubert_class(w)
         return KClass(O_BASIS, m.integer_coefficients(prod))
 
     def line_bundle_coeffs(self, v: WeylElement, lam) -> dict[WeylElement, int]:
@@ -277,8 +271,7 @@ class SchubertRing:
         lclass = m.specialize(m.line_bundle_class(lam))
         table = {}
         for v in self.group.elements:
-            prod = pointwise_product(lclass, m.specialized_schubert_class(v))
-            table[v] = m.integer_coefficients(prod)
+            table[v] = m.integer_coefficients(lclass * m.specialized_schubert_class(v))
         self._line_memo[lam] = table
         return table
 
@@ -420,7 +413,7 @@ class SchubertRing:
                     continue
                 checked += 1
                 dim_y = w.length - v.length
-                prod = pointwise_product(opposite[v.index], psi_w)
+                prod = opposite[v.index] * psi_w
                 for u, c in m.integer_coefficients(prod).items():
                     sign_ok = (c > 0) == ((dim_y - u.length) % 2 == 0)
                     if not sign_ok:
@@ -535,12 +528,10 @@ class SchubertRing:
                         report.violations.append(("dominant", weight, v.word, w.word, c))
         report.checks.append(("dominant-nonnegativity", count))
 
+        # [L(-omega_i)] . psi_{w_o} = [L(-omega_i)], since psi_{w_o} = 1
         count = 0
         for i in range(1, datum.rank + 1):
-            omega_i = datum.fundamental_weight(i)
-            got = self.model.integer_coefficients(
-                self.model.line_bundle_class(neg(omega_i))
-            )
+            got = self._line_table(neg(datum.fundamental_weight(i)))[w_o]
             want = {w_o: 1, group.right_mul(w_o, i): -1}
             count += 1
             if got != want:

@@ -85,21 +85,14 @@ def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
                 raise ConfigError("off-diagonal Cartan entries must be <= 0")
             if i != j and (a[i][j] == 0) != (a[j][i] == 0):
                 raise ConfigError("Cartan zero pattern must be symmetric")
-    # finite type <=> all leading principal minors positive
+    # finite type <=> all leading principal minors positive (Sylvester's
+    # criterion on the symmetrized D A, whose leading minors are those of A
+    # times positive factors).  Without row swaps the k-th pivot is the
+    # ratio of the k-th and (k-1)-th leading minors.
     m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
     for k in range(r):
         pivot = m[k][k]
-        if pivot == 0:
-            # full expansion fallback for a zero pivot: permute a nonzero row up
-            swap = next((t for t in range(k + 1, r) if m[t][k] != 0), None)
-            if swap is None:
-                raise ConfigError("Cartan matrix is not of finite type")
-            m[k], m[swap] = m[swap], m[k]
-            det = -det
-            pivot = m[k][k]
-        det *= pivot
-        if det <= 0:
+        if pivot <= 0:
             raise ConfigError("Cartan matrix is not of finite type")
         for t in range(k + 1, r):
             f = m[t][k] / pivot

@@ -28,10 +28,6 @@ class UniPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "UniPoly":
-        return cls({degree: coeff})
-
-    @classmethod
     def one_minus_power(cls, n: int) -> "UniPoly":
         """1 - t^n (for n = 0 this is the zero polynomial)."""
         if n == 0:

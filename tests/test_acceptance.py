@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import random
 import time
+import zlib
 
 import pytest
 
@@ -185,7 +186,7 @@ def test_criterion_10_model_integrity(engines):
         model = engines.model(label)
         ring = engines.ring(label)
         datum = engines.datum(label)
-        rng = random.Random(hash(label) & 0xFFFF)
+        rng = random.Random(zlib.crc32(label.encode()))
         pairs = [
             (i, j)
             for i in range(1, datum.rank + 1)

@@ -448,6 +448,23 @@ def test_cache_store_failure_removes_its_temp_file(tmp_path, capsys, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("body", ["[]", '"x"', "3", "null"])
+def test_cache_that_is_not_an_object_recomputes(tmp_path, capsys, monkeypatch, body):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    args = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
+    code, want, err = run_cli(capsys, *args)
+    assert code == 0 and not err
+    path = tmp_path / "schubert-table-A2.json"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: cache malformed (not a JSON object); recomputing"
+    ]
+    assert out == want
+    assert json.loads(path.read_text())["schema_version"]
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv(CACHE_ENV_VAR, cache)

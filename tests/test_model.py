@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,9 @@ from kflag import (
     LaurentPoly,
     NotDivisibleError,
     PoleAtOneError,
+    build_root_datum,
 )
+from kflag.model import _height_cocharacter
 
 import chi_oracle
 
@@ -279,6 +282,25 @@ def test_chi_pole_classification(engines, k):
     with pytest.raises(KflagError) as got:
         chi_oracle.chi(m, f)
     assert got.type is want
+
+
+@pytest.mark.parametrize(
+    "letter,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+     ("D", 4), ("F", 4), ("E", 6), ("G", 2)],
+)
+def test_cocharacter_pairs_roots_to_their_height(letter, rank):
+    """<beta, k> = c * height(beta) with one c > 0 for every positive root,
+    so the default cocharacter is regular (root data only, no Weyl group)."""
+    datum = build_root_datum(letter, rank)
+    k = _height_cocharacter(datum)
+    got = {
+        Fraction(sum(x * ki for x, ki in zip(beta, k)), sum(coords))
+        for beta, coords in zip(datum.positive_roots, datum.positive_root_coords)
+    }
+    assert len(got) == 1
+    (c,) = got
+    assert c > 0 and c.denominator == 1
 
 
 def test_chi_agrees_with_generic_fraction_sum(engines):

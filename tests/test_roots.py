@@ -72,6 +72,9 @@ def test_affine_cartan_rejected():
     # affine A1: determinant zero
     with pytest.raises(ConfigError):
         root_datum_from_cartan([[2, -2], [-2, 2]])
+    # the leading 2x2 minor is zero with a nonzero entry below it
+    with pytest.raises(ConfigError):
+        root_datum_from_cartan([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
 
 
 def test_cartan_axioms_enforced():
