@@ -29,8 +29,9 @@ from .errors import (
 from .model import SchubertModel
 from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, root_datum_from_cartan
+from .univariate import UniPoly
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
 
 EXIT_OK = 0
@@ -119,12 +120,13 @@ def _canonical_payload_bytes(payload: dict) -> bytes:
 
 
 def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) -> dict:
+    """The one-variable Schubert table as rows [w, v, [[e, c], ...]]: the
+    restriction of class w at fixed point v is sum c t^e."""
     rows = []
     for w in group.elements:
-        cls = model.schubert_class(w)
+        cls = model.specialized_schubert_class(w)
         for v, poly in sorted(cls.restrictions.items(), key=lambda t: t[0].index):
-            terms = sorted((list(e), c) for e, c in poly.terms.items())
-            rows.append([w.index, v.index, terms])
+            rows.append([w.index, v.index, sorted([e, c] for e, c in poly.terms.items())])
     payload = {
         "schema_version": CACHE_SCHEMA_VERSION,
         "group": {
@@ -165,10 +167,27 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
         return None
 
 
-def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
-    """Load a cached table; any mismatch recomputes (returns None) with a warning."""
-    from .laurent import LaurentPoly
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
 
+
+def _valid_row(row, n: int) -> bool:
+    """[w, v, [[e, c], ...]] with w and v element indices and integer terms."""
+    if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
+        return False
+    w_idx, v_idx, terms = row
+    return (
+        _is_int(w_idx) and 0 <= w_idx < n and _is_int(v_idx) and 0 <= v_idx < n
+        and all(
+            isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int(t[1])
+            for t in terms
+        )
+    )
+
+
+def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
+    """Load a cached one-variable table; any mismatch recomputes (returns
+    None) with one warning line."""
     path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
     if not os.path.exists(path):
         return None
@@ -188,21 +207,25 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     if hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest() != digest:
         print("warning: cache digest mismatch; recomputing", file=sys.stderr)
         return None
-    grp = payload.get("group", {})
+    grp = payload.get("group")
+    if not isinstance(grp, dict):
+        print("warning: cache malformed (group is not an object); recomputing", file=sys.stderr)
+        return None
     if grp.get("cartan") != [list(r) for r in datum.cartan]:
         print("warning: cache is for a different group; recomputing", file=sys.stderr)
         return None
     if payload.get("elements") != [list(w.word) for w in group.elements]:
         print("warning: cache element list mismatch; recomputing", file=sys.stderr)
         return None
-    table: list[dict] = [dict() for _ in group.elements]
-    try:
-        for w_idx, v_idx, terms in payload["restrictions"]:
-            poly = LaurentPoly(datum.rank, {tuple(e): c for e, c in terms})
-            table[w_idx][group.elements[v_idx]] = poly
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        print(f"warning: cache malformed ({exc}); recomputing", file=sys.stderr)
+    rows = payload.get("restrictions")
+    elements = group.elements
+    if not (isinstance(rows, list) and all(_valid_row(row, len(elements)) for row in rows)):
+        print("warning: cache malformed (restrictions are not [w, v, terms] rows); recomputing",
+              file=sys.stderr)
         return None
+    table: list[dict] = [dict() for _ in elements]
+    for w_idx, v_idx, terms in rows:
+        table[w_idx][elements[v_idx]] = UniPoly(dict(terms))
     return table
 
 

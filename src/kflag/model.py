@@ -160,9 +160,11 @@ def weyl_act(group: WeylGroup, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
 class SchubertModel:
     """The localization model for one Weyl group, with all class tables.
 
-    The Schubert restriction table is built once (here or injected from a
-    cache) and never mutated afterwards, so a model can be shared freely
-    across threads once constructed.
+    The one-variable Schubert table, the specialization of every Schubert
+    class, is built here (or injected from a cache) and never mutated
+    afterwards; the integer commands read only it.  The table in the weight
+    lattice is built on the first ``schubert_class`` call.  Every lazy table
+    is assigned whole once built, so a model can be shared across threads.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -171,13 +173,13 @@ class SchubertModel:
         self.rank = self.datum.rank
         self.dimension = len(self.datum.positive_roots)
         self.cocharacter = _height_cocharacter(self.datum)
-        self._point = self._build_point_class()
         if table is None:
-            self._schubert = self._build_schubert_table()
+            self._specialized = self._build_schubert_table(self._monomial_t, laurent_divexact)
         else:
-            self._schubert = [EquivClass(self.rank, dict(entry)) for entry in table]
-            if len(self._schubert) != len(group.elements):
+            self._specialized = [EquivClass(self.rank, dict(entry)) for entry in table]
+            if len(self._specialized) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
+        self._schubert: list[EquivClass] | None = None
         self._opposite: list[EquivClass | None] = [None] * len(group.elements)
         self._opposite_ideal: list[EquivClass | None] = [None] * len(group.elements)
         self._denominator_profiles: list[tuple[int, int, dict[int, int]] | None] = [
@@ -185,55 +187,74 @@ class SchubertModel:
         ] * len(group.elements)
         self._common_denominator: dict[int, int] | None = None
         self._cofactors: list[UniPoly | None] = [None] * len(group.elements)
-        self._specialized: list[EquivClass | None] = [None] * len(group.elements)
 
     # -- class constructors -----------------------------------------------
 
     def point_class(self) -> EquivClass:
         """[O_{X_e}]: restriction prod_{alpha>0}(1 - e^alpha) at e, zero elsewhere."""
-        return self._point
+        return self._point_class(LaurentPoly.monomial)
 
-    def _build_point_class(self) -> EquivClass:
-        p = LaurentPoly.one(self.rank)
+    def _point_class(self, monomial) -> EquivClass:
+        """The point class in the ring whose e^lam is ``monomial(lam)``."""
+        one = monomial(self.datum.zero_weight())
+        p = one
         for alpha in self.datum.positive_roots:
-            p = p * (LaurentPoly.one(self.rank) - LaurentPoly.monomial(alpha))
+            p = p * (one - monomial(alpha))
         return EquivClass(self.rank, {self.group.identity: p})
 
-    def demazure(self, i: int, f: EquivClass) -> EquivClass:
+    def _monomial_t(self, lam) -> UniPoly:
+        """t^<lam, k>, the specialization of e^lam."""
+        return UniPoly({sum(x * c for x, c in zip(lam, self.cocharacter)): 1})
+
+    def demazure(
+        self, i: int, f: EquivClass, monomial=LaurentPoly.monomial, divide=LaurentPoly.exact_div
+    ) -> EquivClass:
         """Divided difference D_i in the localization model.
 
-        (D_i f)(v) = (f(v) - e^{v(alpha_i)} f(v s_i)) / (1 - e^{v(alpha_i)}).
-        The other self-consistent convention twists the argument by s_i v
-        with weight e^{alpha_i}; this one is pinned by the support,
-        diagonal, chi = 1 and dual-basis tests.
+        (D_i f)(v) = (f(v) - e^{v(alpha_i)} f(v s_i)) / (1 - e^{v(alpha_i)}),
+        in the ring whose e^lam is ``monomial(lam)``, with ``divide`` its
+        exact division (raising when there is none).  The other
+        self-consistent convention twists the argument by s_i v with weight
+        e^{alpha_i}; this one is pinned by the support, diagonal, chi = 1
+        and dual-basis tests.
         """
         group = self.group
-        one = LaurentPoly.one(self.rank)
+        one = monomial(self.datum.zero_weight())
+        zero = one - one
+        get = f.restrictions.get
         todo = set(f.restrictions)
         todo.update(group.right_mul(v, i) for v in f.restrictions)
         out = {}
         for v in todo:
-            vsi = group.right_mul(v, i)
-            weight = LaurentPoly.monomial(group.root_image(v, i))
-            num = f.restriction(v) - weight * f.restriction(vsi)
+            weight = monomial(group.root_image(v, i))
+            num = get(v, zero) - weight * get(group.right_mul(v, i), zero)
             if num.is_zero():
                 continue
-            out[v] = num.exact_div(one - weight)
+            out[v] = divide(num, one - weight)
         return EquivClass(self.rank, out)
 
-    def _build_schubert_table(self) -> list[EquivClass]:
+    def _build_schubert_table(self, monomial, divide) -> list[EquivClass]:
+        """Every Schubert class by the divided-difference recursion from the
+        point class, in the ring given by ``monomial`` and ``divide``.
+
+        Specialization is a ring homomorphism that sends each divisor
+        1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
+        the one-variable build gives the specialized classes exactly.
+        """
         group = self.group
         table: list[EquivClass | None] = [None] * len(group.elements)
-        table[0] = self._point
+        table[0] = self._point_class(monomial)
         for w in group.elements[1:]:
             # elements are sorted by length, so the shorter factor is ready
             i = w.word[-1]
             prev = group.right_mul(w, i)
-            table[w.index] = self.demazure(i, table[prev.index])
+            table[w.index] = self.demazure(i, table[prev.index], monomial, divide)
         return table
 
     def schubert_class(self, w: WeylElement) -> EquivClass:
-        """[O_{X_w}], built by the divided-difference recursion (memoized)."""
+        """[O_{X_w}] in the weight lattice; the first call builds the table."""
+        if self._schubert is None:
+            self._schubert = self._build_schubert_table(LaurentPoly.monomial, LaurentPoly.exact_div)
         return self._schubert[w.index]
 
     def opposite_schubert_class(self, w: WeylElement) -> EquivClass:
@@ -243,7 +264,7 @@ class SchubertModel:
             return cached
         group = self.group
         w_o = group.w_o
-        src = self._schubert[group.mul(w_o, w).index]
+        src = self.schubert_class(group.mul(w_o, w))
         out = {}
         for v, p in src.restrictions.items():
             out[group.mul(w_o, v)] = weyl_act(group, w_o, p)
@@ -302,11 +323,23 @@ class SchubertModel:
         return EquivClass(self.rank, {v: p.specialize(k) for v, p in f.restrictions.items()})
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
-        """specialize([O_{X_w}]), built on first use and kept on the model."""
-        row = self._specialized[w.index]
-        if row is None:
-            row = self._specialized[w.index] = self.specialize(self._schubert[w.index])
-        return row
+        """specialize([O_{X_w}]), a row of the one-variable table."""
+        return self._specialized[w.index]
+
+    def specialized_opposite_schubert_class(self, w: WeylElement) -> EquivClass:
+        """specialize([O_{X^w}]) from the one-variable row of w_o w.
+
+        The w_o-translate relabels e^lam by e^{w_o lam}, and w_o lam pairs
+        with the height cocharacter to -<lam, k>, so in one variable the
+        translate is t -> 1/t.  Zero restrictions are dropped, so the
+        support {v >= w} is the group's, not this class's keys.
+        """
+        group = self.group
+        w_o = group.w_o
+        src = self._specialized[group.mul(w_o, w).index]
+        return EquivClass(
+            self.rank, {group.mul(w_o, v): p.involute() for v, p in src.restrictions.items()}
+        )
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
@@ -382,7 +415,8 @@ class SchubertModel:
     def euler_characteristic(self, f: EquivClass) -> int:
         """chi via the fixed-point (Lefschetz) sum in the specialized variable.
 
-        The sum is put over the factored common denominator prod (1-t^h)^M and
+        f may be a model class or a specialized one, whose restrictions are
+        already in t.  The sum is put over the factored common denominator prod (1-t^h)^M and
         the numerator is divided by each binomial factor exactly; the factored
         form avoids generic gcd reduction while staying an exact
         rational-function computation.
@@ -390,7 +424,7 @@ class SchubertModel:
         k = self.cocharacter
         num = UniPoly.zero()
         for v, p in f.restrictions.items():
-            pv = p.specialize(k)
+            pv = p if isinstance(p, UniPoly) else p.specialize(k)
             if pv.is_zero():
                 continue
             sign, shift, _ = self._denominator_profile(v)

@@ -123,15 +123,15 @@ class SchubertRing:
     def to_equiv(self, kclass: KClass) -> EquivClass:
         if kclass.basis != O_BASIS:
             kclass = self.change_basis(kclass, O_BASIS)
-        acc = EquivClass(self.model.rank, {})
-        for w, c in kclass.coeffs.items():
-            if c:
-                acc = acc + self.model.schubert_class(w).scale(c)
-        return acc
+        return self._combine(kclass.coeffs, self.model.schubert_class)
 
-    def expand(self, f: EquivClass) -> KClass:
-        """O-basis expansion of a model class, specialized to integers."""
-        return KClass(O_BASIS, self.model.integer_coefficients(self.model.specialize(f)))
+    def _combine(self, coeffs: dict[WeylElement, int], row) -> EquivClass:
+        """sum_w c_w row(w) over the Schubert rows ``row``, in either ring."""
+        acc = EquivClass(self.model.rank, {})
+        for w, c in coeffs.items():
+            if c:
+                acc = acc + row(w).scale(c)
+        return acc
 
     # -- the four bases ------------------------------------------------------
 
@@ -149,11 +149,7 @@ class SchubertRing:
         return KClass(O_BASIS, out)
 
     def ideal_equiv(self, w: WeylElement) -> EquivClass:
-        acc = EquivClass(self.model.rank, {})
-        for v, c in self.ideal_sheaf_class(w).coeffs.items():
-            term = self.model.schubert_class(v)
-            acc = acc + (term if c == 1 else -term)
-        return acc
+        return self._combine(self.ideal_sheaf_class(w).coeffs, self.model.schubert_class)
 
     def dualizing_twist(self, f: EquivClass, codimension: int) -> EquivClass:
         """(-1)^codim . dual(f) . [omega_X]: the duality route to omega-classes."""
@@ -169,13 +165,16 @@ class SchubertRing:
 
     def omega_class(self, w: WeylElement) -> KClass:
         """[omega_{X_w}] expanded over the O-basis."""
-        cls = self.dualizing_twist(self.model.schubert_class(w), self.codim(w))
-        return self.expand(cls)
+        m = self.model
+        cls = self._specialized_twist(m.specialized_schubert_class(w), self.codim(w))
+        return KClass(O_BASIS, m.integer_coefficients(cls))
 
     def omega_boundary_class(self, w: WeylElement) -> KClass:
         """[omega_{X_w}(boundary)] expanded over the O-basis."""
-        cls = self.dualizing_twist(self.ideal_equiv(w), self.codim(w))
-        return self.expand(cls)
+        m = self.model
+        ideal = self._combine(self.ideal_sheaf_class(w).coeffs, m.specialized_schubert_class)
+        cls = self._specialized_twist(ideal, self.codim(w))
+        return KClass(O_BASIS, m.integer_coefficients(cls))
 
     def basis_matrix(self, basis: str) -> dict[WeylElement, dict[WeylElement, int]]:
         """O-basis expansions of the chosen basis, keyed by the basis label w."""
@@ -255,7 +254,7 @@ class SchubertRing:
     def richardson_class(self, v: WeylElement, w: WeylElement) -> KClass:
         """[O_{X^v intersect X_w}]; the zero class when v is not below w."""
         m = self.model
-        prod = m.specialize(m.opposite_schubert_class(v)) * m.specialized_schubert_class(w)
+        prod = m.specialized_opposite_schubert_class(v) * m.specialized_schubert_class(w)
         return KClass(O_BASIS, m.integer_coefficients(prod))
 
     def line_bundle_coeffs(self, v: WeylElement, lam) -> dict[WeylElement, int]:
@@ -308,13 +307,18 @@ class SchubertRing:
     # -- verifiers ----------------------------------------------------------------
 
     def verify_normalization(self) -> SignReport:
-        """chi([O_{X_w}]) = 1 by both the fixed-point and the expansion route."""
+        """chi([O_{X_w}]) = 1 by both the fixed-point and the expansion route.
+
+        The fixed-point route reads the one-variable rows the integer
+        commands use, which may come from a cache; the expansion route reads
+        the table in the weight lattice, always built here.
+        """
         t0 = time.monotonic()
         violations = []
+        m = self.model
         for w in self.group.elements:
-            psi = self.model.schubert_class(w)
-            lef = self.model.euler_characteristic(psi)
-            exp = self.model.euler_characteristic_via_expansion(psi)
+            lef = m.euler_characteristic(m.specialized_schubert_class(w))
+            exp = m.euler_characteristic_via_expansion(m.schubert_class(w))
             if lef != 1 or exp != 1:
                 violations.append((w.word, lef, exp))
         return SignReport(
@@ -400,7 +404,7 @@ class SchubertRing:
         checked = 0
         group = self.group
         m = self.model
-        opposite = [m.specialize(m.opposite_schubert_class(v)) for v in group.elements]
+        opposite = [m.specialized_opposite_schubert_class(v) for v in group.elements]
         for w in group.elements:
             psi_w = m.specialized_schubert_class(w)
             for v in group.elements:
@@ -590,9 +594,6 @@ def _parallel_structure_constants(ring: SchubertRing, pairs, jobs: int):
     except ValueError:
         # no fork on this platform; the sweep stays correct, just serial
         return [ring.structure_constants(u, v) for u, v in pairs]
-    # workers inherit the specialized table instead of each rebuilding it
-    for w in ring.group.elements:
-        ring.model.specialized_schubert_class(w)
     idx_pairs = [(u.index, v.index) for u, v in pairs]
     chunks = [idx_pairs[i::jobs] for i in range(jobs)]
     _PARALLEL_RING = ring

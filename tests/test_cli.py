@@ -371,7 +371,7 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     victim = next(
         row for row in payload["restrictions"] if row[0] == 1 and row[1] == 0
     )
-    victim[2] = [[[0, 0], 0]]
+    victim[2] = [[0, 0]]
     payload = _recompute_digest(payload)
     open(path, "w").write(json.dumps(payload))
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2",
@@ -381,7 +381,7 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
 
 
 def test_cache_table_fidelity(tmp_path):
-    """A table loaded from cache is exactly the computed one."""
+    """A table loaded from cache is exactly the computed one-variable table."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
     from kflag.cli import cache_load, cache_store
 
@@ -393,7 +393,7 @@ def test_cache_table_fidelity(tmp_path):
     assert table is not None
     loaded = SchubertModel(group, table=table)
     for w in group.elements:
-        assert loaded.schubert_class(w) == model.schubert_class(w)
+        assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
 
 
 def _a2_stack():
@@ -463,6 +463,79 @@ def test_cache_that_is_not_an_object_recomputes(tmp_path, capsys, monkeypatch, b
     ]
     assert out == want
     assert json.loads(path.read_text())["schema_version"]
+
+
+A2_CONSTANTS = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("group", []),
+        ("group", "A2"),
+        ("group", None),
+        ("elements", {}),
+        ("elements", "x"),
+        ("restrictions", {}),
+        ("restrictions", None),
+        ("restrictions", [[0, 0]]),
+        ("restrictions", [["0", 0, [[0, 1]]]]),
+        ("restrictions", [[0, 0, {"0": 1}]]),
+        ("restrictions", [[0, 0, [[0.5, 1]]]]),
+        ("restrictions", [[0, 0, [[True, 1]]]]),
+        ("restrictions", [[0, 0, [[0, 1, 2]]]]),
+        ("restrictions", [[-1, 0, [[0, 1]]]]),
+        ("restrictions", [[0, 6, [[0, 1]]]]),
+    ],
+)
+def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, field, value):
+    """A digest-valid cache whose fields have the wrong JSON type: one
+    warning line, a recompute and a rewrite, never a traceback."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, want, err = run_cli(capsys, *A2_CONSTANTS)
+    assert code == 0 and not err
+    run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    path = tmp_path / "schubert-table-A2.json"
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(_recompute_digest(payload)))
+    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(err.splitlines()) == 1 and err.startswith("warning: cache ")
+    assert err.endswith("; recomputing\n")
+    assert out == want
+    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, want, "")
+
+
+def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    """A cache written before the one-variable table (schema 1, Laurent
+    rows [w, v, [[exponent, c], ...]]) is replaced with one warning."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, want, _ = run_cli(capsys, *A2_CONSTANTS)
+    datum = build_root_datum("A", 2)
+    group = WeylGroup(datum)
+    model = SchubertModel(group)
+    rows = [
+        [w.index, v.index, sorted([list(e), c] for e, c in p.terms.items())]
+        for w in group.elements
+        for v, p in sorted(model.schubert_class(w).restrictions.items(), key=lambda t: t[0].index)
+    ]
+    payload = {
+        "schema_version": 1,
+        "group": {"label": "A2", "rank": 2, "cartan": [list(r) for r in datum.cartan]},
+        "elements": [list(w.word) for w in group.elements],
+        "restrictions": rows,
+    }
+    path = tmp_path / "schubert-table-A2.json"
+    path.write_text(json.dumps(_recompute_digest(payload), sort_keys=True))
+    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert err.splitlines() == ["warning: cache schema version mismatch; recomputing"]
+    assert out == want
+    assert json.loads(path.read_text())["schema_version"] == 2
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,126 @@
+"""Property test of the CLI: generated argv and Cartan JSON never give a
+traceback, and every exit code is one of the documented four.
+
+Every call runs ``kflag.cli.main`` in this process with ``--jobs`` <= 1, so
+no process is started.  Groups stay small through ``--max-weyl`` (at most
+200, and less for the commands that sweep every fixed point), so an
+example takes from milliseconds to about a second (a D4 table build).
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kflag.cli import CACHE_ENV_VAR, main
+from kflag.roots import cartan_matrix
+
+EXIT_CODES = {0, 1, 2, 3}
+
+#: the largest --max-weyl per command; verify sweeps every triple, and
+#: line-coeffs solves one class per fixed point
+MAX_WEYL = {
+    "describe": 200,
+    "constants": 200,
+    "parabolic-constants": 200,
+    "richardson": 200,
+    "line-coeffs": 48,
+    "verify": 8,
+}
+
+#: (type, rank) -> Weyl group order
+GROUPS = {("A", 1): 2, ("A", 2): 6, ("B", 2): 8, ("G", 2): 12, ("A", 3): 24,
+          ("C", 3): 48, ("A", 4): 120, ("D", 4): 192}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+small_matrices = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+cartan_texts = st.one_of(
+    small_matrices.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(alphabet="[]{},:-0123456789 \"ax", max_size=12),
+)
+junk = st.text(alphabet="0123456789,-e x", max_size=8)
+
+
+def int_list(xs) -> str:
+    return ",".join(map(str, xs)) or "e"
+
+
+@st.composite
+def invocations(draw):
+    """(argv, Cartan file text or None, whether to use a cache) for one call.
+
+    Each input is only rarely invalid, so that most calls get past the
+    argument checks and the success paths run too.
+    """
+    command = draw(st.sampled_from([*MAX_WEYL] * 4 + ["no-such-command"]))
+    cap = MAX_WEYL.get(command, 8)
+    argv = [command]
+    cartan = None
+    letter, rank = draw(st.sampled_from([g for g, order in GROUPS.items() if order <= cap]))
+    group = draw(st.sampled_from(["type"] * 6 + ["cartan"] * 2 + ["other type", "other cartan", "none"]))
+    if group == "type":
+        argv += ["--type", letter, "--rank", str(rank)]
+    elif group == "cartan":
+        cartan = json.dumps([list(row) for row in cartan_matrix(letter, rank)])
+    elif group == "other type":
+        argv += ["--type", draw(st.sampled_from("ABCDEFGXa")), "--rank", str(draw(st.integers(-1, 8)))]
+    elif group == "other cartan":
+        cartan = draw(cartan_texts)
+    words = st.lists(st.integers(1, rank), max_size=2 * rank + 2).map(int_list)
+    weights = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(int_list)
+    values = {"--parabolic": st.lists(st.integers(1, rank), max_size=rank).map(int_list),
+              "--u": words, "--v": words, "--lambda": weights, "--mu": weights}
+    bad = junk | st.lists(st.integers(-1, rank + 1), max_size=rank + 2).map(int_list)
+    for flag, good in values.items():
+        if draw(st.integers(0, 4)):
+            value = draw(bad if draw(st.integers(0, 15)) == 0 else good)
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv += ["--which", draw(st.sampled_from(["signs", "richardson", "line", "all"] * 3 + ["x"]))]
+    if draw(st.booleans()):
+        argv += ["--jobs", draw(st.sampled_from(["1"] * 6 + ["0", "-1"]))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"] * 3 + ["xml"]))]
+    argv += ["--max-weyl", str(draw(st.sampled_from([cap] * 6) | st.integers(-1, cap)))]
+    return argv, cartan, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_cli_exits_with_a_documented_code(invocation):
+    argv, cartan, use_cache = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if cartan is not None:
+            path = os.path.join(tmp, "cartan.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(cartan)
+            argv = [*argv, "--cartan", path]
+        if use_cache:
+            argv = [*argv, "--cache-dir", os.path.join(tmp, "cache")]
+        out, err = io.StringIO(), io.StringIO()
+        saved = os.environ.pop(CACHE_ENV_VAR, None)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+        finally:
+            if saved is not None:
+                os.environ[CACHE_ENV_VAR] = saved
+    assert code in EXIT_CODES, (argv, cartan, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue(), argv

@@ -291,16 +291,31 @@ def test_chi_pole_classification(engines, k):
 )
 def test_cocharacter_pairs_roots_to_their_height(letter, rank):
     """<beta, k> = c * height(beta) with one c > 0 for every positive root,
-    so the default cocharacter is regular (root data only, no Weyl group)."""
+    so the default cocharacter is regular, and <w_o lam, k> = -<lam, k>,
+    which makes the w_o-translate t -> 1/t in one variable (root data
+    only, no Weyl group)."""
     datum = build_root_datum(letter, rank)
     k = _height_cocharacter(datum)
+    pair = lambda lam: sum(x * ki for x, ki in zip(lam, k))
     got = {
-        Fraction(sum(x * ki for x, ki in zip(beta, k)), sum(coords))
+        Fraction(pair(beta), sum(coords))
         for beta, coords in zip(datum.positive_roots, datum.positive_root_coords)
     }
     assert len(got) == 1
     (c,) = got
     assert c > 0 and c.denominator == 1
+
+    # a reduced word of w_o: lower rho by simple reflections until it is -rho
+    lam, applied = datum.rho, []
+    while any(x > 0 for x in lam):
+        i = next(j for j, x in enumerate(lam, 1) if x > 0)
+        lam = datum.reflect(i, lam)
+        applied.append(i)
+    assert lam == tuple(-x for x in datum.rho)
+    assert len(applied) == len(datum.positive_roots)
+    w_o = tuple(reversed(applied))
+    for beta in datum.positive_roots:
+        assert pair(datum.act(w_o, beta)) == -pair(beta)
 
 
 def test_chi_agrees_with_generic_fraction_sum(engines):

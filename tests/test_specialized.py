@@ -109,18 +109,86 @@ def test_class_outside_the_span_raises(engines):
         m.integer_coefficients(m.specialize(bad))
 
 
-def test_specialized_rows_are_lazy(engines):
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_one_variable_table_is_the_specialized_table(label, engines):
+    """The Demazure build in Z[t^+-1] gives specialize() of every row of the
+    build in the weight lattice, restriction for restriction."""
+    m, g = engines.model(label), engines.group(label)
+    for w in g.elements:
+        assert m.specialized_schubert_class(w) == m.specialize(m.schubert_class(w))
+
+
+def test_laurent_table_is_lazy(engines):
     from kflag import SchubertModel
 
     g = engines.group("B2")
     m = SchubertModel(g)
-    assert all(row is None for row in m._specialized)
-    m.integer_coefficients(m.specialize(m.schubert_class(g.w_o)))
-    assert m._specialized[g.w_o.index] is not None
-    assert m._specialized[g.identity.index] is None
-    row = m.specialized_schubert_class(g.w_o)
-    assert m.specialized_schubert_class(g.w_o) is row
-    assert row == m.specialize(m.schubert_class(g.w_o))
+    assert m._schubert is None
+    m.integer_coefficients(m.specialized_schubert_class(g.w_o))
+    assert m._schubert is None
+    row = m.schubert_class(g.w_o)
+    assert m._schubert is not None
+    assert m.schubert_class(g.w_o) is row
+    assert m.specialize(row) == m.specialized_schubert_class(g.w_o)
+
+
+def test_integer_queries_never_build_the_laurent_table():
+    """One call of each integer query the CLI exposes, on A3."""
+    from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
+
+    g = WeylGroup(build_root_datum("A", 3))
+    model = SchubertModel(g)
+    ring = SchubertRing(model)
+    ring.structure_constants(g.from_word([1, 3, 2]), g.from_word([2, 3]))
+    ring.line_bundle_coeffs(g.from_word([1, 2, 3]), (1, 1, 1))
+    ring.line_bundle_coeffs(g.from_word([2, 1, 3]), (0, -1, 1))
+    rep = g.from_word([1, 3, 2])
+    ring.parabolic_structure_constants(g.parabolic([1, 3]), rep, rep)
+    ring.richardson_class(g.from_word([2]), g.from_word([1, 2, 3, 2]))
+    ring.richardson_class(g.from_word([1, 2]), g.from_word([2]))
+    assert model._schubert is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--u", "1,3,2", "--v", "2,3"],
+        ["line-coeffs", "--v", "2,1,3", "--lambda=0,-1,1"],
+        ["parabolic-constants", "--parabolic", "1,3", "--u", "1,3,2", "--v", "1,3,2"],
+        ["richardson", "--u", "2", "--v", "1,2,3,2"],
+        ["describe", "--parabolic", "1,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integer_commands_never_build_the_laurent_table(argv, monkeypatch, capsys, tmp_path):
+    from kflag import SchubertModel
+    from kflag.cli import CACHE_ENV_VAR, main
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    models = []
+    init = SchubertModel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    monkeypatch.setattr(SchubertModel, "__init__", spy)
+    full = [argv[0], "--type", "A", "--rank", "3", *argv[1:]]
+    assert main(full) == 0
+    # a cold and a warm call through the cache too
+    assert main([*full, "--cache-dir", str(tmp_path)]) == 0
+    assert main([*full, "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(models) == 3
+    assert all(m._schubert is None for m in models)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_specialized_opposite_classes_match(label, engines):
+    m, g = engines.model(label), engines.group(label)
+    for w in g.elements:
+        got = m.specialized_opposite_schubert_class(w)
+        assert got == m.specialize(m.opposite_schubert_class(w))
 
 
 def test_fork_workers_inherit_the_specialized_table(engines):
