@@ -307,10 +307,11 @@ def cmd_describe(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def _element_from_config_word(group, word, what: str):
-    if word is None:
-        raise ConfigError(f"--{what} is required for this command")
-    return group.from_word(word)
+def _require_words(cfg: JobConfig, *names: str) -> None:
+    """Raise for a missing --u or --v, in order; called before the table build."""
+    for name in names:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"--{name} is required for this command")
 
 
 def _emit_constants(obj: dict, constants: dict, dim: int, u, v, cfg: JobConfig) -> None:
@@ -324,21 +325,21 @@ def _emit_constants(obj: dict, constants: dict, dim: int, u, v, cfg: JobConfig) 
 
 
 def cmd_constants(cfg: JobConfig) -> int:
+    _require_words(cfg, "u", "v")
     datum, group, ring = _build_ring(cfg)
-    u = _element_from_config_word(group, cfg.u, "u")
-    v = _element_from_config_word(group, cfg.v, "v")
+    u, v = group.from_word(cfg.u), group.from_word(cfg.v)
     obj = {"group": datum.label, "u": _word(u), "v": _word(v)}
     _emit_constants(obj, ring.structure_constants(u, v), ring.dimension, u, v, cfg)
     return EXIT_OK
 
 
 def cmd_parabolic_constants(cfg: JobConfig) -> int:
-    datum, group, ring = _build_ring(cfg)
     if cfg.parabolic is None:
         raise ConfigError("--parabolic is required")
+    _require_words(cfg, "u", "v")
+    datum, group, ring = _build_ring(cfg)
     pdata = group.parabolic(cfg.parabolic)
-    u = _element_from_config_word(group, cfg.u, "u")
-    v = _element_from_config_word(group, cfg.v, "v")
+    u, v = group.from_word(cfg.u), group.from_word(cfg.v)
     constants = ring.parabolic_structure_constants(pdata, u, v)
     obj = {
         "group": datum.label,
@@ -351,10 +352,11 @@ def cmd_parabolic_constants(cfg: JobConfig) -> int:
 
 
 def cmd_line_coeffs(cfg: JobConfig) -> int:
-    datum, group, ring = _build_ring(cfg)
-    v = _element_from_config_word(group, cfg.v, "v")
+    _require_words(cfg, "v")
     if cfg.lam is None:
         raise ConfigError("--lambda is required")
+    datum, group, ring = _build_ring(cfg)
+    v = group.from_word(cfg.v)
     if len(cfg.lam) != datum.rank:
         raise ConfigError(f"--lambda must have {datum.rank} coordinates")
     lam = tuple(cfg.lam)
@@ -377,9 +379,9 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
 
 
 def cmd_richardson(cfg: JobConfig) -> int:
+    _require_words(cfg, "u", "v")
     datum, group, ring = _build_ring(cfg)
-    v = _element_from_config_word(group, cfg.u, "u")
-    w = _element_from_config_word(group, cfg.v, "v")
+    v, w = group.from_word(cfg.u), group.from_word(cfg.v)
     cls = ring.richardson_class(v, w)
     rows = _sorted_rows([{"w": _word(x), "c": c} for x, c in cls.coeffs.items()])
     obj = {

@@ -145,13 +145,6 @@ def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
     return coords, residual
 
 
-def laurent_divexact(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Exact quotient in Z[t, 1/t]: both operands are shifted to minimum
-    degree 0 (monomials are units), divided, and the quotient shifted back."""
-    sa, sb = a.min_degree(), b.min_degree()
-    return poly_divexact(a.shift(-sa), b.shift(-sb)).shift(sa - sb)
-
-
 def weyl_act(group: WeylGroup, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
     """Relabel exponents by w: e^lam -> e^{w(lam)} (a ring automorphism)."""
     return p.map_exponents(lambda e: group.apply(w, e))
@@ -163,8 +156,10 @@ class SchubertModel:
     The one-variable Schubert table, the specialization of every Schubert
     class, is built here (or injected from a cache) and never mutated
     afterwards; the integer commands read only it.  The table in the weight
-    lattice is built on the first ``schubert_class`` call.  Every lazy table
-    is assigned whole once built, so a model can be shared across threads.
+    lattice is built on the first ``schubert_class`` call and assigned whole;
+    the opposite-class tables are filled one entry at a time, each entry one
+    list store of a class never mutated afterwards.  A model can therefore
+    be shared across threads: at worst two threads compute the same entry.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -174,7 +169,7 @@ class SchubertModel:
         self.dimension = len(self.datum.positive_roots)
         self.cocharacter = _height_cocharacter(self.datum)
         if table is None:
-            self._specialized = self._build_schubert_table(self._monomial_t, laurent_divexact)
+            self._specialized = self._build_schubert_table(self._monomial_t, poly_divexact)
         else:
             self._specialized = [EquivClass(self.rank, dict(entry)) for entry in table]
             if len(self._specialized) != len(group.elements):
@@ -182,11 +177,6 @@ class SchubertModel:
         self._schubert: list[EquivClass] | None = None
         self._opposite: list[EquivClass | None] = [None] * len(group.elements)
         self._opposite_ideal: list[EquivClass | None] = [None] * len(group.elements)
-        self._denominator_profiles: list[tuple[int, int, dict[int, int]] | None] = [
-            None
-        ] * len(group.elements)
-        self._common_denominator: dict[int, int] | None = None
-        self._cofactors: list[UniPoly | None] = [None] * len(group.elements)
 
     # -- class constructors -----------------------------------------------
 
@@ -202,9 +192,13 @@ class SchubertModel:
             p = p * (one - monomial(alpha))
         return EquivClass(self.rank, {self.group.identity: p})
 
+    def _degree(self, lam) -> int:
+        """<lam, k>: e^lam specializes to t to this power."""
+        return sum(x * c for x, c in zip(lam, self.cocharacter))
+
     def _monomial_t(self, lam) -> UniPoly:
         """t^<lam, k>, the specialization of e^lam."""
-        return UniPoly({sum(x * c for x, c in zip(lam, self.cocharacter)): 1})
+        return UniPoly({self._degree(lam): 1})
 
     def demazure(
         self, i: int, f: EquivClass, monomial=LaurentPoly.monomial, divide=LaurentPoly.exact_div
@@ -351,7 +345,7 @@ class SchubertModel:
         fewer classes outside the span than the multivariate route.
         """
         return _values_at_one(
-            self._solve(f, self.specialized_schubert_class, laurent_divexact)
+            self._solve(f, self.specialized_schubert_class, poly_divexact)
         )
 
     def _solve(self, f: EquivClass, row, divide) -> dict:
@@ -365,76 +359,23 @@ class SchubertModel:
 
     # -- pushforward and expansion ------------------------------------------
 
-    def _denominator_profile(self, v: WeylElement) -> tuple[int, int, dict[int, int]]:
-        """The fixed-point denominator prod_{alpha>0}(1 - t^<v(alpha), k>)
-        normalized to sign * t^(-shift) * prod_h (1 - t^h)^{mult[h]} with h > 0,
-        using (1 - t^-h) = -t^-h (1 - t^h)."""
-        cached = self._denominator_profiles[v.index]
-        if cached is not None:
-            return cached
-        k = self.cocharacter
-        sign, shift = 1, 0
-        mult: dict[int, int] = {}
-        for alpha in self.datum.positive_roots:
-            beta = self.group.apply(v, alpha)
-            n = sum(x * ki for x, ki in zip(beta, k))
-            if n < 0:
-                sign = -sign
-                shift += -n
-                n = -n
-            mult[n] = mult.get(n, 0) + 1
-        out = (sign, shift, mult)
-        self._denominator_profiles[v.index] = out
-        return out
-
-    def _common_denominator_profile(self) -> dict[int, int]:
-        if self._common_denominator is None:
-            common: dict[int, int] = {}
-            for v in self.group.elements:
-                _, _, mult = self._denominator_profile(v)
-                for h, m in mult.items():
-                    if m > common.get(h, 0):
-                        common[h] = m
-            self._common_denominator = common
-        return self._common_denominator
-
-    def _cofactor(self, v: WeylElement) -> UniPoly:
-        """prod_h (1 - t^h)^(common_mult[h] - mult_v[h]), cached per point."""
-        cached = self._cofactors[v.index]
-        if cached is not None:
-            return cached
-        common = self._common_denominator_profile()
-        _, _, mult = self._denominator_profile(v)
-        out = UniPoly.one()
-        for h, m in common.items():
-            for _ in range(m - mult.get(h, 0)):
-                out = out * UniPoly.one_minus_power(h)
-        self._cofactors[v.index] = out
-        return out
-
     def euler_characteristic(self, f: EquivClass) -> int:
         """chi via the fixed-point (Lefschetz) sum in the specialized variable.
 
-        f may be a model class or a specialized one, whose restrictions are
-        already in t.  The sum is put over the factored common denominator prod (1-t^h)^M and
-        the numerator is divided by each binomial factor exactly; the factored
-        form avoids generic gcd reduction while staying an exact
-        rational-function computation.
+        f may be a model class or a specialized one.  v sends the positive
+        roots to one of +-beta for each beta > 0, l(v) of them negative;
+        as 1 - t^-h = -t^-h (1 - t^h), the denominator at v is the unit
+        (-1)^l(v) t^-<rho - v(rho), k> times D = prod_{beta>0} (1 - t^<beta, k>).
+        The numerators are summed over D and its binomials divided out exactly.
         """
         k = self.cocharacter
+        rho_k = self._degree(self.datum.rho)
         num = UniPoly.zero()
         for v, p in f.restrictions.items():
             pv = p if isinstance(p, UniPoly) else p.specialize(k)
-            if pv.is_zero():
-                continue
-            sign, shift, _ = self._denominator_profile(v)
-            term = pv.shift(shift) * self._cofactor(v)
-            num = num + (term if sign > 0 else -term)
-        if num.is_zero():
-            return 0
-        num = num.shift(-num.min_degree())
-        common = self._common_denominator_profile()
-        factors = [h for h, m in sorted(common.items()) for _ in range(m)]
+            term = pv.shift(rho_k - self._degree(v.key))
+            num = num + (-term if v.length % 2 else term)
+        factors = sorted(self._degree(beta) for beta in self.datum.positive_roots)
         for idx, h in enumerate(factors):
             try:
                 num = poly_divexact(num, UniPoly.one_minus_power(h))

@@ -3,8 +3,9 @@
 This is the carrier of the fixed-point pushforward: each fixed point
 contributes numerator/denominator in one variable t, the exact sum of the
 fractions must collapse to a Laurent polynomial, and its value at t = 1
-is the integer the geometry asks for.  The sum is put over a factored
-common denominator and divided out exactly, so no gcd reduction is needed.
+is the integer the geometry asks for.  The sum is put over one product of
+binomials 1 - t^h and divided out exactly by ``poly_divexact``, the one
+exact division in Z[t, 1/t], so no gcd reduction is needed.
 """
 from __future__ import annotations
 
@@ -107,48 +108,34 @@ class UniPoly:
     def eval_at_one(self) -> int:
         return sum(self.terms.values())
 
-    def to_dense(self) -> list[int]:
-        """Coefficient list, constant term first; requires nonnegative degrees."""
-        if not self.terms:
-            return []
-        if self.min_degree() < 0:
-            raise ValueError("negative exponents present")
-        out = [0] * (self.degree() + 1)
-        for e, c in self.terms.items():
-            out[e] = c
-        return out
-
-    @classmethod
-    def from_dense(cls, coeffs: list[int]) -> "UniPoly":
-        return cls({e: c for e, c in enumerate(coeffs) if c != 0})
-
-
-def _strip(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
 
 def poly_divexact(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Exact quotient of genuine polynomials; raises if not exact."""
-    da = a.to_dense()
-    db = _strip(b.to_dense())
-    if not db:
+    """Exact quotient a / b in Z[t, 1/t]; raises NotDivisibleError if there is none.
+
+    Monomials are units, so with each operand's lowest degree as its offset
+    this is long division into a dense remainder by a divisor with nonzero
+    constant term, whose terms are walked sparsely.
+    """
+    if not b.terms:
         raise ZeroDivisionError("division by zero polynomial")
-    if not _strip(list(da)):
-        return UniPoly.zero()
-    lc = db[-1]
-    out = [0] * (len(da) - len(db) + 1)
-    r = list(da)
-    for k in range(len(out) - 1, -1, -1):
-        top = r[len(db) - 1 + k]
-        q, residue = divmod(top, lc)
+    if not a.terms:
+        return UniPoly()
+    lo_a, lo_b = min(a.terms), min(b.terms)
+    top = max(b.terms)
+    span, lead = top - lo_b, b.terms[top]
+    rest = [(e - lo_b, c) for e, c in b.terms.items() if e != top]
+    r = [0] * (max(a.terms) - lo_a + 1)
+    for e, c in a.terms.items():
+        r[e - lo_a] = c
+    out = {}
+    for k in range(len(r) - 1 - span, -1, -1):
+        q, residue = divmod(r[k + span], lead)
         if residue:
             raise NotDivisibleError("univariate division is not exact")
-        out[k] = q
         if q:
-            for j in range(len(db)):
-                r[j + k] -= q * db[j]
-    if any(r):
+            out[k + lo_a - lo_b] = q
+            for j, c in rest:
+                r[j + k] -= q * c
+    if any(r[:span]):
         raise NotDivisibleError("univariate division is not exact")
-    return UniPoly.from_dense(out)
+    return UniPoly(out)

@@ -1,8 +1,10 @@
 """Independent chi oracle: the fixed-point sum through reduced fractions.
 
-The engine puts the localization sum over a factored common denominator
-and divides the binomials out one at a time.  This oracle takes the other
-route: every fixed point contributes an expanded fraction num/den, each
+The engine writes every fixed point's denominator as a unit times one
+product D of binomials 1 - t^h, sums the numerators over D and divides
+the binomials out one at a time.  This oracle takes the other route and
+uses neither fact: every fixed point contributes its own denominator
+prod_{alpha>0} (1 - t^<v(alpha), k>), expanded, as a fraction num/den; each
 partial sum is reduced by a gcd over Z[t] (primitive pseudo-remainder
 sequence, so no rational arithmetic), and the reduced total must be a
 Laurent polynomial whose value at t = 1 is chi.
@@ -23,6 +25,22 @@ def fixed_point_denominator(model, v) -> UniPoly:
         beta = model.datum.act(v.word, alpha)
         out = out * UniPoly.one_minus_power(sum(x * ki for x, ki in zip(beta, k)))
     return out
+
+
+def to_dense(p: UniPoly) -> list[int]:
+    """Coefficient list, constant term first; requires nonnegative degrees."""
+    if not p.terms:
+        return []
+    if p.min_degree() < 0:
+        raise ValueError("negative exponents present")
+    out = [0] * (p.degree() + 1)
+    for e, c in p.terms.items():
+        out[e] = c
+    return out
+
+
+def from_dense(coeffs: list[int]) -> UniPoly:
+    return UniPoly({e: c for e, c in enumerate(coeffs) if c != 0})
 
 
 def _strip(coeffs: list[int]) -> list[int]:
@@ -63,8 +81,8 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """gcd over Z[t] of two genuine polynomials, primitive with positive lead."""
-    da = _strip(a.to_dense())
-    db = _strip(b.to_dense())
+    da = _strip(to_dense(a))
+    db = _strip(to_dense(b))
     if not da:
         out = db
     elif not db:
@@ -82,7 +100,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         out = [c * cg for c in da]
     if out and out[-1] < 0:
         out = [-c for c in out]
-    return UniPoly.from_dense(out)
+    return from_dense(out)
 
 
 class UniRational:

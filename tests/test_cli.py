@@ -54,6 +54,30 @@ def test_describe_requires_group(capsys):
     assert "group is required" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["constants", "--v", "1"], "--u is required for this command"),
+        (["parabolic-constants", "--u", "1", "--v", "2"], "--parabolic is required"),
+        (["line-coeffs", "--v", "1"], "--lambda is required"),
+        (["richardson", "--lambda=e"], "--u is required for this command"),
+    ],
+    ids=["constants", "parabolic-constants", "line-coeffs", "richardson"],
+)
+def test_missing_argument_exits_before_the_table_build(capsys, monkeypatch, argv, message):
+    from kflag import SchubertModel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built before the arguments were checked")
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(SchubertModel, "__init__", refuse)
+    code, out, err = run_cli(capsys, *argv, "--type", "D", "--rank", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_constants_frozen_example(capsys):
     code, obj, _ = run_json(
         capsys, "constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1"

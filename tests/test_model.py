@@ -13,6 +13,7 @@ from kflag import (
     LaurentPoly,
     NotDivisibleError,
     PoleAtOneError,
+    UniPoly,
     build_root_datum,
 )
 from kflag.model import _height_cocharacter
@@ -318,9 +319,24 @@ def test_cocharacter_pairs_roots_to_their_height(letter, rank):
         assert pair(datum.act(w_o, beta)) == -pair(beta)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_fixed_point_denominator_is_a_unit_times_one_product(engines, label):
+    """prod_{alpha>0} (1 - t^<v(alpha), k>) = (-1)^l(v) t^-<rho - v(rho), k> D
+    at every fixed point v, with D = prod_{beta>0} (1 - t^<beta, k>): the
+    identity that lets chi sum every fixed point over one denominator."""
+    m = engines.model(label)
+    pair = lambda lam: sum(x * ki for x, ki in zip(lam, m.cocharacter))
+    d = UniPoly.one()
+    for beta in m.datum.positive_roots:
+        d = d * UniPoly.one_minus_power(pair(beta))
+    for v in engines.group(label).elements:
+        unit = UniPoly({pair(v.key) - pair(m.datum.rho): (-1) ** v.length})
+        assert chi_oracle.fixed_point_denominator(m, v) == unit * d
+
+
 def test_chi_agrees_with_generic_fraction_sum(engines):
-    """The factored fast path equals the generic reduced-fraction op."""
-    for label in ("A1", "A2", "B2"):
+    """The one-denominator fast path equals the generic reduced-fraction sum."""
+    for label in ("A1", "A2", "A3", "B2", "B3", "G2"):
         m = engines.model(label)
         rng = random.Random(5)
         for _ in range(5):

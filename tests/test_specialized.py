@@ -11,8 +11,8 @@ import pytest
 
 from kflag import EquivClass, LaurentPoly, NotDivisibleError, UniPoly
 from kflag.cli import _default_line_sweep
-from kflag.model import laurent_divexact
 from kflag.ring import _parallel_structure_constants
+from kflag.univariate import poly_divexact
 
 
 def reference(model, f: EquivClass) -> dict:
@@ -206,12 +206,16 @@ def test_fork_workers_inherit_the_specialized_table(engines):
 def test_laurent_divexact():
     # (t^-2 - t^3) / (1 - t^5) = t^-2, shifted operands on both sides
     a = UniPoly({-2: 1, 3: -1})
-    assert laurent_divexact(a, UniPoly.one_minus_power(5)) == UniPoly({-2: 1})
-    assert laurent_divexact(a, UniPoly({4: 1, 9: -1})) == UniPoly({-6: 1})
+    assert poly_divexact(a, UniPoly.one_minus_power(5)) == UniPoly({-2: 1})
+    assert poly_divexact(a, UniPoly({4: 1, 9: -1})) == UniPoly({-6: 1})
+    assert poly_divexact(UniPoly.one(), UniPoly({1: 1})) == UniPoly({-1: 1})
+    assert poly_divexact(UniPoly.zero(), UniPoly({-3: 2, 1: 5})) == UniPoly.zero()
     with pytest.raises(NotDivisibleError):
-        laurent_divexact(a, UniPoly.one_minus_power(2))
+        poly_divexact(a, UniPoly.one_minus_power(2))
     with pytest.raises(NotDivisibleError):
-        laurent_divexact(UniPoly.one(), UniPoly.one_minus_power(1))
+        poly_divexact(UniPoly.one(), UniPoly.one_minus_power(1))
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(a, UniPoly.zero())
 
 
 def test_unipoly_involute_is_the_image_of_the_dual():
