@@ -198,7 +198,7 @@ class SchubertModel:
 
     def _monomial_t(self, lam) -> UniPoly:
         """t^<lam, k>, the specialization of e^lam."""
-        return UniPoly({self._degree(lam): 1})
+        return UniPoly.one().shift(self._degree(lam))
 
     def demazure(
         self, i: int, f: EquivClass, monomial=LaurentPoly.monomial, divide=LaurentPoly.exact_div

@@ -29,12 +29,13 @@ def fixed_point_denominator(model, v) -> UniPoly:
 
 def to_dense(p: UniPoly) -> list[int]:
     """Coefficient list, constant term first; requires nonnegative degrees."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return []
-    if p.min_degree() < 0:
+    if min(terms) < 0:
         raise ValueError("negative exponents present")
-    out = [0] * (p.degree() + 1)
-    for e, c in p.terms.items():
+    out = [0] * (max(terms) + 1)
+    for e, c in terms.items():
         out[e] = c
     return out
 
@@ -121,17 +122,17 @@ class UniRational:
             self.num = UniPoly.zero()
             self.den = UniPoly.one()
             return
-        k = den.min_degree()
+        k = min(den.terms)
         if k:
             den = den.shift(-k)
             num = num.shift(-k)
-        shift = min(num.min_degree(), 0)
+        shift = min(min(num.terms), 0)
         num_poly = num.shift(-shift)
         g = poly_gcd(num_poly, den)
-        if g.degree() > 0 or _content(g.terms.values()) != 1:
+        if max(g.terms) > 0 or _content(g.terms.values()) != 1:
             num_poly = poly_divexact(num_poly, g)
             den = poly_divexact(den, g)
-        lead = den.terms[den.degree()]
+        lead = den.terms[max(den.terms)]
         if lead < 0:
             num_poly = -num_poly
             den = -den

@@ -2,7 +2,7 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3)
-is opt-in: set KFLAG_BIG_RANK=1.
+and the B4 sample are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -49,6 +49,27 @@ def test_criterion_01_sign_sweep_big_rank(label, engines):
     assert rep.ok, rep.violations[:5]
     assert elapsed < 1800, "opt-in sweep exceeded the thirty-minute budget"
     _announce(1, label, f"{rep.checked} triples, 0 violations, {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B4 sample")
+def test_criterion_01_sign_sample_b4(engines):
+    """300 seeded random pairs of B4 (|W| = 384, beyond the exhaustive
+    sweeps): the sign rule on every w, and chi of the product by the
+    fixed-point route equals the sum of the constants (chi O_{X_w} = 1)."""
+    ring, model = engines.ring("B4"), engines.model("B4")
+    elements = engines.group("B4").elements
+    rng = random.Random(20010)
+    t0 = time.monotonic()
+    for _ in range(300):
+        u, v = rng.choice(elements), rng.choice(elements)
+        cs = ring.structure_constants(u, v)
+        for w, c in cs.items():
+            n = ring.n_degree(u, v, w)
+            assert n >= 0 and (c > 0) == (n % 2 == 0), (u.word, v.word, w.word, c, n)
+        product = model.specialized_schubert_class(u) * model.specialized_schubert_class(v)
+        assert model.euler_characteristic(product) == sum(cs.values()), (u.word, v.word)
+    elapsed = time.monotonic() - t0
+    _announce(1, "B4", f"300 random pairs, signs and chi = sum c, {elapsed:.1f}s")
 
 
 def test_criterion_02_oracle_equivalence_a2(engines):

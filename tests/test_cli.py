@@ -404,6 +404,23 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     assert "integrity" in err
 
 
+def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
+    """A digest-valid row with a coefficient of 2^63 cannot be packed
+    exactly: the constants command exits 3 with one message, no traceback."""
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    path = os.path.join(cache, "schubert-table-A2.json")
+    payload = json.loads(open(path).read())
+    victim = next(row for row in payload["restrictions"] if row[0] == 1 and row[1] == 1)
+    victim[2] = [[0, 2**63]]
+    open(path, "w").write(json.dumps(_recompute_digest(payload)))
+    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", cache)
+    assert code == 3
+    assert out == ""
+    assert "integrity" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cache_table_fidelity(tmp_path):
     """A table loaded from cache is exactly the computed one-variable table."""
     from kflag import SchubertModel, WeylGroup, build_root_datum

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kflag import ConfigError, IntegrityError
-from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS
+from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, SchubertRing
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 
@@ -186,25 +186,36 @@ def test_back_solve_on_a_chain():
 
 
 def test_pool_size_is_bounded(monkeypatch):
-    from kflag.ring import pool_size
+    from kflag.ring import MIN_PAIRS_PER_WORKER, pool_size
 
+    many = 100 * MIN_PAIRS_PER_WORKER
     # a platform without affinity masks falls back to the CPU count
     monkeypatch.delattr("kflag.ring.os.sched_getaffinity", raising=False)
     monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
-    assert pool_size(8, 100) == 4
-    assert pool_size(2, 100) == 2
-    assert pool_size(8, 3) == 3
-    assert pool_size(1, 100) == 1
+    assert pool_size(8, many) == 4
+    assert pool_size(2, many) == 2
+    assert pool_size(8, 3 * MIN_PAIRS_PER_WORKER) == 3
+    assert pool_size(1, many) == 1
     assert pool_size(8, 0) == 1
     monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: None)
-    assert pool_size(8, 100) == 1
+    assert pool_size(8, many) == 1
     # pinned to one CPU of four (as under taskset -c 1), --jobs 2 stays serial
     monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
     monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {1}, raising=False)
-    assert pool_size(2, 100) == 1
+    assert pool_size(2, many) == 1
     monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
-    assert pool_size(8, 100) == 3
-    assert pool_size(2, 100) == 2
+    assert pool_size(8, many) == 3
+    assert pool_size(2, many) == 2
+    # every worker gets at least MIN_PAIRS_PER_WORKER pairs: the 300 pairs
+    # of A3 and anything smaller run serially at any --jobs
+    monkeypatch.setattr("kflag.ring._usable_cpus", lambda: 8)
+    assert pool_size(8, 300) == 1
+    assert pool_size(8, 21) == 1
+    assert pool_size(8, MIN_PAIRS_PER_WORKER) == 1
+    assert pool_size(8, 2 * MIN_PAIRS_PER_WORKER - 1) == 1
+    assert pool_size(8, 2 * MIN_PAIRS_PER_WORKER) == 2
+    assert pool_size(2, 1176) == 2  # B3 and C3
+    assert pool_size(8, 7260) == 8  # A4
 
 
 def test_duality_routes_agree(engines):
@@ -439,10 +450,43 @@ def test_sign_sweep_rank_one_triple_count(engines):
     assert rep.checked == 8
 
 
-def test_sign_sweep_parallel_matches_serial(engines):
-    r = engines.ring("A2")
-    serial = r.verify_alternating_signs(jobs=1)
-    parallel = r.verify_alternating_signs(jobs=2)
+def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
+    """Only nonzero constants are checked; the report still lists every
+    violation once, pair by pair and in the order of the group's elements,
+    as a check of every w would."""
+    group = engines.group("A3")
+    labels = list(group.elements)
+    codim = {w: engines.ring("A3").codim(w) for w in labels}
+    rng = random.Random(5)
+
+    def scrambled(self, u, v):
+        # random signs and supports, listed in no particular order
+        out = {w: rng.choice([-2, -1, 1, 3]) for w in rng.sample(labels, 6)}
+        fake[(u, v)] = out
+        return out
+
+    fake = {}
+    monkeypatch.setattr(SchubertRing, "structure_constants", scrambled)
+    rep = SchubertRing(engines.model("A3")).verify_alternating_signs(jobs=1)
+    want = []
+    for i, u in enumerate(labels):
+        for v in labels[i:]:
+            cs = fake[(u, v)]
+            for w in labels:
+                c = cs.get(w, 0)
+                n = codim[w] - codim[u] - codim[v]
+                if (n < 0 and c != 0) or (c and (c > 0) != (n % 2 == 0)):
+                    want.append((u.word, v.word, w.word, c, n))
+    assert want and rep.violations == want
+
+
+def test_sign_sweep_parallel_matches_serial(engines, monkeypatch):
+    # lift the pairs-per-worker cap so the 21 pairs of A2 do go to the pool
+    monkeypatch.setattr("kflag.ring.MIN_PAIRS_PER_WORKER", 1)
+    monkeypatch.setattr("kflag.ring._usable_cpus", lambda: 2)
+    serial = engines.ring("A2").verify_alternating_signs(jobs=1)
+    # a fresh ring, so the workers compute rather than read the memo
+    parallel = SchubertRing(engines.model("A2")).verify_alternating_signs(jobs=2)
     assert parallel.ok == serial.ok
     assert parallel.checked == serial.checked
     assert parallel.violations == serial.violations
