@@ -78,7 +78,7 @@ def _config_from_args(args) -> JobConfig:
         try:
             with open(args.cartan, "r", encoding="utf-8") as fh:
                 cfg.cartan = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
             raise ConfigError(f"cannot read Cartan matrix file: {exc}") from exc
     if getattr(args, "parabolic", None) is not None:
         cfg.parabolic = _parse_int_list(args.parabolic, "--parabolic")
@@ -194,7 +194,7 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         print(f"warning: cache unreadable ({exc}); recomputing", file=sys.stderr)
         return None
     if not isinstance(payload, dict):
@@ -269,8 +269,11 @@ def _emit(obj: dict, cfg: JobConfig, csv_rows=None, csv_header=None) -> None:
     else:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -494,7 +497,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, BoundExceededError, FileNotFoundError) as exc:
+    except (ConfigError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotDivisibleError, NonzeroResidualError, PoleAtOneError, IntegrityError) as exc:

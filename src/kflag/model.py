@@ -40,19 +40,12 @@ class EquivClass:
         got = self.restrictions.get(v)
         return got if got is not None else LaurentPoly.zero(self.rank)
 
-    @property
-    def support(self) -> frozenset[WeylElement]:
-        return frozenset(self.restrictions)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EquivClass)
             and self.rank == other.rank
             and self.restrictions == other.restrictions
         )
-
-    def __hash__(self):
-        raise TypeError("EquivClass is not hashable")
 
     def __add__(self, other: "EquivClass") -> "EquivClass":
         out = dict(self.restrictions)

@@ -31,9 +31,6 @@ class KClass:
     coeffs: dict[WeylElement, int]
     parabolic: ParabolicData | None = None
 
-    def coefficient(self, w: WeylElement) -> int:
-        return self.coeffs.get(w, 0)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -340,7 +337,7 @@ class SchubertRing:
                 got = self.model.euler_characteristic(
                     psi * self.model.opposite_ideal_class(w)
                 )
-                want = 1 if u.index == w.index else 0
+                want = 1 if u is w else 0
                 if got != want:
                     violations.append((u.word, w.word, got, want))
         n = len(self.group.elements)
@@ -506,7 +503,7 @@ class SchubertRing:
             for v in group.elements:
                 sc_neg = self.structure_constants(wosi, v)
                 for w in group.elements:
-                    if w.index == v.index:
+                    if w is v:
                         continue
                     count += 2
                     if t_nw[v].get(w, 0) != -sc_neg.get(w, 0):

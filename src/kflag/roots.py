@@ -244,25 +244,21 @@ def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     return int(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A Weyl group element, identified by its action on rho.
+    """An element of one ``WeylGroup``, which builds each element once.
 
-    ``word`` is the lexicographically-minimal reduced word (letters are
-    1-based simple-reflection indices); ``key`` = w(rho) identifies the
-    element uniquely because rho is regular.
+    Elements compare and hash by identity, so two groups built from the same
+    datum share no element; match elements across groups by ``index`` or
+    ``word``.  ``word`` is the lexicographically-minimal reduced word
+    (letters are 1-based simple-reflection indices); ``key`` = w(rho)
+    determines the element because rho is regular.
     """
 
     index: int
     word: tuple[int, ...]
     length: int
     key: Weight
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         name = "*".join(f"s{i}" for i in self.word) if self.word else "e"
@@ -273,7 +269,8 @@ class WeylGroup:
     """A finite Weyl group, fully enumerated with multiplication tables.
 
     Elements are sorted by (length, key); ``elements[0]`` is the identity
-    and ``elements[-1]`` is the longest element.  All tables are built in
+    and ``elements[-1]`` is the longest element.  Each element is built once,
+    here, and every method returns one of ``elements``.  All tables are built in
     the constructor; afterwards every query is read-only and safe to use
     concurrently (the Bruhat memo only ever inserts idempotent values).
     """

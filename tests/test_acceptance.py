@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated (exact) tolerance.
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
-(add -s to see the lines as they print).  The large-rank sign sweep (B3, C3)
-and the B4 sample are opt-in: set KFLAG_BIG_RANK=1.
+(add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
+the B4 sample and the A4 pool test are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import zlib
 
 import pytest
 
-from kflag import weyl_dimension
-from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS
+from kflag import SchubertRing, weyl_dimension
+from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, pool_size
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 from test_model import braid_order, random_valid_class
@@ -70,6 +70,32 @@ def test_criterion_01_sign_sample_b4(engines):
         assert model.euler_characteristic(product) == sum(cs.values()), (u.word, v.word)
     elapsed = time.monotonic() - t0
     _announce(1, "B4", f"300 random pairs, signs and chi = sum c, {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 pool test")
+def test_criterion_01_sign_sweep_a4_pool_matches_serial(engines):
+    """The fork pool is the one place where elements cross a process
+    boundary: workers return tables keyed by index and the parent maps them
+    back to its own elements.  A4's 7,260 pairs reach two workers with the
+    real MIN_PAIRS_PER_WORKER."""
+    group, model = engines.group("A4"), engines.model("A4")
+    n = len(group)
+    if pool_size(2, n * (n + 1) // 2) < 2:
+        pytest.skip("the pool needs two usable CPUs")
+    serial_ring, pooled_ring = SchubertRing(model), SchubertRing(model)
+    t0 = time.monotonic()
+    serial = serial_ring.verify_alternating_signs(jobs=1)
+    pooled = pooled_ring.verify_alternating_signs(jobs=2)
+    elapsed = time.monotonic() - t0
+    assert serial.ok, serial.violations[:5]
+    assert (pooled.ok, pooled.checked, pooled.violations) == (
+        serial.ok, serial.checked, serial.violations
+    )
+    assert pooled_ring._sc_memo == serial_ring._sc_memo
+    assert all(
+        w is group.elements[w.index] for cs in pooled_ring._sc_memo.values() for w in cs
+    )
+    _announce(1, "A4", f"{serial.checked} triples at --jobs 1 and 2 agree, {elapsed:.1f}s")
 
 
 def test_criterion_02_oracle_equivalence_a2(engines):

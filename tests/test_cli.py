@@ -303,6 +303,35 @@ def test_invalid_cartan_is_a_config_error(tmp_path, capsys, matrix):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", [b"\xff\xfe[[2]]", b"[" * 100000], ids=["not-utf8", "too-deep"])
+def test_unreadable_cartan_is_a_config_error(tmp_path, capsys, body):
+    """A Cartan file that is not UTF-8, or nests deeper than the JSON
+    decoder recurses, exits 2 with one line."""
+    path = tmp_path / "cartan.json"
+    path.write_bytes(body)
+    code, out, err = run_cli(capsys, "describe", "--cartan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read Cartan matrix file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["a directory", "under a file", "in a missing directory"])
+def test_bad_out_path_is_a_config_error(tmp_path, capsys, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_path = {
+        "a directory": tmp_path,
+        "under a file": blocker / "x.json",
+        "in a missing directory": tmp_path / "missing" / "x.json",
+    }[where]
+    code, out, err = run_cli(
+        capsys, "describe", "--type", "A", "--rank", "2", "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(capsys, jobs):
     code, out, err = run_cli(
@@ -503,6 +532,24 @@ def test_cache_that_is_not_an_object_recomputes(tmp_path, capsys, monkeypatch, b
         "warning: cache malformed (not a JSON object); recomputing"
     ]
     assert out == want
+    assert json.loads(path.read_text())["schema_version"]
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe\x00{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+def test_unreadable_cache_recomputes(tmp_path, capsys, monkeypatch, body):
+    """A cache file that is not UTF-8, or nests too deep to decode: one
+    warning line, the output of a run with no cache, and a rewrite."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    args = ("describe", "--type", "A", "--rank", "2")
+    code, want, err = run_cli(capsys, *args)
+    assert code == 0 and not err
+    path = tmp_path / "schubert-table-A2.json"
+    path.write_bytes(body)
+    code, out, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == want
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: cache unreadable (") and err.endswith("; recomputing\n")
     assert json.loads(path.read_text())["schema_version"]
 
 

@@ -1,5 +1,6 @@
-"""Property test of the CLI: generated argv and Cartan JSON never give a
-traceback, and every exit code is one of the documented four.
+"""Property test of the CLI: generated argv, Cartan files, cache files and
+--out paths never give a traceback, and every exit code is one of the
+documented four.
 
 Every call runs ``kflag.cli.main`` in this process with ``--jobs`` <= 1, so
 no process is started.  Groups stay small through ``--max-weyl`` (at most
@@ -45,11 +46,11 @@ json_values = st.recursive(
 small_matrices = st.integers(0, 3).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 )
-cartan_texts = st.one_of(
+cartan_files = st.one_of(
     small_matrices.map(json.dumps),
     json_values.map(json.dumps),
     st.text(alphabet="[]{},:-0123456789 \"ax", max_size=12),
-)
+).map(str.encode) | st.binary(max_size=12)
 junk = st.text(alphabet="0123456789,-e x", max_size=8)
 
 
@@ -59,7 +60,10 @@ def int_list(xs) -> str:
 
 @st.composite
 def invocations(draw):
-    """(argv, Cartan file text or None, whether to use a cache) for one call.
+    """(argv, Cartan file bytes or None, cache, --out) for one call.
+
+    The cache is None (no --cache-dir), "empty" or the bytes of the group's
+    cache file; --out is absent, a directory or a path under a regular file.
 
     Each input is only rarely invalid, so that most calls get past the
     argument checks and the success paths run too.
@@ -73,11 +77,11 @@ def invocations(draw):
     if group == "type":
         argv += ["--type", letter, "--rank", str(rank)]
     elif group == "cartan":
-        cartan = json.dumps([list(row) for row in cartan_matrix(letter, rank)])
+        cartan = json.dumps([list(row) for row in cartan_matrix(letter, rank)]).encode()
     elif group == "other type":
         argv += ["--type", draw(st.sampled_from("ABCDEFGXa")), "--rank", str(draw(st.integers(-1, 8)))]
     elif group == "other cartan":
-        cartan = draw(cartan_texts)
+        cartan = draw(cartan_files)
     words = st.lists(st.integers(1, rank), max_size=2 * rank + 2).map(int_list)
     weights = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(int_list)
     values = {"--parabolic": st.lists(st.integers(1, rank), max_size=rank).map(int_list),
@@ -94,21 +98,34 @@ def invocations(draw):
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "csv"] * 3 + ["xml"]))]
     argv += ["--max-weyl", str(draw(st.sampled_from([cap] * 6) | st.integers(-1, cap)))]
-    return argv, cartan, draw(st.booleans())
+    cache = draw(st.sampled_from([None, "empty"]) | st.binary(min_size=1, max_size=12))
+    out = draw(st.sampled_from([None] * 4 + ["directory", "under a file"]))
+    return argv, cartan, cache, out, f"{letter}{rank}"
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_cli_exits_with_a_documented_code(invocation):
-    argv, cartan, use_cache = invocation
+    argv, cartan, cache, out_path, label = invocation
     with tempfile.TemporaryDirectory() as tmp:
         if cartan is not None:
             path = os.path.join(tmp, "cartan.json")
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 fh.write(cartan)
             argv = [*argv, "--cartan", path]
-        if use_cache:
-            argv = [*argv, "--cache-dir", os.path.join(tmp, "cache")]
+        if cache is not None:
+            cache_dir = os.path.join(tmp, "cache")
+            os.mkdir(cache_dir)
+            if cache != "empty":
+                with open(os.path.join(cache_dir, f"schubert-table-{label}.json"), "wb") as fh:
+                    fh.write(cache)
+            argv = [*argv, "--cache-dir", cache_dir]
+        if out_path == "directory":
+            argv = [*argv, "--out", tmp]
+        elif out_path == "under a file":
+            blocker = os.path.join(tmp, "file")
+            open(blocker, "w").close()
+            argv = [*argv, "--out", os.path.join(blocker, "x.json")]
         out, err = io.StringIO(), io.StringIO()
         saved = os.environ.pop(CACHE_ENV_VAR, None)
         try:
@@ -120,7 +137,7 @@ def test_cli_exits_with_a_documented_code(invocation):
         finally:
             if saved is not None:
                 os.environ[CACHE_ENV_VAR] = saved
-    assert code in EXIT_CODES, (argv, cartan, code, err.getvalue())
+    assert code in EXIT_CODES, (argv, cartan, cache, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue(), argv

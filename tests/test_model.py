@@ -285,6 +285,14 @@ def test_chi_pole_classification(engines, k):
     assert got.type is want
 
 
+def test_equiv_class_is_unhashable(engines):
+    """EquivClass defines __eq__ over its restrictions and no __hash__, so
+    Python makes it unhashable."""
+    assert EquivClass.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(EquivClass(2, {engines.group("A2").identity: LaurentPoly.one(2)}))
+
+
 @pytest.mark.parametrize(
     "letter,rank",
     [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),

@@ -1,6 +1,7 @@
 """Root data, Weyl group enumeration, Bruhat order, parabolic combinatorics."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from kflag import (
     BoundExceededError,
     ConfigError,
+    WeylElement,
     WeylGroup,
     build_root_datum,
     root_datum_from_cartan,
@@ -272,6 +274,50 @@ def test_bruhat_is_partial_order(engines):
             for w in g.elements:
                 if g.bruhat_leq(u, v) and g.bruhat_leq(v, w):
                     assert g.bruhat_leq(u, w)
+
+
+# -- element identity ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_every_returned_element_is_the_groups_own(label, engines):
+    """Elements compare by identity, so every method must return the object
+    stored in ``elements``, never an equal copy."""
+    g = engines.group(label)
+    rank = g.datum.rank
+    own = lambda x: x is g.elements[x.index]
+    assert [x.index for x in g.elements] == list(range(len(g)))
+    assert own(g.identity) and own(g.w_o)
+    assert all(own(g.simple(i)) for i in range(1, rank + 1))
+    for w in g.elements:
+        assert g.from_word(w.word) is w
+        assert g.from_word(w.word + (1, 1)) is w
+        assert own(g.inverse(w))
+        for i in range(1, rank + 1):
+            assert own(g.right_mul(w, i)) and own(g.left_mul(i, w))
+        assert all(own(g.mul(w, v)) for v in g.elements)
+    for size in range(rank + 1):
+        for subset in itertools.combinations(range(1, rank + 1), size):
+            p = g.parabolic(subset)
+            assert own(p.longest_in_parabolic)
+            assert all(map(own, p.min_reps)) and all(map(own, p.subgroup))
+            for w in g.elements:
+                u, x = g.coset_decompose(w, p)
+                assert own(u) and own(x)
+
+
+def test_groups_built_from_one_datum_share_no_element():
+    """Elements of two groups are never equal, even when built from one
+    datum; they are matched by index or word."""
+    assert WeylElement.__eq__ is object.__eq__
+    assert WeylElement.__hash__ is object.__hash__
+    datum = build_root_datum("A", 2)
+    g1, g2 = WeylGroup(datum), WeylGroup(datum)
+    for x, y in zip(g1.elements, g2.elements):
+        assert (x.index, x.word, x.length, x.key) == (y.index, y.word, y.length, y.key)
+        assert x is not y and x != y
+        assert g2.elements[x.index] is y and g2.from_word(x.word) is y
+    assert not set(g1.elements) & set(g2.elements)
 
 
 # -- parabolic data ---------------------------------------------------------------
