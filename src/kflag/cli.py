@@ -31,7 +31,7 @@ from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, root_datum_from_cartan
 from .univariate import UniPoly
 
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
 
 EXIT_OK = 0
@@ -70,6 +70,16 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ConfigError(f"cannot parse {what} {text!r}: comma-separated integers expected") from exc
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an --out path that cannot be opened for writing before any work
+    is done; the file itself is neither created nor truncated here."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write --out file: {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write --out file: {parent} is not a directory")
+
+
 def _config_from_args(args) -> JobConfig:
     cfg = JobConfig()
     cfg.type_letter = getattr(args, "type", None)
@@ -98,6 +108,8 @@ def _config_from_args(args) -> JobConfig:
     cfg.max_weyl = getattr(args, "max_weyl", 10000)
     cfg.fmt = getattr(args, "format", "json")
     cfg.out = getattr(args, "out", None)
+    if cfg.out:
+        _check_out_path(cfg.out)
     if cfg.cartan is None and (cfg.type_letter is None or cfg.rank is None):
         raise ConfigError("a group is required: --type and --rank, or --cartan FILE")
     return cfg
@@ -120,13 +132,13 @@ def _canonical_payload_bytes(payload: dict) -> bytes:
 
 
 def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) -> dict:
-    """The one-variable Schubert table as rows [w, v, [[e, c], ...]]: the
-    restriction of class w at fixed point v is sum c t^e."""
+    """The one-variable Schubert table as rows [w, v, s, [c_0, ..., c_k]]:
+    the restriction of class w at fixed point v is t^s (c_0 + ... + c_k t^k)."""
     rows = []
     for w in group.elements:
         cls = model.specialized_schubert_class(w)
         for v, poly in sorted(cls.restrictions.items(), key=lambda t: t[0].index):
-            rows.append([w.index, v.index, sorted([e, c] for e, c in poly.terms.items())])
+            rows.append([w.index, v.index, *poly.coefficients()])
     payload = {
         "schema_version": CACHE_SCHEMA_VERSION,
         "group": {
@@ -167,24 +179,6 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
         return None
 
 
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true/false load as bool, a subclass of int
-
-
-def _valid_row(row, n: int) -> bool:
-    """[w, v, [[e, c], ...]] with w and v element indices and integer terms."""
-    if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
-        return False
-    w_idx, v_idx, terms = row
-    return (
-        _is_int(w_idx) and 0 <= w_idx < n and _is_int(v_idx) and 0 <= v_idx < n
-        and all(
-            isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int(t[1])
-            for t in terms
-        )
-    )
-
-
 def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
     """Load a cached one-variable table; any mismatch recomputes (returns
     None) with one warning line."""
@@ -219,13 +213,24 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
         return None
     rows = payload.get("restrictions")
     elements = group.elements
-    if not (isinstance(rows, list) and all(_valid_row(row, len(elements)) for row in rows)):
-        print("warning: cache malformed (restrictions are not [w, v, terms] rows); recomputing",
-              file=sys.stderr)
-        return None
+    n = len(elements)
     table: list[dict] = [dict() for _ in elements]
-    for w_idx, v_idx, terms in rows:
-        table[w_idx][elements[v_idx]] = UniPoly(dict(terms))
+    try:
+        if not isinstance(rows, list):
+            raise ValueError
+        for row in rows:
+            # [w, v, s, coefficients]; JSON true/false load as bool, a subclass of int
+            if type(row) is not list or len(row) != 4:
+                raise ValueError
+            w_idx, v_idx, shift, coeffs = row
+            if not (type(w_idx) is int and 0 <= w_idx < n and type(v_idx) is int
+                    and 0 <= v_idx < n and type(shift) is int):
+                raise ValueError
+            table[w_idx][elements[v_idx]] = UniPoly.from_coefficients(shift, coeffs)
+    except ValueError:
+        print("warning: cache malformed (restrictions are not [w, v, s, coefficients] rows); "
+              "recomputing", file=sys.stderr)
+        return None
     return table
 
 

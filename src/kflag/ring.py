@@ -468,13 +468,14 @@ class SchubertRing:
         # exhaustive exact computation confirms this signed form and refutes
         # the sign-free w_o-twisted variant.
         t_nl = self._line_table(neg(lam))
+        wo = [group.mul(w_o, x) for x in group.elements]  # w_o x, by x.index
         count = 0
         for v in group.elements:
             for w in group.elements:
                 count += 1
                 lhs = t_nl[v].get(w, 0)
                 sign = 1 if (v.length - w.length) % 2 == 0 else -1
-                rhs = sign * t_lam[group.mul(w_o, w)].get(group.mul(w_o, v), 0)
+                rhs = sign * t_lam[wo[w.index]].get(wo[v.index], 0)
                 if lhs != rhs:
                     report.violations.append(("duality", v.word, w.word, lhs, rhs))
         report.checks.append(("duality", count))
@@ -513,8 +514,8 @@ class SchubertRing:
                         )
                     sign = -1 if (v.length - w.length) % 2 == 0 else 1
                     rhs = sign * self.structure_constants(
-                        wosi, group.mul(w_o, w)
-                    ).get(group.mul(w_o, v), 0)
+                        wosi, wo[w.index]
+                    ).get(wo[v.index], 0)
                     if t_pw[v].get(w, 0) != rhs:
                         report.violations.append(
                             ("lemma-plus", i, v.word, w.word, t_pw[v].get(w, 0), rhs)

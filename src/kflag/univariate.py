@@ -116,6 +116,36 @@ class UniPoly:
             return _make(n, (1 << (DIGIT_BITS * -n)) - 1, 2)
         return _ZERO
 
+    @classmethod
+    def from_coefficients(cls, shift: int, coeffs: list[int]) -> "UniPoly":
+        """t^shift (c_0 + c_1 t + ... + c_k t^k), the inverse of ``coefficients``.
+
+        Raises ValueError unless coeffs is a non-empty list of plain ints
+        (booleans are refused) with c_0 and c_k nonzero, and IntegrityError
+        if its L1 norm reaches 2^63.
+        """
+        if not (type(coeffs) is list and coeffs and coeffs[0] and coeffs[-1]):
+            raise ValueError("coefficients must be a non-empty list with nonzero ends")
+        if set(map(type, coeffs)) != {int}:
+            raise ValueError("coefficients must be integers")
+        bound = sum(map(abs, coeffs))
+        if bound >= _HALF:
+            raise _out_of_range(bound)
+        # each c_i fits a signed word; flipping its top bit adds 2^63, which
+        # the offset takes back from every digit at once
+        n = len(coeffs)
+        u = int.from_bytes(struct.pack(f"<{n}q", *coeffs), "little")
+        off = _offset(n)
+        return _make(shift, (u ^ off) - off, bound)
+
+    def coefficients(self) -> tuple[int, list[int]]:
+        """(s, [c_0, ..., c_k]) with self = t^s (c_0 + ... + c_k t^k), c_0 and
+        c_k nonzero; the zero polynomial gives (0, [])."""
+        digits = _digits(self._packed)
+        while digits and not digits[-1]:
+            digits.pop()
+        return self._shift, digits
+
     @property
     def terms(self) -> MappingProxyType:
         s = self._shift

@@ -332,6 +332,26 @@ def test_bad_out_path_is_a_config_error(tmp_path, capsys, where):
     assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["a directory", "under a file"])
+def test_bad_out_path_is_refused_before_the_work(tmp_path, capsys, monkeypatch, where):
+    from kflag import cli
+
+    def no_build(cfg):
+        raise AssertionError("the ring was built for an unwritable --out path")
+
+    monkeypatch.setattr(cli, "_build_ring", no_build)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_path = tmp_path if where == "a directory" else blocker / "x.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "4", "--which", "signs", "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(capsys, jobs):
     code, out, err = run_cli(
@@ -397,7 +417,7 @@ def test_cache_digest_mismatch_recomputes_with_warning(tmp_path, capsys):
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
-    payload["restrictions"][0][2][0][1] += 1  # tamper without fixing digest
+    payload["restrictions"][0][3][0] += 1  # tamper without fixing digest
     open(path, "w").write(json.dumps(payload))
     code, obj, err = run_json(capsys, "verify", "--type", "A", "--rank", "2",
                               "--which", "signs", "--cache-dir", cache)
@@ -420,11 +440,13 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
-    # zero out one restriction entry of a non-unit class, then fix the digest
+    # replace one restriction entry of a non-unit class by a wrong nonzero
+    # one (zero has no schema-3 row), then fix the digest
     victim = next(
         row for row in payload["restrictions"] if row[0] == 1 and row[1] == 0
     )
-    victim[2] = [[0, 0]]
+    assert victim[2:] != [0, [1, -1]]
+    victim[2:] = [0, [1, -1]]
     payload = _recompute_digest(payload)
     open(path, "w").write(json.dumps(payload))
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2",
@@ -441,7 +463,7 @@ def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
     victim = next(row for row in payload["restrictions"] if row[0] == 1 and row[1] == 1)
-    victim[2] = [[0, 2**63]]
+    victim[2:] = [0, [2**63]]
     open(path, "w").write(json.dumps(_recompute_digest(payload)))
     code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", cache)
     assert code == 3
@@ -455,15 +477,16 @@ def test_cache_table_fidelity(tmp_path):
     from kflag import SchubertModel, WeylGroup, build_root_datum
     from kflag.cli import cache_load, cache_store
 
-    datum = build_root_datum("B", 2)
-    group = WeylGroup(datum)
-    model = SchubertModel(group)
-    cache_store(str(tmp_path), datum, group, model)
-    table = cache_load(str(tmp_path), datum, group)
-    assert table is not None
-    loaded = SchubertModel(group, table=table)
-    for w in group.elements:
-        assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
+    for letter, rank in (("A", 3), ("B", 2), ("G", 2), ("D", 4)):
+        datum = build_root_datum(letter, rank)
+        group = WeylGroup(datum)
+        model = SchubertModel(group)
+        cache_store(str(tmp_path), datum, group, model)
+        table = cache_load(str(tmp_path), datum, group)
+        assert table is not None
+        loaded = SchubertModel(group, table=table)
+        for w in group.elements:
+            assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
 
 
 def _a2_stack():
@@ -574,6 +597,13 @@ A2_CONSTANTS = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", 
         ("restrictions", [[0, 0, [[0, 1, 2]]]]),
         ("restrictions", [[-1, 0, [[0, 1]]]]),
         ("restrictions", [[0, 6, [[0, 1]]]]),
+        ("restrictions", [[0, 0, [[0, 1]]]]),  # a schema-2 row
+        ("restrictions", [[0, 0, 0, []]]),
+        ("restrictions", [[0, 0, 0, [0, 1]]]),
+        ("restrictions", [[0, 0, 0, [1, 0]]]),
+        ("restrictions", [[0, 0, 0, [1, True]]]),
+        ("restrictions", [[0, 0, 0.0, [1]]]),
+        ("restrictions", [[0, 0, 0, "1"]]),
     ],
 )
 def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, field, value):
@@ -596,23 +626,13 @@ def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, 
     assert (code, out, err) == (0, want, "")
 
 
-def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
-    """A cache written before the one-variable table (schema 1, Laurent
-    rows [w, v, [[exponent, c], ...]]) is replaced with one warning."""
-    from kflag import SchubertModel, WeylGroup, build_root_datum
-
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
+    """A digest-valid A2 cache of an older schema: one warning, the output
+    of a run with no cache, and a rewrite at schema 3."""
     code, want, _ = run_cli(capsys, *A2_CONSTANTS)
-    datum = build_root_datum("A", 2)
-    group = WeylGroup(datum)
-    model = SchubertModel(group)
-    rows = [
-        [w.index, v.index, sorted([list(e), c] for e, c in p.terms.items())]
-        for w in group.elements
-        for v, p in sorted(model.schubert_class(w).restrictions.items(), key=lambda t: t[0].index)
-    ]
+    datum, group, _ = _a2_stack()
     payload = {
-        "schema_version": 1,
+        "schema_version": version,
         "group": {"label": "A2", "rank": 2, "cartan": [list(r) for r in datum.cartan]},
         "elements": [list(w.word) for w in group.elements],
         "restrictions": rows,
@@ -623,7 +643,35 @@ def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert err.splitlines() == ["warning: cache schema version mismatch; recomputing"]
     assert out == want
-    assert json.loads(path.read_text())["schema_version"] == 2
+    assert json.loads(path.read_text())["schema_version"] == 3
+
+
+def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    """A cache written before the one-variable table (schema 1, Laurent
+    rows [w, v, [[exponent, c], ...]]) is replaced with one warning."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _, group, model = _a2_stack()
+    rows = [
+        [w.index, v.index, sorted([list(e), c] for e, c in p.terms.items())]
+        for w in group.elements
+        for v, p in sorted(model.schubert_class(w).restrictions.items(), key=lambda t: t[0].index)
+    ]
+    _old_schema_file_is_recomputed(tmp_path, capsys, 1, rows)
+
+
+def test_cache_schema_2_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    """A cache of one-variable rows as term lists (schema 2, rows
+    [w, v, [[e, c], ...]]) is replaced with one warning."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _, group, model = _a2_stack()
+    rows = [
+        [w.index, v.index, sorted([e, c] for e, c in p.terms.items())]
+        for w in group.elements
+        for v, p in sorted(
+            model.specialized_schubert_class(w).restrictions.items(), key=lambda t: t[0].index
+        )
+    ]
+    _old_schema_file_is_recomputed(tmp_path, capsys, 2, rows)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

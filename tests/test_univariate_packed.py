@@ -96,6 +96,43 @@ def test_division_fails_exactly_when_the_reference_fails(da, db):
         assert same(poly_divexact(a, b), want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(polys)
+def test_coefficient_lists_round_trip_against_the_reference(d):
+    p, r = pair(d)
+    s, coeffs = p.coefficients()
+    if not r:
+        assert (s, coeffs) == (0, [])
+        return
+    lo, hi = min(r.terms), max(r.terms)
+    assert s == lo and coeffs == [r.terms.get(e, 0) for e in range(lo, hi + 1)]
+    q = UniPoly.from_coefficients(s, coeffs)
+    assert q == p and hash(q) == hash(p) and same(q, r)
+    assert q.eval_at_one() == r.eval_at_one()
+
+
+@given(
+    st.integers(-20, 20),
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=12).filter(
+        lambda cs: cs[0] and cs[-1]
+    ),
+)
+def test_from_coefficients_is_the_dense_reference(s, coeffs):
+    r = RefPoly({s + i: c for i, c in enumerate(coeffs)})
+    p = UniPoly.from_coefficients(s, coeffs)
+    assert same(p, r) and p.coefficients() == (s, coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[], [0], [0, 1], [1, 0], [1, True], [True], [1.0], [1, 2.5, 1], [1, "2", 1], "1",
+     (1,), None, [[1]]],
+)
+def test_from_coefficients_refuses_what_is_not_a_normal_coefficient_list(coeffs):
+    with pytest.raises(ValueError):
+        UniPoly.from_coefficients(0, coeffs)
+
+
 def test_inexact_pair_with_zero_integer_remainder_is_refused():
     # (2 + t) / 2: 2 + 2^64 is an even integer, but its half 2^63 + 1 has
     # norm 2^63 in balanced digits, so it cannot be certified
@@ -150,6 +187,21 @@ def test_constructor_rejects_a_bound_of_2_63():
         UniPoly({0: 2**63})
     with pytest.raises(IntegrityError):
         UniPoly({0: BIG, 5: -BIG})
+
+
+def test_from_coefficients_rejects_a_norm_of_2_63():
+    top = UniPoly.from_coefficients(3, [-(2**63 - 1)])
+    assert dict(top.terms) == {3: -(2**63 - 1)} and top.coefficients() == (3, [-(2**63 - 1)])
+    edge = UniPoly.from_coefficients(0, [BIG, 0, -(BIG - 1)])
+    assert edge == UniPoly({0: BIG, 2: -(BIG - 1)})
+    with pytest.raises(IntegrityError):
+        UniPoly.from_coefficients(0, [2**63])
+    with pytest.raises(IntegrityError):
+        UniPoly.from_coefficients(0, [-(2**63)])
+    with pytest.raises(IntegrityError):
+        UniPoly.from_coefficients(-1, [BIG, 0, -BIG])
+    with pytest.raises(IntegrityError):
+        UniPoly.from_coefficients(0, [2**64 + 1])
 
 
 def test_product_bound_of_2_63_raises():
