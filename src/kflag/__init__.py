@@ -62,4 +62,4 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -150,7 +150,7 @@ class SchubertModel:
     class, is built here (or injected from a cache) and never mutated
     afterwards; the integer commands read only it.  The table in the weight
     lattice is built on the first ``schubert_class`` call and assigned whole;
-    the opposite-class tables are filled one entry at a time, each entry one
+    the opposite-class table is filled one entry at a time, each entry one
     list store of a class never mutated afterwards.  A model can therefore
     be shared across threads: at worst two threads compute the same entry.
     """
@@ -160,16 +160,15 @@ class SchubertModel:
         self.datum: RootDatum = group.datum
         self.rank = self.datum.rank
         self.dimension = len(self.datum.positive_roots)
-        self.cocharacter = _height_cocharacter(self.datum)
+        self.cocharacter = _height_cocharacter(self.datum, (1,) * self.rank)
         if table is None:
-            self._specialized = self._build_schubert_table(self._monomial_t, poly_divexact)
+            self._specialized = self._specialized_table(self.cocharacter)
         else:
             self._specialized = [EquivClass(self.rank, dict(entry)) for entry in table]
             if len(self._specialized) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
         self._schubert: list[EquivClass] | None = None
         self._opposite: list[EquivClass | None] = [None] * len(group.elements)
-        self._opposite_ideal: list[EquivClass | None] = [None] * len(group.elements)
 
     # -- class constructors -----------------------------------------------
 
@@ -184,14 +183,6 @@ class SchubertModel:
         for alpha in self.datum.positive_roots:
             p = p * (one - monomial(alpha))
         return EquivClass(self.rank, {self.group.identity: p})
-
-    def _degree(self, lam) -> int:
-        """<lam, k>: e^lam specializes to t to this power."""
-        return sum(x * c for x, c in zip(lam, self.cocharacter))
-
-    def _monomial_t(self, lam) -> UniPoly:
-        """t^<lam, k>, the specialization of e^lam."""
-        return UniPoly.one().shift(self._degree(lam))
 
     def demazure(
         self, i: int, f: EquivClass, monomial=LaurentPoly.monomial, divide=LaurentPoly.exact_div
@@ -238,6 +229,10 @@ class SchubertModel:
             table[w.index] = self.demazure(i, table[prev.index], monomial, divide)
         return table
 
+    def _specialized_table(self, k) -> list[EquivClass]:
+        """Every Schubert class under e^lam -> t^<lam, k>, for a regular k."""
+        return self._build_schubert_table(_monomial_t(k), poly_divexact)
+
     def schubert_class(self, w: WeylElement) -> EquivClass:
         """[O_{X_w}] in the weight lattice; the first call builds the table."""
         if self._schubert is None:
@@ -258,21 +253,6 @@ class SchubertModel:
         cls = EquivClass(self.rank, out)
         self._opposite[w.index] = cls
         return cls
-
-    def opposite_ideal_class(self, w: WeylElement) -> EquivClass:
-        """[O_{X^w}(-boundary X^w)] = sum_{v >= w} (-1)^{l(v)-l(w)} [O_{X^v}]."""
-        cached = self._opposite_ideal[w.index]
-        if cached is not None:
-            return cached
-        group = self.group
-        acc = EquivClass(self.rank, {})
-        for v in group.elements:
-            if v.length < w.length or not group.bruhat_leq(w, v):
-                continue
-            term = self.opposite_schubert_class(v)
-            acc = acc + (term if (v.length - w.length) % 2 == 0 else -term)
-        self._opposite_ideal[w.index] = acc
-        return acc
 
     def line_bundle_class(self, lam) -> EquivClass:
         """[L(lam)]: restriction e^{-v(lam)} at the fixed point v.
@@ -353,22 +333,27 @@ class SchubertModel:
     # -- pushforward and expansion ------------------------------------------
 
     def euler_characteristic(self, f: EquivClass) -> int:
-        """chi via the fixed-point (Lefschetz) sum in the specialized variable.
+        """chi via the fixed-point (Lefschetz) sum in the specialized
+        variable; f may be a model class or a specialized one."""
+        return self._euler_characteristic(f, self.cocharacter)
 
-        f may be a model class or a specialized one.  v sends the positive
-        roots to one of +-beta for each beta > 0, l(v) of them negative;
-        as 1 - t^-h = -t^-h (1 - t^h), the denominator at v is the unit
-        (-1)^l(v) t^-<rho - v(rho), k> times D = prod_{beta>0} (1 - t^<beta, k>).
-        The numerators are summed over D and its binomials divided out exactly.
+    def _euler_characteristic(self, f: EquivClass, k) -> int:
+        """chi of f under e^lam -> t^<lam, k> for a regular cocharacter k;
+        one-variable restrictions of f must be specialized at this k.
+
+        v sends the positive roots to one of +-beta for each beta > 0,
+        l(v) of them negative; as 1 - t^-h = -t^-h (1 - t^h), the
+        denominator at v is the unit (-1)^l(v) t^-<rho - v(rho), k> times
+        D = prod_{beta>0} (1 - t^<beta, k>).  The numerators are summed over
+        D and its binomials divided out exactly.
         """
-        k = self.cocharacter
-        rho_k = self._degree(self.datum.rho)
+        rho_k = _degree(self.datum.rho, k)
         num = UniPoly.zero()
         for v, p in f.restrictions.items():
             pv = p if isinstance(p, UniPoly) else p.specialize(k)
-            term = pv.shift(rho_k - self._degree(v.key))
+            term = pv.shift(rho_k - _degree(v.key, k))
             num = num + (-term if v.length % 2 else term)
-        factors = sorted(self._degree(beta) for beta in self.datum.positive_roots)
+        factors = sorted(_degree(beta, k) for beta in self.datum.positive_roots)
         for idx, h in enumerate(factors):
             try:
                 num = poly_divexact(num, UniPoly.one_minus_power(h))
@@ -389,10 +374,6 @@ class SchubertModel:
                 raise PoleAtOneError("localization sum has a pole at t = 1") from None
         raise IntegrityError("localization sum is not a Laurent polynomial")
 
-    def euler_characteristic_via_expansion(self, f: EquivClass) -> int:
-        """chi as the sum of specialized Schubert-basis coefficients."""
-        return sum(self.expand_in_schubert_basis(f).specialized.values())
-
     def expand_in_schubert_basis(self, f: EquivClass) -> ExpansionResult:
         """Triangular back-substitution from the top of the Bruhat order.
 
@@ -403,18 +384,31 @@ class SchubertModel:
         return ExpansionResult(self._solve(f, self.schubert_class, LaurentPoly.exact_div))
 
 
-def _height_cocharacter(datum: RootDatum) -> tuple[int, ...]:
-    """The cocharacter k pairing every root beta to c * height(beta), c > 0.
+def _degree(lam, k) -> int:
+    """<lam, k>: e^lam specializes to t to this power."""
+    return sum(x * c for x, c in zip(lam, k))
 
-    k solves A^T k = c * (1, ..., 1): over the rationals, then with the
-    denominators cleared.  Every simple root pairs to c, so k is regular
-    and specialized degrees stay at root-height scale.  No row swap is
-    needed: the leading minors of A^T are those of A, which
-    ``roots._validate_cartan`` has checked are positive.
+
+def _monomial_t(k):
+    """lam -> t^<lam, k>, the specialization of e^lam at k."""
+    one = UniPoly.one()
+    return lambda lam: one.shift(_degree(lam, k))
+
+
+def _height_cocharacter(datum: RootDatum, heights: tuple[int, ...]) -> tuple[int, ...]:
+    """The cocharacter k pairing every root beta to c * height(beta), c > 0,
+    where the simple root alpha_i has height ``heights[i - 1]``.
+
+    k solves A^T k = c * heights: over the rationals, then with the
+    denominators cleared.  Positive heights make every positive root pair
+    positively, so k is regular; with all heights 1, specialized degrees
+    stay at root-height scale.  No row swap is needed: the leading minors
+    of A^T are those of A, which ``roots._validate_cartan`` has checked
+    are positive.
     """
     r = datum.rank
     m = [[Fraction(datum.cartan[j][i]) for j in range(r)] for i in range(r)]
-    rhs = [Fraction(1)] * r
+    rhs = [Fraction(h) for h in heights]
     for col in range(r):
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
@@ -426,4 +420,3 @@ def _height_cocharacter(datum: RootDatum) -> tuple[int, ...]:
                 rhs[row] = rhs[row] - f * rhs[col]
     scale = lcm(*(x.denominator for x in rhs))
     return tuple(int(x * scale) for x in rhs)
-

@@ -455,6 +455,29 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     assert "integrity" in err
 
 
+def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
+    """The exit-3 path with no cache: one row of the one-variable table,
+    doubled in process, is still a class, so chi at the model's cocharacter
+    reads 2 while the freshly built second table reads 1; the sign sweep's
+    exact division by the doubled pivot then fails."""
+    from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    init = SchubertModel.__init__
+
+    def corrupt(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._specialized[1] = self._specialized[1].scale(2)
+
+    monkeypatch.setattr(SchubertModel, "__init__", corrupt)
+    group = WeylGroup(build_root_datum("A", 2))
+    report = SchubertRing(SchubertModel(group)).verify_normalization()
+    assert report.violations == [(group.elements[1].word, 2, 1)]
+    code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs")
+    assert code == 3
+    assert "integrity" in err
+
+
 def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     """A digest-valid row with a coefficient of 2^63 cannot be packed
     exactly: the constants command exits 3 with one message, no traceback."""

@@ -9,6 +9,7 @@ from kflag import ConfigError, IntegrityError
 from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, SchubertRing
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
+import pairing_oracle
 
 
 def to_permutation(g, w, n):
@@ -278,7 +279,7 @@ def test_line_identity_suite_zero_weights(engines):
 def test_pairing_dual_bases(engines):
     for label in ("A2", "B2"):
         r = engines.ring(label)
-        rep = r.verify_dual_bases()
+        rep = pairing_oracle.verify_dual_bases(r)
         assert rep.ok
 
 
@@ -289,11 +290,11 @@ def test_extraction_routes_agree(engines):
     for u in g.elements:
         for v in g.elements:
             f = m.schubert_class(u) * m.schubert_class(v)
-            got = r.extract_coefficients_via_pairing(f)
+            got = pairing_oracle.extract_coefficients_via_pairing(r, f)
             assert got == r.structure_constants(u, v)
     lam = g.datum.fundamental_weight(1)
     f = m.line_bundle_class(lam) * m.schubert_class(g.w_o)
-    assert r.extract_coefficients_via_pairing(f) == r.line_bundle_coeffs(g.w_o, lam)
+    assert pairing_oracle.extract_coefficients_via_pairing(r, f) == r.line_bundle_coeffs(g.w_o, lam)
 
 
 # -- Richardson classes ------------------------------------------------------------------

@@ -157,6 +157,8 @@ def test_integer_queries_never_build_the_laurent_table():
         ["parabolic-constants", "--parabolic", "1,3", "--u", "1,3,2", "--v", "1,3,2"],
         ["richardson", "--u", "2", "--v", "1,2,3,2"],
         ["describe", "--parabolic", "1,3"],
+        pytest.param(["verify", "--which", "signs"], id="verify-signs"),
+        pytest.param(["verify", "--which", "line"], id="verify-line"),
     ],
     ids=lambda argv: argv[0],
 )
