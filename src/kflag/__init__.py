@@ -17,12 +17,7 @@ from .errors import (
     PoleAtOneError,
 )
 from .laurent import LaurentPoly
-from .model import (
-    EquivClass,
-    ExpansionResult,
-    SchubertModel,
-    weyl_act,
-)
+from .model import EquivClass, ExpansionResult, SchubertModel
 from .ring import KClass, LineReport, SchubertRing, SignReport
 from .roots import (
     ParabolicData,
@@ -58,8 +53,7 @@ __all__ = [
     "WeylGroup",
     "build_root_datum",
     "root_datum_from_cartan",
-    "weyl_act",
     "weyl_dimension",
 ]
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -116,6 +116,14 @@ def _config_from_args(args) -> JobConfig:
 
 
 def _build_datum(cfg: JobConfig) -> RootDatum:
+    # a finite Weyl group of rank r has at least 2^r elements, so a rank this
+    # large is refused before any matrix is built or validated
+    if cfg.cartan is None:
+        rank = cfg.rank
+    else:  # root_datum_from_cartan refuses anything but a list
+        rank = len(cfg.cartan) if isinstance(cfg.cartan, list) else 0
+    if rank >= cfg.max_weyl.bit_length():
+        raise BoundExceededError(f"Weyl group exceeds the configured bound ({cfg.max_weyl})")
     if cfg.cartan is not None:
         digest = hashlib.sha256(
             json.dumps(cfg.cartan, sort_keys=True).encode()
@@ -415,6 +423,8 @@ def _default_line_sweep(datum):
 
 
 def cmd_verify(cfg: JobConfig) -> int:
+    if cfg.mu is not None and cfg.lam is None:
+        raise ConfigError("--mu needs --lambda")
     datum, group, ring = _build_ring(cfg)
     which = cfg.which
     reports = [ring.verify_normalization()]

@@ -138,21 +138,15 @@ def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
     return coords, residual
 
 
-def weyl_act(group: WeylGroup, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
-    """Relabel exponents by w: e^lam -> e^{w(lam)} (a ring automorphism)."""
-    return p.map_exponents(lambda e: group.apply(w, e))
-
-
 class SchubertModel:
     """The localization model for one Weyl group, with all class tables.
 
     The one-variable Schubert table, the specialization of every Schubert
     class, is built here (or injected from a cache) and never mutated
     afterwards; the integer commands read only it.  The table in the weight
-    lattice is built on the first ``schubert_class`` call and assigned whole;
-    the opposite-class table is filled one entry at a time, each entry one
-    list store of a class never mutated afterwards.  A model can therefore
-    be shared across threads: at worst two threads compute the same entry.
+    lattice is built on the first ``schubert_class`` call and assigned whole,
+    so a model can be shared across threads: at worst two threads build the
+    same table.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -168,7 +162,6 @@ class SchubertModel:
             if len(self._specialized) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
         self._schubert: list[EquivClass] | None = None
-        self._opposite: list[EquivClass | None] = [None] * len(group.elements)
 
     # -- class constructors -----------------------------------------------
 
@@ -238,21 +231,6 @@ class SchubertModel:
         if self._schubert is None:
             self._schubert = self._build_schubert_table(LaurentPoly.monomial, LaurentPoly.exact_div)
         return self._schubert[w.index]
-
-    def opposite_schubert_class(self, w: WeylElement) -> EquivClass:
-        """[O_{X^w}] = the w_o-translate of [O_{X_{w_o w}}]; support {v >= w}."""
-        cached = self._opposite[w.index]
-        if cached is not None:
-            return cached
-        group = self.group
-        w_o = group.w_o
-        src = self.schubert_class(group.mul(w_o, w))
-        out = {}
-        for v, p in src.restrictions.items():
-            out[group.mul(w_o, v)] = weyl_act(group, w_o, p)
-        cls = EquivClass(self.rank, out)
-        self._opposite[w.index] = cls
-        return cls
 
     def line_bundle_class(self, lam) -> EquivClass:
         """[L(lam)]: restriction e^{-v(lam)} at the fixed point v.

@@ -117,19 +117,6 @@ class SchubertRing:
                         del out[w]
         return out
 
-    def to_equiv(self, kclass: KClass) -> EquivClass:
-        if kclass.basis != O_BASIS:
-            kclass = self.change_basis(kclass, O_BASIS)
-        return self._combine(kclass.coeffs, self.model.schubert_class)
-
-    def _combine(self, coeffs: dict[WeylElement, int], row) -> EquivClass:
-        """sum_w c_w row(w) over the Schubert rows ``row``, in either ring."""
-        acc = EquivClass(self.model.rank, {})
-        for w, c in coeffs.items():
-            if c:
-                acc = acc + row(w).scale(c)
-        return acc
-
     # -- the four bases ------------------------------------------------------
 
     def ideal_sheaf_class(self, w: WeylElement) -> KClass:
@@ -145,16 +132,9 @@ class SchubertRing:
                 out[v] = 1 if (w.length - v.length) % 2 == 0 else -1
         return KClass(O_BASIS, out)
 
-    def ideal_equiv(self, w: WeylElement) -> EquivClass:
-        return self._combine(self.ideal_sheaf_class(w).coeffs, self.model.schubert_class)
-
-    def dualizing_twist(self, f: EquivClass, codimension: int) -> EquivClass:
-        """(-1)^codim . dual(f) . [omega_X]: the duality route to omega-classes."""
-        out = f.dual() * self.model.canonical_class()
-        return out if codimension % 2 == 0 else -out
-
     def _specialized_twist(self, spec: EquivClass, codimension: int) -> EquivClass:
-        """dualizing_twist on a specialized class, where the dual is t -> 1/t."""
+        """(-1)^codim . dual(spec) . [omega_X] on a specialized class, where
+        the dual is t -> 1/t: the duality route to omega-classes."""
         if self._canonical is None:
             self._canonical = self.model.specialize(self.model.canonical_class())
         out = spec.dual() * self._canonical
@@ -169,7 +149,9 @@ class SchubertRing:
     def omega_boundary_class(self, w: WeylElement) -> KClass:
         """[omega_{X_w}(boundary)] expanded over the O-basis."""
         m = self.model
-        ideal = self._combine(self.ideal_sheaf_class(w).coeffs, m.specialized_schubert_class)
+        ideal = EquivClass(m.rank, {})
+        for v, c in self.ideal_sheaf_class(w).coeffs.items():
+            ideal = ideal + m.specialized_schubert_class(v).scale(c)
         cls = self._specialized_twist(ideal, self.codim(w))
         return KClass(O_BASIS, m.integer_coefficients(cls))
 
@@ -224,14 +206,6 @@ class SchubertRing:
         if target == O_BASIS:
             return KClass(O_BASIS, o_vec, kclass.parabolic)
         return KClass(target, self.coords_in_basis(o_vec, target), kclass.parabolic)
-
-    # -- pairing and extraction ------------------------------------------------
-
-    def pairing(self, a, b) -> int:
-        """chi(a . b); accepts model classes or O-basis K-classes."""
-        fa = a if isinstance(a, EquivClass) else self.to_equiv(a)
-        fb = b if isinstance(b, EquivClass) else self.to_equiv(b)
-        return self.model.euler_characteristic(fa * fb)
 
     # -- geometric classes ---------------------------------------------------
 
@@ -368,35 +342,45 @@ class SchubertRing:
         )
 
     def verify_richardson_signs(self) -> SignReport:
-        """Sign alternation and omega-basis nonnegativity for X^v intersect X_w."""
+        """Sign alternation and omega-basis nonnegativity for X^v intersect X_w.
+
+        One back-solve per comparable pair gives the O-basis coefficients
+        c_u of [O_Y], Y = X^v intersect X_w; the duality identity
+        [omega_Y] = sum_u (-1)^{dim Y - l(u)} c_u [omega_{X_u}] (Brion 2002)
+        gives the omega-basis coordinates from them, so the two forms of
+        the theorem fail at the same u and each failure is reported in both.
+        The omega rows themselves are checked once, for unitriangularity.
+        An incomparable pair must give the zero class: its two Schubert
+        rows in the weight lattice, an integral domain, must have disjoint
+        supports once the opposite one is moved by w_o.
+        """
         t0 = time.monotonic()
         violations = []
         checked = 0
         group = self.group
         m = self.model
+        self.basis_matrix(OMEGA_BASIS)
+        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
+        support = [m.schubert_class(x).restrictions.keys() for x in group.elements]
         opposite = [m.specialized_opposite_schubert_class(v) for v in group.elements]
         for w in group.elements:
             psi_w = m.specialized_schubert_class(w)
             for v in group.elements:
                 if not group.bruhat_leq(v, w):
-                    # a nonzero product can specialize to zero, so this
-                    # emptiness test keeps the multivariate product
-                    prod = m.opposite_schubert_class(v) * m.schubert_class(w)
-                    if prod.restrictions:
+                    # [O_{X^v}] is nonzero at w_o u exactly where psi_{w_o v} is at u
+                    mirror = support[wo[v.index].index]
+                    if any(wo[u.index] in mirror for u in support[w.index]):
                         violations.append((v.word, w.word, "nonzero-empty-intersection"))
                     continue
                 checked += 1
                 dim_y = w.length - v.length
-                prod = opposite[v.index] * psi_w
-                for u, c in m.integer_coefficients(prod).items():
-                    sign_ok = (c > 0) == ((dim_y - u.length) % 2 == 0)
-                    if not sign_ok:
-                        violations.append((v.word, w.word, u.word, c, dim_y - u.length))
-                omega_y = self._specialized_twist(prod, v.length + self.codim(w))
-                coords = self.coords_in_basis(m.integer_coefficients(omega_y), OMEGA_BASIS)
-                for u, c in coords.items():
-                    if c < 0:
-                        violations.append((v.word, w.word, u.word, c, "omega-basis"))
+                coeffs = m.integer_coefficients(opposite[v.index] * psi_w)
+                omega = _omega_coords(coeffs, dim_y)
+                bad = [u for u, c in omega.items() if c < 0]
+                for u in bad:
+                    violations.append((v.word, w.word, u.word, coeffs[u], dim_y - u.length))
+                for u in bad:
+                    violations.append((v.word, w.word, u.word, omega[u], "omega-basis"))
         return SignReport(
             group=self.datum.label,
             name="richardson",
@@ -521,6 +505,12 @@ class SchubertRing:
 
 def _ms(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
+
+
+def _omega_coords(coeffs: dict[WeylElement, int], dim_y: int) -> dict[WeylElement, int]:
+    """omega-basis coordinates of [omega_Y] from the O-basis coefficients
+    c_u of [O_Y]: (-1)^{dim Y - l(u)} c_u, in the order of ``coeffs``."""
+    return {u: c if (dim_y - u.length) % 2 == 0 else -c for u, c in coeffs.items()}
 
 
 def _int_exact_div(c: int, d: int) -> int:

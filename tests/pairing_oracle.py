@@ -6,12 +6,73 @@ classes xi_w = [O_{X^w}(-boundary X^w)] are dual to the Schubert classes
 under chi(a . b), so the coefficient of [O_{X_w}] in f is chi(f . xi_w).
 Every class here lives in the weight lattice, and chi is the fixed-point
 sum; a second chi route sums the multivariate expansion's coefficients.
+
+It also keeps the weight-lattice helpers the engine no longer needs: the
+w_o-translated opposite classes, the pairing, O-basis vectors as model
+classes, the dualizing twist, and the twist route to the omega-basis
+coordinates of a Richardson variety.
 """
 from __future__ import annotations
 
 import time
 
-from kflag import EquivClass, IntegrityError, SignReport
+from kflag import EquivClass, IntegrityError, KClass, SignReport
+from kflag.ring import O_BASIS, OMEGA_BASIS
+
+
+def weyl_act(group, w, p):
+    """Relabel exponents by w: e^lam -> e^{w(lam)} (a ring automorphism)."""
+    return p.map_exponents(lambda e: group.apply(w, e))
+
+
+def opposite_schubert_class(model, w) -> EquivClass:
+    """[O_{X^w}] = the w_o-translate of [O_{X_{w_o w}}]; support {v >= w}."""
+    group = model.group
+    w_o = group.w_o
+    src = model.schubert_class(group.mul(w_o, w))
+    return EquivClass(
+        model.rank,
+        {group.mul(w_o, v): weyl_act(group, w_o, p) for v, p in src.restrictions.items()},
+    )
+
+
+def to_equiv(ring, kclass: KClass) -> EquivClass:
+    """A K-class in any basis as a model class in the weight lattice."""
+    if kclass.basis != O_BASIS:
+        kclass = ring.change_basis(kclass, O_BASIS)
+    acc = EquivClass(ring.model.rank, {})
+    for w, c in kclass.coeffs.items():
+        if c:
+            acc = acc + ring.model.schubert_class(w).scale(c)
+    return acc
+
+
+def ideal_equiv(ring, w) -> EquivClass:
+    """[O_{X_w}(-boundary)] in the weight lattice."""
+    return to_equiv(ring, ring.ideal_sheaf_class(w))
+
+
+def dualizing_twist(ring, f: EquivClass, codimension: int) -> EquivClass:
+    """(-1)^codim . dual(f) . [omega_X]: the duality route to omega-classes."""
+    out = f.dual() * ring.model.canonical_class()
+    return out if codimension % 2 == 0 else -out
+
+
+def pairing(ring, a, b) -> int:
+    """chi(a . b); accepts model classes or K-classes."""
+    fa = a if isinstance(a, EquivClass) else to_equiv(ring, a)
+    fb = b if isinstance(b, EquivClass) else to_equiv(ring, b)
+    return ring.model.euler_characteristic(fa * fb)
+
+
+def richardson_omega_coords(ring, v, w) -> dict:
+    """omega-basis coordinates of [omega_Y], Y = X^v intersect X_w, for
+    v <= w: twist the one-variable product, expand it over the Schubert
+    basis, and back-solve against the omega rows."""
+    m = ring.model
+    prod = m.specialized_opposite_schubert_class(v) * m.specialized_schubert_class(w)
+    omega_y = ring._specialized_twist(prod, v.length + ring.codim(w))
+    return ring.coords_in_basis(m.integer_coefficients(omega_y), OMEGA_BASIS)
 
 
 def opposite_ideal_class(model, w) -> EquivClass:
@@ -21,7 +82,7 @@ def opposite_ideal_class(model, w) -> EquivClass:
     for v in group.elements:
         if v.length < w.length or not group.bruhat_leq(w, v):
             continue
-        term = model.opposite_schubert_class(v)
+        term = opposite_schubert_class(model, v)
         acc = acc + (term if (v.length - w.length) % 2 == 0 else -term)
     return acc
 

@@ -169,11 +169,12 @@ def test_criterion_06_serre_duality(engines):
         omega_x = model.canonical_class()
         sign = (-1) ** model.dimension
         for w in group.elements:
+            ideal = pairing_oracle.ideal_equiv(ring, w)
             candidates = [
                 model.schubert_class(w),
-                ring.ideal_equiv(w),
-                ring.dualizing_twist(model.schubert_class(w), ring.codim(w)),
-                ring.dualizing_twist(ring.ideal_equiv(w), ring.codim(w)),
+                ideal,
+                pairing_oracle.dualizing_twist(ring, model.schubert_class(w), ring.codim(w)),
+                pairing_oracle.dualizing_twist(ring, ideal, ring.codim(w)),
             ]
             for f in candidates:
                 lhs = model.euler_characteristic(f.dual())
@@ -191,6 +192,35 @@ def test_criterion_07_richardson_signs(engines):
         total += rep.checked
     _announce(7, "A2,A3,B2", f"{total} Richardson pairs: sign pattern and "
               "omega-basis nonnegativity hold")
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A3", "G2", pytest.param("B3", marks=pytest.mark.skipif(
+        not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B3 Richardson pairs"))],
+)
+def test_criterion_07_omega_coordinates_by_duality(label, engines, monkeypatch):
+    """The omega-basis coordinates the Richardson report reads off the
+    O-basis coefficients equal the twist route's, in the same order."""
+    import kflag.ring
+
+    seen = []
+    derive = kflag.ring._omega_coords
+
+    def spy(coeffs, dim_y):
+        seen.append(derive(coeffs, dim_y))
+        return seen[-1]
+
+    monkeypatch.setattr(kflag.ring, "_omega_coords", spy)
+    ring = engines.ring(label)
+    g = engines.group(label)
+    rep = ring.verify_richardson_signs()
+    pairs = [(v, w) for w in g.elements for v in g.elements if g.bruhat_leq(v, w)]
+    assert rep.ok and rep.checked == len(pairs) == len(seen)
+    for (v, w), got in zip(pairs, seen):
+        want = pairing_oracle.richardson_omega_coords(ring, v, w)
+        assert list(got.items()) == list(want.items()), (v.word, w.word)
+    _announce(7, label, f"omega coordinates of {len(pairs)} Richardson pairs by duality")
 
 
 def test_criterion_08_line_identity_suite(engines):

@@ -370,6 +370,43 @@ def test_max_weyl_bound(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("group", ["type", "cartan"])
+def test_large_rank_is_refused_before_the_cartan_check(tmp_path, capsys, monkeypatch, group):
+    """A rank-r Weyl group has at least 2^r elements, so a rank of at least
+    the bit length of --max-weyl exits 2 without validating a matrix."""
+    def refuse(a):
+        raise AssertionError("the Cartan matrix was validated")
+
+    monkeypatch.setattr("kflag.roots._validate_cartan", refuse)
+    if group == "type":
+        argv = ["--type", "A", "--rank", "1000"]
+    else:
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps([[2 if i == j else 0 for j in range(64)] for i in range(64)]))
+        argv = ["--cartan", str(path)]
+    code, out, err = run_cli(capsys, "describe", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Weyl group exceeds the configured bound (10000)\n"
+
+
+def test_rank_bound_keeps_a_group_at_the_bound(capsys):
+    code, obj, _ = run_json(
+        capsys, "describe", "--type", "A", "--rank", "3", "--max-weyl", "24"
+    )
+    assert code == 0
+    assert obj["weyl_order"] == 24
+
+
+def test_verify_mu_without_lambda_is_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "2", "--which", "line", "--mu", "0,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --mu needs --lambda\n"
+
+
 # -- cache behaviour ---------------------------------------------------------------
 
 

@@ -168,13 +168,14 @@ def _reduced_words(g, w):
 
 def test_opposite_identity_is_unit(engines):
     m = engines.model("A2")
-    assert m.opposite_schubert_class(engines.group("A2").identity) == m.constant_class()
+    identity = engines.group("A2").identity
+    assert pairing_oracle.opposite_schubert_class(m, identity) == m.constant_class()
 
 
 def test_opposite_rank_one(engines):
     m = engines.model("A1")
     g = engines.group("A1")
-    opp = m.opposite_schubert_class(g.w_o)
+    opp = pairing_oracle.opposite_schubert_class(m, g.w_o)
     assert opp.restriction(g.identity).is_zero()
     alpha = g.datum.simple_root(1)
     assert opp.restriction(g.w_o) == LaurentPoly.one(1) - LaurentPoly.monomial(
@@ -186,7 +187,7 @@ def test_opposite_support_is_upper_interval(engines):
     m = engines.model("A2")
     g = engines.group("A2")
     for w in g.elements:
-        opp = m.opposite_schubert_class(w)
+        opp = pairing_oracle.opposite_schubert_class(m, w)
         for v in g.elements:
             assert (not opp.restriction(v).is_zero()) == g.bruhat_leq(w, v)
 
@@ -212,8 +213,7 @@ def test_canonical_class_chi_sign(engines):
 
 
 def test_weyl_act_on_polynomials(engines):
-    from kflag import LaurentPoly, weyl_act
-
+    weyl_act = pairing_oracle.weyl_act
     g = engines.group("A2")
     d = engines.datum("A2")
     p = LaurentPoly.monomial(d.rho, 2) - LaurentPoly.monomial((1, -1))

@@ -118,7 +118,7 @@ def test_ideal_class_chi(engines):
         g = engines.group(label)
         m = engines.model(label)
         for w in g.elements:
-            chi = m.euler_characteristic(r.to_equiv(r.ideal_sheaf_class(w)))
+            chi = m.euler_characteristic(pairing_oracle.to_equiv(r, r.ideal_sheaf_class(w)))
             assert chi == (1 if w is g.identity else 0)
 
 
@@ -246,11 +246,11 @@ def test_pairing_unit(engines):
     g = engines.group("A2")
     m = engines.model("A2")
     unit = m.schubert_class(g.w_o)
-    assert r.pairing(unit, unit) == 1
+    assert pairing_oracle.pairing(r, unit, unit) == 1
     rng = random.Random(5)
     for _ in range(3):
         w = rng.choice(g.elements)
-        assert r.pairing(m.schubert_class(w), unit) == 1
+        assert pairing_oracle.pairing(r, m.schubert_class(w), unit) == 1
 
 
 def test_pairing_with_unit_is_chi(engines):
@@ -263,7 +263,7 @@ def test_pairing_with_unit_is_chi(engines):
     rng = random.Random(41)
     for _ in range(5):
         f = random_valid_class(m, rng)
-        assert r.pairing(f, unit) == m.euler_characteristic(f)
+        assert pairing_oracle.pairing(r, f, unit) == m.euler_characteristic(f)
 
 
 def test_line_identity_suite_zero_weights(engines):
@@ -314,7 +314,7 @@ def test_richardson_point(engines):
     m = engines.model("A2")
     for w in g.elements:
         cls = r.richardson_class(w, w)
-        chi = m.euler_characteristic(r.to_equiv(cls))
+        chi = m.euler_characteristic(pairing_oracle.to_equiv(r, cls))
         assert chi == 1
 
 
@@ -333,6 +333,68 @@ def test_richardson_sweeps(engines):
         assert rep.ok
         if label == "A2":
             assert rep.checked == 19
+
+
+def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
+    """On A3: one back-solve for each of the 213 comparable pairs and one
+    for each of the 24 omega rows, which the report checks once."""
+    from kflag import SchubertModel
+
+    calls = []
+    solve = SchubertModel.integer_coefficients
+
+    def count(self, f):
+        calls.append(f)
+        return solve(self, f)
+
+    monkeypatch.setattr(SchubertModel, "integer_coefficients", count)
+    rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
+    assert rep.ok and rep.checked == 213
+    assert len(calls) == 237
+
+
+def test_richardson_report_checks_the_omega_rows(engines, monkeypatch):
+    """The report reads no omega row, but one that is not unitriangular
+    still fails it."""
+    from kflag import KClass
+
+    ring = SchubertRing(engines.model("A2"))
+    monkeypatch.setattr(ring, "omega_class", lambda w: KClass(O_BASIS, {w: 2}))
+    with pytest.raises(IntegrityError, match="not unitriangular"):
+        ring.verify_richardson_signs()
+
+
+def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
+    """A restriction at u not below w, put into the weight-lattice row of w,
+    makes X^v intersect X_w look nonempty for every v <= u with v not below
+    w.  The same row also gives [O_{X^{w_o w}}] a restriction at w_o u, so
+    the pairs (w_o w, x) with w_o u <= x and w_o w not below x are flagged
+    as well."""
+    from kflag import EquivClass, LaurentPoly, SchubertModel
+
+    g = engines.group("A3")
+    model = SchubertModel(g)
+    w, u = g.from_word([1, 2]), g.from_word([3, 2])
+    assert not g.bruhat_leq(u, w)
+    row = model.schubert_class(w)
+    model._schubert[w.index] = EquivClass(
+        model.rank, {**row.restrictions, u: LaurentPoly.one(model.rank)}
+    )
+    rep = SchubertRing(model).verify_richardson_signs()
+    leq = g.bruhat_leq
+    w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)
+    want = [
+        (v.word, x.word, "nonzero-empty-intersection")
+        for x in g.elements
+        for v in g.elements
+        if not leq(v, x)
+        and ((x is w and leq(v, u)) or (v is w_o_w and leq(w_o_u, x)))
+    ]
+    assert rep.checked == 213
+    assert rep.violations == want
+    assert {(v, x) for v, x, _ in want} >= {
+        (v.word, w.word) for v in g.elements if leq(v, u) and not leq(v, w)
+    }
 
 
 # -- line bundle coefficients ----------------------------------------------------------
