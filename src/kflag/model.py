@@ -271,21 +271,6 @@ class SchubertModel:
         """specialize([O_{X_w}]), a row of the one-variable table."""
         return self._specialized[w.index]
 
-    def specialized_opposite_schubert_class(self, w: WeylElement) -> EquivClass:
-        """specialize([O_{X^w}]) from the one-variable row of w_o w.
-
-        The w_o-translate relabels e^lam by e^{w_o lam}, and w_o lam pairs
-        with the height cocharacter to -<lam, k>, so in one variable the
-        translate is t -> 1/t.  Zero restrictions are dropped, so the
-        support {v >= w} is the group's, not this class's keys.
-        """
-        group = self.group
-        w_o = group.w_o
-        src = self._specialized[group.mul(w_o, w).index]
-        return EquivClass(
-            self.rank, {group.mul(w_o, v): p.involute() for v, p in src.restrictions.items()}
-        )
-
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
         solved in Z[t, 1/t].

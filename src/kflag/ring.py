@@ -210,10 +210,14 @@ class SchubertRing:
     # -- geometric classes ---------------------------------------------------
 
     def richardson_class(self, v: WeylElement, w: WeylElement) -> KClass:
-        """[O_{X^v intersect X_w}]; the zero class when v is not below w."""
-        m = self.model
-        prod = m.specialized_opposite_schubert_class(v) * m.specialized_schubert_class(w)
-        return KClass(O_BASIS, m.integer_coefficients(prod))
+        """[O_{X^v intersect X_w}]; the zero class when v is not below w.
+
+        X^v is a translate of X_{w_o v} and G is connected, so in K(G/B)
+        the class is [O_{X_{w_o v}}] . [O_{X_w}], read from the
+        structure-constant memo.
+        """
+        w_o_v = self.group.mul(self.group.w_o, v)
+        return KClass(O_BASIS, dict(self.structure_constants(w_o_v, w)))
 
     def line_bundle_coeffs(self, v: WeylElement, lam) -> dict[WeylElement, int]:
         """Coefficients of [L_{X_v}(lam)] over the Schubert basis."""
@@ -271,9 +275,7 @@ class SchubertRing:
         the model's cocharacter k, which may come from a cache.  The second
         runs over a table built here at k2, the cocharacter of simple-root
         heights (1, ..., 1, 2), and dropped afterwards: it checks the
-        recursion at a specialization not proportional to k (from rank 2),
-        and never serves the other commands, whose t -> 1/t rule for
-        opposite classes needs -w_o k = k.
+        recursion at a specialization not proportional to k (from rank 2).
         """
         t0 = time.monotonic()
         violations = []
@@ -344,15 +346,20 @@ class SchubertRing:
     def verify_richardson_signs(self) -> SignReport:
         """Sign alternation and omega-basis nonnegativity for X^v intersect X_w.
 
-        One back-solve per comparable pair gives the O-basis coefficients
-        c_u of [O_Y], Y = X^v intersect X_w; the duality identity
+        The O-basis coefficients c_u of [O_Y], Y = X^v intersect X_w, are
+        the structure constants c_{w_o v, w}^u, shared with the sign sweep
+        through the memo; the duality identity
         [omega_Y] = sum_u (-1)^{dim Y - l(u)} c_u [omega_{X_u}] (Brion 2002)
         gives the omega-basis coordinates from them, so the two forms of
         the theorem fail at the same u and each failure is reported in both.
         The omega rows themselves are checked once, for unitriangularity.
         An incomparable pair must give the zero class: its two Schubert
-        rows in the weight lattice, an integral domain, must have disjoint
-        supports once the opposite one is moved by w_o.
+        rows must have disjoint supports once the opposite one is moved by
+        w_o.  The one-variable rows have the supports of the weight-lattice
+        ones: psi_w(u) for u <= w specializes to a polynomial that vanishes
+        at t = 1 to order exactly codim X_w, since its lowest-order term is
+        [X_w]|_u, a nonzero sum of products of positive roots (Billey), and
+        k pairs every positive root positively.
         """
         t0 = time.monotonic()
         violations = []
@@ -361,10 +368,8 @@ class SchubertRing:
         m = self.model
         self.basis_matrix(OMEGA_BASIS)
         wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
-        support = [m.schubert_class(x).restrictions.keys() for x in group.elements]
-        opposite = [m.specialized_opposite_schubert_class(v) for v in group.elements]
+        support = [m.specialized_schubert_class(x).restrictions.keys() for x in group.elements]
         for w in group.elements:
-            psi_w = m.specialized_schubert_class(w)
             for v in group.elements:
                 if not group.bruhat_leq(v, w):
                     # [O_{X^v}] is nonzero at w_o u exactly where psi_{w_o v} is at u
@@ -374,7 +379,7 @@ class SchubertRing:
                     continue
                 checked += 1
                 dim_y = w.length - v.length
-                coeffs = m.integer_coefficients(opposite[v.index] * psi_w)
+                coeffs = self.structure_constants(wo[v.index], w)
                 omega = _omega_coords(coeffs, dim_y)
                 bad = [u for u, c in omega.items() if c < 0]
                 for u in bad:

@@ -17,9 +17,6 @@ from .errors import BoundExceededError, ConfigError, IntegrityError
 
 Weight = tuple[int, ...]
 
-#: hard cap on the positive-root closure; generous for every finite type
-_ROOT_CLOSURE_CAP = 2048
-
 
 def _chain_cartan(rank: int) -> list[list[int]]:
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -127,8 +124,15 @@ def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def _close_positive_roots(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by reflection closure."""
+    """All positive roots in simple-root coordinates, by reflection closure.
+
+    ``_validate_cartan`` has proved finite type, so the cap only guards the
+    loop: a root system of rank r has at most r^2 + 56 positive roots.  B_r
+    and C_r have r^2, E8 has 8^2 + 56, and a sum of components stays within
+    the bound of its total rank.
+    """
     r = len(a)
+    cap = r * r + 56
     simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
     seen = set(simples)
     frontier = list(simples)
@@ -143,7 +147,7 @@ def _close_positive_roots(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...
                 if min(c2t) >= 0 and c2t not in seen:
                     seen.add(c2t)
                     fresh.append(c2t)
-        if len(seen) > _ROOT_CLOSURE_CAP:
+        if len(seen) > cap:
             raise BoundExceededError("positive-root closure exceeded cap; not finite type?")
         frontier = fresh
     return sorted(seen, key=lambda c: (sum(c), c))

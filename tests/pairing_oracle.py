@@ -7,10 +7,10 @@ under chi(a . b), so the coefficient of [O_{X_w}] in f is chi(f . xi_w).
 Every class here lives in the weight lattice, and chi is the fixed-point
 sum; a second chi route sums the multivariate expansion's coefficients.
 
-It also keeps the weight-lattice helpers the engine no longer needs: the
-w_o-translated opposite classes, the pairing, O-basis vectors as model
-classes, the dualizing twist, and the twist route to the omega-basis
-coordinates of a Richardson variety.
+It also keeps the helpers the engine no longer needs: the w_o-translated
+opposite classes, in the weight lattice and in one variable, the pairing,
+O-basis vectors as model classes, the dualizing twist, and the twist route
+to the omega-basis coordinates of a Richardson variety.
 """
 from __future__ import annotations
 
@@ -33,6 +33,21 @@ def opposite_schubert_class(model, w) -> EquivClass:
     return EquivClass(
         model.rank,
         {group.mul(w_o, v): weyl_act(group, w_o, p) for v, p in src.restrictions.items()},
+    )
+
+
+def specialized_opposite_schubert_class(model, w) -> EquivClass:
+    """specialize([O_{X^w}]) from the one-variable row of w_o w.
+
+    The w_o-translate relabels e^lam by e^{w_o lam}, and w_o lam pairs
+    with the height cocharacter to -<lam, k>, so in one variable the
+    translate is t -> 1/t.
+    """
+    group = model.group
+    w_o = group.w_o
+    src = model.specialized_schubert_class(group.mul(w_o, w))
+    return EquivClass(
+        model.rank, {group.mul(w_o, v): p.involute() for v, p in src.restrictions.items()}
     )
 
 
@@ -70,7 +85,7 @@ def richardson_omega_coords(ring, v, w) -> dict:
     v <= w: twist the one-variable product, expand it over the Schubert
     basis, and back-solve against the omega rows."""
     m = ring.model
-    prod = m.specialized_opposite_schubert_class(v) * m.specialized_schubert_class(w)
+    prod = specialized_opposite_schubert_class(m, v) * m.specialized_schubert_class(w)
     omega_y = ring._specialized_twist(prod, v.length + ring.codim(w))
     return ring.coords_in_basis(m.integer_coefficients(omega_y), OMEGA_BASIS)
 

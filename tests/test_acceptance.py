@@ -2,7 +2,8 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
-the B4 sample and the A4 pool test are opt-in: set KFLAG_BIG_RANK=1.
+the B4 sample, the A4 pool test and the B3, C3, A4 and D4 Richardson checks
+are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ import zlib
 
 import pytest
 
-from kflag import SchubertRing, weyl_dimension
+from kflag import SchubertRing, UniPoly, weyl_dimension
 from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, pool_size
+from kflag.univariate import poly_divexact
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 import pairing_oracle
@@ -221,6 +223,49 @@ def test_criterion_07_omega_coordinates_by_duality(label, engines, monkeypatch):
         want = pairing_oracle.richardson_omega_coords(ring, v, w)
         assert list(got.items()) == list(want.items()), (v.word, w.word)
     _announce(7, label, f"omega coordinates of {len(pairs)} Richardson pairs by duality")
+
+
+def _big_rank(label):
+    return pytest.param(label, marks=pytest.mark.skipif(
+        not BIG_RANK, reason=f"set KFLAG_BIG_RANK=1 for {label}"))
+
+
+@pytest.mark.parametrize("label", ["B2", _big_rank("B3"), _big_rank("C3")])
+def test_criterion_07_richardson_classes_by_the_opposite_route(label, engines):
+    """[O_{X^v}] . [O_{X_w}] by the t -> 1/t opposite class equals the
+    structure constants of w_o v and w, coefficients and order, on every
+    pair."""
+    model, g = engines.model(label), engines.group(label)
+    ring = SchubertRing(model)
+    for w in g.elements:
+        psi_w = model.specialized_schubert_class(w)
+        for v in g.elements:
+            opposite = pairing_oracle.specialized_opposite_schubert_class(model, v)
+            want = model.integer_coefficients(opposite * psi_w)
+            got = ring.richardson_class(v, w).coeffs
+            assert list(got.items()) == list(want.items()), (v.word, w.word)
+    _announce(7, label, f"{len(g) ** 2} Richardson classes by the opposite route")
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", _big_rank("A4"), _big_rank("D4")]
+)
+def test_criterion_07_one_variable_rows_keep_their_supports(label, engines):
+    """The Richardson emptiness test reads supports from the one-variable
+    rows.  It may, because psi_w(u) is nonzero exactly for u <= w in both
+    tables, and in one variable it vanishes at t = 1 to order exactly
+    codim X_w, so it never specializes to 0."""
+    model, g = engines.model(label), engines.group(label)
+    one_minus_t = UniPoly.one_minus_power(1)
+    for w in g.elements:
+        below = {u for u in g.elements if g.bruhat_leq(u, w)}
+        row = model.specialized_schubert_class(w).restrictions
+        assert set(row) == set(model.schubert_class(w).restrictions) == below, w.word
+        for u, p in row.items():
+            for _ in range(model.dimension - w.length):
+                p = poly_divexact(p, one_minus_t)
+            assert p.eval_at_one() != 0, (w.word, u.word)
+    _announce(7, label, "one-variable supports are the Bruhat intervals")
 
 
 def test_criterion_08_line_identity_suite(engines):

@@ -336,8 +336,10 @@ def test_richardson_sweeps(engines):
 
 
 def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
-    """On A3: one back-solve for each of the 213 comparable pairs and one
-    for each of the 24 omega rows, which the report checks once."""
+    """On A3 the 213 comparable pairs read 110 structure constants, since
+    (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
+    report solves each of the 24 omega rows once.  After the sign sweep the
+    memo holds every constant, and only the omega rows are solved."""
     from kflag import SchubertModel
 
     calls = []
@@ -350,7 +352,14 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     monkeypatch.setattr(SchubertModel, "integer_coefficients", count)
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
-    assert len(calls) == 237
+    assert len(calls) == 134
+
+    ring = SchubertRing(engines.model("A3"))
+    assert ring.verify_alternating_signs().ok
+    calls.clear()
+    again = ring.verify_richardson_signs()
+    assert again.ok and again.checked == 213
+    assert len(calls) == 24
 
 
 def test_richardson_report_checks_the_omega_rows(engines, monkeypatch):
@@ -365,22 +374,23 @@ def test_richardson_report_checks_the_omega_rows(engines, monkeypatch):
 
 
 def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
-    """A restriction at u not below w, put into the weight-lattice row of w,
+    """A restriction at u not below w, put into the one-variable row of w,
     makes X^v intersect X_w look nonempty for every v <= u with v not below
     w.  The same row also gives [O_{X^{w_o w}}] a restriction at w_o u, so
     the pairs (w_o w, x) with w_o u <= x and w_o w not below x are flagged
-    as well."""
-    from kflag import EquivClass, LaurentPoly, SchubertModel
+    as well.  The row goes in after a first report has memoized the
+    constants and the omega rows, which a wrong row would fail to solve."""
+    from kflag import EquivClass, SchubertModel, UniPoly
 
     g = engines.group("A3")
     model = SchubertModel(g)
+    ring = SchubertRing(model)
+    assert ring.verify_richardson_signs().ok
     w, u = g.from_word([1, 2]), g.from_word([3, 2])
     assert not g.bruhat_leq(u, w)
-    row = model.schubert_class(w)
-    model._schubert[w.index] = EquivClass(
-        model.rank, {**row.restrictions, u: LaurentPoly.one(model.rank)}
-    )
-    rep = SchubertRing(model).verify_richardson_signs()
+    row = model._specialized[w.index]
+    model._specialized[w.index] = EquivClass(model.rank, {**row.restrictions, u: UniPoly.one()})
+    rep = ring.verify_richardson_signs()
     leq = g.bruhat_leq
     w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)
     want = [

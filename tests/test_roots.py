@@ -15,6 +15,7 @@ from kflag import (
     root_datum_from_cartan,
     weyl_dimension,
 )
+from kflag.roots import _close_positive_roots, cartan_matrix
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1,
@@ -51,6 +52,30 @@ def test_a2_positive_root_closure():
     d = build_root_datum("A", 2)
     # alpha1, alpha2, alpha1+alpha2 in simple-root coordinates
     assert set(d.positive_root_coords) == {(1, 0), (0, 1), (1, 1)}
+
+
+def _block_cartan(*blocks):
+    """The Cartan matrix of a sum of simple types, as a tuple of rows."""
+    mats = [cartan_matrix(letter, rank) for letter, rank in blocks]
+    size = sum(len(m) for m in mats)
+    out, at = [], 0
+    for m in mats:
+        for row in m:
+            out.append((0,) * at + row + (0,) * (size - at - len(m)))
+        at += len(m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "blocks,count",
+    [([("A", 64)], 2080), ([("E", 8), ("A", 1)], 121), ([("E", 8), ("B", 3)], 129)],
+    ids=["A64", "E8+A1", "E8+B3"],
+)
+def test_root_closure_cap_admits_every_finite_type(blocks, count):
+    """A64 has 2,080 positive roots; a sum with an E8 component has more
+    than both r^2 and 120 at rank 9 to 11."""
+    a = _block_cartan(*blocks)
+    assert len(_close_positive_roots(a)) == count
 
 
 @pytest.mark.parametrize("letter,rank", sorted(POSITIVE_ROOT_COUNTS))

@@ -162,6 +162,8 @@ def test_integer_queries_never_build_the_laurent_table():
         ["describe", "--parabolic", "1,3"],
         pytest.param(["verify", "--which", "signs"], id="verify-signs"),
         pytest.param(["verify", "--which", "line"], id="verify-line"),
+        pytest.param(["verify", "--which", "richardson"], id="verify-richardson"),
+        pytest.param(["verify", "--which", "all"], id="verify-all"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -192,7 +194,7 @@ def test_integer_commands_never_build_the_laurent_table(argv, monkeypatch, capsy
 def test_specialized_opposite_classes_match(label, engines):
     m, g = engines.model(label), engines.group(label)
     for w in g.elements:
-        got = m.specialized_opposite_schubert_class(w)
+        got = pairing_oracle.specialized_opposite_schubert_class(m, w)
         assert got == m.specialize(pairing_oracle.opposite_schubert_class(m, w))
 
 
