@@ -39,6 +39,8 @@ EXIT_VIOLATIONS = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
+CSV_COMMANDS = ("constants", "parabolic-constants", "line-coeffs")
+
 
 @dataclass
 class JobConfig:
@@ -107,6 +109,8 @@ def _config_from_args(args) -> JobConfig:
     cfg.cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR)
     cfg.max_weyl = getattr(args, "max_weyl", 10000)
     cfg.fmt = getattr(args, "format", "json")
+    if cfg.fmt == "csv" and args.command not in CSV_COMMANDS:
+        raise ConfigError("csv output is only available for constants tables")
     cfg.out = getattr(args, "out", None)
     if cfg.out:
         _check_out_path(cfg.out)
@@ -270,8 +274,6 @@ def _sorted_rows(rows: list[dict]) -> list[dict]:
 def _emit(obj: dict, cfg: JobConfig, csv_rows=None, csv_header=None) -> None:
     """Write obj as JSON, or in csv format the rows alone, w as a spaced word."""
     if cfg.fmt == "csv":
-        if csv_rows is None:
-            raise ConfigError("csv output is only available for constants tables")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -321,6 +323,12 @@ def cmd_describe(cfg: JobConfig) -> int:
         obj["parabolic_dimension"] = ring.parabolic_dimension(pdata)
     _emit(obj, cfg)
     return EXIT_OK
+
+
+def _check_weight_length(name: str, weight, rank: int) -> None:
+    """Raise for a given --lambda or --mu that is not of length rank."""
+    if weight is not None and len(weight) != rank:
+        raise ConfigError(f"{name} must have {rank} coordinates")
 
 
 def _require_words(cfg: JobConfig, *names: str) -> None:
@@ -373,8 +381,7 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
         raise ConfigError("--lambda is required")
     datum, group, ring = _build_ring(cfg)
     v = group.from_word(cfg.v)
-    if len(cfg.lam) != datum.rank:
-        raise ConfigError(f"--lambda must have {datum.rank} coordinates")
+    _check_weight_length("--lambda", cfg.lam, datum.rank)
     lam = tuple(cfg.lam)
     coeffs = ring.line_bundle_coeffs(v, lam)
     dominant = datum.is_dominant(lam)
@@ -427,6 +434,9 @@ def cmd_verify(cfg: JobConfig) -> int:
         raise ConfigError("--mu needs --lambda")
     datum, group, ring = _build_ring(cfg)
     which = cfg.which
+    if which in ("line", "all"):
+        _check_weight_length("--lambda", cfg.lam, datum.rank)
+        _check_weight_length("--mu", cfg.mu, datum.rank)
     reports = [ring.verify_normalization()]
     if which in ("signs", "all"):
         pdata = group.parabolic(cfg.parabolic) if cfg.parabolic else None

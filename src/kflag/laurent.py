@@ -186,12 +186,6 @@ class LaurentPoly:
 
     # -- lattice symmetries -------------------------------------------------
 
-    def involute(self) -> "LaurentPoly":
-        """e^lam -> e^(-lam); the dual of the monomial basis."""
-        return LaurentPoly(
-            self.rank, {tuple(-x for x in e): c for e, c in self.terms.items()}
-        )
-
     def map_exponents(self, fn) -> "LaurentPoly":
         """Relabel exponents by a lattice map (e.g. a Weyl group element)."""
         out: dict[tuple[int, ...], int] = {}

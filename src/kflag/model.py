@@ -3,9 +3,9 @@
 A class is a map from Weyl-group fixed points to exact Laurent polynomials
 (its restrictions), in the weight lattice or, once specialized, in one
 variable t.  Schubert structure-sheaf classes are produced by the
-divided-difference recursion from the point class; products, sums and the
-duality involution act pointwise; the pushforward to a point is the
-fixed-point sum, made computable in one variable by a generic cocharacter.
+divided-difference recursion from the point class; products and sums act
+pointwise; the pushforward to a point is the fixed-point sum, made
+computable in one variable by a generic cocharacter.
 """
 from __future__ import annotations
 
@@ -71,14 +71,6 @@ class EquivClass:
             if q is not None:
                 out[v] = p * q
         return EquivClass(self.rank, out)
-
-    def scale(self, poly) -> "EquivClass":
-        """Multiply every restriction by a fixed global character or integer."""
-        return EquivClass(self.rank, {v: p * poly for v, p in self.restrictions.items()})
-
-    def dual(self) -> "EquivClass":
-        """Pointwise involution e^lam -> e^(-lam): the duality involution."""
-        return EquivClass(self.rank, {v: p.involute() for v, p in self.restrictions.items()})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{v!r}: {p!r}" for v, p in sorted(
@@ -246,10 +238,6 @@ class SchubertModel:
             e = tuple(-x for x in self.group.apply(v, lam))
             out[v] = LaurentPoly.monomial(e)
         return EquivClass(self.rank, out)
-
-    def canonical_class(self) -> EquivClass:
-        """[omega_X] = [L(-2 rho)]."""
-        return self.line_bundle_class(tuple(-2 * x for x in self.datum.rho))
 
     def constant_class(self, poly: LaurentPoly | None = None) -> EquivClass:
         """The unit [O_X] (optionally scaled by a global character)."""

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntegrityError
-from .model import EquivClass, SchubertModel, _height_cocharacter, back_solve
+from .model import SchubertModel, _height_cocharacter, back_solve
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -29,7 +29,6 @@ class KClass:
 
     basis: str
     coeffs: dict[WeylElement, int]
-    parabolic: ParabolicData | None = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -78,7 +77,6 @@ class SchubertRing:
         self._sc_memo: dict[tuple[int, int], dict[WeylElement, int]] = {}
         self._line_memo: dict[Weight, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._basis_matrix_memo: dict[str, dict[WeylElement, dict[WeylElement, int]]] = {}
-        self._canonical: EquivClass | None = None
 
     # -- grading -----------------------------------------------------------
 
@@ -132,28 +130,22 @@ class SchubertRing:
                 out[v] = 1 if (w.length - v.length) % 2 == 0 else -1
         return KClass(O_BASIS, out)
 
-    def _specialized_twist(self, spec: EquivClass, codimension: int) -> EquivClass:
-        """(-1)^codim . dual(spec) . [omega_X] on a specialized class, where
-        the dual is t -> 1/t: the duality route to omega-classes."""
-        if self._canonical is None:
-            self._canonical = self.model.specialize(self.model.canonical_class())
-        out = spec.dual() * self._canonical
-        return out if codimension % 2 == 0 else -out
-
     def omega_class(self, w: WeylElement) -> KClass:
-        """[omega_{X_w}] expanded over the O-basis."""
-        m = self.model
-        cls = self._specialized_twist(m.specialized_schubert_class(w), self.codim(w))
-        return KClass(O_BASIS, m.integer_coefficients(cls))
+        """[omega_{X_w}] = [L(-rho)] . [O_{X_w}(-boundary)] over the O-basis.
+
+        The O-basis coordinates of the ideal sheaf, read as
+        OMEGA_BOUNDARY coordinates, are those of [omega_{X_w}].
+        """
+        ideal = self.ideal_sheaf_class(w).coeffs
+        return self.change_basis(KClass(OMEGA_BOUNDARY_BASIS, ideal), O_BASIS)
 
     def omega_boundary_class(self, w: WeylElement) -> KClass:
-        """[omega_{X_w}(boundary)] expanded over the O-basis."""
-        m = self.model
-        ideal = EquivClass(m.rank, {})
-        for v, c in self.ideal_sheaf_class(w).coeffs.items():
-            ideal = ideal + m.specialized_schubert_class(v).scale(c)
-        cls = self._specialized_twist(ideal, self.codim(w))
-        return KClass(O_BASIS, m.integer_coefficients(cls))
+        """[omega_{X_w}(boundary)] = [L(-rho)] . [O_{X_w}] over the O-basis.
+
+        omega_{X_w} = O_{X_w}(-boundary) (x) L(-rho) (Ramanathan 1985), read
+        off the line table of -rho.
+        """
+        return KClass(O_BASIS, self.line_bundle_coeffs(w, tuple(-x for x in self.datum.rho)))
 
     def basis_matrix(self, basis: str) -> dict[WeylElement, dict[WeylElement, int]]:
         """O-basis expansions of the chosen basis, keyed by the basis label w."""
@@ -204,8 +196,8 @@ class SchubertRing:
                 else:
                     del o_vec[u]
         if target == O_BASIS:
-            return KClass(O_BASIS, o_vec, kclass.parabolic)
-        return KClass(target, self.coords_in_basis(o_vec, target), kclass.parabolic)
+            return KClass(O_BASIS, o_vec)
+        return KClass(target, self.coords_in_basis(o_vec, target))
 
     # -- geometric classes ---------------------------------------------------
 

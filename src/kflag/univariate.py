@@ -226,20 +226,6 @@ class UniPoly:
             return self
         return _make(self._shift + k, self._packed, self._bound)
 
-    def involute(self) -> "UniPoly":
-        """t -> 1/t, the image of the duality involution e^lam -> e^(-lam)."""
-        x = self._packed
-        if not x:
-            return self
-        # read the offset digits high first and write them back low first;
-        # the offset is the same in both orders, and the spare top zeros
-        # become low zeros that _normal moves into the shift
-        n = _width(x)
-        off = _offset(n)
-        words = struct.unpack(f">{n}Q", (x + off).to_bytes(8 * n, "big"))
-        rev = int.from_bytes(struct.pack(f"<{n}Q", *words), "little") - off
-        return _normal(-self._shift - (n - 1), rev, self._bound)
-
     def eval_at_one(self) -> int:
         """X(1), the balanced residue of X(2^64) mod 2^64 - 1: |X(1)| <= bound < 2^63."""
         r = self._packed % _MASK

@@ -9,15 +9,39 @@ sum; a second chi route sums the multivariate expansion's coefficients.
 
 It also keeps the helpers the engine no longer needs: the w_o-translated
 opposite classes, in the weight lattice and in one variable, the pairing,
-O-basis vectors as model classes, the dualizing twist, and the twist route
-to the omega-basis coordinates of a Richardson variety.
+O-basis vectors as model classes, the duality involution, the canonical
+class, the dualizing twist in both rings, and the twist routes to the
+omega-classes of Schubert varieties and to the omega-basis coordinates of
+a Richardson variety.
 """
 from __future__ import annotations
 
 import time
 
-from kflag import EquivClass, IntegrityError, KClass, SignReport
+from kflag import EquivClass, IntegrityError, KClass, LaurentPoly, SignReport, UniPoly
 from kflag.ring import O_BASIS, OMEGA_BASIS
+
+
+def involute(p):
+    """e^lam -> e^(-lam); in one variable, its image t -> 1/t."""
+    if isinstance(p, UniPoly):
+        return UniPoly({-e: c for e, c in p.terms.items()})
+    return LaurentPoly(p.rank, {tuple(-x for x in e): c for e, c in p.terms.items()})
+
+
+def dual(f: EquivClass) -> EquivClass:
+    """The duality involution, pointwise, in either ring."""
+    return EquivClass(f.rank, {v: involute(p) for v, p in f.restrictions.items()})
+
+
+def scale(f: EquivClass, c) -> EquivClass:
+    """Every restriction of f times an integer or a global character."""
+    return EquivClass(f.rank, {v: p * c for v, p in f.restrictions.items()})
+
+
+def canonical_class(model) -> EquivClass:
+    """[omega_X] = [L(-2 rho)]."""
+    return model.line_bundle_class(tuple(-2 * x for x in model.datum.rho))
 
 
 def weyl_act(group, w, p):
@@ -47,7 +71,7 @@ def specialized_opposite_schubert_class(model, w) -> EquivClass:
     w_o = group.w_o
     src = model.specialized_schubert_class(group.mul(w_o, w))
     return EquivClass(
-        model.rank, {group.mul(w_o, v): p.involute() for v, p in src.restrictions.items()}
+        model.rank, {group.mul(w_o, v): involute(p) for v, p in src.restrictions.items()}
     )
 
 
@@ -58,7 +82,7 @@ def to_equiv(ring, kclass: KClass) -> EquivClass:
     acc = EquivClass(ring.model.rank, {})
     for w, c in kclass.coeffs.items():
         if c:
-            acc = acc + ring.model.schubert_class(w).scale(c)
+            acc = acc + scale(ring.model.schubert_class(w), c)
     return acc
 
 
@@ -69,8 +93,29 @@ def ideal_equiv(ring, w) -> EquivClass:
 
 def dualizing_twist(ring, f: EquivClass, codimension: int) -> EquivClass:
     """(-1)^codim . dual(f) . [omega_X]: the duality route to omega-classes."""
-    out = f.dual() * ring.model.canonical_class()
+    out = dual(f) * canonical_class(ring.model)
     return out if codimension % 2 == 0 else -out
+
+
+def specialized_twist(ring, spec: EquivClass, codimension: int) -> EquivClass:
+    """The dualizing twist of a specialized class, where the dual is t -> 1/t."""
+    m = ring.model
+    out = dual(spec) * m.specialize(canonical_class(m))
+    return out if codimension % 2 == 0 else -out
+
+
+def omega_rows_by_twist(ring, w) -> tuple[dict, dict]:
+    """O-basis coefficients of [omega_{X_w}] and [omega_{X_w}(boundary)]
+    by the twist route: (-1)^codim . dual . [omega_X] applied to the
+    one-variable rows of [O_{X_w}] and [O_{X_w}(-boundary)]."""
+    m = ring.model
+    codim = ring.codim(w)
+    ideal = EquivClass(m.rank, {})
+    for v, c in ring.ideal_sheaf_class(w).coeffs.items():
+        ideal = ideal + scale(m.specialized_schubert_class(v), c)
+    omega = specialized_twist(ring, m.specialized_schubert_class(w), codim)
+    boundary = specialized_twist(ring, ideal, codim)
+    return m.integer_coefficients(omega), m.integer_coefficients(boundary)
 
 
 def pairing(ring, a, b) -> int:
@@ -86,7 +131,7 @@ def richardson_omega_coords(ring, v, w) -> dict:
     basis, and back-solve against the omega rows."""
     m = ring.model
     prod = specialized_opposite_schubert_class(m, v) * m.specialized_schubert_class(w)
-    omega_y = ring._specialized_twist(prod, v.length + ring.codim(w))
+    omega_y = specialized_twist(ring, prod, v.length + ring.codim(w))
     return ring.coords_in_basis(m.integer_coefficients(omega_y), OMEGA_BASIS)
 
 

@@ -2,8 +2,8 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
-the B4 sample, the A4 pool test and the B3, C3, A4 and D4 Richardson checks
-are opt-in: set KFLAG_BIG_RANK=1.
+the B4 sample, the A4 pool test, the B3, C3, A4 and D4 Richardson checks
+and the A4 and D4 omega-basis checks are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -14,7 +14,14 @@ import zlib
 
 import pytest
 
-from kflag import SchubertRing, UniPoly, weyl_dimension
+from kflag import (
+    SchubertModel,
+    SchubertRing,
+    UniPoly,
+    WeylGroup,
+    root_datum_from_cartan,
+    weyl_dimension,
+)
 from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, pool_size
 from kflag.univariate import poly_divexact
 
@@ -168,7 +175,7 @@ def test_criterion_06_serre_duality(engines):
         ring = engines.ring(label)
         model = engines.model(label)
         group = engines.group(label)
-        omega_x = model.canonical_class()
+        omega_x = pairing_oracle.canonical_class(model)
         sign = (-1) ** model.dimension
         for w in group.elements:
             ideal = pairing_oracle.ideal_equiv(ring, w)
@@ -179,7 +186,7 @@ def test_criterion_06_serre_duality(engines):
                 pairing_oracle.dualizing_twist(ring, ideal, ring.codim(w)),
             ]
             for f in candidates:
-                lhs = model.euler_characteristic(f.dual())
+                lhs = model.euler_characteristic(pairing_oracle.dual(f))
                 rhs = sign * model.euler_characteristic(f * omega_x)
                 assert lhs == rhs, (label, w.word)
                 total += 1
@@ -266,6 +273,27 @@ def test_criterion_07_one_variable_rows_keep_their_supports(label, engines):
                 p = poly_divexact(p, one_minus_t)
             assert p.eval_at_one() != 0, (w.word, u.word)
     _announce(7, label, "one-variable supports are the Bruhat intervals")
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A2xA1", _big_rank("A4"), _big_rank("D4")],
+)
+def test_criterion_07_omega_bases_from_the_line_table(label, engines):
+    """omega_{X_w} = O_{X_w}(-boundary) (x) L(-rho) (Ramanathan 1985), so
+    both omega-bases, read off the L(-rho) line table, equal the twist
+    route (-1)^codim . dual . [omega_X] exactly, on every w."""
+    if label == "A2xA1":
+        cartan = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
+        ring = SchubertRing(SchubertModel(WeylGroup(root_datum_from_cartan(cartan, label))))
+    else:
+        ring = engines.ring(label)
+    for w in ring.group.elements:
+        omega, boundary = pairing_oracle.omega_rows_by_twist(ring, w)
+        assert ring.omega_class(w).coeffs == omega, w.word
+        assert ring.omega_boundary_class(w).coeffs == boundary, w.word
+    _announce(7, label, f"both omega-bases of {len(ring.group)} Schubert varieties "
+              "from the L(-rho) line table")
 
 
 def test_criterion_08_line_identity_suite(engines):

@@ -352,6 +352,53 @@ def test_bad_out_path_is_refused_before_the_work(tmp_path, capsys, monkeypatch, 
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe"],
+        ["verify", "--which", "signs"],
+        ["richardson", "--u", "1", "--v", "1,2"],
+    ],
+    ids=["describe", "verify", "richardson"],
+)
+def test_csv_is_refused_before_the_work(capsys, monkeypatch, argv):
+    from kflag import cli
+
+    def no_build(cfg):
+        raise AssertionError("the ring was built for a command without csv output")
+
+    monkeypatch.setattr(cli, "_build_ring", no_build)
+    code, out, err = run_cli(capsys, *argv, "--type", "A", "--rank", "4", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv output is only available for constants tables\n"
+
+
+@pytest.mark.parametrize(
+    "which, weights, message",
+    [
+        ("all", ["--lambda", "1,0"], "--lambda must have 3 coordinates"),
+        ("line", ["--lambda", "1,0,0,0"], "--lambda must have 3 coordinates"),
+        ("all", ["--lambda", "1,0,0", "--mu", "1"], "--mu must have 3 coordinates"),
+    ],
+)
+def test_verify_refuses_a_wrong_weight_length_before_the_reports(
+    capsys, monkeypatch, which, weights, message
+):
+    from kflag import SchubertRing
+
+    def no_report(self):
+        raise AssertionError("a report ran before the weights were checked")
+
+    monkeypatch.setattr(SchubertRing, "verify_normalization", no_report)
+    code, out, err = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "3", "--which", which, *weights
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(capsys, jobs):
     code, out, err = run_cli(
@@ -504,7 +551,7 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
 
     def corrupt(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._specialized[1] = self._specialized[1].scale(2)
+        self._specialized[1] = self._specialized[1] + self._specialized[1]
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
     group = WeylGroup(build_root_datum("A", 2))

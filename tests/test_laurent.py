@@ -72,11 +72,6 @@ def test_exact_div_integer_content():
     assert mono(0, 0, c=6).exact_div(mono(0, 0, c=2)) == mono(0, 0, c=3)
 
 
-def test_involute_basics():
-    assert one().involute() == one()
-    assert mono(1, -2).involute() == mono(-1, 2)
-
-
 def test_eval_at_one():
     alpha = (2, -1)
     assert (one() - mono(*alpha)).eval_at_one() == 0
@@ -132,14 +127,6 @@ def test_div_inverts_mul(p, q):
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
-def test_involute_is_ring_automorphism(p, q):
-    assert (p * q).involute() == p.involute() * q.involute()
-    assert (p + q).involute() == p.involute() + q.involute()
-    assert p.involute().involute() == p
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
 def test_eval_at_one_is_ring_homomorphism(p, q):
     assert (p * q).eval_at_one() == p.eval_at_one() * q.eval_at_one()
     assert (p + q).eval_at_one() == p.eval_at_one() + q.eval_at_one()
@@ -159,7 +146,6 @@ def test_eval_commutes_with_symmetries(p):
     d = build_root_datum("A", 2)
     act = lambda e: d.reflect(1, e)
     assert p.map_exponents(act).eval_at_one() == p.eval_at_one()
-    assert p.involute().eval_at_one() == p.eval_at_one()
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,7 +130,7 @@ def test_omega_class_of_whole_space(engines):
     g = engines.group("A2")
     m = engines.model("A2")
     got = r.omega_class(g.w_o)
-    want = m.expand_in_schubert_basis(m.canonical_class()).specialized
+    want = m.expand_in_schubert_basis(pairing_oracle.canonical_class(m)).specialized
     assert got.coeffs == want
 
 
@@ -230,7 +230,9 @@ def test_duality_routes_agree(engines):
         two_rho = tuple(2 * x for x in g.datum.rho)
         l2rho = m.expand_in_schubert_basis(m.line_bundle_class(two_rho)).specialized
         for w in g.elements:
-            model_route = m.expand_in_schubert_basis(m.schubert_class(w).dual()).specialized
+            model_route = m.expand_in_schubert_basis(
+                pairing_oracle.dual(m.schubert_class(w))
+            ).specialized
             omega_vec = r.omega_class(w).coeffs
             integer_route = r.o_basis_product(omega_vec, l2rho)
             if r.codim(w) % 2:
@@ -338,8 +340,9 @@ def test_richardson_sweeps(engines):
 def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     """On A3 the 213 comparable pairs read 110 structure constants, since
     (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
-    report solves each of the 24 omega rows once.  After the sign sweep the
-    memo holds every constant, and only the omega rows are solved."""
+    report solves each of the 24 rows of the L(-rho) line table, which give
+    both omega-bases, once.  After the sign sweep the memo holds every
+    constant, and only those line rows are solved."""
     from kflag import SchubertModel
 
     calls = []
@@ -360,6 +363,10 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     again = ring.verify_richardson_signs()
     assert again.ok and again.checked == 213
     assert len(calls) == 24
+    # the line suite reads the same L(-rho) table at lambda = rho
+    calls.clear()
+    ring.line_bundle_coeffs(ring.group.w_o, tuple(-x for x in ring.datum.rho))
+    assert calls == []
 
 
 def test_richardson_report_checks_the_omega_rows(engines, monkeypatch):

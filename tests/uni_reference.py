@@ -94,10 +94,6 @@ class RefPoly:
         """Multiply by t^k."""
         return RefPoly({e + k: c for e, c in self.terms.items()})
 
-    def involute(self) -> "RefPoly":
-        """t -> 1/t, the image of the duality involution e^lam -> e^(-lam)."""
-        return RefPoly({-e: c for e, c in self.terms.items()})
-
     def eval_at_one(self) -> int:
         return sum(self.terms.values())
 
