@@ -246,8 +246,10 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     return table
 
 
-def _build_ring(cfg: JobConfig):
-    datum = _build_datum(cfg)
+def _build_ring(cfg: JobConfig, datum: RootDatum | None = None):
+    """The group, model and ring of cfg, over datum when it is already built."""
+    if datum is None:
+        datum = _build_datum(cfg)
     group = WeylGroup(datum, max_size=cfg.max_weyl)
     table = None
     if cfg.cache_dir:
@@ -379,9 +381,10 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
     _require_words(cfg, "v")
     if cfg.lam is None:
         raise ConfigError("--lambda is required")
-    datum, group, ring = _build_ring(cfg)
-    v = group.from_word(cfg.v)
+    datum = _build_datum(cfg)
     _check_weight_length("--lambda", cfg.lam, datum.rank)
+    _, group, ring = _build_ring(cfg, datum)
+    v = group.from_word(cfg.v)
     lam = tuple(cfg.lam)
     coeffs = ring.line_bundle_coeffs(v, lam)
     dominant = datum.is_dominant(lam)
@@ -432,11 +435,12 @@ def _default_line_sweep(datum):
 def cmd_verify(cfg: JobConfig) -> int:
     if cfg.mu is not None and cfg.lam is None:
         raise ConfigError("--mu needs --lambda")
-    datum, group, ring = _build_ring(cfg)
     which = cfg.which
+    datum = _build_datum(cfg)
     if which in ("line", "all"):
         _check_weight_length("--lambda", cfg.lam, datum.rank)
         _check_weight_length("--mu", cfg.mu, datum.rank)
+    _, group, ring = _build_ring(cfg, datum)
     reports = [ring.verify_normalization()]
     if which in ("signs", "all"):
         pdata = group.parabolic(cfg.parabolic) if cfg.parabolic else None

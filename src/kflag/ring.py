@@ -7,7 +7,6 @@ violations as data rather than raising.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -77,6 +76,7 @@ class SchubertRing:
         self._sc_memo: dict[tuple[int, int], dict[WeylElement, int]] = {}
         self._line_memo: dict[Weight, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._basis_matrix_memo: dict[str, dict[WeylElement, dict[WeylElement, int]]] = {}
+        self._line_check_memo: dict[tuple, tuple[int, list[tuple]]] = {}
 
     # -- grading -----------------------------------------------------------
 
@@ -145,7 +145,7 @@ class SchubertRing:
         omega_{X_w} = O_{X_w}(-boundary) (x) L(-rho) (Ramanathan 1985), read
         off the line table of -rho.
         """
-        return KClass(O_BASIS, self.line_bundle_coeffs(w, tuple(-x for x in self.datum.rho)))
+        return KClass(O_BASIS, self.line_bundle_coeffs(w, _neg(self.datum.rho)))
 
     def basis_matrix(self, basis: str) -> dict[WeylElement, dict[WeylElement, int]]:
         """O-basis expansions of the chosen basis, keyed by the basis label w."""
@@ -388,70 +388,119 @@ class SchubertRing:
         )
 
     def verify_line_identities(self, lam, mu) -> LineReport:
-        """The line-bundle coefficient identity suite for one (lambda, mu) pair."""
+        """The line-bundle coefficient identity suite for one (lambda, mu) pair.
+
+        Only additivity reads both weights.  Each other check runs once per
+        ring for what it reads, and its count and violations are memoized:
+        triangularity and duality per lambda, dominant nonnegativity per
+        weight, the fundamental-weight lemma and Chevalley once.  A report
+        still carries every count and every violation, in the same order.
+        """
         t0 = time.monotonic()
         lam = tuple(lam)
         mu = tuple(mu)
+        report = LineReport(group=self.datum.label, lam=lam, mu=mu)
+        dominant = [self._line_check(self._dominant_nonnegativity, weight)
+                    for weight in (lam, mu, _add(lam, mu))]
+        checks = (
+            ("triangularity", self._line_check(self._triangularity, lam)),
+            ("duality", self._line_check(self._duality, lam)),
+            ("additivity", self._additivity(lam, mu)),
+            ("fundamental-weight-lemma", self._line_check(self._fundamental_weight_lemma)),
+            ("dominant-nonnegativity",
+             (sum(n for n, _ in dominant), [x for _, bad in dominant for x in bad])),
+            ("chevalley", self._line_check(self._chevalley)),
+        )
+        for name, (count, violations) in checks:
+            report.checks.append((name, count))
+            report.violations.extend(violations)
+        report.elapsed_ms = _ms(t0)
+        return report
+
+    def _line_check(self, check, *weights):
+        """check(*weights) as (count, violations), run once per ring."""
+        key = (check.__name__, *weights)
+        got = self._line_check_memo.get(key)
+        if got is None:
+            got = self._line_check_memo[key] = check(*weights)
+        return got
+
+    def _triangularity(self, lam: Weight):
+        """c_v^v(lam) = 1, and c_v^w(lam) = 0 unless w <= v."""
         group = self.group
-        datum = self.datum
-        w_o = group.w_o
-        report = LineReport(group=datum.label, lam=lam, mu=mu)
-        neg = lambda x: tuple(-c for c in x)
-        add = lambda x, y: tuple(a + b for a, b in zip(x, y))
-
         t_lam = self._line_table(lam)
-        t_mu = self._line_table(mu)
-        t_sum = self._line_table(add(lam, mu))
-
         count = 0
+        violations = []
         for v in group.elements:
             row = t_lam[v]
             if row.get(v, 0) != 1:
-                report.violations.append(("diagonal", v.word, lam, row.get(v, 0)))
+                violations.append(("diagonal", v.word, lam, row.get(v, 0)))
             for w, c in row.items():
                 count += 1
                 if c and not group.bruhat_leq(w, v):
-                    report.violations.append(("triangular", v.word, w.word, lam, c))
-        report.checks.append(("triangularity", count))
+                    violations.append(("triangular", v.word, w.word, lam, c))
+        return count, violations
 
-        # duality: c_v^w(-lam) = (-1)^{l(v)-l(w)} c_{w_o w}^{w_o v}(lam).
-        # Serre duality on the intersection variety forces the sign factor;
-        # exhaustive exact computation confirms this signed form and refutes
-        # the sign-free w_o-twisted variant.
-        t_nl = self._line_table(neg(lam))
-        wo = [group.mul(w_o, x) for x in group.elements]  # w_o x, by x.index
-        count = 0
+    def _duality(self, lam: Weight):
+        """c_v^w(-lam) = (-1)^{l(v)-l(w)} c_{w_o w}^{w_o v}(lam).
+
+        Serre duality on the intersection variety forces the sign factor;
+        exhaustive exact computation confirms this signed form and refutes
+        the sign-free w_o-twisted variant.
+        """
+        group = self.group
+        t_lam = self._line_table(lam)
+        t_nl = self._line_table(_neg(lam))
+        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
+        violations = []
         for v in group.elements:
             for w in group.elements:
-                count += 1
                 lhs = t_nl[v].get(w, 0)
                 sign = 1 if (v.length - w.length) % 2 == 0 else -1
                 rhs = sign * t_lam[wo[w.index]].get(wo[v.index], 0)
                 if lhs != rhs:
-                    report.violations.append(("duality", v.word, w.word, lhs, rhs))
-        report.checks.append(("duality", count))
+                    violations.append(("duality", v.word, w.word, lhs, rhs))
+        return len(group.elements) ** 2, violations
 
-        count = 0
-        for v in group.elements:
-            for w in group.elements:
-                count += 1
-                want = t_sum[v].get(w, 0)
-                got = sum(
-                    c_x * t_mu[x].get(w, 0) for x, c_x in t_lam[v].items()
-                )
-                if got != want:
-                    report.violations.append(("additivity", v.word, w.word, got, want))
-        report.checks.append(("additivity", count))
+    def _additivity(self, lam: Weight, mu: Weight):
+        """c_v^w(lam + mu) = sum_x c_v^x(lam) c_x^w(mu), over all (v, w).
 
-        # c_v^w(-omega_i) = -c_{w_o s_i, v}^w for v != w, and its dual form
-        # c_v^w(omega_i) = (-1)^{l(v)-l(w)-1} c_{w_o s_i, w_o w}^{w_o v},
-        # obtained by composing the minus form with the signed duality above.
+        Each row is a sparse product compared whole; only a row that
+        differs is walked over w in element order for its violations.
+        """
+        elements = self.group.elements
+        t_lam = self._line_table(lam)
+        t_mu = self._line_table(mu)
+        t_sum = self._line_table(_add(lam, mu))
+        violations = []
+        for v in elements:
+            got: dict[WeylElement, int] = {}
+            for x, c_x in t_lam[v].items():
+                for w, c in t_mu[x].items():
+                    got[w] = got.get(w, 0) + c_x * c
+            got = {w: c for w, c in got.items() if c}
+            want = t_sum[v]
+            if got == want:
+                continue
+            for w in elements:
+                if got.get(w, 0) != want.get(w, 0):
+                    violations.append(("additivity", v.word, w.word, got.get(w, 0), want.get(w, 0)))
+        return len(elements) ** 2, violations
+
+    def _fundamental_weight_lemma(self):
+        """c_v^w(-omega_i) = -c_{w_o s_i, v}^w for v != w, and its dual form
+        c_v^w(omega_i) = (-1)^{l(v)-l(w)-1} c_{w_o s_i, w_o w}^{w_o v},
+        obtained by composing the minus form with the signed duality."""
+        group = self.group
+        datum = self.datum
+        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
         count = 0
+        violations = []
         for i in range(1, datum.rank + 1):
             omega_i = datum.fundamental_weight(i)
-            t_nw = self._line_table(neg(omega_i))
+            t_nw = self._line_table(_neg(omega_i))
             t_pw = self._line_table(omega_i)
-            wosi = group.right_mul(w_o, i)
+            wosi = group.right_mul(group.w_o, i)
             for v in group.elements:
                 sc_neg = self.structure_constants(wosi, v)
                 for w in group.elements:
@@ -459,7 +508,7 @@ class SchubertRing:
                         continue
                     count += 2
                     if t_nw[v].get(w, 0) != -sc_neg.get(w, 0):
-                        report.violations.append(
+                        violations.append(
                             ("lemma-minus", i, v.word, w.word,
                              t_nw[v].get(w, 0), sc_neg.get(w, 0))
                         )
@@ -468,36 +517,46 @@ class SchubertRing:
                         wosi, wo[w.index]
                     ).get(wo[v.index], 0)
                     if t_pw[v].get(w, 0) != rhs:
-                        report.violations.append(
+                        violations.append(
                             ("lemma-plus", i, v.word, w.word, t_pw[v].get(w, 0), rhs)
                         )
-        report.checks.append(("fundamental-weight-lemma", count))
+        return count, violations
 
+    def _dominant_nonnegativity(self, weight: Weight):
+        """c_v^w(weight) >= 0 when weight is dominant; nothing to check else."""
+        if not self.datum.is_dominant(weight):
+            return 0, []
+        table = self._line_table(weight)
         count = 0
-        for weight, table in ((lam, t_lam), (mu, t_mu), (add(lam, mu), t_sum)):
-            if not datum.is_dominant(weight):
-                continue
-            for v in group.elements:
-                for w, c in table[v].items():
-                    count += 1
-                    if c < 0:
-                        report.violations.append(("dominant", weight, v.word, w.word, c))
-        report.checks.append(("dominant-nonnegativity", count))
+        violations = []
+        for v in self.group.elements:
+            for w, c in table[v].items():
+                count += 1
+                if c < 0:
+                    violations.append(("dominant", weight, v.word, w.word, c))
+        return count, violations
 
-        # [L(-omega_i)] . psi_{w_o} = [L(-omega_i)], since psi_{w_o} = 1
-        count = 0
-        for i in range(1, datum.rank + 1):
-            got = self._line_table(neg(datum.fundamental_weight(i)))[w_o]
+    def _chevalley(self):
+        """[L(-omega_i)] . psi_{w_o} = [L(-omega_i)], since psi_{w_o} = 1."""
+        group = self.group
+        w_o = group.w_o
+        violations = []
+        for i in range(1, self.datum.rank + 1):
+            got = self._line_table(_neg(self.datum.fundamental_weight(i)))[w_o]
             want = {w_o: 1, group.right_mul(w_o, i): -1}
-            count += 1
             if got != want:
-                report.violations.append(
+                violations.append(
                     ("chevalley", i, sorted((w.word, c) for w, c in got.items()))
                 )
-        report.checks.append(("chevalley", count))
+        return self.datum.rank, violations
 
-        report.elapsed_ms = _ms(t0)
-        return report
+
+def _neg(weight: Weight) -> Weight:
+    return tuple(-c for c in weight)
+
+
+def _add(a: Weight, b: Weight) -> Weight:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def _ms(t0: float) -> int:
@@ -555,6 +614,8 @@ def _constants_worker(chunk):
 
 def _parallel_structure_constants(ring: SchubertRing, pairs, jobs: int):
     global _PARALLEL_RING
+    import multiprocessing  # here, not at module load: only a pool needs it
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:

@@ -22,10 +22,12 @@ from kflag import (
     root_datum_from_cartan,
     weyl_dimension,
 )
+from kflag.cli import _default_line_sweep
 from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, pool_size
 from kflag.univariate import poly_divexact
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
+import line_oracle
 import pairing_oracle
 from test_model import braid_order, random_valid_class
 from test_ring import to_permutation
@@ -313,6 +315,53 @@ def test_criterion_08_line_identity_suite(engines):
                 assert rep.ok, (label, lam, mu, rep.violations[:3])
                 pairs_checked += 1
     _announce(8, "A2,B2", f"{pairs_checked} (lambda,mu) pairs, all identities, 0 violations")
+
+
+def _corrupt_line_tables(ring):
+    """Shift entries of the rho and -omega_1 tables, row w_o among them,
+    and return the two weights."""
+    g, d = ring.group, ring.datum
+    rho = d.rho
+    minus_omega_1 = tuple(-x for x in d.fundamental_weight(1))
+    t_rho = ring._line_table(rho)
+    mid = g.elements[len(g) // 2]
+    t_rho[mid][mid] += 1
+    t_rho[g.w_o][g.identity] = t_rho[g.w_o].get(g.identity, 0) + 2
+    t_neg = ring._line_table(minus_omega_1)
+    t_neg[g.w_o][g.identity] = t_neg[g.w_o].get(g.identity, 0) - 1
+    return rho, minus_omega_1
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", _big_rank("B3")])
+def test_criterion_08_line_suite_matches_the_per_pair_oracle(label, corrupt, engines):
+    """Each line check runs once per weight and is memoized on the ring;
+    every report of the default sweep still equals the per-pair oracle in
+    counts and violations.  With corrupted tables the memo must not hide a
+    violation: the -omega_1 table feeds the fundamental-weight lemma and
+    Chevalley, so every report carries violations."""
+    ring = SchubertRing(engines.model(label))
+    weights = ()
+    if corrupt:
+        weights = _corrupt_line_tables(ring)
+    sweep = _default_line_sweep(ring.datum)
+    total = 0
+    for lam in sweep:
+        for mu in sweep:
+            got = ring.verify_line_identities(lam, mu)
+            want = line_oracle.line_report(ring, lam, mu)
+            assert got.checks == want.checks, (lam, mu)
+            assert got.violations == want.violations, (lam, mu)
+            if corrupt:
+                assert got.violations, (lam, mu)
+                kinds = {x[0] for x in got.violations}
+                assert {"lemma-minus", "chevalley"} <= kinds, (lam, mu)
+                if lam in weights:
+                    assert "duality" in kinds, (lam, mu)
+            total += len(got.violations)
+    assert (total > 0) == corrupt
+    _announce(8, label, f"{len(sweep) ** 2} (lambda,mu) reports equal the per-pair oracle, "
+              f"{total} violations")
 
 
 def test_criterion_09_weyl_dimension_oracle(engines):

@@ -399,6 +399,27 @@ def test_verify_refuses_a_wrong_weight_length_before_the_reports(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["line-coeffs", "--v", "1"],
+        ["verify", "--which", "line"],
+        ["verify", "--which", "all"],
+    ],
+)
+def test_wrong_weight_length_is_refused_before_the_group_is_built(capsys, monkeypatch, argv):
+    from kflag import cli
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("the Weyl group was built before the weights were checked")
+
+    monkeypatch.setattr(cli, "WeylGroup", no_group)
+    code, out, err = run_cli(capsys, *argv, "--type", "B", "--rank", "4", "--lambda", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lambda must have 4 coordinates\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(capsys, jobs):
     code, out, err = run_cli(

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,14 @@ def test_project_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_cli_does_not_import_multiprocessing_at_startup():
+    """Only the fork pool of a parallel sweep needs multiprocessing, so it
+    is imported there and a CLI process does not pay for it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import kflag.cli, sys; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
