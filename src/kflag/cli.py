@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .errors import (
     BoundExceededError,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .model import SchubertModel
 from .ring import SchubertRing, SignReport
-from .roots import RootDatum, WeylGroup, build_root_datum, root_datum_from_cartan
+from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
 from .univariate import UniPoly
 
 CACHE_SCHEMA_VERSION = 3
@@ -42,26 +41,6 @@ EXIT_INTEGRITY = 3
 CSV_COMMANDS = ("constants", "parabolic-constants", "line-coeffs")
 
 
-@dataclass
-class JobConfig:
-    """Parsed command configuration."""
-
-    type_letter: str | None = None
-    rank: int | None = None
-    cartan: list[list[int]] | None = None
-    parabolic: list[int] | None = None
-    u: list[int] | None = None
-    v: list[int] | None = None
-    lam: list[int] | None = None
-    mu: list[int] | None = None
-    which: str = "all"
-    jobs: int = 1
-    cache_dir: str | None = None
-    max_weyl: int = 10000
-    fmt: str = "json"
-    out: str | None = None
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     text = text.strip()
     if text in ("", "e"):
@@ -72,68 +51,79 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ConfigError(f"cannot parse {what} {text!r}: comma-separated integers expected") from exc
 
 
-def _check_out_path(path: str) -> None:
-    """Refuse an --out path that cannot be opened for writing before any work
-    is done; the file itself is neither created nor truncated here."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write --out file: {path} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ConfigError(f"cannot write --out file: {parent} is not a directory")
+#: the arguments each command cannot run without, in the order they are
+#: checked, with the message for a missing one
+_U = ("u", "--u is required for this command")
+_V = ("v", "--v is required for this command")
+_REQUIRED = {
+    "describe": (),
+    "constants": (_U, _V),
+    "parabolic-constants": (("parabolic", "--parabolic is required"), _U, _V),
+    "line-coeffs": (_V, ("lam", "--lambda is required")),
+    "richardson": (_U, _V),
+    "verify": (),
+}
+
+#: a weight coordinate at or above this in absolute value is refused: the
+#: one-variable line rows are dense over a degree span that grows with it
+#: (A2 at 10^6 takes about 350 MB, at 10^7 it runs out of 2 GB)
+MAX_WEIGHT_COORDINATE = 2**20
 
 
-def _config_from_args(args) -> JobConfig:
-    cfg = JobConfig()
-    cfg.type_letter = getattr(args, "type", None)
-    cfg.rank = getattr(args, "rank", None)
-    if getattr(args, "cartan", None):
+def _check_args(args) -> None:
+    """Refuse bad input before any work, parsing the list arguments and the
+    Cartan file into ``args`` in place."""
+    if args.cartan is not None:
         try:
             with open(args.cartan, "r", encoding="utf-8") as fh:
-                cfg.cartan = json.load(fh)
+                args.cartan = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
             raise ConfigError(f"cannot read Cartan matrix file: {exc}") from exc
-    if getattr(args, "parabolic", None) is not None:
-        cfg.parabolic = _parse_int_list(args.parabolic, "--parabolic")
-    for name in ("u", "v"):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            setattr(cfg, name, _parse_int_list(raw, f"--{name}"))
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = _parse_int_list(args.lam, "--lambda")
-    if getattr(args, "mu", None) is not None:
-        cfg.mu = _parse_int_list(args.mu, "--mu")
-    cfg.which = getattr(args, "which", "all")
-    cfg.jobs = getattr(args, "jobs", 1)
-    if cfg.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {cfg.jobs}")
-    cfg.cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR)
-    cfg.max_weyl = getattr(args, "max_weyl", 10000)
-    cfg.fmt = getattr(args, "format", "json")
-    if cfg.fmt == "csv" and args.command not in CSV_COMMANDS:
+    for name, flag in (("parabolic", "--parabolic"), ("u", "--u"), ("v", "--v"),
+                       ("lam", "--lambda"), ("mu", "--mu")):
+        if getattr(args, name) is not None:
+            setattr(args, name, _parse_int_list(getattr(args, name), flag))
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.format == "csv" and args.command not in CSV_COMMANDS:
         raise ConfigError("csv output is only available for constants tables")
-    cfg.out = getattr(args, "out", None)
-    if cfg.out:
-        _check_out_path(cfg.out)
-    if cfg.cartan is None and (cfg.type_letter is None or cfg.rank is None):
+    if args.out:  # neither created nor truncated until the result is written
+        if os.path.isdir(args.out):
+            raise ConfigError(f"cannot write --out file: {args.out} is a directory")
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write --out file: {parent} is not a directory")
+    if args.cartan is None and (args.type is None or args.rank is None):
         raise ConfigError("a group is required: --type and --rank, or --cartan FILE")
-    return cfg
-
-
-def _build_datum(cfg: JobConfig) -> RootDatum:
+    for name, message in _REQUIRED[args.command]:
+        if getattr(args, name) is None:
+            raise ConfigError(message)
+    if args.command == "verify" and args.mu is not None and args.lam is None:
+        raise ConfigError("--mu needs --lambda")
     # a finite Weyl group of rank r has at least 2^r elements, so a rank this
     # large is refused before any matrix is built or validated
-    if cfg.cartan is None:
-        rank = cfg.rank
+    if args.cartan is None:
+        rank = args.rank
     else:  # root_datum_from_cartan refuses anything but a list
-        rank = len(cfg.cartan) if isinstance(cfg.cartan, list) else 0
-    if rank >= cfg.max_weyl.bit_length():
-        raise BoundExceededError(f"Weyl group exceeds the configured bound ({cfg.max_weyl})")
-    if cfg.cartan is not None:
-        digest = hashlib.sha256(
-            json.dumps(cfg.cartan, sort_keys=True).encode()
-        ).hexdigest()[:8]
-        return root_datum_from_cartan(cfg.cartan, label=f"custom-{digest}")
-    return build_root_datum(cfg.type_letter, cfg.rank)
+        rank = len(args.cartan) if isinstance(args.cartan, list) else 0
+    if rank >= args.max_weyl.bit_length():
+        raise BoundExceededError(f"Weyl group exceeds the configured bound ({args.max_weyl})")
+    if args.cartan is None:  # an invalid type/rank pair is reported before its weights
+        cartan_matrix(args.type, args.rank)
+    weights = []
+    if args.command == "line-coeffs":
+        weights = [("--lambda", args.lam)]
+    elif args.command == "verify" and args.which in ("line", "all"):
+        weights = [("--lambda", args.lam), ("--mu", args.mu)]
+    for flag, weight in weights:
+        if weight is None:
+            continue
+        if len(weight) != rank:
+            raise ConfigError(f"{flag} must have {rank} coordinates")
+        if any(abs(x) >= MAX_WEIGHT_COORDINATE for x in weight):
+            raise ConfigError(
+                f"{flag} coordinates must be below {MAX_WEIGHT_COORDINATE} in absolute value"
+            )
 
 
 # -- cache -----------------------------------------------------------------
@@ -246,17 +236,24 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     return table
 
 
-def _build_ring(cfg: JobConfig, datum: RootDatum | None = None):
-    """The group, model and ring of cfg, over datum when it is already built."""
-    if datum is None:
-        datum = _build_datum(cfg)
-    group = WeylGroup(datum, max_size=cfg.max_weyl)
+def _build_ring(args):
+    """The root datum, Weyl group and ring of checked arguments; the
+    one-variable table is read from, or written to, the cache if one is set."""
+    if args.cartan is None:
+        datum = build_root_datum(args.type, args.rank)
+    else:
+        digest = hashlib.sha256(
+            json.dumps(args.cartan, sort_keys=True).encode()
+        ).hexdigest()[:8]
+        datum = root_datum_from_cartan(args.cartan, label=f"custom-{digest}")
+    group = WeylGroup(datum, max_size=args.max_weyl)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     table = None
-    if cfg.cache_dir:
-        table = cache_load(cfg.cache_dir, datum, group)
+    if cache_dir:
+        table = cache_load(cache_dir, datum, group)
     model = SchubertModel(group, table=table)
-    if cfg.cache_dir and table is None:
-        cache_store(cfg.cache_dir, datum, group, model)
+    if cache_dir and table is None:
+        cache_store(cache_dir, datum, group, model)
     return datum, group, SchubertRing(model)
 
 
@@ -273,9 +270,9 @@ def _sorted_rows(rows: list[dict]) -> list[dict]:
     return rows
 
 
-def _emit(obj: dict, cfg: JobConfig, csv_rows=None, csv_header=None) -> None:
+def _emit(obj: dict, args, csv_rows=None, csv_header=None) -> None:
     """Write obj as JSON, or in csv format the rows alone, w as a spaced word."""
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -285,9 +282,9 @@ def _emit(obj: dict, cfg: JobConfig, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write --out file: {exc}") from exc
@@ -310,8 +307,8 @@ def _report_obj(rep: SignReport) -> dict:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_describe(cfg: JobConfig) -> int:
-    datum, group, ring = _build_ring(cfg)
+def cmd_describe(args) -> int:
+    datum, group, ring = _build_ring(args)
     obj = {
         "group": datum.label,
         "rank": datum.rank,
@@ -319,53 +316,36 @@ def cmd_describe(cfg: JobConfig) -> int:
         "weyl_order": len(group),
         "dimension": ring.dimension,
     }
-    if cfg.parabolic is not None:
-        pdata = group.parabolic(cfg.parabolic)
+    if args.parabolic is not None:
+        pdata = group.parabolic(args.parabolic)
         obj["min_reps"] = len(pdata.min_reps)
         obj["parabolic_dimension"] = ring.parabolic_dimension(pdata)
-    _emit(obj, cfg)
+    _emit(obj, args)
     return EXIT_OK
 
 
-def _check_weight_length(name: str, weight, rank: int) -> None:
-    """Raise for a given --lambda or --mu that is not of length rank."""
-    if weight is not None and len(weight) != rank:
-        raise ConfigError(f"{name} must have {rank} coordinates")
-
-
-def _require_words(cfg: JobConfig, *names: str) -> None:
-    """Raise for a missing --u or --v, in order; called before the table build."""
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"--{name} is required for this command")
-
-
-def _emit_constants(obj: dict, constants: dict, dim: int, u, v, cfg: JobConfig) -> None:
+def _emit_constants(obj: dict, constants: dict, dim: int, u, v, args) -> None:
     """Emit a constants table with N = codim w - codim u - codim v in dimension dim."""
     rows = _sorted_rows([
         {"w": _word(w), "c": c, "N": u.length + v.length - w.length - dim}
         for w, c in constants.items()
     ])
     obj["constants"] = rows
-    _emit(obj, cfg, csv_rows=rows, csv_header=["w", "c", "N"])
+    _emit(obj, args, csv_rows=rows, csv_header=["w", "c", "N"])
 
 
-def cmd_constants(cfg: JobConfig) -> int:
-    _require_words(cfg, "u", "v")
-    datum, group, ring = _build_ring(cfg)
-    u, v = group.from_word(cfg.u), group.from_word(cfg.v)
+def cmd_constants(args) -> int:
+    datum, group, ring = _build_ring(args)
+    u, v = group.from_word(args.u), group.from_word(args.v)
     obj = {"group": datum.label, "u": _word(u), "v": _word(v)}
-    _emit_constants(obj, ring.structure_constants(u, v), ring.dimension, u, v, cfg)
+    _emit_constants(obj, ring.structure_constants(u, v), ring.dimension, u, v, args)
     return EXIT_OK
 
 
-def cmd_parabolic_constants(cfg: JobConfig) -> int:
-    if cfg.parabolic is None:
-        raise ConfigError("--parabolic is required")
-    _require_words(cfg, "u", "v")
-    datum, group, ring = _build_ring(cfg)
-    pdata = group.parabolic(cfg.parabolic)
-    u, v = group.from_word(cfg.u), group.from_word(cfg.v)
+def cmd_parabolic_constants(args) -> int:
+    datum, group, ring = _build_ring(args)
+    pdata = group.parabolic(args.parabolic)
+    u, v = group.from_word(args.u), group.from_word(args.v)
     constants = ring.parabolic_structure_constants(pdata, u, v)
     obj = {
         "group": datum.label,
@@ -373,19 +353,14 @@ def cmd_parabolic_constants(cfg: JobConfig) -> int:
         "u": _word(u),
         "v": _word(v),
     }
-    _emit_constants(obj, constants, ring.parabolic_dimension(pdata), u, v, cfg)
+    _emit_constants(obj, constants, ring.parabolic_dimension(pdata), u, v, args)
     return EXIT_OK
 
 
-def cmd_line_coeffs(cfg: JobConfig) -> int:
-    _require_words(cfg, "v")
-    if cfg.lam is None:
-        raise ConfigError("--lambda is required")
-    datum = _build_datum(cfg)
-    _check_weight_length("--lambda", cfg.lam, datum.rank)
-    _, group, ring = _build_ring(cfg, datum)
-    v = group.from_word(cfg.v)
-    lam = tuple(cfg.lam)
+def cmd_line_coeffs(args) -> int:
+    datum, group, ring = _build_ring(args)
+    v = group.from_word(args.v)
+    lam = tuple(args.lam)
     coeffs = ring.line_bundle_coeffs(v, lam)
     dominant = datum.is_dominant(lam)
     if dominant:
@@ -400,14 +375,13 @@ def cmd_line_coeffs(cfg: JobConfig) -> int:
         "dominant": dominant,
         "coeffs": rows,
     }
-    _emit(obj, cfg, csv_rows=rows, csv_header=["w", "c"])
+    _emit(obj, args, csv_rows=rows, csv_header=["w", "c"])
     return EXIT_OK
 
 
-def cmd_richardson(cfg: JobConfig) -> int:
-    _require_words(cfg, "u", "v")
-    datum, group, ring = _build_ring(cfg)
-    v, w = group.from_word(cfg.u), group.from_word(cfg.v)
+def cmd_richardson(args) -> int:
+    datum, group, ring = _build_ring(args)
+    v, w = group.from_word(args.u), group.from_word(args.v)
     cls = ring.richardson_class(v, w)
     rows = _sorted_rows([{"w": _word(x), "c": c} for x, c in cls.coeffs.items()])
     obj = {
@@ -418,7 +392,7 @@ def cmd_richardson(cfg: JobConfig) -> int:
         "dimension": w.length - v.length,
         "coeffs": rows,
     }
-    _emit(obj, cfg)
+    _emit(obj, args)
     return EXIT_OK
 
 
@@ -432,25 +406,18 @@ def _default_line_sweep(datum):
     return weights
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    if cfg.mu is not None and cfg.lam is None:
-        raise ConfigError("--mu needs --lambda")
-    which = cfg.which
-    datum = _build_datum(cfg)
-    if which in ("line", "all"):
-        _check_weight_length("--lambda", cfg.lam, datum.rank)
-        _check_weight_length("--mu", cfg.mu, datum.rank)
-    _, group, ring = _build_ring(cfg, datum)
+def cmd_verify(args) -> int:
+    datum, group, ring = _build_ring(args)
     reports = [ring.verify_normalization()]
-    if which in ("signs", "all"):
-        pdata = group.parabolic(cfg.parabolic) if cfg.parabolic else None
-        reports.append(ring.verify_alternating_signs(parabolic=pdata, jobs=cfg.jobs))
-    if which in ("richardson", "all"):
+    if args.which in ("signs", "all"):
+        pdata = group.parabolic(args.parabolic) if args.parabolic else None
+        reports.append(ring.verify_alternating_signs(parabolic=pdata, jobs=args.jobs))
+    if args.which in ("richardson", "all"):
         reports.append(ring.verify_richardson_signs())
     line_objs = []
-    if which in ("line", "all"):
-        if cfg.lam is not None:
-            pairs = [(tuple(cfg.lam), tuple(cfg.mu or [0] * datum.rank))]
+    if args.which in ("line", "all"):
+        if args.lam is not None:
+            pairs = [(tuple(args.lam), tuple(args.mu or [0] * datum.rank))]
         else:
             sweep = _default_line_sweep(datum)
             pairs = [(lam, mu) for lam in sweep for mu in sweep]
@@ -469,12 +436,12 @@ def cmd_verify(cfg: JobConfig) -> int:
     ok = all(r.ok for r in reports) and all(o["ok"] for o in line_objs)
     obj = {
         "group": datum.label,
-        "which": which,
+        "which": args.which,
         "reports": [_report_obj(r) for r in reports],
         "line_reports": line_objs,
         "ok": ok,
     }
-    _emit(obj, cfg)
+    _emit(obj, args)
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
@@ -524,15 +491,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, BoundExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (NotDivisibleError, NonzeroResidualError, PoleAtOneError, IntegrityError) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except KflagError as exc:
+    except KflagError as exc:  # ConfigError, BoundExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -157,12 +157,9 @@ class SchubertModel:
 
     # -- class constructors -----------------------------------------------
 
-    def point_class(self) -> EquivClass:
-        """[O_{X_e}]: restriction prod_{alpha>0}(1 - e^alpha) at e, zero elsewhere."""
-        return self._point_class(LaurentPoly.monomial)
-
     def _point_class(self, monomial) -> EquivClass:
-        """The point class in the ring whose e^lam is ``monomial(lam)``."""
+        """[O_{X_e}]: prod_{alpha>0}(1 - e^alpha) at e, zero elsewhere, in the
+        ring whose e^lam is ``monomial(lam)``."""
         one = monomial(self.datum.zero_weight())
         p = one
         for alpha in self.datum.positive_roots:
@@ -238,11 +235,6 @@ class SchubertModel:
             e = tuple(-x for x in self.group.apply(v, lam))
             out[v] = LaurentPoly.monomial(e)
         return EquivClass(self.rank, out)
-
-    def constant_class(self, poly: LaurentPoly | None = None) -> EquivClass:
-        """The unit [O_X] (optionally scaled by a global character)."""
-        p = poly if poly is not None else LaurentPoly.one(self.rank)
-        return EquivClass(self.rank, {v: p for v in self.group.elements})
 
     # -- specialization -----------------------------------------------------
 

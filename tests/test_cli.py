@@ -58,11 +58,19 @@ def test_describe_requires_group(capsys):
     "argv,message",
     [
         (["constants", "--v", "1"], "--u is required for this command"),
+        (["constants", "--u", "1"], "--v is required for this command"),
         (["parabolic-constants", "--u", "1", "--v", "2"], "--parabolic is required"),
+        (["parabolic-constants", "--parabolic", "1", "--v", "2"], "--u is required for this command"),
         (["line-coeffs", "--v", "1"], "--lambda is required"),
+        (["line-coeffs", "--lambda", "1,0,0,0"], "--v is required for this command"),
         (["richardson", "--lambda=e"], "--u is required for this command"),
+        (["richardson", "--u", "1"], "--v is required for this command"),
+        (["verify", "--which", "line", "--mu", "0,1"], "--mu needs --lambda"),
     ],
-    ids=["constants", "parabolic-constants", "line-coeffs", "richardson"],
+    ids=[
+        "constants", "constants-v", "parabolic-constants", "parabolic-constants-u",
+        "line-coeffs", "line-coeffs-v", "richardson", "richardson-v", "verify-mu",
+    ],
 )
 def test_missing_argument_exits_before_the_table_build(capsys, monkeypatch, argv, message):
     from kflag import SchubertModel
@@ -418,6 +426,39 @@ def test_wrong_weight_length_is_refused_before_the_group_is_built(capsys, monkey
     assert code == 2
     assert out == ""
     assert err == "error: --lambda must have 4 coordinates\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["line-coeffs", "--v", "1,2,1", "--lambda", "10000000,0"], "--lambda"),
+        (["line-coeffs", "--v", "1", "--lambda", "0,-1048576"], "--lambda"),
+        (["verify", "--which", "line", "--lambda", "1048576,0"], "--lambda"),
+        (["verify", "--which", "all", "--lambda", "1,0", "--mu", "0,-10000000"], "--mu"),
+    ],
+    ids=["line-coeffs", "line-coeffs-negative", "verify", "verify-mu"],
+)
+def test_oversized_weight_is_refused_before_the_group_is_built(capsys, monkeypatch, argv, flag):
+    """The one-variable line rows are dense over a degree span that grows
+    with the weight, so a coordinate of 2^20 or more exits 2 without work."""
+    from kflag import cli
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("the Weyl group was built for an oversized weight")
+
+    monkeypatch.setattr(cli, "WeylGroup", no_group)
+    code, out, err = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} coordinates must be below 1048576 in absolute value\n"
+
+
+def test_weight_just_below_the_bound_is_computed(capsys):
+    code, obj, _ = run_json(
+        capsys, "line-coeffs", "--type", "A", "--rank", "1", "--v", "1", "--lambda", "1048575"
+    )
+    assert code == 0
+    assert obj["coeffs"] == [{"w": [], "c": 1048575}, {"w": [1], "c": 1}]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
