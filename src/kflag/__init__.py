@@ -56,4 +56,4 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -308,6 +308,7 @@ def _report_obj(rep: SignReport) -> dict:
 
 
 def cmd_describe(args) -> int:
+    """Print the group's rank, root count, Weyl order and dimension."""
     datum, group, ring = _build_ring(args)
     obj = {
         "group": datum.label,
@@ -335,6 +336,7 @@ def _emit_constants(obj: dict, constants: dict, dim: int, u, v, args) -> None:
 
 
 def cmd_constants(args) -> int:
+    """Print the structure constants c_{u,v}^w of K(G/B)."""
     datum, group, ring = _build_ring(args)
     u, v = group.from_word(args.u), group.from_word(args.v)
     obj = {"group": datum.label, "u": _word(u), "v": _word(v)}
@@ -343,6 +345,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_parabolic_constants(args) -> int:
+    """Print the structure constants c_{u,v}^w of K(G/P)."""
     datum, group, ring = _build_ring(args)
     pdata = group.parabolic(args.parabolic)
     u, v = group.from_word(args.u), group.from_word(args.v)
@@ -358,6 +361,7 @@ def cmd_parabolic_constants(args) -> int:
 
 
 def cmd_line_coeffs(args) -> int:
+    """Print the line-bundle coefficients c_v^w(lambda) of [L(lambda)] [O_{X_v}]."""
     datum, group, ring = _build_ring(args)
     v = group.from_word(args.v)
     lam = tuple(args.lam)
@@ -380,6 +384,7 @@ def cmd_line_coeffs(args) -> int:
 
 
 def cmd_richardson(args) -> int:
+    """Print the O-basis class of the Richardson variety X^u intersect X_v."""
     datum, group, ring = _build_ring(args)
     v, w = group.from_word(args.u), group.from_word(args.v)
     cls = ring.richardson_class(v, w)
@@ -407,13 +412,14 @@ def _default_line_sweep(datum):
 
 
 def cmd_verify(args) -> int:
+    """Run the normalization check and the chosen sign, Richardson and line sweeps."""
     datum, group, ring = _build_ring(args)
     reports = [ring.verify_normalization()]
     if args.which in ("signs", "all"):
         pdata = group.parabolic(args.parabolic) if args.parabolic else None
         reports.append(ring.verify_alternating_signs(parabolic=pdata, jobs=args.jobs))
     if args.which in ("richardson", "all"):
-        reports.append(ring.verify_richardson_signs())
+        reports.append(ring.verify_richardson_signs(jobs=args.jobs))
     line_objs = []
     if args.which in ("line", "all"):
         if args.lam is not None:

@@ -221,8 +221,9 @@ class SchubertModel:
             self._schubert = self._build_schubert_table(LaurentPoly.monomial, LaurentPoly.exact_div)
         return self._schubert[w.index]
 
-    def line_bundle_class(self, lam) -> EquivClass:
-        """[L(lam)]: restriction e^{-v(lam)} at the fixed point v.
+    def line_bundle_class(self, lam, monomial=LaurentPoly.monomial) -> EquivClass:
+        """[L(lam)]: restriction e^{-v(lam)} at the fixed point v, in the ring
+        whose e^mu is ``monomial(mu)``.
 
         The sign is pinned by chi(L(m omega)) = m + 1 on the rank-one flag
         variety, i.e. dominant weights are the globally generated ones.
@@ -232,8 +233,7 @@ class SchubertModel:
             raise ConfigError("weight has wrong length")
         out = {}
         for v in self.group.elements:
-            e = tuple(-x for x in self.group.apply(v, lam))
-            out[v] = LaurentPoly.monomial(e)
+            out[v] = monomial(tuple(-x for x in self.group.apply(v, lam)))
         return EquivClass(self.rank, out)
 
     # -- specialization -----------------------------------------------------

@@ -10,9 +10,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, IntegrityError
-from .model import SchubertModel, _height_cocharacter, back_solve
+from .model import SchubertModel, _height_cocharacter, _monomial_t, back_solve
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -87,11 +88,16 @@ class SchubertRing:
         """N(u, v; w) = codim X_w - codim X_u - codim X_v on the full flag variety."""
         return self.codim(w) - self.codim(u) - self.codim(v)
 
+    @cached_property
+    def _w_o_times(self) -> tuple[WeylElement, ...]:
+        """w_o x for every x, by x.index; built on first use."""
+        return tuple(self.group.mul(self.group.w_o, x) for x in self.group.elements)
+
     # -- products and expansions --------------------------------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Integer constants of [O_{X_u}] . [O_{X_v}] over the Schubert basis."""
-        key = (u.index, v.index) if u.index <= v.index else (v.index, u.index)
+        key = _memo_key(u, v)
         got = self._sc_memo.get(key)
         if got is not None:
             return got
@@ -208,8 +214,7 @@ class SchubertRing:
         the class is [O_{X_{w_o v}}] . [O_{X_w}], read from the
         structure-constant memo.
         """
-        w_o_v = self.group.mul(self.group.w_o, v)
-        return KClass(O_BASIS, dict(self.structure_constants(w_o_v, w)))
+        return KClass(O_BASIS, dict(self.structure_constants(self._w_o_times[v.index], w)))
 
     def line_bundle_coeffs(self, v: WeylElement, lam) -> dict[WeylElement, int]:
         """Coefficients of [L_{X_v}(lam)] over the Schubert basis."""
@@ -221,7 +226,7 @@ class SchubertRing:
         if got is not None:
             return got
         m = self.model
-        lclass = m.specialize(m.line_bundle_class(lam))
+        lclass = m.line_bundle_class(lam, _monomial_t(m.cocharacter))
         table = {}
         for v in self.group.elements:
             table[v] = m.integer_coefficients(lclass * m.specialized_schubert_class(v))
@@ -294,30 +299,23 @@ class SchubertRing:
         """(-1)^N(u,v;w) c_{u,v}^w >= 0 and c = 0 when N < 0, over all triples."""
         t0 = time.monotonic()
         if parabolic is None:
-            labels = list(self.group.elements)
-            dim = self.dimension
-            codim = {w: dim - w.length for w in labels}
-            constants = lambda u, v: self.structure_constants(u, v)
+            labels, dim, wop = self.group.elements, self.dimension, self.group.identity
+            constants = self.structure_constants
         else:
-            labels = list(parabolic.min_reps)
-            dim = self.parabolic_dimension(parabolic)
-            codim = {w: dim - w.length for w in labels}
+            labels, dim = parabolic.min_reps, self.parabolic_dimension(parabolic)
+            wop = parabolic.longest_in_parabolic
             constants = lambda u, v: self.parabolic_structure_constants(parabolic, u, v)
-        pairs = [
-            (u, v)
-            for i, u in enumerate(labels)
-            for v in labels[i:]
-        ]
-        workers = pool_size(jobs, len(pairs))
-        if workers > 1 and parabolic is None:
-            tables = _parallel_structure_constants(self, pairs, workers)
-        else:
-            tables = [constants(u, v) for u, v in pairs]
+        codim = {w: dim - w.length for w in labels}
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i:]]
+        # a G/P constant is read off the G/B one of the pair lifted by w_{o,P}
+        mul = self.group.mul
+        _fill_constants(self, ((mul(u, wop), mul(v, wop)) for u, v in pairs), jobs)
         # a zero constant satisfies both rules, so only the nonzero ones
         # are checked, in the order of labels
         position = {w: i for i, w in enumerate(labels)}
         violations = []
-        for (u, v), cs in zip(pairs, tables):
+        for u, v in pairs:
+            cs = constants(u, v)
             for w in sorted((w for w in cs if w in position), key=position.__getitem__):
                 c = cs[w]
                 n = codim[w] - codim[u] - codim[v]
@@ -335,12 +333,12 @@ class SchubertRing:
             elapsed_ms=_ms(t0),
         )
 
-    def verify_richardson_signs(self) -> SignReport:
+    def verify_richardson_signs(self, jobs: int = 1) -> SignReport:
         """Sign alternation and omega-basis nonnegativity for X^v intersect X_w.
 
         The O-basis coefficients c_u of [O_Y], Y = X^v intersect X_w, are
         the structure constants c_{w_o v, w}^u, shared with the sign sweep
-        through the memo; the duality identity
+        through the memo (filled on the fork pool at jobs > 1); the duality identity
         [omega_Y] = sum_u (-1)^{dim Y - l(u)} c_u [omega_{X_u}] (Brion 2002)
         gives the omega-basis coordinates from them, so the two forms of
         the theorem fail at the same u and each failure is reported in both.
@@ -358,8 +356,11 @@ class SchubertRing:
         checked = 0
         group = self.group
         m = self.model
+        wo = self._w_o_times
+        leq = group.bruhat_leq
+        _fill_constants(self, ((wo[v.index], w) for w in group.elements
+                               for v in group.elements if leq(v, w)), jobs)
         self.basis_matrix(OMEGA_BASIS)
-        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
         support = [m.specialized_schubert_class(x).restrictions.keys() for x in group.elements]
         for w in group.elements:
             for v in group.elements:
@@ -451,7 +452,7 @@ class SchubertRing:
         group = self.group
         t_lam = self._line_table(lam)
         t_nl = self._line_table(_neg(lam))
-        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
+        wo = self._w_o_times
         violations = []
         for v in group.elements:
             for w in group.elements:
@@ -493,7 +494,7 @@ class SchubertRing:
         obtained by composing the minus form with the signed duality."""
         group = self.group
         datum = self.datum
-        wo = [group.mul(group.w_o, x) for x in group.elements]  # w_o x, by x.index
+        wo = self._w_o_times
         count = 0
         violations = []
         for i in range(1, datum.rank + 1):
@@ -601,39 +602,50 @@ def pool_size(jobs: int, pairs: int) -> int:
 _PARALLEL_RING: SchubertRing | None = None
 
 
-def _constants_worker(chunk):
+def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
+    """The ``_sc_memo`` key of the product of u and v, which commutes."""
+    return (u.index, v.index) if u.index <= v.index else (v.index, u.index)
+
+
+def _constants_worker(keys):
+    """The constants of each memo key, run in a fork worker; elements
+    cross the process boundary as indices."""
     ring = _PARALLEL_RING
-    out = []
-    for u_idx, v_idx in chunk:
-        u = ring.group.elements[u_idx]
-        v = ring.group.elements[v_idx]
-        cs = ring.structure_constants(u, v)
-        out.append({w.index: c for w, c in cs.items()})
-    return out
+    elements = ring.group.elements
+    sc = ring.structure_constants
+    return [{w.index: c for w, c in sc(elements[u], elements[v]).items()} for u, v in keys]
 
 
-def _parallel_structure_constants(ring: SchubertRing, pairs, jobs: int):
+def _fill_constants(ring: SchubertRing, pairs, jobs: int) -> None:
+    """Fill ``ring._sc_memo`` for the pairs on the fork pool, for a sweep
+    that then reads every pair through ``structure_constants``.
+
+    Does nothing (the sweep computes serially) at ``jobs == 1``, where
+    ``pairs`` is not even read, when ``pool_size`` gives the pairs missing
+    from the memo one worker, or on a platform without ``fork``.
+    """
     global _PARALLEL_RING
+    if jobs == 1:
+        return
+    memo = ring._sc_memo
+    keys = [k for k in dict.fromkeys(_memo_key(u, v) for u, v in pairs) if k not in memo]
+    workers = pool_size(jobs, len(keys))
+    if workers == 1:
+        return
     import multiprocessing  # here, not at module load: only a pool needs it
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        # no fork on this platform; the sweep stays correct, just serial
-        return [ring.structure_constants(u, v) for u, v in pairs]
-    idx_pairs = [(u.index, v.index) for u, v in pairs]
-    chunks = [idx_pairs[i::jobs] for i in range(jobs)]
+        return
+    chunks = [keys[i::workers] for i in range(workers)]
     _PARALLEL_RING = ring
     try:
-        with ctx.Pool(jobs) as pool:
+        with ctx.Pool(workers) as pool:
             results = pool.map(_constants_worker, chunks)
     finally:
         _PARALLEL_RING = None
-    # pair p is entry p // jobs of chunk p % jobs
     elements = ring.group.elements
-    out = []
-    for p, key in enumerate(idx_pairs):
-        table = {elements[w_idx]: c for w_idx, c in results[p % jobs][p // jobs].items()}
-        ring._sc_memo[key] = table
-        out.append(table)
-    return out
+    for chunk, tables in zip(chunks, results):
+        for key, table in zip(chunk, tables):
+            memo[key] = {elements[w]: c for w, c in table.items()}

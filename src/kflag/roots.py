@@ -484,23 +484,6 @@ class WeylGroup:
             subgroup=subgroup,
         )
 
-    def coset_decompose(self, w: WeylElement, pdata: "ParabolicData"):
-        """Unique factorization w = u * x with u in W^P, x in W_P, lengths adding."""
-        x = self.identity
-        cur = w
-        changed = True
-        while changed:
-            changed = False
-            for i in pdata.subset:
-                if self.has_right_descent(cur, i):
-                    cur = self.right_mul(cur, i)
-                    x = self.mul(self.simple(i), x)
-                    changed = True
-                    break
-        if cur.length + x.length != w.length:
-            raise IntegrityError("coset factorization lengths do not add")
-        return cur, x
-
 
 @dataclass(frozen=True)
 class ParabolicData:

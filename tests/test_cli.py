@@ -168,6 +168,54 @@ def test_verify_signs_with_jobs(capsys):
     assert obj["ok"] is True
 
 
+def test_verify_all_starts_one_pool(capsys, forced_pool):
+    """The sign sweep fills the memo on the pool; the Richardson report then
+    finds every pair it reads there and starts none, and the JSON is the
+    one of --jobs 1."""
+    argv = ("verify", "--type", "A", "--rank", "2", "--which", "all")
+    _, serial, _ = run_json(capsys, *argv, "--jobs", "1")
+    assert forced_pool == []
+    code, pooled, _ = run_json(capsys, *argv, "--jobs", "2")
+    assert code == 0 and forced_pool == [2]
+    assert _strip_timings(pooled) == _strip_timings(serial)
+
+
+def test_integer_commands_build_no_laurent_poly(capsys, monkeypatch):
+    """Every command runs on the one-variable table alone: with the
+    weight-lattice polynomial made unbuildable, each gives the same JSON."""
+    from kflag import LaurentPoly
+
+    group = ("--type", "A", "--rank", "2")
+    commands = [
+        ("constants", "--u", "1", "--v", "2,1"),
+        ("parabolic-constants", "--parabolic", "2", "--u", "1", "--v", "2,1"),
+        ("line-coeffs", "--v", "1,2", "--lambda", "1,-1"),
+        ("richardson", "--u", "1", "--v", "1,2"),
+        ("verify", "--which", "all"),
+    ]
+    before = [_strip_timings(run_json(capsys, *cmd, *group)[1]) for cmd in commands]
+
+    def unbuildable(self, *args, **kwargs):
+        raise AssertionError("LaurentPoly built on the integer path")
+
+    monkeypatch.setattr(LaurentPoly, "__init__", unbuildable)
+    for cmd, want in zip(commands, before):
+        code, obj, _ = run_json(capsys, *cmd, *group)
+        assert code == 0 and _strip_timings(obj) == want, cmd
+
+
+def test_help_describes_every_command(capsys):
+    from kflag.cli import _COMMANDS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, fn in _COMMANDS.items():
+        assert fn.__doc__, name
+        assert f"{name} {' '.join(fn.__doc__.split())}" in out
+
+
 def test_verify_parabolic_signs(capsys):
     code, obj, _ = run_json(
         capsys,

@@ -560,13 +560,29 @@ def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
     assert want and rep.violations == want
 
 
-def test_sign_sweep_parallel_matches_serial(engines, monkeypatch):
-    # lift the pairs-per-worker cap so the 21 pairs of A2 do go to the pool
-    monkeypatch.setattr("kflag.ring.MIN_PAIRS_PER_WORKER", 1)
-    monkeypatch.setattr("kflag.ring._usable_cpus", lambda: 2)
-    serial = engines.ring("A2").verify_alternating_signs(jobs=1)
-    # a fresh ring, so the workers compute rather than read the memo
-    parallel = SchubertRing(engines.model("A2")).verify_alternating_signs(jobs=2)
-    assert parallel.ok == serial.ok
-    assert parallel.checked == serial.checked
-    assert parallel.violations == serial.violations
+_SWEEPS = {
+    "A2-signs": ("A2", lambda ring, jobs: ring.verify_alternating_signs(jobs=jobs)),
+    "A3-signs-P13": ("A3", lambda ring, jobs: ring.verify_alternating_signs(
+        ring.group.parabolic([1, 3]), jobs=jobs)),
+    "A2-richardson": ("A2", lambda ring, jobs: ring.verify_richardson_signs(jobs=jobs)),
+    "A3-richardson": ("A3", lambda ring, jobs: ring.verify_richardson_signs(jobs=jobs)),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEPS))
+def test_sign_sweep_parallel_matches_serial(engines, forced_pool, sweep):
+    """Each sweep that fills the memo on the pool reports what it reports
+    serially, from the same constants; fresh rings, so the workers compute
+    rather than read the memo."""
+    label, run = _SWEEPS[sweep]
+    serial_ring = SchubertRing(engines.model(label))
+    pooled_ring = SchubertRing(engines.model(label))
+    serial = run(serial_ring, 1)
+    assert forced_pool == []
+    pooled = run(pooled_ring, 2)
+    assert forced_pool == [2]
+    assert serial.ok
+    assert (pooled.ok, pooled.checked, pooled.violations) == (
+        serial.ok, serial.checked, serial.violations
+    )
+    assert pooled_ring._sc_memo == serial_ring._sc_memo

@@ -326,9 +326,6 @@ def test_every_returned_element_is_the_groups_own(label, engines):
             p = g.parabolic(subset)
             assert own(p.longest_in_parabolic)
             assert all(map(own, p.min_reps)) and all(map(own, p.subgroup))
-            for w in g.elements:
-                u, x = g.coset_decompose(w, p)
-                assert own(u) and own(x)
 
 
 def test_groups_built_from_one_datum_share_no_element():
@@ -365,18 +362,6 @@ def test_grassmannian_coset_count(engines):
     g = engines.group("A3")
     p = g.parabolic([1, 3])
     assert len(p.min_reps) == 6
-
-
-def test_coset_factorization(engines):
-    g = engines.group("A3")
-    p = g.parabolic([1, 3])
-    reps = set(p.min_reps)
-    for w in g.elements:
-        u, x = g.coset_decompose(w, p)
-        assert u in reps
-        assert x in set(p.subgroup)
-        assert g.mul(u, x) is w
-        assert u.length + x.length == w.length
 
 
 def test_parabolic_order_reversing_involution(engines):

@@ -11,7 +11,7 @@ import pytest
 
 from kflag import EquivClass, LaurentPoly, NotDivisibleError, UniPoly
 from kflag.cli import _default_line_sweep
-from kflag.ring import _parallel_structure_constants
+from kflag.ring import _fill_constants
 from kflag.univariate import poly_divexact
 
 import pairing_oracle
@@ -198,16 +198,34 @@ def test_specialized_opposite_classes_match(label, engines):
         assert got == m.specialize(pairing_oracle.opposite_schubert_class(m, w))
 
 
-def test_fork_workers_inherit_the_specialized_table(engines):
+def test_fork_workers_inherit_the_specialized_table(engines, forced_pool):
     from kflag import SchubertModel, SchubertRing
 
     g = engines.group("A2")
     ring = SchubertRing(SchubertModel(g))
     pairs = [(u, v) for i, u in enumerate(g.elements) for v in g.elements[i:]]
-    got = _parallel_structure_constants(ring, pairs, 2)
+    _fill_constants(ring, pairs, 2)
+    assert forced_pool == [2] and len(ring._sc_memo) == len(pairs)
     assert all(row is not None for row in ring.model._specialized)
-    want = engines.ring("A2")
-    assert got == [want.structure_constants(u, v) for u, v in pairs]
+    serial = SchubertRing(ring.model)
+    for u, v in pairs:
+        serial.structure_constants(u, v)
+    assert ring._sc_memo == serial._sc_memo
+    # pairs already in the memo, in either order, start no second pool
+    _fill_constants(ring, [(v, u) for u, v in pairs], 2)
+    assert forced_pool == [2]
+
+
+def test_fill_constants_at_one_job_reads_no_pair(engines, forced_pool):
+    def unread():
+        raise AssertionError("pairs read at --jobs 1")
+        yield
+
+    from kflag import SchubertRing
+
+    ring = SchubertRing(engines.model("A2"))
+    _fill_constants(ring, unread(), 1)
+    assert forced_pool == [] and ring._sc_memo == {}
 
 
 def test_laurent_divexact():
