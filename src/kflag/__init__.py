@@ -14,6 +14,7 @@ from .errors import (
     KflagError,
     NonzeroResidualError,
     NotDivisibleError,
+    PackedRangeError,
     PoleAtOneError,
 )
 from .laurent import LaurentPoly
@@ -42,6 +43,7 @@ __all__ = [
     "LineReport",
     "NonzeroResidualError",
     "NotDivisibleError",
+    "PackedRangeError",
     "ParabolicData",
     "PoleAtOneError",
     "RootDatum",
@@ -56,4 +58,4 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

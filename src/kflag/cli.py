@@ -28,7 +28,7 @@ from .errors import (
 from .model import SchubertModel
 from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
-from .univariate import UniPoly
+from .univariate import _packed, narrow_first
 
 CACHE_SCHEMA_VERSION = 3
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
@@ -183,7 +183,9 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
 
 def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
     """Load a cached one-variable table; any mismatch recomputes (returns
-    None) with one warning line."""
+    None) with one warning line.  The rows are packed by ``narrow_first``:
+    at 64 bits if one does not fit the narrow width, and a row that does
+    not fit 64 bits fails integrity (exit 3)."""
     path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
     if not os.path.exists(path):
         return None
@@ -216,10 +218,10 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     rows = payload.get("restrictions")
     elements = group.elements
     n = len(elements)
-    table: list[dict] = [dict() for _ in elements]
-    try:
-        if not isinstance(rows, list):
-            raise ValueError
+
+    def pack(bits: int) -> list[dict]:
+        poly = _packed(bits)[0]
+        table: list[dict] = [dict() for _ in elements]
         for row in rows:
             # [w, v, s, coefficients]; JSON true/false load as bool, a subclass of int
             if type(row) is not list or len(row) != 4:
@@ -228,12 +230,17 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
             if not (type(w_idx) is int and 0 <= w_idx < n and type(v_idx) is int
                     and 0 <= v_idx < n and type(shift) is int):
                 raise ValueError
-            table[w_idx][elements[v_idx]] = UniPoly.from_coefficients(shift, coeffs)
+            table[w_idx][elements[v_idx]] = poly.from_coefficients(shift, coeffs)
+        return table
+
+    try:
+        if not isinstance(rows, list):
+            raise ValueError
+        return narrow_first(pack)
     except ValueError:
         print("warning: cache malformed (restrictions are not [w, v, s, coefficients] rows); "
               "recomputing", file=sys.stderr)
         return None
-    return table
 
 
 def _build_ring(args):

@@ -200,8 +200,9 @@ class LaurentPoly:
         """Specialize every e^lam to 1 (sum of coefficients)."""
         return sum(self.terms.values())
 
-    def specialize(self, cochar: tuple[int, ...]) -> UniPoly:
-        """e^lam -> t^<lam, cochar> with <lam, k> = sum_i lam_i k_i."""
+    def specialize(self, cochar: tuple[int, ...], poly=UniPoly) -> UniPoly:
+        """e^lam -> t^<lam, cochar> with <lam, k> = sum_i lam_i k_i, packed
+        by ``poly``, a UniPoly class of any width (64 bits by default)."""
         out: dict[int, int] = {}
         for e, c in self.terms.items():
             d = sum(x * k for x, k in zip(e, cochar))
@@ -210,4 +211,4 @@ class LaurentPoly:
                 out[d] = n
             else:
                 del out[d]
-        return UniPoly(out)
+        return poly(out)

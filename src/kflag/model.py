@@ -17,17 +17,20 @@ from .errors import (
     IntegrityError,
     NonzeroResidualError,
     NotDivisibleError,
+    PackedRangeError,
     PoleAtOneError,
 )
 from .laurent import LaurentPoly
 from .roots import RootDatum, WeylElement, WeylGroup
-from .univariate import UniPoly, poly_divexact
+from .univariate import DIGIT_BITS, UniPoly, _packed, narrow_first
+from .univariate import poly_divexact  # noqa: F401  (perfbench/layers.py wraps this name)
 
 
 class EquivClass:
     """A localized equivariant K-class: fixed point -> restriction, a
-    ``LaurentPoly`` or, after ``SchubertModel.specialize``, a ``UniPoly``;
-    the ring operations use only what both types provide."""
+    ``LaurentPoly`` or, after ``SchubertModel.specialize``, a ``UniPoly``
+    of the model's width; the ring operations use only what both types
+    provide."""
 
     __slots__ = ("rank", "restrictions")
 
@@ -139,6 +142,12 @@ class SchubertModel:
     lattice is built on the first ``schubert_class`` call and assigned whole,
     so a model can be shared across threads: at worst two threads build the
     same table.
+
+    The table is packed at ``univariate.NARROW_BITS`` unless a bound there
+    reaches the packed range; then it is built at 64 bits (``narrow_first``).
+    An injected table keeps the width of its entries.  ``bits`` and
+    ``poly`` (the ``UniPoly`` class) are the model's width; ``run_packed``
+    redoes a job that does not fit it on ``wide``, the 64-bit twin.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -148,12 +157,58 @@ class SchubertModel:
         self.dimension = len(self.datum.positive_roots)
         self.cocharacter = _height_cocharacter(self.datum, (1,) * self.rank)
         if table is None:
-            self._specialized = self._specialized_table(self.cocharacter)
+            def build(bits):
+                self._set_width(bits)
+                return self._specialized_table(self.cocharacter)
+
+            self._specialized = narrow_first(build)
         else:
             self._specialized = [EquivClass(self.rank, dict(entry)) for entry in table]
             if len(self._specialized) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
+            # a table holds one width, so its first entry shows which
+            entries = (p for row in table for p in row.values())
+            self._set_width(next(entries, UniPoly.zero()).DIGIT_BITS)
         self._schubert: list[EquivClass] | None = None
+        self._wide: SchubertModel | None = None
+
+    def _set_width(self, bits: int) -> None:
+        self.bits = bits
+        self.poly, self._divexact = _packed(bits)
+
+    @property
+    def wide(self) -> "SchubertModel":
+        """This model at 64 bits: itself, or its twin whose rows are these
+        rows re-packed exactly, built on first use and assigned whole."""
+        if self.bits == DIGIT_BITS:
+            return self
+        if self._wide is None:
+            self._wide = SchubertModel(self.group, table=[
+                {v: UniPoly.repack(p) for v, p in row.restrictions.items()}
+                for row in self._specialized
+            ])
+        return self._wide
+
+    def run_packed(self, job):
+        """job(model) for a one-variable job, at this model's width; if a
+        norm bound there reached the packed range (``PackedRangeError``),
+        job(self.wide) once more.  At 64 bits a range error is final.  The
+        redo runs after the handler, so the failed attempt's frames, which
+        the traceback holds, are freed first."""
+        try:
+            return job(self)
+        except PackedRangeError:
+            pass
+        return job(self.wide)
+
+    def _repack(self, f: EquivClass) -> EquivClass:
+        """f with its one-variable restrictions at this model's width; a
+        class holds one width, so its first restriction shows which."""
+        poly = self.poly
+        first = next(iter(f.restrictions.values()), None)
+        if first is None or type(first) is poly:
+            return f
+        return EquivClass(self.rank, {v: poly.repack(p) for v, p in f.restrictions.items()})
 
     # -- class constructors -----------------------------------------------
 
@@ -212,8 +267,9 @@ class SchubertModel:
         return table
 
     def _specialized_table(self, k) -> list[EquivClass]:
-        """Every Schubert class under e^lam -> t^<lam, k>, for a regular k."""
-        return self._build_schubert_table(_monomial_t(k), poly_divexact)
+        """Every Schubert class under e^lam -> t^<lam, k>, for a regular k,
+        at this model's width."""
+        return self._build_schubert_table(_monomial_t(k, self.poly), self._divexact)
 
     def schubert_class(self, w: WeylElement) -> EquivClass:
         """[O_{X_w}] in the weight lattice; the first call builds the table."""
@@ -239,13 +295,15 @@ class SchubertModel:
     # -- specialization -----------------------------------------------------
 
     def specialize(self, f: EquivClass) -> EquivClass:
-        """f under e^lam -> t^<lam, k>, restrictions in one variable.
+        """f under e^lam -> t^<lam, k>, restrictions in one variable, at the
+        model's width (at 64 bits if a norm reaches the narrow range).
 
         For the regular cocharacter k this is a ring homomorphism that sends
         every pivot prod_{beta}(1 - e^beta) to a nonzero polynomial.
         """
         k = self.cocharacter
-        return EquivClass(self.rank, {v: p.specialize(k) for v, p in f.restrictions.items()})
+        return self.run_packed(lambda m: EquivClass(
+            m.rank, {v: p.specialize(k, m.poly) for v, p in f.restrictions.items()}))
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
         """specialize([O_{X_w}]), a row of the one-variable table."""
@@ -258,11 +316,11 @@ class SchubertModel:
         Specialization commutes with the triangular solve, so the values at
         t = 1 equal ``expand_in_schubert_basis(g).specialized``.  A failed
         division or a nonzero residual raises, but one variable catches
-        fewer classes outside the span than the multivariate route.
+        fewer classes outside the span than the multivariate route.  f may
+        have either width; the solve runs as a job of ``run_packed``.
         """
-        return _values_at_one(
-            self._solve(f, self.specialized_schubert_class, poly_divexact)
-        )
+        return self.run_packed(lambda m: _values_at_one(
+            m._solve(m._repack(f), m.specialized_schubert_class, m._divexact)))
 
     def _solve(self, f: EquivClass, row, divide) -> dict:
         """Coordinates of f against the Schubert rows ``row(w)``; a residual raises."""
@@ -277,12 +335,14 @@ class SchubertModel:
 
     def euler_characteristic(self, f: EquivClass) -> int:
         """chi via the fixed-point (Lefschetz) sum in the specialized
-        variable; f may be a model class or a specialized one."""
-        return self._euler_characteristic(f, self.cocharacter)
+        variable, a job of ``run_packed``; f may be a model class or a
+        specialized one of either width."""
+        return self.run_packed(lambda m: m._euler_characteristic(f, m.cocharacter))
 
     def _euler_characteristic(self, f: EquivClass, k) -> int:
-        """chi of f under e^lam -> t^<lam, k> for a regular cocharacter k;
-        one-variable restrictions of f must be specialized at this k.
+        """chi of f under e^lam -> t^<lam, k> for a regular cocharacter k, at
+        this model's width; one-variable restrictions of f, of either width,
+        must be specialized at this k.
 
         v sends the positive roots to one of +-beta for each beta > 0,
         l(v) of them negative; as 1 - t^-h = -t^-h (1 - t^h), the
@@ -290,29 +350,29 @@ class SchubertModel:
         D = prod_{beta>0} (1 - t^<beta, k>).  The numerators are summed over
         D and its binomials divided out exactly.
         """
+        poly, divexact = self.poly, self._divexact
         rho_k = _degree(self.datum.rho, k)
-        num = UniPoly.zero()
+        num = poly.zero()
         for v, p in f.restrictions.items():
-            pv = p if isinstance(p, UniPoly) else p.specialize(k)
+            pv = p.specialize(k, poly) if isinstance(p, LaurentPoly) else poly.repack(p)
             term = pv.shift(rho_k - _degree(v.key, k))
             num = num + (-term if v.length % 2 else term)
         factors = sorted(_degree(beta, k) for beta in self.datum.positive_roots)
         for idx, h in enumerate(factors):
             try:
-                num = poly_divexact(num, UniPoly.one_minus_power(h))
+                num = divexact(num, poly.one_minus_power(h))
             except NotDivisibleError:
                 self._classify_pole(num, factors[idx:])
         return num.eval_at_one()
 
-    @staticmethod
-    def _classify_pole(num: UniPoly, remaining: list[int]):
+    def _classify_pole(self, num: UniPoly, remaining: list[int]):
         """Raise for num / prod_h (1 - t^h), which is not a polynomial.  Each
         factor vanishes to order 1 at t = 1, so there is a pole iff num
         vanishes there to lower order than len(remaining)."""
-        one_minus_t = UniPoly.one_minus_power(1)
+        one_minus_t = self.poly.one_minus_power(1)
         for _ in remaining:
             try:
-                num = poly_divexact(num, one_minus_t)
+                num = self._divexact(num, one_minus_t)
             except NotDivisibleError:
                 raise PoleAtOneError("localization sum has a pole at t = 1") from None
         raise IntegrityError("localization sum is not a Laurent polynomial")
@@ -332,9 +392,9 @@ def _degree(lam, k) -> int:
     return sum(x * c for x, c in zip(lam, k))
 
 
-def _monomial_t(k):
-    """lam -> t^<lam, k>, the specialization of e^lam at k."""
-    one = UniPoly.one()
+def _monomial_t(k, poly):
+    """lam -> t^<lam, k>, the specialization of e^lam at k, packed by ``poly``."""
+    one = poly.one()
     return lambda lam: one.shift(_degree(lam, k))
 
 

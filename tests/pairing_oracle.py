@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import time
 
-from kflag import EquivClass, IntegrityError, KClass, LaurentPoly, SignReport, UniPoly
+from kflag import EquivClass, IntegrityError, KClass, LaurentPoly, SignReport
 from kflag.ring import O_BASIS, OMEGA_BASIS
 
 
 def involute(p):
     """e^lam -> e^(-lam); in one variable, its image t -> 1/t."""
-    if isinstance(p, UniPoly):
-        return UniPoly({-e: c for e, c in p.terms.items()})
+    if not isinstance(p, LaurentPoly):  # a UniPoly of either width
+        return type(p)({-e: c for e, c in p.terms.items()})
     return LaurentPoly(p.rank, {tuple(-x for x in e): c for e, c in p.terms.items()})
 
 

@@ -2,8 +2,9 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
-the B4 sample, the A4 pool test, the B3, C3, A4 and D4 Richardson checks
-and the A4 and D4 omega-basis checks are opt-in: set KFLAG_BIG_RANK=1.
+the B4 sample, the B4 and A5 width comparison, the A4 pool test, the B3,
+C3, A4 and D4 Richardson checks and the A4 and D4 omega-basis checks are
+opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -82,6 +83,29 @@ def test_criterion_01_sign_sample_b4(engines):
         assert model.euler_characteristic(product) == sum(cs.values()), (u.word, v.word)
     elapsed = time.monotonic() - t0
     _announce(1, "B4", f"300 random pairs, signs and chi = sum c, {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B4 and A5 widths")
+@pytest.mark.parametrize("label", ["B4", "A5"])
+def test_criterion_01_seeded_constants_agree_at_both_widths(label, engines, monkeypatch):
+    """200 seeded random pairs: the constants of the model that packs at 32
+    bits first equal those of a model built and solved at 64 bits only."""
+    narrow = engines.model(label)
+    assert narrow.bits == 32
+    monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
+    wide = SchubertModel(WeylGroup(engines.datum(label)))
+    assert wide.bits == 64
+    rings = SchubertRing(narrow), SchubertRing(wide)
+    rng = random.Random(20017)
+    n = len(narrow.group.elements)
+    t0 = time.monotonic()
+    for _ in range(200):
+        a, b = rng.randrange(n), rng.randrange(n)
+        got = [{w.index: c for w, c in ring.structure_constants(
+            ring.group.elements[a], ring.group.elements[b]).items()} for ring in rings]
+        assert got[0] == got[1], (label, a, b)
+    elapsed = time.monotonic() - t0
+    _announce(1, label, f"200 random pairs equal at 32 and 64 bits, {elapsed:.1f}s")
 
 
 @pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 pool test")
@@ -271,6 +295,7 @@ def test_criterion_07_one_variable_rows_keep_their_supports(label, engines):
         row = model.specialized_schubert_class(w).restrictions
         assert set(row) == set(model.schubert_class(w).restrictions) == below, w.word
         for u, p in row.items():
+            p = UniPoly.repack(p)  # the rows are narrow; the division here is at 64 bits
             for _ in range(model.dimension - w.length):
                 p = poly_divexact(p, one_minus_t)
             assert p.eval_at_one() != 0, (w.word, u.word)

@@ -796,6 +796,84 @@ def test_unreadable_cache_recomputes(tmp_path, capsys, monkeypatch, body):
 A2_CONSTANTS = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
 
 
+def _a2_cache_with_row(tmp_path, capsys, coeffs) -> str:
+    """An A2 cache whose row (w=1, v=1) is replaced by ``coeffs``, digest fixed."""
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    path = os.path.join(cache, "schubert-table-A2.json")
+    payload = json.loads(open(path).read())
+    victim = next(row for row in payload["restrictions"] if row[0] == 1 and row[1] == 1)
+    victim[2:] = [0, coeffs]
+    open(path, "w").write(json.dumps(_recompute_digest(payload)))
+    return cache
+
+
+def _narrow_and_wide_runs(capsys, monkeypatch, *argv):
+    """(code, output without timings, stderr) of argv as it runs, then with
+    every table and job at 64 bits from the start."""
+    runs = []
+    for bits in (None, 64):
+        if bits:
+            monkeypatch.setattr("kflag.univariate.NARROW_BITS", bits)
+        code, out, err = run_cli(capsys, *argv)
+        runs.append((code, _strip_timings(json.loads(out)) if out else out, err))
+    return runs
+
+
+@pytest.mark.parametrize("argv", [A2_CONSTANTS, ("verify", "--type", "A", "--rank", "2")])
+def test_cache_row_past_the_narrow_range_loads_at_64_bits(tmp_path, capsys, monkeypatch, argv):
+    """A digest-valid row with a coefficient of 2^40 does not fit 32-bit
+    digits: the whole table loads at 64 bits, and each command gives what
+    it gives with no narrow width at all."""
+    from kflag import UniPoly, WeylGroup, build_root_datum
+    from kflag.cli import cache_load
+
+    cache = _a2_cache_with_row(tmp_path, capsys, [2**40])
+    datum = build_root_datum("A", 2)
+    table = cache_load(cache, datum, WeylGroup(datum))
+    assert {type(p) for row in table for p in row.values()} == {UniPoly}
+    narrow, wide = _narrow_and_wide_runs(capsys, monkeypatch, *argv, "--cache-dir", cache)
+    assert narrow == wide
+    assert narrow[0] in (1, 3)  # the row is wrong, and the checks see it
+
+
+def test_cache_rows_load_at_the_narrow_width(tmp_path, capsys):
+    from kflag import WeylGroup, build_root_datum
+    from kflag.cli import cache_load
+
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    datum = build_root_datum("A", 2)
+    table = cache_load(cache, datum, WeylGroup(datum))
+    assert {type(p).DIGIT_BITS for row in table for p in row.values()} == {32}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "G", "--rank", "2", "--v", "1,2,1", "--lambda", "300,0"),
+    ("--type", "B", "--rank", "3", "--v", "1,2,3", "--lambda", "200,0,0"),
+    ("--type", "D", "--rank", "4", "--v", "1,2", "--lambda", "100,0,0,0"),
+])
+def test_line_rows_past_the_narrow_range_are_redone_at_64_bits(capsys, monkeypatch, argv):
+    """These line rows do not fit 32-bit digits; each is redone on the
+    64-bit twin, and the output is the output of a 64-bit-only run."""
+    from kflag.model import SchubertModel
+
+    asked = []
+    twin = SchubertModel.wide
+    monkeypatch.setattr(SchubertModel, "wide",
+                        property(lambda self: asked.append(self.bits) or twin.fget(self)))
+    narrow, wide = _narrow_and_wide_runs(capsys, monkeypatch, "line-coeffs", *argv)
+    assert narrow == wide and narrow[0] == 0 and narrow[2] == ""
+    assert 32 in asked
+
+
+def test_line_rows_past_the_64_bit_range_still_fail_integrity(capsys):
+    code, out, err = run_cli(capsys, "line-coeffs", "--type", "D", "--rank", "4",
+                             "--v", "1,2", "--lambda", "1000,0,0,0")
+    assert (code, out) == (3, "")
+    assert err == "integrity failure: coefficient bound 2^63 is out of the packed range 2^63\n"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

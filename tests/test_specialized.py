@@ -241,3 +241,118 @@ def test_laurent_divexact():
         poly_divexact(UniPoly.one(), UniPoly.one_minus_power(1))
     with pytest.raises(ZeroDivisionError):
         poly_divexact(a, UniPoly.zero())
+
+
+# -- two packed widths -------------------------------------------------------------
+
+
+def _model_at(monkeypatch, label: str, bits: int):
+    """A fresh model of ``label`` whose table and jobs start at ``bits`` bits."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+
+    monkeypatch.setattr("kflag.univariate.NARROW_BITS", bits)
+    return SchubertModel(WeylGroup(build_root_datum(label[0], int(label[1:]))))
+
+
+def _by_index(coeffs: dict) -> dict:
+    """Coefficients keyed by element index, comparable across two groups."""
+    return {w.index: c for w, c in coeffs.items()}
+
+
+def _all_pairs(group):
+    return [(u, v) for i, u in enumerate(group.elements) for v in group.elements[i:]]
+
+
+def test_the_model_packs_at_the_narrow_width(engines):
+    """The table, specialize() and the line classes are 32-bit; the twin
+    holds the same rows at 64 bits, and 64-bit values never mix in."""
+    m, g = engines.model("A3"), engines.group("A3")
+    assert m.bits == 32 and m.poly.DIGIT_BITS == 32
+    rows = [m.specialized_schubert_class(w).restrictions for w in g.elements]
+    assert {type(p) for row in rows for p in row.values()} == {m.poly}
+    spec = m.specialize(m.schubert_class(g.w_o) * m.schubert_class(g.elements[3]))
+    assert spec.restrictions and {type(p) for p in spec.restrictions.values()} == {m.poly}
+    wide = m.wide
+    assert wide.bits == 64 and wide.poly is UniPoly and wide.wide is wide and m.wide is wide
+    for w in g.elements:
+        twin = wide.specialized_schubert_class(w).restrictions
+        assert {type(p) for p in twin.values()} == {UniPoly}
+        assert _coefficient_row(wide, w) == _coefficient_row(m, w)
+    with pytest.raises(TypeError, match="does not combine"):
+        m.specialized_schubert_class(g.w_o) * wide.specialized_schubert_class(g.w_o)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_euler_characteristic_reads_rows_of_either_width(label, engines):
+    """chi of every Schubert row is 1 on the narrow model and on its twin,
+    whichever width the row is packed at."""
+    m, g = engines.model(label), engines.group(label)
+    for w in g.elements:
+        narrow = m.specialized_schubert_class(w)
+        wide = m.wide.specialized_schubert_class(w)
+        for model in (m, m.wide):
+            assert model.euler_characteristic(narrow) == model.euler_characteristic(wide) == 1
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatch):
+    """At 8-bit digits the A3 and G2 tables fit, but many products and
+    solves do not: those jobs are redone on the 64-bit twin, and every
+    constant, line row and chi equals the one of a model that never packs
+    narrow."""
+    from kflag import SchubertRing
+
+    narrow = _model_at(monkeypatch, label, 8)
+    wide = _model_at(monkeypatch, label, 64)
+    assert narrow.bits == 8 and wide.bits == 64
+    g = narrow.group
+    small, big = SchubertRing(narrow), SchubertRing(wide)
+    for u, v in _all_pairs(g):
+        x, y = wide.group.elements[u.index], wide.group.elements[v.index]
+        assert _by_index(small.structure_constants(u, v)) == _by_index(
+            big.structure_constants(x, y))
+    assert narrow._wide is not None  # some job did not fit 8 bits
+    for lam in _default_line_sweep(narrow.datum):
+        got = {v.index: _by_index(row) for v, row in small._line_table(lam).items()}
+        want = {v.index: _by_index(row) for v, row in big._line_table(lam).items()}
+        assert got == want, lam
+    assert small.verify_normalization().ok
+    prod = narrow.schubert_class(g.w_o) * narrow.schubert_class(g.elements[-2])
+    assert narrow.integer_coefficients(narrow.specialize(prod)) == reference(narrow, prod)
+    assert narrow.euler_characteristic(prod) == sum(reference(narrow, prod).values())
+
+
+def test_a_table_that_overflows_the_narrow_range_is_built_at_64_bits(monkeypatch):
+    """B3's table reaches past 2^7, so at 8-bit digits the whole table is
+    built at 64 bits; the model is then its own twin."""
+    narrow = _model_at(monkeypatch, "B3", 8)
+    assert narrow.bits == 64 and narrow.wide is narrow
+    wide = _model_at(monkeypatch, "B3", 64)
+    for w, x in zip(narrow.group.elements, wide.group.elements):
+        assert _coefficient_row(narrow, w) == _coefficient_row(wide, x)
+
+
+def _coefficient_row(model, w) -> dict:
+    """Row w of the one-variable table as index -> coefficient list."""
+    return {v.index: p.coefficients()
+            for v, p in model.specialized_schubert_class(w).restrictions.items()}
+
+
+def test_fork_workers_redo_their_own_overflowing_jobs(monkeypatch, forced_pool):
+    """With 8-bit digits A3 constants overflow inside the fork workers;
+    each worker redoes its jobs on its own 64-bit twin, so the parent never
+    builds one, and the memo equals the serial 64-bit memo."""
+    from kflag import SchubertRing
+
+    narrow = _model_at(monkeypatch, "A3", 8)
+    wide = _model_at(monkeypatch, "A3", 64)
+    pooled = SchubertRing(narrow)
+    _fill_constants(pooled, _all_pairs(narrow.group), 2)
+    assert forced_pool == [2] and narrow._wide is None
+    serial = SchubertRing(wide)
+    for u, v in _all_pairs(wide.group):
+        serial.structure_constants(u, v)
+    assert {k: _by_index(cs) for k, cs in pooled._sc_memo.items()} == {
+        k: _by_index(cs) for k, cs in serial._sc_memo.items()}
+    assert all(w is narrow.group.elements[w.index]
+               for cs in pooled._sc_memo.values() for w in cs)

@@ -1,36 +1,54 @@
-"""The Kronecker-packed Z[t, 1/t] against the dict-based reference, and its
-exactness guard: a norm bound that reaches 2^63 raises IntegrityError."""
+"""The Kronecker-packed Z[t, 1/t], at both digit widths, against the
+dict-based reference, and its exactness guard: a norm bound that reaches
+2^(bits-1) raises, ``PackedRangeError`` at 32 bits and ``IntegrityError``
+at 64, with a message that names the width.  Values of two widths never
+mix."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import IntegrityError, NotDivisibleError, UniPoly
-from kflag.univariate import poly_divexact
+from kflag import IntegrityError, NotDivisibleError, PackedRangeError, UniPoly
+from kflag.univariate import _packed, poly_divexact
 
 from uni_reference import RefPoly, ref_divexact
 
-term_dicts = st.dictionaries(st.integers(-10, 10), st.integers(-40, 40), max_size=8)
-# few terms with wide coefficients reach digits far from zero in both directions
-wide_dicts = st.dictionaries(st.integers(-10, 10), st.integers(-(2**28), 2**28), max_size=3)
-polys = st.one_of(term_dicts, wide_dicts)
-nonzero_polys = polys.filter(lambda d: any(d.values()))
+WIDTHS = [32, 64]
+P32, div32 = _packed(32)
 
 
-def pair(terms):
-    return UniPoly(terms), RefPoly(terms)
+def polys(bits: int):
+    """Sparse polynomials whose pairwise products fit ``bits``-bit digits."""
+    term_dicts = st.dictionaries(st.integers(-10, 10), st.integers(-40, 40), max_size=8)
+    # few terms with wide coefficients reach digits far from zero in both directions
+    wide = 2 ** (bits // 2 - 4)
+    wide_dicts = st.dictionaries(st.integers(-10, 10), st.integers(-wide, wide), max_size=3)
+    return st.one_of(term_dicts, wide_dicts)
 
 
-def same(p: UniPoly, r: RefPoly) -> bool:
+def nonzero_polys(bits: int):
+    return polys(bits).filter(lambda d: any(d.values()))
+
+
+def same(p, r: RefPoly) -> bool:
     return dict(p.terms) == r.terms
 
 
+def range_error(bits: int):
+    """What the guard raises at this width, and the message's range."""
+    error = PackedRangeError if bits < 64 else IntegrityError
+    return pytest.raises(error, match=rf"out of the packed range 2\^{bits - 1}$")
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
 @settings(max_examples=150, deadline=None)
-@given(polys, polys, st.integers(-50, 50), st.integers(-12, 12))
-def test_packed_ring_operations_match_the_reference(da, db, k, s):
-    a, ra = pair(da)
-    b, rb = pair(db)
+@given(data=st.data(), k=st.integers(-50, 50), s=st.integers(-12, 12))
+def test_packed_ring_operations_match_the_reference(bits, data, k, s):
+    poly, _ = _packed(bits)
+    da, db = data.draw(polys(bits)), data.draw(polys(bits))
+    a, ra = poly(da), RefPoly(da)
+    b, rb = poly(db), RefPoly(db)
     assert same(a, ra) and same(b, rb)
     assert same(a + b, ra + rb)
     assert same(a - b, ra - rb)
@@ -46,110 +64,128 @@ def test_packed_ring_operations_match_the_reference(da, db, k, s):
         assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("bits", WIDTHS)
 @settings(max_examples=100, deadline=None)
-@given(st.lists(polys, min_size=1, max_size=5), st.randoms(use_true_random=False))
-def test_sums_that_cancel_are_zero(parts, rnd):
-    signed = [UniPoly(d) for d in parts] + [-UniPoly(d) for d in parts]
+@given(data=st.data(), rnd=st.randoms(use_true_random=False))
+def test_sums_that_cancel_are_zero(bits, data, rnd):
+    poly, _ = _packed(bits)
+    parts = data.draw(st.lists(polys(bits), min_size=1, max_size=5))
+    signed = [poly(d) for d in parts] + [-poly(d) for d in parts]
     rnd.shuffle(signed)
-    acc = UniPoly.zero()
+    acc = poly.zero()
     for p in signed:
         acc = acc + p
-    assert acc == UniPoly.zero() and acc.is_zero() and not acc.terms
-    assert hash(acc) == hash(UniPoly.zero())
+    assert acc == poly.zero() and acc.is_zero() and not acc.terms
+    assert hash(acc) == hash(poly.zero())
     assert acc.eval_at_one() == 0
-    a = UniPoly(parts[0])
-    assert a - a == UniPoly.zero()
+    a = poly(parts[0])
+    assert a - a == poly.zero()
     # a value rebuilt through a cancelling detour is the same value
-    b = UniPoly(parts[-1])
+    b = poly(parts[-1])
     again = a + b - b
     assert again == a and hash(again) == hash(a)
 
 
+@pytest.mark.parametrize("bits", WIDTHS)
 @settings(max_examples=150, deadline=None)
-@given(polys, nonzero_polys)
-def test_exact_quotients_match_the_reference(da, db):
-    a, ra = pair(da)
-    b, rb = pair(db)
-    q = poly_divexact(a * b, b)
+@given(data=st.data())
+def test_exact_quotients_match_the_reference(bits, data):
+    poly, divexact = _packed(bits)
+    da, db = data.draw(polys(bits)), data.draw(nonzero_polys(bits))
+    a, b = poly(da), poly(db)
+    ra, rb = RefPoly(da), RefPoly(db)
+    q = divexact(a * b, b)
     assert q == a and same(q, ref_divexact(ra * rb, rb))
 
 
+@pytest.mark.parametrize("bits", WIDTHS)
 @settings(max_examples=150, deadline=None)
-@given(polys, nonzero_polys)
-def test_division_fails_exactly_when_the_reference_fails(da, db):
+@given(data=st.data())
+def test_division_fails_exactly_when_the_reference_fails(bits, data):
     """An inexact pair never yields a value.  Its integer remainder is
     nonzero (NotDivisibleError) whenever the divisor's end coefficients are
     +-1, as for every divisor the engine uses; otherwise the remainder can
     vanish and the quotient then fails its certificate (IntegrityError)."""
-    a, ra = pair(da)
-    b, rb = pair(db)
+    poly, divexact = _packed(bits)
+    da, db = data.draw(polys(bits)), data.draw(nonzero_polys(bits))
+    a, b = poly(da), poly(db)
+    ra, rb = RefPoly(da), RefPoly(db)
     try:
         want = ref_divexact(ra, rb)
     except NotDivisibleError:
         ends = {abs(db[min(rb.terms)]), abs(db[max(rb.terms)])}
         expected = NotDivisibleError if ends == {1} else (NotDivisibleError, IntegrityError)
         with pytest.raises(expected):
-            poly_divexact(a, b)
+            divexact(a, b)
     else:
-        assert same(poly_divexact(a, b), want)
+        assert same(divexact(a, b), want)
 
 
+@pytest.mark.parametrize("bits", WIDTHS)
 @settings(max_examples=150, deadline=None)
-@given(polys)
-def test_coefficient_lists_round_trip_against_the_reference(d):
-    p, r = pair(d)
+@given(data=st.data())
+def test_coefficient_lists_round_trip_against_the_reference(bits, data):
+    poly, _ = _packed(bits)
+    d = data.draw(polys(bits))
+    p, r = poly(d), RefPoly(d)
     s, coeffs = p.coefficients()
     if not r:
         assert (s, coeffs) == (0, [])
         return
     lo, hi = min(r.terms), max(r.terms)
     assert s == lo and coeffs == [r.terms.get(e, 0) for e in range(lo, hi + 1)]
-    q = UniPoly.from_coefficients(s, coeffs)
+    q = poly.from_coefficients(s, coeffs)
     assert q == p and hash(q) == hash(p) and same(q, r)
     assert q.eval_at_one() == r.eval_at_one()
 
 
-@given(
-    st.integers(-20, 20),
-    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=12).filter(
-        lambda cs: cs[0] and cs[-1]
-    ),
-)
-def test_from_coefficients_is_the_dense_reference(s, coeffs):
+@pytest.mark.parametrize("bits", WIDTHS)
+@given(data=st.data(), s=st.integers(-20, 20))
+def test_from_coefficients_is_the_dense_reference(bits, data, s):
+    poly, _ = _packed(bits)
+    top = 2 ** (bits * 5 // 8)
+    coeffs = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=12).filter(
+        lambda cs: cs[0] and cs[-1]))
     r = RefPoly({s + i: c for i, c in enumerate(coeffs)})
-    p = UniPoly.from_coefficients(s, coeffs)
+    p = poly.from_coefficients(s, coeffs)
     assert same(p, r) and p.coefficients() == (s, coeffs)
 
 
+@pytest.mark.parametrize("bits", WIDTHS)
 @pytest.mark.parametrize(
     "coeffs",
     [[], [0], [0, 1], [1, 0], [1, True], [True], [1.0], [1, 2.5, 1], [1, "2", 1], "1",
      (1,), None, [[1]]],
 )
-def test_from_coefficients_refuses_what_is_not_a_normal_coefficient_list(coeffs):
+def test_from_coefficients_refuses_what_is_not_a_normal_coefficient_list(bits, coeffs):
     with pytest.raises(ValueError):
-        UniPoly.from_coefficients(0, coeffs)
+        _packed(bits)[0].from_coefficients(0, coeffs)
 
 
-def test_inexact_pair_with_zero_integer_remainder_is_refused():
-    # (2 + t) / 2: 2 + 2^64 is an even integer, but its half 2^63 + 1 has
-    # norm 2^63 in balanced digits, so it cannot be certified
-    with pytest.raises(IntegrityError):
-        poly_divexact(UniPoly({0: 2, 1: 1}), UniPoly({0: 2}))
-    # (4 + t) / 4: the integer quotient 2^62 + 1 is one digit of norm below
-    # 2^63, yet 4 (2^62 + 1) is no polynomial of norm below 2^63; only the
-    # divisor's bound in the certificate catches it
-    with pytest.raises(IntegrityError):
-        poly_divexact(UniPoly({0: 4, 1: 1}), UniPoly({0: 4}))
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_inexact_pair_with_zero_integer_remainder_is_refused(bits):
+    poly, divexact = _packed(bits)
+    # (2 + t) / 2: 2 + 2^bits is an even integer, but its half
+    # 2^(bits-1) + 1 has norm 2^(bits-1) + 2 in balanced digits, so it
+    # cannot be certified
+    with range_error(bits):
+        divexact(poly({0: 2, 1: 1}), poly({0: 2}))
+    # (4 + t) / 4: the integer quotient 2^(bits-2) + 1 is one digit of norm
+    # below 2^(bits-1), yet 4 (2^(bits-2) + 1) is no polynomial of norm
+    # below 2^(bits-1); only the divisor's bound in the certificate catches it
+    with range_error(bits):
+        divexact(poly({0: 4, 1: 1}), poly({0: 4}))
 
 
-@given(polys)
-def test_division_by_zero_and_of_zero(da):
-    a = UniPoly(da)
+@pytest.mark.parametrize("bits", WIDTHS)
+@given(data=st.data())
+def test_division_by_zero_and_of_zero(bits, data):
+    poly, divexact = _packed(bits)
+    a = poly(data.draw(polys(bits)))
     with pytest.raises(ZeroDivisionError):
-        poly_divexact(a, UniPoly.zero())
+        divexact(a, poly.zero())
     if a:
-        assert poly_divexact(UniPoly.zero(), a) == UniPoly.zero()
+        assert divexact(poly.zero(), a) == poly.zero()
 
 
 def test_terms_is_a_read_only_view():
@@ -162,76 +198,149 @@ def test_terms_is_a_read_only_view():
     assert UniPoly({-4: 0, -1: 3, 2: -4}) == p
 
 
-# -- the exactness guard: operands near 2^62, no patching ------------------------------
+# -- the exactness guard: operands near 2^(bits-2), no patching -------------------
 
 
-BIG = 2**62
-
-
-def test_largest_in_range_values_decode_exactly():
-    top = UniPoly({0: 2**63 - 1})
-    assert dict(top.terms) == {0: 2**63 - 1}
-    assert dict((-top).terms) == {0: -(2**63 - 1)}
-    assert (-top).eval_at_one() == -(2**63 - 1)
-    p = UniPoly({0: BIG - 1, 3: -(BIG - 1)})
-    assert dict((p * 1).terms) == {0: BIG - 1, 3: -(BIG - 1)}
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_largest_in_range_values_decode_exactly(bits):
+    poly, _ = _packed(bits)
+    half, big = 2 ** (bits - 1), 2 ** (bits - 2)
+    top = poly({0: half - 1})
+    assert dict(top.terms) == {0: half - 1}
+    assert dict((-top).terms) == {0: -(half - 1)}
+    assert (-top).eval_at_one() == -(half - 1)
+    p = poly({0: big - 1, 3: -(big - 1)})
+    assert dict((p * 1).terms) == {0: big - 1, 3: -(big - 1)}
     assert p.eval_at_one() == 0
-    assert dict((UniPoly({0: BIG - 1}) * 2).terms) == {0: 2**63 - 2}
+    assert dict((poly({0: big - 1}) * 2).terms) == {0: half - 2}
 
 
-def test_constructor_rejects_a_bound_of_2_63():
-    with pytest.raises(IntegrityError):
-        UniPoly({0: 2**63})
-    with pytest.raises(IntegrityError):
-        UniPoly({0: BIG, 5: -BIG})
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_constructor_rejects_a_bound_at_the_packed_range(bits):
+    poly, _ = _packed(bits)
+    half, big = 2 ** (bits - 1), 2 ** (bits - 2)
+    with range_error(bits):
+        poly({0: half})
+    with range_error(bits):
+        poly({0: big, 5: -big})
 
 
-def test_from_coefficients_rejects_a_norm_of_2_63():
-    top = UniPoly.from_coefficients(3, [-(2**63 - 1)])
-    assert dict(top.terms) == {3: -(2**63 - 1)} and top.coefficients() == (3, [-(2**63 - 1)])
-    edge = UniPoly.from_coefficients(0, [BIG, 0, -(BIG - 1)])
-    assert edge == UniPoly({0: BIG, 2: -(BIG - 1)})
-    with pytest.raises(IntegrityError):
-        UniPoly.from_coefficients(0, [2**63])
-    with pytest.raises(IntegrityError):
-        UniPoly.from_coefficients(0, [-(2**63)])
-    with pytest.raises(IntegrityError):
-        UniPoly.from_coefficients(-1, [BIG, 0, -BIG])
-    with pytest.raises(IntegrityError):
-        UniPoly.from_coefficients(0, [2**64 + 1])
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_from_coefficients_rejects_a_norm_at_the_packed_range(bits):
+    poly, _ = _packed(bits)
+    half, big = 2 ** (bits - 1), 2 ** (bits - 2)
+    top = poly.from_coefficients(3, [-(half - 1)])
+    assert dict(top.terms) == {3: -(half - 1)} and top.coefficients() == (3, [-(half - 1)])
+    edge = poly.from_coefficients(0, [big, 0, -(big - 1)])
+    assert edge == poly({0: big, 2: -(big - 1)})
+    with range_error(bits):
+        poly.from_coefficients(0, [half])
+    with range_error(bits):
+        poly.from_coefficients(0, [-half])
+    with range_error(bits):
+        poly.from_coefficients(-1, [big, 0, -big])
+    with range_error(bits):
+        poly.from_coefficients(0, [2 * half + 1])
 
 
-def test_product_bound_of_2_63_raises():
-    with pytest.raises(IntegrityError):
-        UniPoly({0: BIG}) * UniPoly({0: 2})
-    with pytest.raises(IntegrityError):
-        UniPoly({0: BIG, 1: 1}) * UniPoly.one_minus_power(1)
-    with pytest.raises(IntegrityError):
-        UniPoly({0: BIG}) * 2
-    with pytest.raises(IntegrityError):
-        -2 * UniPoly({3: BIG})
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_product_bound_at_the_packed_range_raises(bits):
+    poly, _ = _packed(bits)
+    big = 2 ** (bits - 2)
+    with range_error(bits):
+        poly({0: big}) * poly({0: 2})
+    with range_error(bits):
+        poly({0: big, 1: 1}) * poly.one_minus_power(1)
+    with range_error(bits):
+        poly({0: big}) * 2
+    with range_error(bits):
+        -2 * poly({3: big})
 
 
-def test_sum_bound_of_2_63_raises():
-    a = UniPoly({0: BIG})
-    # the bound is what counts: a - a is zero, but its bound reaches 2^63
-    with pytest.raises(IntegrityError):
-        a + UniPoly({4: BIG})
-    with pytest.raises(IntegrityError):
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_sum_bound_at_the_packed_range_raises(bits):
+    poly, _ = _packed(bits)
+    a = poly({0: 2 ** (bits - 2)})
+    # the bound is what counts: a - a is zero, but its bound reaches 2^(bits-1)
+    with range_error(bits):
+        a + poly({4: 2 ** (bits - 2)})
+    with range_error(bits):
         a - a
-    with pytest.raises(IntegrityError):
+    with range_error(bits):
         a + (-a)
 
 
-def test_quotient_that_cannot_be_certified_raises():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_quotient_that_cannot_be_certified_raises(bits):
+    poly, divexact = _packed(bits)
     # c (1 - t^8) / (1 - t) = c (1 + t + ... + t^7): its norm 8c times the
-    # divisor's 2 reaches 2^63, so the quotient is refused, though it exists
-    c = 2**60
-    a = UniPoly.one_minus_power(8) * c
-    with pytest.raises(IntegrityError):
-        poly_divexact(a, UniPoly.one_minus_power(1))
-    q = poly_divexact(a * 1, UniPoly.one_minus_power(8))
+    # divisor's 2 reaches 2^(bits-1), so the quotient is refused, though it exists
+    c = 2 ** (bits - 4)
+    a = poly.one_minus_power(8) * c
+    with range_error(bits):
+        divexact(a, poly.one_minus_power(1))
+    q = divexact(a * 1, poly.one_minus_power(8))
     assert dict(q.terms) == {0: c}
     # an inexact division is refused as such, whatever the bounds
     with pytest.raises(NotDivisibleError):
-        poly_divexact(a + UniPoly.one(), UniPoly.one_minus_power(1))
+        divexact(a + poly.one(), poly.one_minus_power(1))
+
+
+def test_guard_near_2_31_at_32_bits_only():
+    """Bounds just below 2^31 pass at 32 bits and a bound of 2^31 is a
+    PackedRangeError; at 64 bits the same values pass."""
+    top = 2**31 - 1
+    a = P32({0: top})
+    assert a.eval_at_one() == top and dict((-a).terms) == {0: -top}
+    assert dict((P32({0: 2**30 - 1}) + P32({1: 2**30})).terms) == {0: 2**30 - 1, 1: 2**30}
+    assert dict((P32({0: 2**15}) * P32({2: 2**15 - 1})).terms) == {2: 2**30 - 2**15}
+    with pytest.raises(PackedRangeError) as info:
+        P32({0: 2**15}) * P32({0: 2**16})
+    assert str(info.value) == "coefficient bound 2^31 is out of the packed range 2^31"
+    with pytest.raises(PackedRangeError):
+        P32({0: 2**30}) - P32({3: 2**30})
+    with pytest.raises(PackedRangeError):
+        P32.from_coefficients(0, [2**30, 2**30])
+    wide = UniPoly({0: 2**15}) * UniPoly({0: 2**16})
+    assert dict(wide.terms) == {0: 2**31}
+    assert dict((UniPoly({0: 2**30}) - UniPoly({3: 2**30})).terms) == {0: 2**30, 3: -(2**30)}
+
+
+def test_the_64_bit_guard_is_final_with_its_old_message():
+    """At 64 bits the guard raises IntegrityError, not PackedRangeError:
+    there is no wider width to redo the work at."""
+    with pytest.raises(IntegrityError) as info:
+        UniPoly({0: 2**62}) * UniPoly({0: 2})
+    assert not isinstance(info.value, PackedRangeError)
+    assert str(info.value) == "coefficient bound 2^63 is out of the packed range 2^63"
+
+
+# -- two widths ------------------------------------------------------------------
+
+
+def test_operations_between_widths_raise_type_error():
+    a, b = P32({0: 1, 2: -3}), UniPoly({0: 1, 2: -3})
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, div32, poly_divexact)
+    for op in ops:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError, match="does not combine"):
+                op(x, y)
+    with pytest.raises(TypeError):
+        a + 1
+    assert a != b and a * 3 == P32({0: 3, 2: -9}) and 3 * b == UniPoly({0: 3, 2: -9})
+
+
+def test_repack_converts_exactly_and_keeps_the_bound():
+    p = UniPoly({-2: 2**20, 5: -7})
+    q = P32.repack(p)
+    assert type(q) is P32 and q.coefficients() == p.coefficients()
+    assert UniPoly.repack(q) == p and P32.repack(q) is q
+    assert P32.repack(UniPoly.zero()) == P32.zero()
+    # t = (2^30 t + t) - 2^30 t: the value is tiny, its bound 2^31 + 1 is
+    # not, and the repacked value keeps it, so later guards stay put
+    t = (UniPoly({0: 2**30, 1: 1}) - UniPoly({0: 2**30}))
+    assert dict(t.terms) == {1: 1}
+    with pytest.raises(PackedRangeError):
+        P32.repack(t)
+    with pytest.raises(PackedRangeError):
+        P32.repack(UniPoly({0: 2**31}))
