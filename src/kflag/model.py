@@ -17,7 +17,6 @@ from .errors import (
     IntegrityError,
     NonzeroResidualError,
     NotDivisibleError,
-    PackedRangeError,
     PoleAtOneError,
 )
 from .laurent import LaurentPoly
@@ -146,8 +145,11 @@ class SchubertModel:
     The table is packed at ``univariate.NARROW_BITS`` unless a bound there
     reaches the packed range; then it is built at 64 bits (``narrow_first``).
     An injected table keeps the width of its entries.  ``bits`` and
-    ``poly`` (the ``UniPoly`` class) are the model's width; ``run_packed``
-    redoes a job that does not fit it on ``wide``, the 64-bit twin.
+    ``poly`` (the ``UniPoly`` class) are the model's width.  Every integer
+    operation is one job of ``run_packed``, redone whole on ``wide``, the
+    64-bit twin, if it does not fit: the constants of a pair, a whole line
+    table, chi at a second cocharacter, and the public
+    ``integer_coefficients``, ``euler_characteristic`` and ``specialize``.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -190,25 +192,11 @@ class SchubertModel:
         return self._wide
 
     def run_packed(self, job):
-        """job(model) for a one-variable job, at this model's width; if a
-        norm bound there reached the packed range (``PackedRangeError``),
-        job(self.wide) once more.  At 64 bits a range error is final.  The
-        redo runs after the handler, so the failed attempt's frames, which
-        the traceback holds, are freed first."""
-        try:
-            return job(self)
-        except PackedRangeError:
-            pass
-        return job(self.wide)
-
-    def _repack(self, f: EquivClass) -> EquivClass:
-        """f with its one-variable restrictions at this model's width; a
-        class holds one width, so its first restriction shows which."""
-        poly = self.poly
-        first = next(iter(f.restrictions.values()), None)
-        if first is None or type(first) is poly:
-            return f
-        return EquivClass(self.rank, {v: poly.repack(p) for v, p in f.restrictions.items()})
+        """job(model) for a one-variable job that packs its own inputs at
+        the model's width and reads only that model's rows: job(self), or
+        job(self.wide) once more if a norm bound reached the narrow range
+        (``narrow_first``).  At 64 bits a range error is final."""
+        return narrow_first(lambda bits: job(self.wide if bits == DIGIT_BITS else self), self.bits)
 
     # -- class constructors -----------------------------------------------
 
@@ -319,8 +307,12 @@ class SchubertModel:
         fewer classes outside the span than the multivariate route.  f may
         have either width; the solve runs as a job of ``run_packed``.
         """
-        return self.run_packed(lambda m: _values_at_one(
-            m._solve(m._repack(f), m.specialized_schubert_class, m._divexact)))
+        return self.run_packed(lambda m: m._integer_solve(EquivClass(
+            m.rank, {v: m.poly.repack(p) for v, p in f.restrictions.items()})))
+
+    def _integer_solve(self, f: EquivClass) -> dict[WeylElement, int]:
+        """Integer coefficients of a one-variable class of this width, with no redo."""
+        return _values_at_one(self._solve(f, self.specialized_schubert_class, self._divexact))
 
     def _solve(self, f: EquivClass, row, divide) -> dict:
         """Coordinates of f against the Schubert rows ``row(w)``; a residual raises."""
@@ -330,6 +322,32 @@ class SchubertModel:
         if residual:
             raise NonzeroResidualError("expansion left a nonzero residual")
         return coeffs
+
+    # -- integer operations, each one job of ``run_packed`` ---------------------
+
+    def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
+        """Integer constants of [O_{X_u}] . [O_{X_v}]: the product and its solve."""
+        return self.run_packed(lambda m: m._integer_solve(
+            m.specialized_schubert_class(u) * m.specialized_schubert_class(v)))
+
+    def line_table(self, lam) -> dict[WeylElement, dict[WeylElement, int]]:
+        """The integer constants of [L(lam)] . [O_{X_v}] for every v.  The
+        line class is built at the job's width; a row past its range redoes
+        the whole table at 64 bits."""
+        def job(m):
+            lclass = m.line_bundle_class(lam, _monomial_t(m.cocharacter, m.poly))
+            return {v: m._integer_solve(lclass * m.specialized_schubert_class(v))
+                    for v in m.group.elements}
+
+        return self.run_packed(job)
+
+    def schubert_chi(self, heights) -> list[int]:
+        """chi of every Schubert class, by w.index, at the cocharacter whose
+        simple-root heights are ``heights``; its one-variable table is built
+        in the job and dropped."""
+        k = _height_cocharacter(self.datum, heights)
+        return self.run_packed(
+            lambda m: [m._euler_characteristic(f, k) for f in m._specialized_table(k)])
 
     # -- pushforward and expansion ------------------------------------------
 

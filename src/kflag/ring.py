@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConfigError, IntegrityError
-from .model import SchubertModel, _height_cocharacter, _monomial_t, back_solve
+from .model import SchubertModel, back_solve
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -96,20 +96,12 @@ class SchubertRing:
     # -- products and expansions --------------------------------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Integer constants of [O_{X_u}] . [O_{X_v}] over the Schubert basis.
-
-        The product and its solve are one job of ``model.run_packed``, so a
-        bound past the narrow packed range redoes them at 64 bits, in a fork
-        worker too.
-        """
+        """Integer constants of [O_{X_u}] . [O_{X_v}] over the Schubert basis."""
         key = _memo_key(u, v)
         got = self._sc_memo.get(key)
-        if got is not None:
-            return got
-        out = self.model.run_packed(lambda m: m.integer_coefficients(
-            m.specialized_schubert_class(u) * m.specialized_schubert_class(v)))
-        self._sc_memo[key] = out
-        return out
+        if got is None:
+            got = self._sc_memo[key] = self.model.structure_constants(u, v)
+        return got
 
     def o_basis_product(self, a: dict[WeylElement, int], b: dict[WeylElement, int]):
         """Product of two O-basis vectors using only integer structure constants."""
@@ -225,20 +217,11 @@ class SchubertRing:
         return dict(table[v])
 
     def _line_table(self, lam: Weight):
-        """The coefficients of [L(lam)] . [O_{X_v}] for every v.  A line
-        class is a monomial at each fixed point, so each product has the
-        norm of its table row and fits the model's width; only the solve,
-        which redoes itself at 64 bits, can pass the narrow range."""
+        """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized."""
         got = self._line_memo.get(lam)
-        if got is not None:
-            return got
-        m = self.model
-        lclass = m.line_bundle_class(lam, _monomial_t(m.cocharacter, m.poly))
-        table = {}
-        for v in self.group.elements:
-            table[v] = m.integer_coefficients(lclass * m.specialized_schubert_class(v))
-        self._line_memo[lam] = table
-        return table
+        if got is None:
+            got = self._line_memo[lam] = self.model.line_table(lam)
+        return got
 
     # -- parabolic calculus -----------------------------------------------------
 
@@ -280,16 +263,13 @@ class SchubertRing:
         runs over a table built here at k2, the cocharacter of simple-root
         heights (1, ..., 1, 2), and dropped afterwards: it checks the
         recursion at a specialization not proportional to k (from rank 2).
-        The k2 table and each chi are jobs of ``model.run_packed``.
         """
         t0 = time.monotonic()
         violations = []
         m = self.model
-        k2 = _height_cocharacter(self.datum, (1,) * (self.datum.rank - 1) + (2,))
-        second = m.run_packed(lambda n: n._specialized_table(k2))
-        for w in self.group.elements:
+        second = m.schubert_chi((1,) * (self.datum.rank - 1) + (2,))
+        for w, at_k2 in zip(self.group.elements, second):
             at_k = m.euler_characteristic(m.specialized_schubert_class(w))
-            at_k2 = m.run_packed(lambda n: n._euler_characteristic(second[w.index], k2))
             if at_k != 1 or at_k2 != 1:
                 violations.append((w.word, at_k, at_k2))
         return SignReport(

@@ -309,11 +309,12 @@ def _packed(bits: int):
 UniPoly, poly_divexact = _packed(DIGIT_BITS)
 
 
-def narrow_first(build):
-    """build(NARROW_BITS), or build(DIGIT_BITS) if a norm bound there
-    reached the packed range: how a table is built or loaded."""
+def narrow_first(build, bits: int | None = None):
+    """build(bits), at NARROW_BITS by default, or build(DIGIT_BITS) if a norm
+    bound there reached the packed range: how a table is built or loaded,
+    and how a model runs a job from its own width."""
     try:
-        return build(NARROW_BITS)
+        return build(bits or NARROW_BITS)
     except PackedRangeError:
         pass  # rebuilt after the handler, once the traceback is freed
     return build(DIGIT_BITS)

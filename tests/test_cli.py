@@ -854,8 +854,8 @@ def test_cache_rows_load_at_the_narrow_width(tmp_path, capsys):
     ("--type", "D", "--rank", "4", "--v", "1,2", "--lambda", "100,0,0,0"),
 ])
 def test_line_rows_past_the_narrow_range_are_redone_at_64_bits(capsys, monkeypatch, argv):
-    """These line rows do not fit 32-bit digits; each is redone on the
-    64-bit twin, and the output is the output of a 64-bit-only run."""
+    """These line rows do not fit 32-bit digits; their table is redone on
+    the 64-bit twin, and the output is the output of a 64-bit-only run."""
     from kflag.model import SchubertModel
 
     asked = []

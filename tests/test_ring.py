@@ -342,17 +342,18 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
     report solves each of the 24 rows of the L(-rho) line table, which give
     both omega-bases, once.  After the sign sweep the memo holds every
-    constant, and only those line rows are solved."""
+    constant, and only those line rows are solved.  The spy is the model's
+    one-variable solve, which every constant and line row goes through."""
     from kflag import SchubertModel
 
     calls = []
-    solve = SchubertModel.integer_coefficients
+    solve = SchubertModel._solve
 
-    def count(self, f):
+    def count(self, f, row, divide):
         calls.append(f)
-        return solve(self, f)
+        return solve(self, f, row, divide)
 
-    monkeypatch.setattr(SchubertModel, "integer_coefficients", count)
+    monkeypatch.setattr(SchubertModel, "_solve", count)
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
     assert len(calls) == 134

@@ -322,6 +322,43 @@ def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatc
     assert narrow.euler_characteristic(prod) == sum(reference(narrow, prod).values())
 
 
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypatch):
+    """At 8-bit digits row e of a line table, the largest row, passes 2^7:
+    the table makes no 8-bit solve after that failure and then solves every
+    row at 64 bits.  The constant of (e, w_o) fits its product but not its
+    solve, so it is solved once at each width.  Both equal what a model
+    that never packs narrow gives."""
+    from kflag import PackedRangeError, SchubertModel, SchubertRing
+
+    narrow = _model_at(monkeypatch, label, 8)
+    wide = _model_at(monkeypatch, label, 64)
+    small, big = SchubertRing(narrow), SchubertRing(wide)
+    calls = []
+    solve = SchubertModel._solve
+
+    def spy(self, f, row, divide):
+        try:
+            out = solve(self, f, row, divide)
+        except PackedRangeError:
+            calls.append((self.bits, "overflow"))
+            raise
+        calls.append((self.bits, "solved"))
+        return out
+
+    monkeypatch.setattr(SchubertModel, "_solve", spy)
+    lam = narrow.datum.fundamental_weight(1)
+    table = small._line_table(lam)
+    assert calls == [(8, "overflow")] + [(64, "solved")] * len(narrow.group.elements)
+    assert {v.index: _by_index(row) for v, row in table.items()} == {
+        v.index: _by_index(row) for v, row in big._line_table(lam).items()}
+    calls.clear()
+    g, h = narrow.group, wide.group
+    got = small.structure_constants(g.identity, g.w_o)
+    assert calls == [(8, "overflow"), (64, "solved")]
+    assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o)) == {0: 1}
+
+
 def test_a_table_that_overflows_the_narrow_range_is_built_at_64_bits(monkeypatch):
     """B3's table reaches past 2^7, so at 8-bit digits the whole table is
     built at 64 bits; the model is then its own twin."""
