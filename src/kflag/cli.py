@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import io
 import json
 import os
@@ -133,6 +131,14 @@ def _canonical_payload_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 of data; only the cache and ``--cartan`` labels
+    need it, so hashlib is imported here, not at module load."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) -> dict:
     """The one-variable Schubert table as rows [w, v, s, [c_0, ..., c_k]]:
     the restriction of class w at fixed point v is t^s (c_0 + ... + c_k t^k)."""
@@ -151,7 +157,7 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
         "elements": [list(w.word) for w in group.elements],
         "restrictions": rows,
     }
-    payload["digest"] = hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest()
+    payload["digest"] = _sha256(_canonical_payload_bytes(payload))
     return payload
 
 
@@ -202,7 +208,7 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
         print("warning: cache schema version mismatch; recomputing", file=sys.stderr)
         return None
-    if hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest() != digest:
+    if _sha256(_canonical_payload_bytes(payload)) != digest:
         print("warning: cache digest mismatch; recomputing", file=sys.stderr)
         return None
     grp = payload.get("group")
@@ -249,9 +255,7 @@ def _build_ring(args):
     if args.cartan is None:
         datum = build_root_datum(args.type, args.rank)
     else:
-        digest = hashlib.sha256(
-            json.dumps(args.cartan, sort_keys=True).encode()
-        ).hexdigest()[:8]
+        digest = _sha256(json.dumps(args.cartan, sort_keys=True).encode())[:8]
         datum = root_datum_from_cartan(args.cartan, label=f"custom-{digest}")
     group = WeylGroup(datum, max_size=args.max_weyl)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
@@ -280,6 +284,8 @@ def _sorted_rows(rows: list[dict]) -> list[dict]:
 def _emit(obj: dict, args, csv_rows=None, csv_header=None) -> None:
     """Write obj as JSON, or in csv format the rows alone, w as a spaced word."""
     if args.format == "csv":
+        import csv  # here, not at module load: only csv output needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)

@@ -63,16 +63,16 @@ class EquivClass:
         return EquivClass(self.rank, {v: -p for v, p in self.restrictions.items()})
 
     def __mul__(self, other: "EquivClass") -> "EquivClass":
-        """Pointwise product at the common fixed points."""
+        """Pointwise product at the common fixed points.  No restriction is
+        zero and both coefficient rings are integral domains, so no product
+        is: the result skips the constructor's filter."""
         a, b = self.restrictions, other.restrictions
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for v, p in a.items():
-            q = b.get(v)
-            if q is not None:
-                out[v] = p * q
-        return EquivClass(self.rank, out)
+        out = object.__new__(EquivClass)
+        out.rank = self.rank
+        out.restrictions = {v: p * q for v, p in a.items() if (q := b.get(v)) is not None}
+        return out
 
     def __repr__(self) -> str:
         body = ", ".join(f"{v!r}: {p!r}" for v, p in sorted(
@@ -112,6 +112,9 @@ def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
     ``rows(w)`` maps each u to the entry of basis vector w at u (pivot
     included) and ``divide(c, d)`` is the exact quotient, raising when there
     is none.  Returns the coordinates of ``vec`` and the residual left over.
+    The integer basis change and the weight-lattice expansion solve here;
+    one-variable classes go through the fused ``UniPoly.solve_at_one``,
+    which the tests check against this route.
     """
     residual = {w: c for w, c in vec.items() if c}
     coords = {}
@@ -311,17 +314,13 @@ class SchubertModel:
             m.rank, {v: m.poly.repack(p) for v, p in f.restrictions.items()})))
 
     def _integer_solve(self, f: EquivClass) -> dict[WeylElement, int]:
-        """Integer coefficients of a one-variable class of this width, with no redo."""
-        return _values_at_one(self._solve(f, self.specialized_schubert_class, self._divexact))
-
-    def _solve(self, f: EquivClass, row, divide) -> dict:
-        """Coordinates of f against the Schubert rows ``row(w)``; a residual raises."""
-        coeffs, residual = back_solve(
-            self.group.elements, f.restrictions, lambda w: row(w).restrictions, divide
-        )
-        if residual:
-            raise NonzeroResidualError("expansion left a nonzero residual")
-        return coeffs
+        """Integer coefficients of a one-variable class of this width, with
+        no redo: the fused kernel ``poly.solve_at_one`` against this model's
+        rows.  Every constant, line row and ``integer_coefficients`` call
+        solves here."""
+        table = self._specialized
+        return self.poly.solve_at_one(
+            self.group.elements, f.restrictions, lambda w: table[w.index].restrictions)
 
     # -- integer operations, each one job of ``run_packed`` ---------------------
 
@@ -402,7 +401,12 @@ class SchubertModel:
         both failures mean the class is outside the span (or a convention
         bug) and raise.
         """
-        return ExpansionResult(self._solve(f, self.schubert_class, LaurentPoly.exact_div))
+        coeffs, residual = back_solve(self.group.elements, f.restrictions,
+                                      lambda w: self.schubert_class(w).restrictions,
+                                      LaurentPoly.exact_div)
+        if residual:
+            raise NonzeroResidualError("expansion left a nonzero residual")
+        return ExpansionResult(coeffs)
 
 
 def _degree(lam, k) -> int:

@@ -30,7 +30,7 @@ import struct
 from functools import cache
 from types import MappingProxyType
 
-from .errors import IntegrityError, NotDivisibleError, PackedRangeError
+from .errors import IntegrityError, NonzeroResidualError, NotDivisibleError, PackedRangeError
 
 DIGIT_BITS = 64  # the width of ``UniPoly``, the widest one
 NARROW_BITS = 32  # the width a model packs its table and its jobs at first
@@ -303,6 +303,82 @@ def _packed(bits: int):
             raise out_of_range(norm * b._bound)
         return make(a._shift - b._shift, q, norm)
 
+    def solve_at_one(elements, vec: dict, rows) -> dict:
+        """The values at t = 1 of the coordinates of ``vec`` against a
+        unitriangular basis, zero values omitted: ``model.back_solve`` with
+        ``poly_divexact`` fused into one loop over packed integers.
+
+        ``elements`` is in an order refining Bruhat order and ``rows(w)``
+        maps each u to the entry of basis vector w at u, pivot included.
+        The residual is kept as (shift, packed int, bound) triples, with
+        trailing zero digits stripped only at a pivot, just before its
+        divmod.  Every bound is the one the method path computes, checked
+        in the same order: the quotient certificate, then for each row
+        entry the product bound and the difference bound.  So this raises
+        where ``back_solve`` would: ``NotDivisibleError`` for an inexact
+        pivot, the range error, and ``NonzeroResidualError`` if anything is
+        left over.  Each quotient is read at t = 1 by ``eval_at_one``'s
+        residue and never built as a ``UniPoly``.
+        """
+        residual = {}
+        for w, p in vec.items():
+            if type(p) is not UniPoly:
+                raise mixed(p)
+            if p._packed:
+                residual[w] = (p._shift, p._packed, p._bound)
+        values = {}
+        for w in reversed(elements):
+            c = residual.get(w)
+            if c is None:
+                continue
+            row = rows(w)
+            pivot = row[w]
+            s, x, c_bound = c
+            if not x & mask:
+                s, x = strip(s, x)
+            q, r = divmod(x, pivot._packed)
+            if r:
+                raise NotDivisibleError("univariate division is not exact")
+            qb = sum(map(abs, digits(q)))
+            if qb * pivot._bound >= half:
+                raise out_of_range(qb * pivot._bound)
+            value = q % mask
+            if value:
+                values[w] = value - mask if value > mask >> 1 else value
+            qs = s - pivot._shift
+            for u, m in row.items():
+                b = qb * m._bound
+                if b >= half:
+                    raise out_of_range(b)
+                if u is w:  # the certified quotient cancels c: only the guard is left
+                    b += c_bound
+                    if b >= half:
+                        raise out_of_range(b)
+                    del residual[w]
+                    continue
+                ms, mx = qs + m._shift, q * m._packed
+                old = residual.get(u)
+                if old is None:
+                    residual[u] = (ms, -mx, b)
+                    continue
+                old_s, old_x, old_b = old
+                b += old_b
+                if b >= half:
+                    raise out_of_range(b)
+                d = ms - old_s
+                if d >= 0:
+                    n = old_x - (mx << (bits * d))
+                else:
+                    old_s, n = ms, (old_x << (bits * -d)) - mx
+                if n:
+                    residual[u] = (old_s, n, b)
+                else:
+                    del residual[u]
+        if residual:
+            raise NonzeroResidualError("expansion left a nonzero residual")
+        return values
+
+    UniPoly.solve_at_one = staticmethod(solve_at_one)
     return UniPoly, poly_divexact
 
 

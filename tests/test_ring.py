@@ -347,13 +347,13 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     from kflag import SchubertModel
 
     calls = []
-    solve = SchubertModel._solve
+    solve = SchubertModel._integer_solve
 
-    def count(self, f, row, divide):
+    def count(self, f):
         calls.append(f)
-        return solve(self, f, row, divide)
+        return solve(self, f)
 
-    monkeypatch.setattr(SchubertModel, "_solve", count)
+    monkeypatch.setattr(SchubertModel, "_integer_solve", count)
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
     assert len(calls) == 134

@@ -247,11 +247,14 @@ def test_laurent_divexact():
 
 
 def _model_at(monkeypatch, label: str, bits: int):
-    """A fresh model of ``label`` whose table and jobs start at ``bits`` bits."""
+    """A fresh model of ``label`` whose table and jobs start at ``bits`` bits.
+    ``NARROW_BITS`` is patched only while the table is built: a model's
+    jobs start from its own width, whatever the default is by then."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
 
-    monkeypatch.setattr("kflag.univariate.NARROW_BITS", bits)
-    return SchubertModel(WeylGroup(build_root_datum(label[0], int(label[1:]))))
+    with monkeypatch.context() as patch:
+        patch.setattr("kflag.univariate.NARROW_BITS", bits)
+        return SchubertModel(WeylGroup(build_root_datum(label[0], int(label[1:]))))
 
 
 def _by_index(coeffs: dict) -> dict:
@@ -328,25 +331,28 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     the table makes no 8-bit solve after that failure and then solves every
     row at 64 bits.  The constant of (e, w_o) fits its product but not its
     solve, so it is solved once at each width.  Both equal what a model
-    that never packs narrow gives."""
-    from kflag import PackedRangeError, SchubertModel, SchubertRing
+    that never packs narrow gives.  A job starts from the model's width,
+    not from ``NARROW_BITS`` at call time: the 8-bit attempt comes first
+    with the default back at 32 bits, and with it set to 64."""
+    from kflag import PackedRangeError, SchubertModel, SchubertRing, univariate
 
     narrow = _model_at(monkeypatch, label, 8)
     wide = _model_at(monkeypatch, label, 64)
+    assert (narrow.bits, wide.bits, univariate.NARROW_BITS) == (8, 64, 32)
     small, big = SchubertRing(narrow), SchubertRing(wide)
     calls = []
-    solve = SchubertModel._solve
+    solve = SchubertModel._integer_solve
 
-    def spy(self, f, row, divide):
+    def spy(self, f):
         try:
-            out = solve(self, f, row, divide)
+            out = solve(self, f)
         except PackedRangeError:
             calls.append((self.bits, "overflow"))
             raise
         calls.append((self.bits, "solved"))
         return out
 
-    monkeypatch.setattr(SchubertModel, "_solve", spy)
+    monkeypatch.setattr(SchubertModel, "_integer_solve", spy)
     lam = narrow.datum.fundamental_weight(1)
     table = small._line_table(lam)
     assert calls == [(8, "overflow")] + [(64, "solved")] * len(narrow.group.elements)
@@ -357,6 +363,11 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     got = small.structure_constants(g.identity, g.w_o)
     assert calls == [(8, "overflow"), (64, "solved")]
     assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o)) == {0: 1}
+    # nor does a default of 64 bits at call time skip the model's own width
+    monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
+    calls.clear()
+    assert SchubertRing(narrow).structure_constants(g.identity, g.w_o) == got
+    assert calls == [(8, "overflow"), (64, "solved")]
 
 
 def test_a_table_that_overflows_the_narrow_range_is_built_at_64_bits(monkeypatch):
@@ -393,3 +404,136 @@ def test_fork_workers_redo_their_own_overflowing_jobs(monkeypatch, forced_pool):
         k: _by_index(cs) for k, cs in serial._sc_memo.items()}
     assert all(w is narrow.group.elements[w.index]
                for cs in pooled._sc_memo.values() for w in cs)
+
+
+# -- the fused solve kernel against the method path --------------------------------
+
+
+def _method_solve(elements, vec: dict, rows, divide) -> dict:
+    """The route ``UniPoly.solve_at_one`` fuses: ``back_solve`` with the
+    ring's exact division, then each value at t = 1."""
+    from kflag import NonzeroResidualError
+    from kflag.model import _values_at_one, back_solve
+
+    coords, residual = back_solve(elements, vec, rows, divide)
+    if residual:
+        raise NonzeroResidualError("expansion left a nonzero residual")
+    return _values_at_one(coords)
+
+
+def _outcome(solve, *args):
+    """The values as a list in solve order, or the error's type and message
+    as a tuple."""
+    from kflag import KflagError
+
+    try:
+        return list(solve(*args).items())
+    except (KflagError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _both_routes(ring, elements, vec: dict, rows):
+    """(kernel, method path) outcomes of one solve in ``ring``, a
+    ``(UniPoly, poly_divexact)`` pair of one width."""
+    poly, divide = ring
+    return (_outcome(poly.solve_at_one, elements, vec, rows),
+            _outcome(_method_solve, elements, vec, rows, divide))
+
+
+def _model_routes(model, vec: dict, elements=None):
+    """Both outcomes of solving ``vec`` against the model's rows, over the
+    group's elements unless others are given."""
+    def rows(w):
+        return model.specialized_schubert_class(w).restrictions
+
+    return _both_routes((model.poly, model._divexact),
+                        model.group.elements if elements is None else elements, vec, rows)
+
+
+def _solve_inputs(model):
+    """Every product psi_a . psi_b with a <= b, and every row product of the
+    line tables of omega_1, rho and -rho, at the model's width; a product
+    that passes the width's range is no input and is left out."""
+    from kflag import PackedRangeError
+    from kflag.model import _monomial_t
+
+    g, psi = model.group, model.specialized_schubert_class
+    factors = [(psi(u), psi(v)) for u, v in _all_pairs(g)]
+    rho = model.datum.rho
+    for lam in (model.datum.fundamental_weight(1), rho, tuple(-x for x in rho)):
+        lclass = model.line_bundle_class(lam, _monomial_t(model.cocharacter, model.poly))
+        factors += [(lclass, psi(v)) for v in g.elements]
+    for a, b in factors:
+        try:
+            yield a * b
+        except PackedRangeError:
+            pass
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "G2"])
+def test_the_solve_kernel_matches_the_method_path(label, bits, monkeypatch):
+    """On every product and line row the kernel returns the method path's
+    values in its order, or raises its error with its message: the guards
+    run on the same bounds in the same order.  At 8 bits some solves pass
+    the range, so both routes' range errors are compared too (1,072 solves
+    over the eight cases, 202 of them range errors)."""
+    from kflag import PackedRangeError
+
+    model = _model_at(monkeypatch, label, bits)
+    assert model.bits == bits
+    solves = range_errors = 0
+    for prod in _solve_inputs(model):
+        got, want = _model_routes(model, prod.restrictions)
+        assert got == want
+        solves += 1
+        range_errors += type(want) is tuple and want[0] is PackedRangeError
+    assert solves > len(model.group.elements) ** 2 // 2
+    # A2 fits 8 bits everywhere; A3, B2 and G2 do not
+    assert (range_errors > 0) == (bits == 8 and label != "A2")
+
+
+def test_the_solve_kernel_raises_as_the_method_path_does(engines):
+    """An inexact pivot, a vector outside the span of the rows it is solved
+    against, and a value of the other width raise the same errors on both
+    routes."""
+    from kflag import NonzeroResidualError
+
+    m, g = engines.model("A2"), engines.group("A2")
+    assert m.bits == 32
+    # 1 at e: its pivot is the point class's restriction, a product of binomials
+    got, want = _model_routes(m, {g.identity: m.poly.one()})
+    assert got == want and want[0] is NotDivisibleError
+    # the rows of every element but e do not span the point class
+    point = m.specialized_schubert_class(g.identity).restrictions
+    got, want = _model_routes(m, point, g.elements[1:])
+    assert got == want and want[0] is NonzeroResidualError
+    got, want = _model_routes(m, {g.w_o: UniPoly.one()})  # 64 bits against 32
+    assert got == want and want[0] is TypeError
+
+
+@pytest.mark.parametrize("vec, rows", [
+    # 2 x 100 at a, where nothing is left to subtract from: the product guard
+    ({"b": 2}, {"a": {"a": 1}, "b": {"b": 1, "a": 100}}),
+    # 2 x 50 fits, but 50 - 100 at a does not: the difference guard
+    ({"b": 2, "a": 50}, {"a": {"a": 1}, "b": {"b": 1, "a": 50}}),
+    # 60 (1 + t) over 1 + t: the quotient fits, but the pivot's own
+    # difference, whose value is 0, has the bound 120 + 120
+    ({"b": {0: 60, 1: 60}}, {"a": {"a": 1}, "b": {"b": {0: 1, 1: 1}}}),
+])
+def test_each_guard_of_the_solve_kernel_fires_where_the_method_path_does(vec, rows):
+    """Two-element systems at 8 bits, each past the range 2^7 at one guard
+    the corpus inputs seldom reach first."""
+    from kflag import PackedRangeError
+    from kflag.univariate import _packed
+
+    ring = _packed(8)
+    poly = ring[0]
+
+    def packed(c):
+        return poly(c if isinstance(c, dict) else {0: c})
+
+    vec = {w: packed(c) for w, c in vec.items()}
+    rows = {w: {u: packed(c) for u, c in row.items()} for w, row in rows.items()}
+    got, want = _both_routes(ring, ["a", "b"], vec, rows.__getitem__)
+    assert got == want and want[0] is PackedRangeError
