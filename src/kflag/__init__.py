@@ -58,4 +58,4 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -187,15 +187,7 @@ class SchubertRing:
     def change_basis(self, kclass: KClass, target: str) -> KClass:
         if kclass.basis == target:
             return kclass
-        rows = self.basis_matrix(kclass.basis)
-        o_vec: dict[WeylElement, int] = {}
-        for w, c in kclass.coeffs.items():
-            for u, m in rows[w].items():
-                n = o_vec.get(u, 0) + c * m
-                if n:
-                    o_vec[u] = n
-                else:
-                    del o_vec[u]
+        o_vec = _row_times(kclass.coeffs, self.basis_matrix(kclass.basis))
         if target == O_BASIS:
             return KClass(O_BASIS, o_vec)
         return KClass(target, self.coords_in_basis(o_vec, target))
@@ -217,10 +209,27 @@ class SchubertRing:
         return dict(table[v])
 
     def _line_table(self, lam: Weight):
-        """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized."""
+        """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized.
+
+        The model solves only 0 and +-omega_i; by [L(lam + mu)] = [L(lam)] . [L(mu)]
+        any other table is M_h M_h M_{lam - 2h}, h_i = lam_i / 2 rounded away from 0
+        where |lam_i| > 1, else 0, or for h = 0 the product of the lam_i omega_i tables.
+        """
         got = self._line_memo.get(lam)
         if got is None:
-            got = self._line_memo[lam] = self.model.line_table(lam)
+            half = tuple(-(-c // 2) if c > 1 else c // 2 if c < -1 else 0 for c in lam)
+            if any(half):
+                parts = [half, half, tuple(c - 2 * h for c, h in zip(lam, half))]
+            else:
+                parts = [tuple(c if j == i else 0 for j in range(len(lam))) for i, c in enumerate(lam)]
+            parts = [p for p in parts if any(p)]
+            if len(parts) < 2:  # lam is 0 or +-omega_i
+                got = self.model.line_table(lam)
+            else:
+                got, *others = [self._line_table(p) for p in parts]
+                for table in others:
+                    got = {v: _row_times(row, table) for v, row in got.items()}
+            self._line_memo[lam] = got
         return got
 
     # -- parabolic calculus -----------------------------------------------------
@@ -463,11 +472,7 @@ class SchubertRing:
         t_sum = self._line_table(_add(lam, mu))
         violations = []
         for v in elements:
-            got: dict[WeylElement, int] = {}
-            for x, c_x in t_lam[v].items():
-                for w, c in t_mu[x].items():
-                    got[w] = got.get(w, 0) + c_x * c
-            got = {w: c for w, c in got.items() if c}
+            got = _row_times(t_lam[v], t_mu)
             want = t_sum[v]
             if got == want:
                 continue
@@ -546,6 +551,15 @@ def _neg(weight: Weight) -> Weight:
 
 def _add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _row_times(row: dict, table) -> dict:
+    """sum_x row[x] * table[x], zero entries dropped."""
+    out: dict[WeylElement, int] = {}
+    for x, c in row.items():
+        for w, m in table[x].items():
+            out[w] = out.get(w, 0) + c * m
+    return {w: c for w, c in out.items() if c}
 
 
 def _ms(t0: float) -> int:

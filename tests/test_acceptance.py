@@ -3,8 +3,8 @@
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
 the B4 sample, the B4 and A5 width comparison, the A4 pool test, the B3,
-C3, A4 and D4 Richardson checks and the A4 and D4 omega-basis checks are
-opt-in: set KFLAG_BIG_RANK=1.
+C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks and the
+B4 line table at the weight bound are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -402,6 +402,29 @@ def test_criterion_09_weyl_dimension_oracle(engines):
             assert chi == weyl_dimension(datum, lam), (label, lam)
             total += 1
     _announce(9, "A2,B2,G2", f"chi(L(lambda)) equals the dimension formula, {total} weights")
+
+
+BOUND = 2**20 - 1  # the largest coordinate the CLI accepts
+
+
+@pytest.mark.parametrize("label, lam", [
+    ("G2", (10**6, 0)),
+    ("D4", (1000, 0, 0, 0)),
+    ("D4", (BOUND,) * 4),
+    pytest.param("B4", (BOUND,) * 4, marks=pytest.mark.skipif(
+        not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B4 line table")),
+], ids=["G2-1e6", "D4-1000", "D4-bound", "B4-bound"])
+def test_criterion_09_large_dominant_weights_by_borel_weil(label, lam, engines):
+    """Weights whose direct line solve leaves the packed range: the
+    composed table is nonnegative, and by Borel-Weil its row w_o sums to
+    chi(L(lambda)), the Weyl dimension of lambda, as chi[O_{X_w}] = 1."""
+    ring = SchubertRing(engines.model(label))
+    table = ring._line_table(lam)
+    assert all(c >= 0 for row in table.values() for c in row.values())
+    total = sum(table[ring.group.w_o].values())
+    assert total == weyl_dimension(ring.datum, lam)
+    _announce(9, label, f"lambda = {lam}: {len(table)} nonnegative rows, "
+              f"row w_o sums to the Weyl dimension ({total.bit_length()} bits)")
 
 
 def test_criterion_10_model_integrity(engines):

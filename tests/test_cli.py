@@ -848,30 +848,58 @@ def test_cache_rows_load_at_the_narrow_width(tmp_path, capsys):
     assert {type(p).DIGIT_BITS for row in table for p in row.values()} == {32}
 
 
+def _line_rows(capsys, *argv):
+    """(exit code, {w: c}) of a ``line-coeffs`` call."""
+    code, out, err = run_cli(capsys, "line-coeffs", *argv)
+    assert err == ""
+    return code, {tuple(row["w"]): row["c"] for row in json.loads(out)["coeffs"]}
+
+
 @pytest.mark.parametrize("argv", [
     ("--type", "G", "--rank", "2", "--v", "1,2,1", "--lambda", "300,0"),
     ("--type", "B", "--rank", "3", "--v", "1,2,3", "--lambda", "200,0,0"),
     ("--type", "D", "--rank", "4", "--v", "1,2", "--lambda", "100,0,0,0"),
 ])
-def test_line_rows_past_the_narrow_range_are_redone_at_64_bits(capsys, monkeypatch, argv):
-    """These line rows do not fit 32-bit digits; their table is redone on
-    the 64-bit twin, and the output is the output of a 64-bit-only run."""
+def test_line_rows_past_the_narrow_range_equal_a_64_bit_direct_solve(capsys, monkeypatch, argv):
+    """Solved directly, these line rows do not fit 32-bit digits.  The CLI
+    composes them from the fundamental tables without the 64-bit twin, and
+    they equal the rows ``model.line_table`` solves on a 64-bit model."""
+    from kflag import WeylGroup, build_root_datum
     from kflag.model import SchubertModel
 
     asked = []
     twin = SchubertModel.wide
     monkeypatch.setattr(SchubertModel, "wide",
                         property(lambda self: asked.append(self.bits) or twin.fget(self)))
-    narrow, wide = _narrow_and_wide_runs(capsys, monkeypatch, "line-coeffs", *argv)
-    assert narrow == wide and narrow[0] == 0 and narrow[2] == ""
-    assert 32 in asked
+    code, rows = _line_rows(capsys, *argv)
+    assert code == 0 and asked == []
+    monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
+    model = SchubertModel(WeylGroup(build_root_datum(argv[1], int(argv[3]))))
+    assert model.bits == 64
+    v = model.group.from_word([int(i) for i in argv[5].split(",")])
+    lam = tuple(int(x) for x in argv[7].split(","))
+    assert rows == {w.word: c for w, c in model.line_table(lam)[v].items()}
 
 
-def test_line_rows_past_the_64_bit_range_still_fail_integrity(capsys):
-    code, out, err = run_cli(capsys, "line-coeffs", "--type", "D", "--rank", "4",
-                             "--v", "1,2", "--lambda", "1000,0,0,0")
-    assert (code, out) == (3, "")
-    assert err == "integrity failure: coefficient bound 2^63 is out of the packed range 2^63\n"
+def test_line_rows_past_the_64_bit_range_are_answered(capsys, engines):
+    """D4 at 1000 omega_1 is past the packed range of a direct solve; the
+    composed rows are nonnegative, as the weight is dominant, and equal the
+    polynomial in n of degree l(v) through the direct rows at n omega_1,
+    n = 0, ..., l(v), since [L(omega_1)] - 1 is nilpotent on X_v."""
+    from math import comb
+
+    code, rows = _line_rows(capsys, "--type", "D", "--rank", "4",
+                            "--v", "1,2", "--lambda", "1000,0,0,0")
+    assert code == 0 and rows and min(rows.values()) >= 0
+    model = engines.model("D4")
+    v = model.group.from_word((1, 2))
+    direct = [model.line_table((n, 0, 0, 0))[v] for n in range(v.length + 1)]
+    want = {}
+    for k in range(v.length + 1):  # Newton's forward differences at n = 0
+        for j in range(k + 1):
+            for w, c in direct[j].items():
+                want[w.word] = want.get(w.word, 0) + comb(1000, k) * comb(k, j) * (-1) ** (k - j) * c
+    assert rows == {w: c for w, c in want.items() if c}
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Ring operations: constants, bases, pairing, Richardson and line classes."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from kflag import ConfigError, IntegrityError
-from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, SchubertRing
+from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, SchubertRing, _neg
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 import pairing_oracle
@@ -340,10 +341,11 @@ def test_richardson_sweeps(engines):
 def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     """On A3 the 213 comparable pairs read 110 structure constants, since
     (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
-    report solves each of the 24 rows of the L(-rho) line table, which give
-    both omega-bases, once.  After the sign sweep the memo holds every
-    constant, and only those line rows are solved.  The spy is the model's
-    one-variable solve, which every constant and line row goes through."""
+    report solves each of the 24 rows of the three L(-omega_i) line tables
+    once; their product is the L(-rho) table, which gives both omega-bases.
+    After the sign sweep the memo holds every constant, and only those line
+    rows are solved.  The spy is the model's one-variable solve, which every
+    constant and line row goes through."""
     from kflag import SchubertModel
 
     calls = []
@@ -356,14 +358,14 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     monkeypatch.setattr(SchubertModel, "_integer_solve", count)
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
-    assert len(calls) == 134
+    assert len(calls) == 110 + 3 * 24
 
     ring = SchubertRing(engines.model("A3"))
     assert ring.verify_alternating_signs().ok
     calls.clear()
     again = ring.verify_richardson_signs()
     assert again.ok and again.checked == 213
-    assert len(calls) == 24
+    assert len(calls) == 3 * 24
     # the line suite reads the same L(-rho) table at lambda = rho
     calls.clear()
     ring.line_bundle_coeffs(ring.group.w_o, tuple(-x for x in ring.datum.rho))
@@ -445,6 +447,63 @@ def test_line_coeffs_sum_is_weyl_dimension(engines):
     lam = g.datum.fundamental_weight(1)
     row = r.line_bundle_coeffs(g.w_o, lam)
     assert sum(row.values()) == 3 == weyl_dimension(g.datum, lam)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_composed_line_tables_match_the_direct_solve(label, engines):
+    """Every weight with coordinates in [-2, 2]: the ring's table, composed
+    from the tables of 0 and +-omega_i, equals the model's direct solve."""
+    model = engines.model(label)
+    ring = SchubertRing(model)
+    for lam in itertools.product(range(-2, 3), repeat=model.rank):
+        assert ring._line_table(lam) == model.line_table(lam), lam
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_composed_line_tables_match_the_direct_solve_at_random_weights(label, engines):
+    model = engines.model(label)
+    ring = SchubertRing(model)
+    rng = random.Random(label)
+    for _ in range(8):
+        lam = tuple(rng.randint(-6, 6) for _ in range(model.rank))
+        assert ring._line_table(lam) == model.line_table(lam), lam
+
+
+def test_composed_line_table_matches_a_direct_solve_redone_at_64_bits(engines, monkeypatch):
+    """D4 at 100 omega_1: the direct route passes 2^31 and is redone on the
+    64-bit twin; the composed table asks for no twin and equals it."""
+    from kflag import SchubertModel
+
+    asked = []
+    twin = SchubertModel.wide
+    monkeypatch.setattr(SchubertModel, "wide",
+                        property(lambda self: asked.append(self.bits) or twin.fget(self)))
+    model = engines.model("D4")
+    lam = (100, 0, 0, 0)
+    composed = SchubertRing(model)._line_table(lam)
+    assert asked == []
+    assert composed == model.line_table(lam)
+    assert 32 in asked
+
+
+def test_line_sweep_solves_only_the_fundamental_tables(engines, monkeypatch):
+    """The default D4 line sweep asks the model for 2r + 1 tables, those of
+    0 and +-omega_i, once each."""
+    from kflag import SchubertModel
+    from kflag.cli import _default_line_sweep
+
+    asked = []
+    solve = SchubertModel.line_table
+    monkeypatch.setattr(SchubertModel, "line_table",
+                        lambda self, lam: asked.append(lam) or solve(self, lam))
+    ring = SchubertRing(engines.model("D4"))
+    sweep = _default_line_sweep(ring.datum)
+    for lam in sweep:
+        for mu in sweep:
+            assert ring.verify_line_identities(lam, mu).ok
+    d = ring.datum
+    units = [d.fundamental_weight(i) for i in range(1, d.rank + 1)]
+    assert sorted(asked) == sorted([d.zero_weight(), *units, *(_neg(u) for u in units)])
 
 
 def test_line_identity_suite(engines):
