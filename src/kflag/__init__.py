@@ -5,6 +5,10 @@ floating point, the Schubert-structure-sheaf basis of the Grothendieck
 ring of G/P, its three companion bases, structure constants and
 line-bundle restriction coefficients, together with verification sweeps
 for the sign and positivity identities these objects satisfy.
+
+``LaurentPoly``, the weight-lattice ring, is imported on first use (a
+module ``__getattr__``), so a process that runs only the integer commands,
+as ``python -m kflag`` does, never loads ``kflag.laurent``.
 """
 
 from .errors import (
@@ -17,7 +21,6 @@ from .errors import (
     PackedRangeError,
     PoleAtOneError,
 )
-from .laurent import LaurentPoly
 from .model import EquivClass, ExpansionResult, SchubertModel
 from .ring import KClass, LineReport, SchubertRing, SignReport
 from .roots import (
@@ -58,4 +61,12 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
+
+
+def __getattr__(name: str):
+    if name == "LaurentPoly":
+        from .laurent import LaurentPoly
+
+        return LaurentPoly
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

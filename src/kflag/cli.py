@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from .errors import (
     BoundExceededError,
@@ -163,7 +162,10 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
 
 def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: SchubertModel) -> str | None:
     """Write the Schubert restriction table through a unique temp file, so
-    concurrent writers never interleave; failures warn and return None."""
+    concurrent writers never interleave; failures warn and return None.
+    Only a store needs ``tempfile``, so it is imported here."""
+    import tempfile
+
     name = f"schubert-table-{datum.label}.json"
     path = os.path.join(cache_dir, name)
     try:
@@ -467,7 +469,10 @@ def cmd_verify(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every command takes, built once and passed to each
+    subcommand as a parent."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--type", help="group type letter A..G")
     parser.add_argument("--rank", type=int, help="group rank")
     parser.add_argument("--cartan", help="path to a JSON file with an explicit Cartan matrix")
@@ -482,6 +487,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-weyl", dest="max_weyl", type=int, default=10000)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", help="write output to a file instead of stdout")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Schubert-structure-sheaf calculus on flag varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_parser()
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        _add_common(p)
+        sub.add_parser(name, help=fn.__doc__, parents=[common])
     return parser
 
 

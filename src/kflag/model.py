@@ -6,11 +6,13 @@ variable t.  Schubert structure-sheaf classes are produced by the
 divided-difference recursion from the point class; products and sums act
 pointwise; the pushforward to a point is the fixed-point sum, made
 computable in one variable by a generic cocharacter.
+
+``kflag.laurent`` is imported (``_laurent``) only where a weight-lattice
+route runs, so the integer commands never load it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     ConfigError,
@@ -19,10 +21,16 @@ from .errors import (
     NotDivisibleError,
     PoleAtOneError,
 )
-from .laurent import LaurentPoly
-from .roots import RootDatum, WeylElement, WeylGroup
+from .roots import RootDatum, WeylElement, WeylGroup, _eliminate
 from .univariate import DIGIT_BITS, UniPoly, _packed, narrow_first
 from .univariate import poly_divexact  # noqa: F401  (perfbench/layers.py wraps this name)
+
+
+def _laurent():
+    """``LaurentPoly``, imported on first use: no integer command needs it."""
+    from .laurent import LaurentPoly
+
+    return LaurentPoly
 
 
 class EquivClass:
@@ -40,7 +48,7 @@ class EquivClass:
     def restriction(self, v: WeylElement) -> LaurentPoly:
         """The restriction at v of a class in the weight lattice."""
         got = self.restrictions.get(v)
-        return got if got is not None else LaurentPoly.zero(self.rank)
+        return got if got is not None else _laurent().zero(self.rank)
 
     def __eq__(self, other) -> bool:
         return (
@@ -183,15 +191,18 @@ class SchubertModel:
 
     @property
     def wide(self) -> "SchubertModel":
-        """This model at 64 bits: itself, or its twin whose rows are these
-        rows re-packed exactly, built on first use and assigned whole."""
+        """This model at 64 bits: itself, or its twin, made on first use and
+        assigned whole.  The twin re-packs each of these rows exactly when
+        one of its jobs first reads it, so a redo pays only for the rows it
+        reads, and this model's own row reads stay plain list reads."""
         if self.bits == DIGIT_BITS:
             return self
         if self._wide is None:
-            self._wide = SchubertModel(self.group, table=[
-                {v: UniPoly.repack(p) for v, p in row.restrictions.items()}
-                for row in self._specialized
-            ])
+            wide = object.__new__(SchubertModel)
+            wide.__dict__.update(self.__dict__, _specialized=_RepackedRows(self._specialized),
+                                 _wide=None)
+            wide._set_width(DIGIT_BITS)
+            self._wide = wide
         return self._wide
 
     def run_packed(self, job):
@@ -212,18 +223,21 @@ class SchubertModel:
             p = p * (one - monomial(alpha))
         return EquivClass(self.rank, {self.group.identity: p})
 
-    def demazure(
-        self, i: int, f: EquivClass, monomial=LaurentPoly.monomial, divide=LaurentPoly.exact_div
-    ) -> EquivClass:
+    def demazure(self, i: int, f: EquivClass, monomial=None, divide=None) -> EquivClass:
         """Divided difference D_i in the localization model.
 
         (D_i f)(v) = (f(v) - e^{v(alpha_i)} f(v s_i)) / (1 - e^{v(alpha_i)}),
         in the ring whose e^lam is ``monomial(lam)``, with ``divide`` its
-        exact division (raising when there is none).  The other
+        exact division (raising when there is none); both default to the
+        weight lattice's, ``LaurentPoly.monomial`` and ``exact_div``.  The other
         self-consistent convention twists the argument by s_i v with weight
         e^{alpha_i}; this one is pinned by the support, diagonal, chi = 1
         and dual-basis tests.
         """
+        if monomial is None or divide is None:
+            laurent = _laurent()
+            monomial = monomial or laurent.monomial
+            divide = divide or laurent.exact_div
         group = self.group
         one = monomial(self.datum.zero_weight())
         zero = one - one
@@ -265,12 +279,13 @@ class SchubertModel:
     def schubert_class(self, w: WeylElement) -> EquivClass:
         """[O_{X_w}] in the weight lattice; the first call builds the table."""
         if self._schubert is None:
-            self._schubert = self._build_schubert_table(LaurentPoly.monomial, LaurentPoly.exact_div)
+            laurent = _laurent()
+            self._schubert = self._build_schubert_table(laurent.monomial, laurent.exact_div)
         return self._schubert[w.index]
 
-    def line_bundle_class(self, lam, monomial=LaurentPoly.monomial) -> EquivClass:
+    def line_bundle_class(self, lam, monomial=None) -> EquivClass:
         """[L(lam)]: restriction e^{-v(lam)} at the fixed point v, in the ring
-        whose e^mu is ``monomial(mu)``.
+        whose e^mu is ``monomial(mu)``, by default ``LaurentPoly.monomial``.
 
         The sign is pinned by chi(L(m omega)) = m + 1 on the rank-one flag
         variety, i.e. dominant weights are the globally generated ones.
@@ -278,6 +293,7 @@ class SchubertModel:
         lam = tuple(lam)
         if len(lam) != self.rank:
             raise ConfigError("weight has wrong length")
+        monomial = monomial or _laurent().monomial
         out = {}
         for v in self.group.elements:
             out[v] = monomial(tuple(-x for x in self.group.apply(v, lam)))
@@ -371,7 +387,7 @@ class SchubertModel:
         rho_k = _degree(self.datum.rho, k)
         num = poly.zero()
         for v, p in f.restrictions.items():
-            pv = p.specialize(k, poly) if isinstance(p, LaurentPoly) else poly.repack(p)
+            pv = poly.repack(p) if hasattr(p, "DIGIT_BITS") else p.specialize(k, poly)
             term = pv.shift(rho_k - _degree(v.key, k))
             num = num + (-term if v.length % 2 else term)
         factors = sorted(_degree(beta, k) for beta in self.datum.positive_roots)
@@ -403,10 +419,27 @@ class SchubertModel:
         """
         coeffs, residual = back_solve(self.group.elements, f.restrictions,
                                       lambda w: self.schubert_class(w).restrictions,
-                                      LaurentPoly.exact_div)
+                                      _laurent().exact_div)
         if residual:
             raise NonzeroResidualError("expansion left a nonzero residual")
         return ExpansionResult(coeffs)
+
+
+class _RepackedRows(dict):
+    """Rows of a narrower one-variable table at 64 bits, by w.index: each
+    is re-packed exactly on its first read and kept."""
+
+    __slots__ = ("narrow",)
+
+    def __init__(self, narrow: list[EquivClass]):
+        super().__init__()
+        self.narrow = narrow
+
+    def __missing__(self, index: int) -> EquivClass:
+        row = self.narrow[index]
+        got = self[index] = EquivClass(
+            row.rank, {v: UniPoly.repack(p) for v, p in row.restrictions.items()})
+        return got
 
 
 def _degree(lam, k) -> int:
@@ -424,24 +457,22 @@ def _height_cocharacter(datum: RootDatum, heights: tuple[int, ...]) -> tuple[int
     """The cocharacter k pairing every root beta to c * height(beta), c > 0,
     where the simple root alpha_i has height ``heights[i - 1]``.
 
-    k solves A^T k = c * heights: over the rationals, then with the
-    denominators cleared.  Positive heights make every positive root pair
-    positively, so k is regular; with all heights 1, specialized degrees
-    stay at root-height scale.  No row swap is needed: the leading minors
-    of A^T are those of A, which ``roots._validate_cartan`` has checked
-    are positive.
+    k solves A^T k = c * heights: by fraction-free elimination, which gives
+    y = det(A) * (A^T)^-1 heights in integers, then scaled by the least
+    common denominator of y / det(A).  Positive heights make every positive
+    root pair positively, so k is regular; with all heights 1, specialized
+    degrees stay at root-height scale.  No row swap is needed: the leading
+    minors of A^T are those of A, which ``roots._validate_cartan`` has
+    checked are positive.
     """
     r = datum.rank
-    m = [[Fraction(datum.cartan[j][i]) for j in range(r)] for i in range(r)]
-    rhs = [Fraction(h) for h in heights]
-    for col in range(r):
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        rhs[col] = rhs[col] * inv
-        for row in range(r):
-            if row != col and m[row][col] != 0:
-                f = m[row][col]
-                m[row] = [a - f * b for a, b in zip(m[row], m[col])]
-                rhs[row] = rhs[row] - f * rhs[col]
-    scale = lcm(*(x.denominator for x in rhs))
-    return tuple(int(x * scale) for x in rhs)
+    m = [[datum.cartan[j][i] for j in range(r)] + [h] for i, h in enumerate(heights)]
+    det = 1
+    for k in range(r):
+        _eliminate(m, k, det)
+        det = m[k][k]
+    y = [0] * r
+    for i in reversed(range(r)):  # exact: y is integral by Cramer's rule
+        y[i] = (det * m[i][r] - sum(m[i][j] * y[j] for j in range(i + 1, r))) // m[i][i]
+    scale = lcm(*(det // gcd(x, det) for x in y))
+    return tuple(x * scale // det for x in y)

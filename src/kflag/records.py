@@ -1,0 +1,50 @@
+"""Record classes over ``__slots__``: the part of ``dataclasses`` kflag uses.
+
+``dataclasses`` imports ``inspect`` and, through it, ``ast``, ``dis`` and
+``tokenize``, a start-up cost every CLI call would pay.  A record names its
+fields in ``__slots__``, in constructor order.  As with a dataclass, two
+records are equal when they are of the same class and their fields are
+equal in order, and the repr lists the fields.  A ``FrozenRecord`` refuses
+assignment and hashes its fields; a mutable ``Record`` is unhashable.
+"""
+
+
+class Record:
+    """A mutable record: value equality over ``__slots__``, no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``__init__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())

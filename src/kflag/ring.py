@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConfigError, IntegrityError
 from .model import SchubertModel, back_solve
+from .records import FrozenRecord, Record
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -23,43 +23,51 @@ OMEGA_BOUNDARY_BASIS = "OMEGA_BOUNDARY"
 BASES = (O_BASIS, IDEAL_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS)
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(FrozenRecord):
     """An integer expansion vector over a chosen basis of K(G/P)."""
 
-    basis: str
-    coeffs: dict[WeylElement, int]
+    __slots__ = ("basis", "coeffs")
+
+    def __init__(self, basis: str, coeffs: dict[WeylElement, int]):
+        FrozenRecord.__init__(self, basis, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
 
-@dataclass
-class SignReport:
+class SignReport(Record):
     """Outcome of a sign sweep; empty violations means the theorem holds."""
 
-    group: str
-    name: str
-    parabolic: tuple[int, ...] | None
-    checked: int
-    violations: list[tuple]
-    elapsed_ms: int
+    __slots__ = ("group", "name", "parabolic", "checked", "violations", "elapsed_ms")
+
+    def __init__(self, group: str, name: str, parabolic: tuple[int, ...] | None, checked: int,
+                 violations: list[tuple], elapsed_ms: int):
+        self.group = group
+        self.name = name
+        self.parabolic = parabolic
+        self.checked = checked
+        self.violations = violations
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass
-class LineReport:
+class LineReport(Record):
     """Outcome of the line-bundle identity suite for one (lambda, mu) pair."""
 
-    group: str
-    lam: Weight
-    mu: Weight
-    checks: list[tuple[str, int]] = field(default_factory=list)
-    violations: list[tuple] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("group", "lam", "mu", "checks", "violations", "elapsed_ms")
+
+    def __init__(self, group: str, lam: Weight, mu: Weight,
+                 checks: list[tuple[str, int]] | None = None,
+                 violations: list[tuple] | None = None, elapsed_ms: int = 0):
+        self.group = group
+        self.lam = lam
+        self.mu = mu
+        self.checks = [] if checks is None else checks
+        self.violations = [] if violations is None else violations
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self) -> bool:
@@ -212,24 +220,48 @@ class SchubertRing:
         """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized.
 
         The model solves only 0 and +-omega_i; by [L(lam + mu)] = [L(lam)] . [L(mu)]
-        any other table is M_h M_h M_{lam - 2h}, h_i = lam_i / 2 rounded away from 0
-        where |lam_i| > 1, else 0, or for h = 0 the product of the lam_i omega_i tables.
+        any other table is the product of the tables of ``_line_parts(lam)``.
+        The memo keeps the weights asked for and the model's tables.  The
+        other weights of the chain are composed once per call, each freed
+        after its last read, so a large weight holds a few tables at a time.
         """
-        got = self._line_memo.get(lam)
-        if got is None:
-            half = tuple(-(-c // 2) if c > 1 else c // 2 if c < -1 else 0 for c in lam)
-            if any(half):
-                parts = [half, half, tuple(c - 2 * h for c, h in zip(lam, half))]
-            else:
-                parts = [tuple(c if j == i else 0 for j in range(len(lam))) for i, c in enumerate(lam)]
-            parts = [p for p in parts if any(p)]
-            if len(parts) < 2:  # lam is 0 or +-omega_i
-                got = self.model.line_table(lam)
-            else:
-                got, *others = [self._line_table(p) for p in parts]
-                for table in others:
-                    got = {v: _row_times(row, table) for v, row in got.items()}
-            self._line_memo[lam] = got
+        memo = self._line_memo
+        got = memo.get(lam)
+        if got is not None:
+            return got
+        if not _line_parts(lam):
+            got = memo[lam] = self.model.line_table(lam)
+            return got
+        reads: dict[Weight, int] = {}  # chain weight -> reads left in this call
+        order: list[Weight] = []  # each chain weight after the weights it reads
+
+        def plan(mu):
+            for p in _line_parts(mu):
+                if p in memo:
+                    continue
+                if not _line_parts(p):
+                    memo[p] = self.model.line_table(p)
+                elif p in reads:
+                    reads[p] += 1
+                else:
+                    reads[p] = 1
+                    plan(p)
+            order.append(mu)
+
+        plan(lam)
+        chain = {}
+        for mu in order:
+            parts = _line_parts(mu)
+            got, *others = [memo[p] if p in memo else chain[p] for p in parts]
+            for table in others:
+                got = {v: _row_times(row, table) for v, row in got.items()}
+            chain[mu] = got
+            for p in parts:
+                if p in reads:
+                    reads[p] -= 1
+                    if not reads[p]:
+                        del chain[p]
+        memo[lam] = got
         return got
 
     # -- parabolic calculus -----------------------------------------------------
@@ -495,6 +527,7 @@ class SchubertRing:
             t_nw = self._line_table(_neg(omega_i))
             t_pw = self._line_table(omega_i)
             wosi = group.right_mul(group.w_o, i)
+            sc_pos = [self.structure_constants(wosi, wo[w.index]) for w in group.elements]
             for v in group.elements:
                 sc_neg = self.structure_constants(wosi, v)
                 for w in group.elements:
@@ -507,9 +540,7 @@ class SchubertRing:
                              t_nw[v].get(w, 0), sc_neg.get(w, 0))
                         )
                     sign = -1 if (v.length - w.length) % 2 == 0 else 1
-                    rhs = sign * self.structure_constants(
-                        wosi, wo[w.index]
-                    ).get(wo[v.index], 0)
+                    rhs = sign * sc_pos[w.index].get(wo[v.index], 0)
                     if t_pw[v].get(w, 0) != rhs:
                         violations.append(
                             ("lemma-plus", i, v.word, w.word, t_pw[v].get(w, 0), rhs)
@@ -553,12 +584,26 @@ def _add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _line_parts(lam: Weight) -> list[Weight]:
+    """The weights whose line tables multiply to lam's: h, h and lam - 2h,
+    h_i = lam_i / 2 rounded away from 0 where |lam_i| > 1, else 0, or for
+    h = 0 the lam_i omega_i; none for 0 and +-omega_i, which the model solves."""
+    half = tuple(-(-c // 2) if c > 1 else c // 2 if c < -1 else 0 for c in lam)
+    if any(half):
+        parts = [half, half, tuple(c - 2 * h for c, h in zip(lam, half))]
+    else:
+        parts = [tuple(c if j == i else 0 for j in range(len(lam))) for i, c in enumerate(lam)]
+    parts = [p for p in parts if any(p)]
+    return parts if len(parts) > 1 else []
+
+
 def _row_times(row: dict, table) -> dict:
     """sum_x row[x] * table[x], zero entries dropped."""
     out: dict[WeylElement, int] = {}
+    get = out.get
     for x, c in row.items():
         for w, m in table[x].items():
-            out[w] = out.get(w, 0) + c * m
+            out[w] = get(w, 0) + c * m
     return {w: c for w, c in out.items() if c}
 
 

@@ -9,11 +9,10 @@ Simple reflections are indexed 1..rank throughout the public surface
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BoundExceededError, ConfigError, IntegrityError
+from .records import FrozenRecord
 
 Weight = tuple[int, ...]
 
@@ -84,43 +83,63 @@ def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
                 raise ConfigError("Cartan zero pattern must be symmetric")
     # finite type <=> all leading principal minors positive (Sylvester's
     # criterion on the symmetrized D A, whose leading minors are those of A
-    # times positive factors).  Without row swaps the k-th pivot is the
-    # ratio of the k-th and (k-1)-th leading minors.
-    m = [[Fraction(x) for x in row] for row in a]
+    # times positive factors).  Fraction-free elimination without row swaps
+    # makes the k-th pivot the k-th leading minor itself.
+    m = [list(row) for row in a]
+    prev = 1
     for k in range(r):
         pivot = m[k][k]
         if pivot <= 0:
             raise ConfigError("Cartan matrix is not of finite type")
-        for t in range(k + 1, r):
-            f = m[t][k] / pivot
-            for j in range(k, r):
-                m[t][j] -= f * m[k][j]
+        _eliminate(m, k, prev)
+        prev = pivot
+
+
+def _eliminate(m: list[list[int]], k: int, prev: int) -> None:
+    """One step of Bareiss's fraction-free elimination below row k, in
+    place: every division by ``prev``, the previous pivot, is exact."""
+    pivot, top = m[k][k], m[k]
+    for row in m[k + 1:]:
+        f = row[k]
+        row[k] = 0
+        for j in range(k + 1, len(row)):
+            row[j] = (row[j] * pivot - f * top[j]) // prev
 
 
 def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Smallest positive integers d with d_i * A[i][j] symmetric."""
+    """Smallest positive integers d with d_i * A[i][j] symmetric.
+
+    Each connected component is solved from d = 1 at its first index, as
+    integers n over one denominator shared by every component: d_i = n_i /
+    den.  When an entry would not be an integer, every n and den are scaled.
+    """
     r = len(a)
-    d: list[Fraction | None] = [None] * r
+    n: list[int | None] = [None] * r
+    den = 1
     for start in range(r):
-        if d[start] is not None:
+        if n[start] is not None:
             continue
-        d[start] = Fraction(1)
+        n[start] = den
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(r):
                 if i == j or a[i][j] == 0:
                     continue
-                dj = d[i] * Fraction(a[i][j], a[j][i])
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    raise ConfigError("Cartan matrix is not symmetrizable")
-    scale = lcm(*(x.denominator for x in d))
-    out = tuple(int(x * scale) for x in d)
-    g = gcd(*out)
-    return tuple(x // g for x in out)
+                if n[j] is not None:
+                    if n[j] * a[j][i] != n[i] * a[i][j]:
+                        raise ConfigError("Cartan matrix is not symmetrizable")
+                    continue
+                num = n[i] * a[i][j]
+                scale = abs(a[j][i]) // gcd(num, a[j][i])
+                if scale != 1:  # n_j = num / a[j][i] is not an integer yet
+                    n = [x if x is None else x * scale for x in n]
+                    den *= scale
+                    num *= scale
+                n[j] = num // a[j][i]
+                stack.append(j)
+    g = gcd(*n)
+    return tuple(x // g for x in n)
 
 
 def _close_positive_roots(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -153,8 +172,7 @@ def _close_positive_roots(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...
     return sorted(seen, key=lambda c: (sum(c), c))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(FrozenRecord):
     """A finite root system with its weight-lattice combinatorics.
 
     ``positive_roots`` holds fundamental-weight coordinates while
@@ -163,13 +181,21 @@ class RootDatum:
     by increasing height.
     """
 
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Weight, ...]
-    positive_root_coords: tuple[tuple[int, ...], ...]
-    rho: Weight
-    symmetrizer: tuple[int, ...]
-    label: str
+    __slots__ = ("rank", "cartan", "positive_roots", "positive_root_coords", "rho",
+                 "symmetrizer", "label")
+
+    def __init__(
+        self,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Weight, ...],
+        positive_root_coords: tuple[tuple[int, ...], ...],
+        rho: Weight,
+        symmetrizer: tuple[int, ...],
+        label: str,
+    ):
+        FrozenRecord.__init__(self, rank, cartan, positive_roots, positive_root_coords, rho,
+                              symmetrizer, label)
 
     def simple_root(self, i: int) -> Weight:
         """Simple root alpha_i in fundamental-weight coordinates (i is 1-based)."""
@@ -238,18 +264,17 @@ def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     if len(lam) != datum.rank:
         raise ConfigError("weight has wrong length")
     d = datum.symmetrizer
-    total = Fraction(1)
+    num = den = 1
     for m in datum.positive_root_coords:
-        num = sum(mj * dj * (lj + 1) for mj, dj, lj in zip(m, d, lam))
-        den = sum(mj * dj for mj, dj in zip(m, d))
-        total *= Fraction(num, den)
-    if total.denominator != 1:
+        num *= sum(mj * dj * (lj + 1) for mj, dj, lj in zip(m, d, lam))
+        den *= sum(mj * dj for mj, dj in zip(m, d))
+    total, rest = divmod(num, den)
+    if rest:
         raise IntegrityError(f"Weyl dimension is not integral for {lam}")
-    return int(total)
+    return total
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElement:
+class WeylElement(FrozenRecord):
     """An element of one ``WeylGroup``, which builds each element once.
 
     Elements compare and hash by identity, so two groups built from the same
@@ -259,10 +284,12 @@ class WeylElement:
     determines the element because rho is regular.
     """
 
-    index: int
-    word: tuple[int, ...]
-    length: int
-    key: Weight
+    __slots__ = ("index", "word", "length", "key")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, index: int, word: tuple[int, ...], length: int, key: Weight):
+        FrozenRecord.__init__(self, index, word, length, key)
 
     def __repr__(self) -> str:
         name = "*".join(f"s{i}" for i in self.word) if self.word else "e"
@@ -485,11 +512,16 @@ class WeylGroup:
         )
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(FrozenRecord):
     """Combinatorics of a standard parabolic subgroup W_I."""
 
-    subset: tuple[int, ...]
-    min_reps: tuple[WeylElement, ...]
-    longest_in_parabolic: WeylElement
-    subgroup: tuple[WeylElement, ...]
+    __slots__ = ("subset", "min_reps", "longest_in_parabolic", "subgroup")
+
+    def __init__(
+        self,
+        subset: tuple[int, ...],
+        min_reps: tuple[WeylElement, ...],
+        longest_in_parabolic: WeylElement,
+        subgroup: tuple[WeylElement, ...],
+    ):
+        FrozenRecord.__init__(self, subset, min_reps, longest_in_parabolic, subgroup)

@@ -7,7 +7,16 @@ import random
 import pytest
 
 from kflag import ConfigError, IntegrityError
-from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, SchubertRing, _neg
+from kflag.ring import (
+    IDEAL_BASIS,
+    O_BASIS,
+    OMEGA_BASIS,
+    OMEGA_BOUNDARY_BASIS,
+    SchubertRing,
+    _line_parts,
+    _neg,
+    _row_times,
+)
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 import pairing_oracle
@@ -504,6 +513,37 @@ def test_line_sweep_solves_only_the_fundamental_tables(engines, monkeypatch):
     d = ring.datum
     units = [d.fundamental_weight(i) for i in range(1, d.rank + 1)]
     assert sorted(asked) == sorted([d.zero_weight(), *units, *(_neg(u) for u in units)])
+
+
+def test_a_large_weight_leaves_only_itself_and_the_model_tables(engines, monkeypatch):
+    """B2 at (2^20 - 1) rho: each weight of its halving chain is composed
+    once in the call, and afterwards the memo holds the weight asked for
+    and the model's tables of +-omega_i, nothing of the chain.  The table
+    equals the one composed along (2^20 - 2) rho + rho, another chain."""
+    import kflag.ring
+
+    model = engines.model("B2")
+    ring = SchubertRing(model)
+    lam = (2**20 - 1, 2**20 - 1)
+    chain, todo = {lam}, [lam]
+    while todo:
+        for p in _line_parts(todo.pop()):
+            if _line_parts(p) and p not in chain:
+                chain.add(p)
+                todo.append(p)
+    assert len(chain) > 20
+    products = []
+    monkeypatch.setattr(kflag.ring, "_row_times",
+                        lambda row, table: products.append(1) or _row_times(row, table))
+    table = ring._line_table(lam)
+    assert len(products) == len(model.group) * sum(len(_line_parts(w)) - 1 for w in chain)
+    units = [ring.datum.fundamental_weight(i) for i in (1, 2)]
+    assert set(ring._line_memo) == {lam, *units, *map(_neg, units)}
+    monkeypatch.undo()
+    other = SchubertRing(model)
+    left = other._line_table((2**20 - 2, 2**20 - 2))
+    right = other._line_table(ring.datum.rho)
+    assert table == {v: _row_times(row, right) for v, row in left.items()}
 
 
 def test_line_identity_suite(engines):

@@ -370,6 +370,32 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     assert calls == [(8, "overflow"), (64, "solved")]
 
 
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
+    """The twin re-packs a row of the 8-bit table when a redone job first
+    reads it.  The constant of (e, w_o) fits its product but not its
+    solve, and its redo reads rows e and w_o only; a redone line table
+    reads every row.  The re-packed rows and the results equal those of a
+    model that never packs narrow, and the narrow rows stay a plain list."""
+    from kflag import SchubertRing
+
+    narrow = _model_at(monkeypatch, label, 8)
+    wide = _model_at(monkeypatch, label, 64)
+    g, h = narrow.group, wide.group
+    small, big = SchubertRing(narrow), SchubertRing(wide)
+    got = small.structure_constants(g.identity, g.w_o)
+    assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o))
+    twin = narrow.wide
+    assert sorted(twin._specialized) == [g.identity.index, g.w_o.index]
+    lam = narrow.datum.fundamental_weight(1)
+    assert {v.index: _by_index(row) for v, row in small._line_table(lam).items()} == {
+        v.index: _by_index(row) for v, row in big._line_table(lam).items()}
+    assert sorted(twin._specialized) == list(range(len(g.elements)))
+    for w, x in zip(g.elements, h.elements):
+        assert _coefficient_row(twin, w) == _coefficient_row(wide, x)
+    assert type(narrow._specialized) is list and narrow.wide is twin
+
+
 def test_a_table_that_overflows_the_narrow_range_is_built_at_64_bits(monkeypatch):
     """B3's table reaches past 2^7, so at 8-bit digits the whole table is
     built at 64 bits; the model is then its own twin."""

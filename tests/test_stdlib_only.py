@@ -37,18 +37,52 @@ def test_project_declares_no_dependencies():
 
 
 # modules the CLI imports only on the paths that use them: the fork pool,
-# csv output, and the cache and --cartan digests
-LAZY_IMPORTS = ("multiprocessing", "csv", "hashlib")
+# csv output, the cache and --cartan digests, and the weight-lattice ring;
+# dataclasses (with inspect) and fractions (with decimal) not at all
+LAZY_IMPORTS = ("multiprocessing", "csv", "hashlib", "dataclasses", "inspect", "fractions",
+                "decimal", "kflag.laurent")
+
+# what a whole integer command must still not have loaded when it is done
+NEVER_IMPORTED = ("kflag.laurent", "dataclasses", "fractions")
 
 
-def test_cli_does_not_import_multiprocessing_at_startup():
-    """Each module of ``LAZY_IMPORTS`` is imported where it is used, so a
-    CLI process that takes none of those paths does not pay for it.
-    ``tempfile`` is not checked: some installations' ``site`` imports it
-    before kflag is loaded."""
+def _loaded_in_subprocess(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"import kflag.cli, sys; print([m for m in {LAZY_IMPORTS!r} if m in sys.modules])"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_cli_startup_imports_only_what_it_runs():
+    """Each module of ``LAZY_IMPORTS`` is imported where it is used, if at
+    all, so a CLI process that takes none of those paths does not pay for
+    it.  ``tempfile`` is not checked: some installations' ``site`` imports
+    it before kflag is loaded."""
+    code = f"import kflag.cli, sys; print([m for m in {LAZY_IMPORTS!r} if m in sys.modules])"
+    assert _loaded_in_subprocess(code) == "[]\n"
+
+
+def test_an_integer_command_never_loads_the_weight_lattice_ring():
+    """A whole ``verify --which all`` run, sign, Richardson and line suites
+    included, loads none of ``NEVER_IMPORTED``."""
+    code = (
+        "import contextlib, io, sys, kflag.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = kflag.cli.main(['verify', '--type', 'A', '--rank', '2', '--which', 'all'])\n"
+        f"print(code, [m for m in {NEVER_IMPORTED!r} if m in sys.modules])"
+    )
+    assert _loaded_in_subprocess(code) == "0 []\n"
+
+
+def test_every_public_name_resolves():
+    """``kflag.LaurentPoly`` is loaded on first use; every other name of
+    ``__all__`` resolves too, and an unknown one is an AttributeError."""
+    import kflag
+
+    for name in kflag.__all__:
+        assert getattr(kflag, name).__name__ == name
+    from kflag.laurent import LaurentPoly
+
+    assert kflag.LaurentPoly is LaurentPoly
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kflag.no_such_name  # noqa: B018
