@@ -13,6 +13,7 @@ route runs, so the integer commands never load it.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import (
     ConfigError,
@@ -147,11 +148,17 @@ class SchubertModel:
     """The localization model for one Weyl group, with all class tables.
 
     The one-variable Schubert table, the specialization of every Schubert
-    class, is built here (or injected from a cache) and never mutated
-    afterwards; the integer commands read only it.  The table in the weight
-    lattice is built on the first ``schubert_class`` call and assigned whole,
-    so a model can be shared across threads: at worst two threads build the
-    same table.
+    class, is built here (or injected from a cache) and never changed
+    afterwards; the integer commands read only it.  Row w is held in two
+    forms over the same integers: the flat row (``UniPoly.flat_row``:
+    pivot, largest entry bound, and (u, shift, packed, bound) entries) that
+    the build makes and the solve kernel reads, and the ``EquivClass`` that
+    ``specialized_schubert_class`` returns, made from it on first read.
+    Both list the fixed points u in element-index order.  An injected table
+    is sorted into that order and flattened row by row on first read.  The
+    table in the weight lattice is built on the first ``schubert_class``
+    call and assigned whole.  So a model can be shared across threads: at
+    worst two threads make the same value, and either is kept.
 
     The table is packed at ``univariate.NARROW_BITS`` unless a bound there
     reaches the packed range; then it is built at 64 bits (``narrow_first``).
@@ -174,14 +181,19 @@ class SchubertModel:
                 self._set_width(bits)
                 return self._specialized_table(self.cocharacter)
 
-            self._specialized = narrow_first(build)
+            self._rows = rows = narrow_first(build)
+            rank, poly = self.rank, self.poly
+            self._classes = _LazyRows(lambda i: _row_class(rank, poly, rows[i]))
         else:
-            self._specialized = [EquivClass(self.rank, dict(entry)) for entry in table]
-            if len(self._specialized) != len(group.elements):
+            if len(table) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
             # a table holds one width, so its first entry shows which
             entries = (p for row in table for p in row.values())
             self._set_width(next(entries, UniPoly.zero()).DIGIT_BITS)
+            # each row is sorted into element order and flattened on its first read
+            self._classes = _LazyRows(lambda i: EquivClass(self.rank, dict(
+                sorted(table[i].items(), key=lambda item: item[0].index))))
+            self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i]))
         self._schubert: list[EquivClass] | None = None
         self._wide: SchubertModel | None = None
 
@@ -189,19 +201,31 @@ class SchubertModel:
         self.bits = bits
         self.poly, self._divexact = _packed(bits)
 
+    def _flat_row(self, w: WeylElement) -> tuple:
+        """Row w as a flat row, from its ``EquivClass``; a row without its
+        pivot is no row of a unitriangular table."""
+        polys = self._classes[w.index].restrictions
+        if w not in polys:
+            raise IntegrityError(f"restriction table row {list(w.word)} has no pivot")
+        return self.poly.flat_row(w, polys)
+
     @property
     def wide(self) -> "SchubertModel":
         """This model at 64 bits: itself, or its twin, made on first use and
         assigned whole.  The twin re-packs each of these rows exactly when
-        one of its jobs first reads it, so a redo pays only for the rows it
-        reads, and this model's own row reads stay plain list reads."""
+        one of its jobs first reads it, then flattens it when its kernel
+        first reads it, so a redo pays only for the rows it reads, and this
+        model's own flat rows stay a plain list."""
         if self.bits == DIGIT_BITS:
             return self
         if self._wide is None:
+            narrow, rank = self._classes, self.rank
             wide = object.__new__(SchubertModel)
-            wide.__dict__.update(self.__dict__, _specialized=_RepackedRows(self._specialized),
-                                 _wide=None)
+            wide.__dict__.update(self.__dict__, _wide=None, _classes=_LazyRows(
+                lambda i: EquivClass(rank, {v: UniPoly.repack(p)
+                                            for v, p in narrow[i].restrictions.items()})))
             wide._set_width(DIGIT_BITS)
+            wide._rows = _LazyRows(lambda i: wide._flat_row(wide.group.elements[i]))
             self._wide = wide
         return self._wide
 
@@ -245,7 +269,7 @@ class SchubertModel:
         todo = set(f.restrictions)
         todo.update(group.right_mul(v, i) for v in f.restrictions)
         out = {}
-        for v in todo:
+        for v in sorted(todo, key=attrgetter("index")):
             weight = monomial(group.root_image(v, i))
             num = get(v, zero) - weight * get(group.right_mul(v, i), zero)
             if num.is_zero():
@@ -257,9 +281,9 @@ class SchubertModel:
         """Every Schubert class by the divided-difference recursion from the
         point class, in the ring given by ``monomial`` and ``divide``.
 
-        Specialization is a ring homomorphism that sends each divisor
-        1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
-        the one-variable build gives the specialized classes exactly.
+        This is the weight lattice's build; the one-variable table is built
+        by ``_specialized_table``, which the tests check against this route
+        with ``_monomial_t``.
         """
         group = self.group
         table: list[EquivClass | None] = [None] * len(group.elements)
@@ -271,10 +295,32 @@ class SchubertModel:
             table[w.index] = self.demazure(i, table[prev.index], monomial, divide)
         return table
 
-    def _specialized_table(self, k) -> list[EquivClass]:
+    def _specialized_table(self, k) -> list[tuple]:
         """Every Schubert class under e^lam -> t^<lam, k>, for a regular k,
-        at this model's width."""
-        return self._build_schubert_table(_monomial_t(k, self.poly), self._divexact)
+        at this model's width, as flat rows by w.index.
+
+        Specialization is a ring homomorphism that sends each divisor
+        1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
+        the recursion of ``_build_schubert_table`` run in one variable gives
+        the specialized classes exactly.  It runs here on packed integers,
+        one ``poly.demazure_step`` per element, with the heights
+        h(v, i) = <v(alpha_i), k> tabulated once.
+        """
+        group, poly = self.group, self.poly
+        elements = group.elements
+        simple = range(1, self.rank + 1)
+        heights = [[_degree(group.root_image(v, i), k) for v in elements] for i in simple]
+        partners = [[group.right_mul(v, i).index for v in elements] for i in simple]
+        point = self._point_class(_monomial_t(k, poly)).restrictions
+        step = poly.demazure_step
+        built = [{0: poly.flat_row(group.identity, point)[0]}]
+        for w in elements[1:]:
+            # elements are sorted by length, so the shorter factor is ready
+            i = w.word[-1]
+            prev = built[group.right_mul(w, i).index]
+            built.append(step(prev, heights[i - 1], partners[i - 1], elements))
+        return [(row[j], max(e[3] for e in row.values()), tuple(row.values()))
+                for j, row in enumerate(built)]
 
     def schubert_class(self, w: WeylElement) -> EquivClass:
         """[O_{X_w}] in the weight lattice; the first call builds the table."""
@@ -314,7 +360,7 @@ class SchubertModel:
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
         """specialize([O_{X_w}]), a row of the one-variable table."""
-        return self._specialized[w.index]
+        return self._classes[w.index]
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
@@ -334,9 +380,9 @@ class SchubertModel:
         no redo: the fused kernel ``poly.solve_at_one`` against this model's
         rows.  Every constant, line row and ``integer_coefficients`` call
         solves here."""
-        table = self._specialized
-        return self.poly.solve_at_one(
-            self.group.elements, f.restrictions, lambda w: table[w.index].restrictions)
+        rows = self._rows
+        return self.poly.solve_at_one(self.group.elements, f.restrictions,
+                                      lambda w: rows[w.index])
 
     # -- integer operations, each one job of ``run_packed`` ---------------------
 
@@ -361,8 +407,9 @@ class SchubertModel:
         simple-root heights are ``heights``; its one-variable table is built
         in the job and dropped."""
         k = _height_cocharacter(self.datum, heights)
-        return self.run_packed(
-            lambda m: [m._euler_characteristic(f, k) for f in m._specialized_table(k)])
+        return self.run_packed(lambda m: [
+            m._euler_characteristic(_row_class(m.rank, m.poly, row), k)
+            for row in m._specialized_table(k)])
 
     # -- pushforward and expansion ------------------------------------------
 
@@ -425,21 +472,27 @@ class SchubertModel:
         return ExpansionResult(coeffs)
 
 
-class _RepackedRows(dict):
-    """Rows of a narrower one-variable table at 64 bits, by w.index: each
-    is re-packed exactly on its first read and kept."""
+class _LazyRows(dict):
+    """Rows of a one-variable table by w.index, each made by ``make(index)``
+    on its first read and kept."""
 
-    __slots__ = ("narrow",)
+    __slots__ = ("make",)
 
-    def __init__(self, narrow: list[EquivClass]):
+    def __init__(self, make):
         super().__init__()
-        self.narrow = narrow
+        self.make = make
 
-    def __missing__(self, index: int) -> EquivClass:
-        row = self.narrow[index]
-        got = self[index] = EquivClass(
-            row.rank, {v: UniPoly.repack(p) for v, p in row.restrictions.items()})
+    def __missing__(self, index: int):
+        got = self[index] = self.make(index)
         return got
+
+
+def _row_class(rank: int, poly, row: tuple) -> EquivClass:
+    """The ``EquivClass`` of a flat row; its entries are nonzero."""
+    out = object.__new__(EquivClass)
+    out.rank = rank
+    out.restrictions = poly.row_polys(row[2])
+    return out
 
 
 def _degree(lam, k) -> int:

@@ -23,6 +23,13 @@ it the guard raises ``PackedRangeError``, the signal to redo the work at
 64 bits; the model packs at ``NARROW_BITS`` first.  Values of two widths
 never mix: an operation between them raises ``TypeError``, and ``repack``
 converts.
+
+Two loops skip the ``UniPoly`` objects and run on (shift, packed, bound)
+values, with the bounds and guards of the method path they fuse:
+``demazure_step``, one divided difference of the Schubert table's build,
+and ``solve_at_one``, the triangular solve.  Both work on flat rows
+(``flat_row``).  ``digits`` is the one balanced-digit decoder, used by
+both loops, ``coefficients``, ``terms`` and ``poly_divexact``.
 """
 from __future__ import annotations
 
@@ -35,15 +42,15 @@ from .errors import IntegrityError, NonzeroResidualError, NotDivisibleError, Pac
 DIGIT_BITS = 64  # the width of ``UniPoly``, the widest one
 NARROW_BITS = 32  # the width a model packs its table and its jobs at first
 
-# the ``struct`` codes of one unsigned and one signed digit, by width; 8
-# bits is for tests that need a narrow range small groups overflow
-_STRUCT_CODES = {8: "Bb", 32: "Ii", 64: "Qq"}
+# the ``struct`` code of one signed digit, by width; 8 bits is for tests
+# that need a narrow range small groups overflow
+_STRUCT_CODES = {8: "b", 32: "i", 64: "q"}
 
 
 @cache
 def _packed(bits: int):
     """(UniPoly, poly_divexact) for digits of ``bits`` bits: 8, 32 or 64."""
-    unsigned, signed = _STRUCT_CODES[bits]
+    signed = _STRUCT_CODES[bits]
     size = bits // 8  # bytes per digit
     half = 1 << (bits - 1)  # coefficients and norm bounds stay below this
     mask = (1 << bits) - 1  # the lowest digit; also 2^bits = 1 mod it
@@ -60,18 +67,30 @@ def _packed(bits: int):
         what = f"a {width}-bit UniPoly" if width else type(other).__name__
         return TypeError(f"a {bits}-bit UniPoly does not combine with {what}; repack it first")
 
-    @cache
-    def offset(n: int) -> int:
-        """The integer whose n base-2^bits digits are all 2^(bits-1)."""
-        return int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    layouts = {}  # digit count n -> (offset, unpack, pack, bytes) for n digits
 
-    def digits(x: int) -> list[int]:
+    def layout(n: int) -> tuple:
+        """For n digits: the integer whose digits are all 2^(bits-1), and the
+        signed ``struct`` reader and writer of n digits."""
+        got = layouts.get(n)
+        if got is None:
+            rw = struct.Struct(f"<{n}{signed}")
+            off = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+            got = layouts[n] = (off, rw.unpack, rw.pack, size * n)
+        return got
+
+    def digits(x: int) -> tuple[int, ...]:
         """Balanced base-2^bits digits of x, in [-2^(bits-1), 2^(bits-1)),
-        lowest first, with zero digits on top: adding the offset makes every
-        digit nonnegative, so one ``to_bytes`` reads them all."""
-        n = x.bit_length() // bits + 2  # enough digits, plus spare zeros
-        raw = (x + offset(n)).to_bytes(size * n, "little")
-        return [u - half for u in struct.unpack(f"<{n}{unsigned}", raw)]
+        lowest first, padded with zeros to x.bit_length() // bits + 2
+        digits: adding the offset makes every digit d + 2^(bits-1)
+        nonnegative, and flipping each top bit back leaves d in two's
+        complement, so one signed read gives them all."""
+        n = x.bit_length() // bits + 2
+        try:
+            off, unpack, _, nbytes = layouts[n]
+        except KeyError:
+            off, unpack, _, nbytes = layout(n)
+        return unpack(((x + off) ^ off).to_bytes(nbytes, "little"))
 
     def make(shift: int, x: int, bound: int) -> "UniPoly":
         p = new(UniPoly)
@@ -84,9 +103,8 @@ def _packed(bits: int):
             raise out_of_range(bound)
         # each c_i fits a signed digit; flipping its top bit adds
         # 2^(bits-1), which the offset takes back from every digit at once
-        n = len(coeffs)
-        u = int.from_bytes(struct.pack(f"<{n}{signed}", *coeffs), "little")
-        off = offset(n)
+        off, _, pack_digits, _ = layout(len(coeffs))
+        u = int.from_bytes(pack_digits(*coeffs), "little")
         return make(shift, (u ^ off) - off, bound)
 
     def strip(shift: int, x: int) -> tuple[int, int]:
@@ -173,9 +191,10 @@ def _packed(bits: int):
             """(s, [c_0, ..., c_k]) with self = t^s (c_0 + ... + c_k t^k), c_0 and
             c_k nonzero; the zero polynomial gives (0, [])."""
             ds = digits(self._packed)
-            while ds and not ds[-1]:
-                ds.pop()
-            return self._shift, ds
+            k = len(ds)
+            while k and not ds[k - 1]:
+                k -= 1
+            return self._shift, list(ds[:k])
 
         @property
         def terms(self) -> MappingProxyType:
@@ -303,22 +322,103 @@ def _packed(bits: int):
             raise out_of_range(norm * b._bound)
         return make(a._shift - b._shift, q, norm)
 
+    # -- flat rows: the Schubert table as the build and the kernel read it --------
+
+    def flat_row(w, polys: dict) -> tuple:
+        """Row w of a triangular basis as (pivot, bound, entries): ``entries``
+        is one (u, shift, packed, bound) tuple per item of ``polys`` (u ->
+        ``UniPoly`` of this width, nonzero), in its order, ``pivot`` the one
+        at w and ``bound`` the largest entry bound.  Raises KeyError without
+        a pivot."""
+        entries = []
+        for u, p in polys.items():
+            if type(p) is not UniPoly:
+                raise mixed(p)
+            entries.append((u, p._shift, p._packed, p._bound))
+        p = polys[w]
+        return (w, p._shift, p._packed, p._bound), max(e[3] for e in entries), tuple(entries)
+
+    def row_polys(entries) -> dict:
+        """The entries of a flat row as u -> ``UniPoly``, in their order."""
+        return {u: make(s, x, b) for u, s, x, b in entries}
+
+    divisors = {}  # h -> (shift, packed) of 1 - t^h
+
+    def divisor(h: int) -> tuple[int, int]:
+        d = UniPoly.one_minus_power(h)
+        if not d:
+            raise ZeroDivisionError("division by zero polynomial")
+        got = divisors[h] = (d._shift, d._packed)
+        return got
+
+    def demazure_step(f: dict, heights, partner, keys) -> dict:
+        """D_i of one row of the Schubert table: ``model.demazure`` with the
+        weight t^h(v), h(v) = ``heights[v]``, and ``poly_divexact``, fused
+        on packed integers.
+
+        A row maps element index v -> (keys[v], shift, packed, bound) and
+        ``partner[v]`` is the index of v s_i.  The result is such a row,
+        with the indices in increasing order, and each value is the one the
+        method path computes, bound included: f(v) - t^h f(v s_i), its sum
+        bound checked when both terms are there, divided by 1 - t^h with
+        the quotient's exact norm certified against the divisor's bound 2.
+        Visited in that order, the guards raise where the method path's do.
+        """
+        todo = set(f)
+        todo.update([partner[v] for v in f])
+        get = f.get
+        out = {}
+        for v in sorted(todo):
+            a, c, h = get(v), get(partner[v]), heights[v]
+            if c is None:
+                _, s, x, b = a
+            else:
+                _, cs, x, b = c
+                cs += h
+                if a is None:
+                    s, x = cs, -x
+                else:
+                    _, s, ax, ab = a
+                    b += ab
+                    if b >= half:
+                        raise out_of_range(b)
+                    d = cs - s
+                    if d >= 0:
+                        x = ax - (x << (bits * d))
+                    else:
+                        s, x = cs, (ax << (bits * -d)) - x
+                    if not x:
+                        continue
+                    if not x & mask:
+                        s, x = strip(s, x)
+            ds, dx = divisors.get(h) or divisor(h)
+            q, r = divmod(x, dx)
+            if r:
+                raise NotDivisibleError("univariate division is not exact")
+            norm = sum(map(abs, digits(q)))
+            if norm * 2 >= half:
+                raise out_of_range(norm * 2)
+            out[v] = (keys[v], s - ds, q, norm)
+        return out
+
     def solve_at_one(elements, vec: dict, rows) -> dict:
         """The values at t = 1 of the coordinates of ``vec`` against a
         unitriangular basis, zero values omitted: ``model.back_solve`` with
         ``poly_divexact`` fused into one loop over packed integers.
 
-        ``elements`` is in an order refining Bruhat order and ``rows(w)``
-        maps each u to the entry of basis vector w at u, pivot included.
-        The residual is kept as (shift, packed int, bound) triples, with
-        trailing zero digits stripped only at a pivot, just before its
-        divmod.  Every bound is the one the method path computes, checked
-        in the same order: the quotient certificate, then for each row
-        entry the product bound and the difference bound.  So this raises
-        where ``back_solve`` would: ``NotDivisibleError`` for an inexact
-        pivot, the range error, and ``NonzeroResidualError`` if anything is
-        left over.  Each quotient is read at t = 1 by ``eval_at_one``'s
-        residue and never built as a ``UniPoly``.
+        ``elements`` is in an order refining Bruhat order and ``rows(w)`` is
+        basis vector w as a ``flat_row``, pivot included.  The residual is
+        kept as (shift, packed int, bound) triples, with trailing zero
+        digits stripped only at a pivot, just before its divmod.  Every
+        bound is the one the method path computes, checked in the same
+        order: the quotient certificate, then for each row entry, in the
+        row's order, the product bound and the difference bound.  No
+        product bound can reach the range unless the quotient's norm times
+        the row's largest entry bound does, so only then are they checked.
+        So this raises where ``back_solve`` would: ``NotDivisibleError``
+        for an inexact pivot, the range error, and ``NonzeroResidualError``
+        if anything is left over.  Each quotient is read at t = 1 by
+        ``eval_at_one``'s residue and never built as a ``UniPoly``.
         """
         residual = {}
         for w, p in vec.items():
@@ -327,28 +427,29 @@ def _packed(bits: int):
             if p._packed:
                 residual[w] = (p._shift, p._packed, p._bound)
         values = {}
+        get = residual.get
         for w in reversed(elements):
-            c = residual.get(w)
+            c = get(w)
             if c is None:
                 continue
-            row = rows(w)
-            pivot = row[w]
+            (_, ps, px, pb), row_bound, entries = rows(w)
             s, x, c_bound = c
             if not x & mask:
                 s, x = strip(s, x)
-            q, r = divmod(x, pivot._packed)
+            q, r = divmod(x, px)
             if r:
                 raise NotDivisibleError("univariate division is not exact")
             qb = sum(map(abs, digits(q)))
-            if qb * pivot._bound >= half:
-                raise out_of_range(qb * pivot._bound)
+            if qb * pb >= half:
+                raise out_of_range(qb * pb)
             value = q % mask
             if value:
                 values[w] = value - mask if value > mask >> 1 else value
-            qs = s - pivot._shift
-            for u, m in row.items():
-                b = qb * m._bound
-                if b >= half:
+            qs = s - ps
+            guarded = qb * row_bound >= half
+            for u, ms, mx, mb in entries:
+                b = qb * mb
+                if guarded and b >= half:
                     raise out_of_range(b)
                 if u is w:  # the certified quotient cancels c: only the guard is left
                     b += c_bound
@@ -356,8 +457,9 @@ def _packed(bits: int):
                         raise out_of_range(b)
                     del residual[w]
                     continue
-                ms, mx = qs + m._shift, q * m._packed
-                old = residual.get(u)
+                ms += qs
+                mx *= q
+                old = get(u)
                 if old is None:
                     residual[u] = (ms, -mx, b)
                     continue
@@ -378,7 +480,8 @@ def _packed(bits: int):
             raise NonzeroResidualError("expansion left a nonzero residual")
         return values
 
-    UniPoly.solve_at_one = staticmethod(solve_at_one)
+    for fn in (digits, flat_row, row_polys, demazure_step, solve_at_one):
+        setattr(UniPoly, fn.__name__, staticmethod(fn))
     return UniPoly, poly_divexact
 
 

@@ -661,7 +661,9 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
 
     def corrupt(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._specialized[1] = self._specialized[1] + self._specialized[1]
+        row = self.specialized_schubert_class(self.group.elements[1])
+        self._classes[1] = row + row  # both forms of the row, as the build holds them
+        self._rows[1] = self._flat_row(self.group.elements[1])
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
     group = WeylGroup(build_root_datum("A", 2))

@@ -407,8 +407,9 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     assert ring.verify_richardson_signs().ok
     w, u = g.from_word([1, 2]), g.from_word([3, 2])
     assert not g.bruhat_leq(u, w)
-    row = model._specialized[w.index]
-    model._specialized[w.index] = EquivClass(model.rank, {**row.restrictions, u: model.poly.one()})
+    row = model.specialized_schubert_class(w)
+    model._classes[w.index] = EquivClass(model.rank, {**row.restrictions, u: model.poly.one()})
+    model._rows[w.index] = model._flat_row(w)
     rep = ring.verify_richardson_signs()
     leq = g.bruhat_leq
     w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)

@@ -206,7 +206,7 @@ def test_fork_workers_inherit_the_specialized_table(engines, forced_pool):
     pairs = [(u, v) for i, u in enumerate(g.elements) for v in g.elements[i:]]
     _fill_constants(ring, pairs, 2)
     assert forced_pool == [2] and len(ring._sc_memo) == len(pairs)
-    assert all(row is not None for row in ring.model._specialized)
+    assert all(row is not None for row in ring.model._rows)
     serial = SchubertRing(ring.model)
     for u, v in pairs:
         serial.structure_constants(u, v)
@@ -373,10 +373,12 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     """The twin re-packs a row of the 8-bit table when a redone job first
-    reads it.  The constant of (e, w_o) fits its product but not its
-    solve, and its redo reads rows e and w_o only; a redone line table
-    reads every row.  The re-packed rows and the results equal those of a
-    model that never packs narrow, and the narrow rows stay a plain list."""
+    reads it, and flattens it when its kernel first reads it.  The constant
+    of (e, w_o) fits its product but not its solve, and its redo reads rows
+    e and w_o only, of which the kernel reads e, where the product lives; a
+    redone line table reads every row.  The re-packed rows and the results
+    equal those of a model that never packs narrow, and the narrow flat
+    rows stay a plain list."""
     from kflag import SchubertRing
 
     narrow = _model_at(monkeypatch, label, 8)
@@ -386,14 +388,15 @@ def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     got = small.structure_constants(g.identity, g.w_o)
     assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o))
     twin = narrow.wide
-    assert sorted(twin._specialized) == [g.identity.index, g.w_o.index]
+    assert sorted(twin._classes) == [g.identity.index, g.w_o.index]
+    assert sorted(twin._rows) == [g.identity.index]
     lam = narrow.datum.fundamental_weight(1)
     assert {v.index: _by_index(row) for v, row in small._line_table(lam).items()} == {
         v.index: _by_index(row) for v, row in big._line_table(lam).items()}
-    assert sorted(twin._specialized) == list(range(len(g.elements)))
+    assert sorted(twin._classes) == sorted(twin._rows) == list(range(len(g.elements)))
     for w, x in zip(g.elements, h.elements):
         assert _coefficient_row(twin, w) == _coefficient_row(wide, x)
-    assert type(narrow._specialized) is list and narrow.wide is twin
+    assert type(narrow._rows) is list and narrow.wide is twin
 
 
 def test_a_table_that_overflows_the_narrow_range_is_built_at_64_bits(monkeypatch):
@@ -410,6 +413,199 @@ def _coefficient_row(model, w) -> dict:
     """Row w of the one-variable table as index -> coefficient list."""
     return {v.index: p.coefficients()
             for v, p in model.specialized_schubert_class(w).restrictions.items()}
+
+
+# -- the packed build against the generic Demazure route ----------------------------
+
+
+def _build_outcome(build):
+    """The flat rows ``build()`` returns, or the error's type and message."""
+    from kflag import KflagError
+
+    try:
+        return build()
+    except KflagError as exc:
+        return type(exc), str(exc)
+
+
+def _both_builds(model, k):
+    """(packed build, generic route) outcomes of the table at cocharacter k
+    and the model's width: ``_specialized_table``, and ``demazure`` run
+    with ``_monomial_t`` and that width's ``poly_divexact``, its rows made
+    flat in the order ``demazure`` gives them."""
+    from kflag.model import _monomial_t
+
+    def generic():
+        table = model._build_schubert_table(_monomial_t(k, model.poly), model._divexact)
+        return [model.poly.flat_row(w, f.restrictions)
+                for w, f in zip(model.group.elements, table)]
+
+    return _build_outcome(lambda: model._specialized_table(k)), _build_outcome(generic)
+
+
+def _at_width(group, bits: int):
+    """A fresh model of ``group`` set to build and solve at ``bits``."""
+    from kflag import SchubertModel
+
+    model = SchubertModel(group)
+    model._set_width(bits)
+    return model
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_the_packed_build_is_the_generic_demazure_route(label, engines):
+    """At 32 bits, at the model's cocharacter and at the second one of
+    ``verify_normalization``, every flat row equals the generic route's:
+    the same fixed points in the same order, the same packed integers and
+    the same norm bounds; the pivot is the entry at w and the row bound the
+    largest entry bound."""
+    from kflag.model import _height_cocharacter
+
+    model = _at_width(engines.group(label), 32)
+    second = _height_cocharacter(model.datum, (1,) * (model.rank - 1) + (2,))
+    for k in (model.cocharacter, second):
+        got, want = _both_builds(model, k)
+        assert type(got) is list and got == want
+        for w, (pivot, bound, entries) in zip(model.group.elements, got):
+            assert pivot[0] is w and pivot in entries
+            assert bound == max(e[3] for e in entries)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_the_packed_build_fails_where_the_generic_route_does(label, engines):
+    """At 8 bits the build either equals the generic route or raises its
+    error with its message.  Groups with up to six positive roots fit;
+    with more, the point class's product bound 2^N reaches 2^7 first."""
+    model = _at_width(engines.group(label), 8)
+    got, want = _both_builds(model, model.cocharacter)
+    assert got == want
+    assert (type(got) is tuple) == (len(model.datum.positive_roots) > 6)
+
+
+def _step_input(poly, f):
+    """The restrictions of a one-variable class as a row of
+    ``demazure_step``: element index -> (u, shift, packed, bound)."""
+    polys = f.restrictions
+    return {u.index: e for u, e in zip(polys, poly.flat_row(next(iter(polys)), polys)[2])}
+
+
+def _both_steps(model, i, f):
+    """(packed step, ``model.demazure``) outcomes of D_i f at the model's
+    width and cocharacter, each as a list of (u, shift, packed, bound)."""
+    from kflag.model import _degree, _monomial_t
+
+    g, poly, k = model.group, model.poly, model.cocharacter
+    heights = [_degree(g.root_image(v, i), k) for v in g.elements]
+    partner = [g.right_mul(v, i).index for v in g.elements]
+
+    def generic():
+        out = model.demazure(i, f, _monomial_t(k, poly), model._divexact)
+        return list(_step_input(poly, out).values()) if out.restrictions else []
+
+    return (_build_outcome(lambda: list(poly.demazure_step(
+                _step_input(poly, f), heights, partner, g.elements).values())),
+            _build_outcome(generic))
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_the_packed_step_raises_where_demazure_does(label, bits, monkeypatch):
+    """D_i of every product psi_u . psi_v that fits the width: the packed
+    step gives ``demazure``'s row, or raises its error with its message.
+    At 8 bits many steps pass the range, at 32 none does."""
+    from kflag import PackedRangeError
+
+    model = _model_at(monkeypatch, label, bits)
+    assert model.bits == bits
+    g, psi = model.group, model.specialized_schubert_class
+    steps = range_errors = 0
+    for u, v in _all_pairs(g):
+        try:
+            f = psi(u) * psi(v)
+        except PackedRangeError:
+            continue
+        for i in range(1, model.rank + 1):
+            got, want = _both_steps(model, i, f)
+            assert got == want
+            steps += 1
+            range_errors += type(want) is tuple and want[0] is PackedRangeError
+    assert steps > len(_all_pairs(g))
+    assert (range_errors > 0) == (bits == 8)
+
+
+@pytest.mark.parametrize("case", ["sum", "certificate", "inexact", "cancel"])
+def test_each_guard_of_the_packed_step_fires_where_demazure_does(case, engines):
+    """D_1 on A1 at 8 bits, on classes made to stop at one guard each: the
+    sum bound 64 + 64 of f(e) - t^h f(s); the certificate of
+    32 (1 - t^2h) / (1 - t^h), whose quotient has norm 64 against the
+    divisor's 2; an inexact division; and f(e) = t^h f(s), where both
+    differences cancel and leave their fixed points out."""
+    from kflag import PackedRangeError
+    from kflag.model import _degree
+
+    model = _at_width(engines.group("A1"), 8)
+    e, s = model.group.elements
+    poly, h = model.poly, _degree(model.datum.simple_root(1), model.cocharacter)
+    f = {
+        "sum": {e: poly({0: 64}), s: poly({3: -64})},
+        "certificate": {e: poly.one_minus_power(2 * h) * 32},
+        "inexact": {e: poly.one()},
+        "cancel": {e: poly({h: 20, h + 1: 20}), s: poly({0: 20, 1: 20})},
+    }[case]
+    got, want = _both_steps(model, 1, EquivClass(1, f))
+    assert got == want
+    if case == "cancel":
+        assert got == []
+    else:
+        assert want[0] is (NotDivisibleError if case == "inexact" else PackedRangeError)
+
+
+def _element_ordered(rows: list) -> bool:
+    """Whether each flat row and its class list their fixed points in
+    element order, the same fixed points in both."""
+    return all(
+        [u.index for u, *_ in row[2]] == sorted(u.index for u, *_ in row[2])
+        and list(cls.restrictions) == [u for u, *_ in row[2]]
+        for row, cls in rows)
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "B3"])
+def test_every_row_is_in_element_order(label, engines):
+    """Built, injected with ``table=`` in reverse order, and re-packed on
+    the 64-bit twin, every row lists its fixed points in element order;
+    the injected and twin rows equal the built ones at their widths."""
+    from kflag import SchubertModel
+
+    g = engines.group(label)
+    built = SchubertModel(g)
+    wide = _at_width(g, 64)
+    shuffled = [dict(reversed(built.specialized_schubert_class(w).restrictions.items()))
+                for w in g.elements]
+    injected = SchubertModel(g, table=shuffled)
+    for model in (built, injected, built.wide):
+        pairs = [(model._rows[w.index], model.specialized_schubert_class(w))
+                 for w in g.elements]
+        assert _element_ordered(pairs)
+    assert [injected._rows[w.index] for w in g.elements] == built._rows
+    assert ([built.wide._rows[w.index] for w in g.elements]
+            == wide._specialized_table(wide.cocharacter))
+
+
+def test_a_table_row_without_its_pivot_fails_integrity(engines):
+    """An injected row without its pivot is refused when it is first read,
+    as an integrity error; the other rows still read."""
+    from kflag import IntegrityError, SchubertModel
+
+    g = engines.group("A2")
+    table = [dict(engines.model("A2").specialized_schubert_class(w).restrictions)
+             for w in g.elements]
+    w = g.elements[3]
+    del table[3][w]
+    model = SchubertModel(g, table=table)
+    assert model._rows[2][0][0] is g.elements[2]
+    word = ", ".join(map(str, w.word))
+    with pytest.raises(IntegrityError, match=rf"row \[{word}\] has no pivot"):
+        model._rows[3]
 
 
 def test_fork_workers_redo_their_own_overflowing_jobs(monkeypatch, forced_pool):
@@ -458,22 +654,34 @@ def _outcome(solve, *args):
         return type(exc), str(exc)
 
 
-def _both_routes(ring, elements, vec: dict, rows):
+def _both_routes(ring, elements, vec: dict, rows, flat_rows=None):
     """(kernel, method path) outcomes of one solve in ``ring``, a
-    ``(UniPoly, poly_divexact)`` pair of one width."""
+    ``(UniPoly, poly_divexact)`` pair of one width.  The method path reads
+    ``rows(w)``, a dict, and the kernel ``flat_rows(w)``, by default that
+    dict made a flat row, in its order."""
     poly, divide = ring
-    return (_outcome(poly.solve_at_one, elements, vec, rows),
+    if flat_rows is None:
+        def flat_rows(w):
+            return poly.flat_row(w, rows(w))
+
+    return (_outcome(poly.solve_at_one, elements, vec, flat_rows),
             _outcome(_method_solve, elements, vec, rows, divide))
 
 
 def _model_routes(model, vec: dict, elements=None):
     """Both outcomes of solving ``vec`` against the model's rows, over the
-    group's elements unless others are given."""
+    group's elements unless others are given: the kernel reads the flat
+    rows the model solves with, the method path their classes, whose
+    entries are in the same order (``test_every_row_is_in_element_order``)."""
     def rows(w):
         return model.specialized_schubert_class(w).restrictions
 
+    def flat_rows(w):
+        return model._rows[w.index]
+
     return _both_routes((model.poly, model._divexact),
-                        model.group.elements if elements is None else elements, vec, rows)
+                        model.group.elements if elements is None else elements, vec, rows,
+                        flat_rows)
 
 
 def _solve_inputs(model):
@@ -517,6 +725,21 @@ def test_the_solve_kernel_matches_the_method_path(label, bits, monkeypatch):
     assert solves > len(model.group.elements) ** 2 // 2
     # A2 fits 8 bits everywhere; A3, B2 and G2 do not
     assert (range_errors > 0) == (bits == 8 and label != "A2")
+
+
+def test_the_solve_kernel_matches_the_method_path_on_a_d4_sample(engines):
+    """500 D4 pairs (u, v), drawn with a fixed seed: the kernel on the
+    model's 32-bit flat rows gives ``back_solve``'s values in its order."""
+    import random
+
+    model, g = engines.model("D4"), engines.group("D4")
+    assert model.bits == 32
+    rng = random.Random(4)
+    psi = model.specialized_schubert_class
+    for _ in range(500):
+        u, v = rng.choice(g.elements), rng.choice(g.elements)
+        got, want = _model_routes(model, (psi(u) * psi(v)).restrictions)
+        assert got == want and type(want) is list
 
 
 def test_the_solve_kernel_raises_as_the_method_path_does(engines):

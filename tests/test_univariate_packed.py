@@ -344,3 +344,53 @@ def test_repack_converts_exactly_and_keeps_the_bound():
         P32.repack(t)
     with pytest.raises(PackedRangeError):
         P32.repack(UniPoly({0: 2**31}))
+
+
+# -- the balanced-digit decoder ---------------------------------------------------
+
+
+def _reference_digits(x: int, bits: int) -> list[int]:
+    """Balanced base-2^bits digits of x, lowest first, no zeros on top: one
+    digit at a time, each in [-2^(bits-1), 2^(bits-1))."""
+    base, half = 1 << bits, 1 << (bits - 1)
+    out = []
+    while x:
+        d = x % base
+        if d >= half:
+            d -= base
+        out.append(d)
+        x = (x - d) >> bits
+    return out
+
+
+def _check_digits(bits: int, x: int) -> None:
+    got = _packed(bits)[0].digits(x)
+    want = _reference_digits(x, bits)
+    # x.bit_length() // bits + 2 digits, which is enough; those past x's are zero
+    assert len(got) == x.bit_length() // bits + 2 >= len(want)
+    assert list(got) == want + [0] * (len(got) - len(want))
+    assert sum(d << (bits * i) for i, d in enumerate(got)) == x
+
+
+@pytest.mark.parametrize("bits", [8, 32, 64])
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(-(2 ** 1700), 2 ** 1700))
+def test_digits_match_the_reference_decoder(bits, x):
+    _check_digits(bits, x)
+
+
+@pytest.mark.parametrize("bits", [8, 32, 64])
+def test_digits_at_the_edges_match_the_reference_decoder(bits):
+    """Digits at both ends of the balanced range, alone and in long runs,
+    where adding the offset carries through every digit."""
+    half, base = 1 << (bits - 1), 1 << bits
+    low, high = -half, half - 1
+    edges = [0, 1, -1, low, high, half, -half - 1, base - 1, -(base - 1), base, -base]
+    for run in (1, 2, 25):
+        for d in (low, high, -1, 1):
+            x = sum(d << (bits * i) for i in range(run))
+            edges += [x, -x, x + 1, x - 1, x << bits, (x << bits) + 1]
+        # alternating ends: every digit flips sign
+        edges.append(sum((low if i % 2 else high) << (bits * i) for i in range(run)))
+    for x in edges:
+        _check_digits(bits, x)
