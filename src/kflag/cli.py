@@ -27,7 +27,7 @@ from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
 from .univariate import _packed, narrow_first
 
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
 
 EXIT_OK = 0
@@ -126,8 +126,12 @@ def _check_args(args) -> None:
 # -- cache -----------------------------------------------------------------
 
 
-def _canonical_payload_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+_DIGEST_HEAD_SIZE = len(b'{"digest": "", ') + 64  # the hex SHA-256 has 64 digits
+
+
+def _digest_head(members: bytes) -> bytes:
+    """The digest member that opens a cache file: the SHA-256 of the bytes after it."""
+    return f'{{"digest": "{_sha256(members)}", '.encode()
 
 
 def _sha256(data: bytes) -> str:
@@ -156,7 +160,6 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
         "elements": [list(w.word) for w in group.elements],
         "restrictions": rows,
     }
-    payload["digest"] = _sha256(_canonical_payload_bytes(payload))
     return payload
 
 
@@ -170,13 +173,14 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
     path = os.path.join(cache_dir, name)
     try:
         os.makedirs(cache_dir, exist_ok=True)
+        # the sorted dump, the digest first; json.dumps runs the C encoder
+        # where json.dump streams through the pure-Python one
         payload = _table_to_payload(datum, group, model)
+        members = json.dumps(payload, sort_keys=True)[1:].encode()
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=name + ".", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # same bytes as json.dump, but json.dumps runs the C encoder
-                # where json.dump streams through the pure-Python one
-                fh.write(json.dumps(payload, sort_keys=True))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_digest_head(members) + members)
             os.chmod(tmp, 0o644)  # mkstemp creates 0600
             os.replace(tmp, path)
         except BaseException:
@@ -198,19 +202,19 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     if not os.path.exists(path):
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        payload = json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         print(f"warning: cache unreadable ({exc}); recomputing", file=sys.stderr)
         return None
     if not isinstance(payload, dict):
         print("warning: cache malformed (not a JSON object); recomputing", file=sys.stderr)
         return None
-    digest = payload.pop("digest", None)
     if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
         print("warning: cache schema version mismatch; recomputing", file=sys.stderr)
         return None
-    if _sha256(_canonical_payload_bytes(payload)) != digest:
+    if data[:_DIGEST_HEAD_SIZE] != _digest_head(data[_DIGEST_HEAD_SIZE:]):
         print("warning: cache digest mismatch; recomputing", file=sys.stderr)
         return None
     grp = payload.get("group")

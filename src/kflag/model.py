@@ -149,16 +149,14 @@ class SchubertModel:
 
     The one-variable Schubert table, the specialization of every Schubert
     class, is built here (or injected from a cache) and never changed
-    afterwards; the integer commands read only it.  Row w is held in two
-    forms over the same integers: the flat row (``UniPoly.flat_row``:
-    pivot, largest entry bound, and (u, shift, packed, bound) entries) that
-    the build makes and the solve kernel reads, and the ``EquivClass`` that
-    ``specialized_schubert_class`` returns, made from it on first read.
-    Both list the fixed points u in element-index order.  An injected table
-    is sorted into that order and flattened row by row on first read.  The
-    table in the weight lattice is built on the first ``schubert_class``
-    call and assigned whole.  So a model can be shared across threads: at
-    worst two threads make the same value, and either is kept.
+    afterwards; the integer commands read only it.  Row w is held once, as
+    a flat row (``UniPoly.flat_row``), which the build makes,
+    ``row_product`` multiplies and the solve kernel reads.  An injected
+    table is sorted into element order and flattened row by row on first
+    read.  The table in the weight lattice is built on the first
+    ``schubert_class`` call and assigned whole.  So a model can be shared
+    across threads: at worst two threads make the same value, and either
+    is kept.
 
     The table is packed at ``univariate.NARROW_BITS`` unless a bound there
     reaches the packed range; then it is built at 64 bits (``narrow_first``).
@@ -181,19 +179,14 @@ class SchubertModel:
                 self._set_width(bits)
                 return self._specialized_table(self.cocharacter)
 
-            self._rows = rows = narrow_first(build)
-            rank, poly = self.rank, self.poly
-            self._classes = _LazyRows(lambda i: _row_class(rank, poly, rows[i]))
+            self._rows = narrow_first(build)
         else:
             if len(table) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
             # a table holds one width, so its first entry shows which
             entries = (p for row in table for p in row.values())
             self._set_width(next(entries, UniPoly.zero()).DIGIT_BITS)
-            # each row is sorted into element order and flattened on its first read
-            self._classes = _LazyRows(lambda i: EquivClass(self.rank, dict(
-                sorted(table[i].items(), key=lambda item: item[0].index))))
-            self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i]))
+            self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i], table[i]))
         self._schubert: list[EquivClass] | None = None
         self._wide: SchubertModel | None = None
 
@@ -201,31 +194,27 @@ class SchubertModel:
         self.bits = bits
         self.poly, self._divexact = _packed(bits)
 
-    def _flat_row(self, w: WeylElement) -> tuple:
-        """Row w as a flat row, from its ``EquivClass``; a row without its
-        pivot is no row of a unitriangular table."""
-        polys = self._classes[w.index].restrictions
+    def _flat_row(self, w: WeylElement, polys: dict) -> tuple:
+        """Row w of an injected table as a flat row in element order; a row
+        without its pivot is no row of a unitriangular table."""
         if w not in polys:
             raise IntegrityError(f"restriction table row {list(w.word)} has no pivot")
-        return self.poly.flat_row(w, polys)
+        return self.poly.flat_row(w, dict(sorted(polys.items(), key=lambda item: item[0].index)))
 
     @property
     def wide(self) -> "SchubertModel":
         """This model at 64 bits: itself, or its twin, made on first use and
-        assigned whole.  The twin re-packs each of these rows exactly when
-        one of its jobs first reads it, then flattens it when its kernel
-        first reads it, so a redo pays only for the rows it reads, and this
-        model's own flat rows stay a plain list."""
+        assigned whole.  The twin re-packs a row exactly, bounds kept, when
+        one of its jobs first reads it, so a redo pays only for those rows."""
         if self.bits == DIGIT_BITS:
             return self
         if self._wide is None:
-            narrow, rank = self._classes, self.rank
+            narrow, row_polys, elements = self._rows, self.poly.row_polys, self.group.elements
             wide = object.__new__(SchubertModel)
-            wide.__dict__.update(self.__dict__, _wide=None, _classes=_LazyRows(
-                lambda i: EquivClass(rank, {v: UniPoly.repack(p)
-                                            for v, p in narrow[i].restrictions.items()})))
+            wide.__dict__.update(self.__dict__, _wide=None, _rows=_LazyRows(
+                lambda i: UniPoly.flat_row(elements[i], {
+                    v: UniPoly.repack(p) for v, p in row_polys(narrow[i][2]).items()})))
             wide._set_width(DIGIT_BITS)
-            wide._rows = _LazyRows(lambda i: wide._flat_row(wide.group.elements[i]))
             self._wide = wide
         return self._wide
 
@@ -359,8 +348,8 @@ class SchubertModel:
             m.rank, {v: p.specialize(k, m.poly) for v, p in f.restrictions.items()}))
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
-        """specialize([O_{X_w}]), a row of the one-variable table."""
-        return self._classes[w.index]
+        """specialize([O_{X_w}]), row w of the one-variable table, made per call."""
+        return _row_class(self.rank, self.poly, self._rows[w.index])
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
@@ -372,35 +361,37 @@ class SchubertModel:
         fewer classes outside the span than the multivariate route.  f may
         have either width; the solve runs as a job of ``run_packed``.
         """
-        return self.run_packed(lambda m: m._integer_solve(EquivClass(
-            m.rank, {v: m.poly.repack(p) for v, p in f.restrictions.items()})))
+        return self.run_packed(lambda m: m._integer_solve({
+            v: (p._shift, p._packed, p._bound)
+            for v, p in zip(f.restrictions, map(m.poly.repack, f.restrictions.values())) if p}))
 
-    def _integer_solve(self, f: EquivClass) -> dict[WeylElement, int]:
-        """Integer coefficients of a one-variable class of this width, with
-        no redo: the fused kernel ``poly.solve_at_one`` against this model's
-        rows.  Every constant, line row and ``integer_coefficients`` call
-        solves here."""
+    def _integer_solve(self, residual: dict) -> dict[WeylElement, int]:
+        """Integer coefficients of a vector of (shift, packed, bound)
+        triples at this width, with no redo: the fused kernel
+        ``poly.solve_at_one`` against this model's rows.  Every constant,
+        line row and ``integer_coefficients`` call solves here."""
         rows = self._rows
-        return self.poly.solve_at_one(self.group.elements, f.restrictions,
-                                      lambda w: rows[w.index])
+        return self.poly.solve_at_one(self.group.elements, residual, lambda w: rows[w.index])
 
     # -- integer operations, each one job of ``run_packed`` ---------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Integer constants of [O_{X_u}] . [O_{X_v}]: the product and its solve."""
+        """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u and v, solved."""
         return self.run_packed(lambda m: m._integer_solve(
-            m.specialized_schubert_class(u) * m.specialized_schubert_class(v)))
+            m.poly.row_product(m._rows[u.index][2], m._rows[v.index][2])))
 
     def line_table(self, lam) -> dict[WeylElement, dict[WeylElement, int]]:
-        """The integer constants of [L(lam)] . [O_{X_v}] for every v.  The
-        line class is built at the job's width; a row past its range redoes
-        the whole table at 64 bits."""
-        def job(m):
-            lclass = m.line_bundle_class(lam, _monomial_t(m.cocharacter, m.poly))
-            return {v: m._integer_solve(lclass * m.specialized_schubert_class(v))
-                    for v in m.group.elements}
-
-        return self.run_packed(job)
+        """The integer constants of [L(lam)] . [O_{X_v}] for every v.  The line
+        class, t^-<v(lam), k> at v, packs to 1 with norm 1 at any width; a
+        row past the range redoes the whole table at 64 bits."""
+        lam = tuple(lam)
+        if len(lam) != self.rank:
+            raise ConfigError("weight has wrong length")
+        group, k = self.group, self.cocharacter
+        line = tuple((v, -_degree(group.apply(v, lam), k), 1, 1) for v in group.elements)
+        return self.run_packed(lambda m: {
+            v: m._integer_solve(m.poly.row_product(line, m._rows[v.index][2]))
+            for v in group.elements})
 
     def schubert_chi(self, heights) -> list[int]:
         """chi of every Schubert class, by w.index, at the cocharacter whose

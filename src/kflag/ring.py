@@ -220,49 +220,31 @@ class SchubertRing:
         """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized.
 
         The model solves only 0 and +-omega_i; by [L(lam + mu)] = [L(lam)] . [L(mu)]
-        any other table is the product of the tables of ``_line_parts(lam)``.
-        The memo keeps the weights asked for and the model's tables.  The
-        other weights of the chain are composed once per call, each freed
-        after its last read, so a large weight holds a few tables at a time.
+        any other table is the product of the tables of ``_line_parts(lam)``,
+        each distinct part made once.  The memo keeps the weights asked for
+        and every weight with coordinates in {-1, 0, 1}, the model's tables
+        among them; the larger weights of the chain are dropped on return,
+        so a large weight holds a few tables at a time.
         """
         memo = self._line_memo
-        got = memo.get(lam)
-        if got is not None:
-            return got
-        if not _line_parts(lam):
-            got = memo[lam] = self.model.line_table(lam)
-            return got
-        reads: dict[Weight, int] = {}  # chain weight -> reads left in this call
-        order: list[Weight] = []  # each chain weight after the weights it reads
 
-        def plan(mu):
-            for p in _line_parts(mu):
-                if p in memo:
-                    continue
-                if not _line_parts(p):
-                    memo[p] = self.model.line_table(p)
-                elif p in reads:
-                    reads[p] += 1
-                else:
-                    reads[p] = 1
-                    plan(p)
-            order.append(mu)
-
-        plan(lam)
-        chain = {}
-        for mu in order:
+        def table(mu):
+            got = memo.get(mu)
+            if got is not None:
+                return got
             parts = _line_parts(mu)
-            got, *others = [memo[p] if p in memo else chain[p] for p in parts]
-            for table in others:
-                got = {v: _row_times(row, table) for v, row in got.items()}
-            chain[mu] = got
-            for p in parts:
-                if p in reads:
-                    reads[p] -= 1
-                    if not reads[p]:
-                        del chain[p]
-        memo[lam] = got
-        return got
+            if parts:
+                tables = {p: table(p) for p in dict.fromkeys(parts)}
+                got, *others = map(tables.get, parts)
+                for other in others:
+                    got = {v: _row_times(row, other) for v, row in got.items()}
+            else:
+                got = self.model.line_table(mu)
+            if mu == lam or max(map(abs, mu)) <= 1:
+                memo[mu] = got
+            return got
+
+        return table(lam)
 
     # -- parabolic calculus -----------------------------------------------------
 

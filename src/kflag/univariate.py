@@ -24,12 +24,12 @@ it the guard raises ``PackedRangeError``, the signal to redo the work at
 never mix: an operation between them raises ``TypeError``, and ``repack``
 converts.
 
-Two loops skip the ``UniPoly`` objects and run on (shift, packed, bound)
-values, with the bounds and guards of the method path they fuse:
-``demazure_step``, one divided difference of the Schubert table's build,
-and ``solve_at_one``, the triangular solve.  Both work on flat rows
-(``flat_row``).  ``digits`` is the one balanced-digit decoder, used by
-both loops, ``coefficients``, ``terms`` and ``poly_divexact``.
+Three loops run on the (shift, packed, bound) values of flat rows
+(``flat_row``), the Schubert table's one form, with the bounds and guards
+of the method path they fuse: ``demazure_step``, one divided difference of
+the build; ``row_product``, a pointwise product; ``solve_at_one``, the
+triangular solve.  ``digits`` is the one balanced-digit decoder, used by
+the loops, ``coefficients``, ``terms`` and ``poly_divexact``.
 """
 from __future__ import annotations
 
@@ -401,31 +401,40 @@ def _packed(bits: int):
             out[v] = (keys[v], s - ds, q, norm)
         return out
 
-    def solve_at_one(elements, vec: dict, rows) -> dict:
-        """The values at t = 1 of the coordinates of ``vec`` against a
+    def row_product(a: tuple, b: tuple) -> dict:
+        """``EquivClass.__mul__`` of two flat rows' entries, as the kernel's residual: it walks
+        the shorter row (``a`` on a tie) and raises at the first product bound out of range."""
+        if len(a) > len(b):
+            a, b = b, a
+        get = {e[0]: e for e in b}.get
+        out = {}
+        for u, s, x, bound in a:
+            e = get(u)
+            if e is not None:
+                bound *= e[3]
+                if bound >= half:
+                    raise out_of_range(bound)
+                out[u] = (s + e[1], x * e[2], bound)
+        return out
+
+    def solve_at_one(elements, residual: dict, rows) -> dict:
+        """The values at t = 1 of the coordinates of a vector against a
         unitriangular basis, zero values omitted: ``model.back_solve`` with
         ``poly_divexact`` fused into one loop over packed integers.
 
         ``elements`` is in an order refining Bruhat order and ``rows(w)`` is
-        basis vector w as a ``flat_row``, pivot included.  The residual is
-        kept as (shift, packed int, bound) triples, with trailing zero
-        digits stripped only at a pivot, just before its divmod.  Every
-        bound is the one the method path computes, checked in the same
-        order: the quotient certificate, then for each row entry, in the
-        row's order, the product bound and the difference bound.  No
-        product bound can reach the range unless the quotient's norm times
-        the row's largest entry bound does, so only then are they checked.
-        So this raises where ``back_solve`` would: ``NotDivisibleError``
-        for an inexact pivot, the range error, and ``NonzeroResidualError``
-        if anything is left over.  Each quotient is read at t = 1 by
+        basis vector w as a ``flat_row``, pivot included.  ``residual``, the
+        vector as nonzero (shift, packed, bound) triples, is used up.  Every
+        bound is the one the method path computes, checked in the same order:
+        the quotient certificate, then for each row entry, in the row's
+        order, the product bound and the difference bound.  No product bound
+        can reach the range unless the quotient's norm times the row's
+        largest entry bound does, so only then are they checked.  So this
+        raises where ``back_solve`` would: ``NotDivisibleError`` for an
+        inexact pivot, the range error, and ``NonzeroResidualError`` if
+        anything is left over.  Each quotient is read at t = 1 by
         ``eval_at_one``'s residue and never built as a ``UniPoly``.
         """
-        residual = {}
-        for w, p in vec.items():
-            if type(p) is not UniPoly:
-                raise mixed(p)
-            if p._packed:
-                residual[w] = (p._shift, p._packed, p._bound)
         values = {}
         get = residual.get
         for w in reversed(elements):
@@ -480,7 +489,7 @@ def _packed(bits: int):
             raise NonzeroResidualError("expansion left a nonzero residual")
         return values
 
-    for fn in (digits, flat_row, row_polys, demazure_step, solve_at_one):
+    for fn in (digits, flat_row, row_polys, demazure_step, row_product, solve_at_one):
         setattr(UniPoly, fn.__name__, staticmethod(fn))
     return UniPoly, poly_divexact
 

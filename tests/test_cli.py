@@ -620,10 +620,32 @@ def test_cache_digest_mismatch_recomputes_with_warning(tmp_path, capsys):
     assert obj["ok"] is True
 
 
+def test_cache_digest_covers_the_stored_bytes(tmp_path, capsys):
+    """The digest is the SHA-256 of the file's bytes after its digest
+    member.  The same payload stored with other separators decodes to the
+    same JSON but fails the digest, with one warning and a rewrite."""
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    path = os.path.join(cache, "schubert-table-A2.json")
+    data = open(path, "rb").read()
+    payload = json.loads(data)
+    head = f'{{"digest": "{payload["digest"]}", '.encode()
+    assert data.startswith(head)
+    assert hashlib.sha256(data[len(head):]).hexdigest() == payload["digest"]
+    open(path, "w").write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    code, _, err = run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    assert code == 0
+    assert err.splitlines() == ["warning: cache digest mismatch; recomputing"]
+    assert open(path, "rb").read() == data
+
+
 def _recompute_digest(payload):
+    """payload with its digest made anew: the SHA-256 of the bytes after the
+    digest member of its sorted dump, where the digest key sorts first.
+    Written in sorted key order, it is a digest-valid cache file."""
     body = {k: v for k, v in payload.items() if k != "digest"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    payload["digest"] = hashlib.sha256(blob).hexdigest()
+    members = json.dumps(body, sort_keys=True)[1:].encode()
+    payload["digest"] = hashlib.sha256(members).hexdigest()
     return payload
 
 
@@ -661,9 +683,9 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
 
     def corrupt(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        row = self.specialized_schubert_class(self.group.elements[1])
-        self._classes[1] = row + row  # both forms of the row, as the build holds them
-        self._rows[1] = self._flat_row(self.group.elements[1])
+        w = self.group.elements[1]
+        row = self.specialized_schubert_class(w)
+        self._rows[1] = self.poly.flat_row(w, (row + row).restrictions)
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
     group = WeylGroup(build_root_datum("A", 2))
@@ -733,12 +755,13 @@ def test_cache_store_ignores_a_stale_tmp_path(tmp_path, capsys):
 
 def test_cache_store_bytes_are_the_sorted_dump(tmp_path):
     """The stored file is json.dumps(payload, sort_keys=True), byte for byte,
-    which is also what the streaming json.dump writes."""
+    which is also what the streaming json.dump writes, with the payload's
+    digest the SHA-256 of the bytes after the digest member."""
     from kflag.cli import _table_to_payload, cache_store
 
     datum, group, model = _a2_stack()
     path = cache_store(str(tmp_path), datum, group, model)
-    payload = _table_to_payload(datum, group, model)
+    payload = _recompute_digest(_table_to_payload(datum, group, model))
     want = json.dumps(payload, sort_keys=True)
     streamed = io.StringIO()
     json.dump(payload, streamed, sort_keys=True)
@@ -953,7 +976,7 @@ def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, 
 
 def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     """A digest-valid A2 cache of an older schema: one warning, the output
-    of a run with no cache, and a rewrite at schema 3."""
+    of a run with no cache, and a rewrite at schema 4."""
     code, want, _ = run_cli(capsys, *A2_CONSTANTS)
     datum, group, _ = _a2_stack()
     payload = {
@@ -968,7 +991,7 @@ def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     assert code == 0
     assert err.splitlines() == ["warning: cache schema version mismatch; recomputing"]
     assert out == want
-    assert json.loads(path.read_text())["schema_version"] == 3
+    assert json.loads(path.read_text())["schema_version"] == 4
 
 
 def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
@@ -997,6 +1020,19 @@ def test_cache_schema_2_file_is_recomputed(tmp_path, capsys, monkeypatch):
         )
     ]
     _old_schema_file_is_recomputed(tmp_path, capsys, 2, rows)
+
+
+def test_cache_schema_3_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    """A cache of today's rows at schema 3, whose digest hashed the payload
+    re-encoded, is replaced with one warning."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _, group, model = _a2_stack()
+    rows = [
+        [w.index, v.index, *p.coefficients()]
+        for w in group.elements
+        for v, p in model.specialized_schubert_class(w).restrictions.items()
+    ]
+    _old_schema_file_is_recomputed(tmp_path, capsys, 3, rows)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -399,7 +399,7 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     the pairs (w_o w, x) with w_o u <= x and w_o w not below x are flagged
     as well.  The row goes in after a first report has memoized the
     constants and the omega rows, which a wrong row would fail to solve."""
-    from kflag import EquivClass, SchubertModel
+    from kflag import SchubertModel
 
     g = engines.group("A3")
     model = SchubertModel(g)
@@ -408,8 +408,7 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     w, u = g.from_word([1, 2]), g.from_word([3, 2])
     assert not g.bruhat_leq(u, w)
     row = model.specialized_schubert_class(w)
-    model._classes[w.index] = EquivClass(model.rank, {**row.restrictions, u: model.poly.one()})
-    model._rows[w.index] = model._flat_row(w)
+    model._rows[w.index] = model.poly.flat_row(w, {**row.restrictions, u: model.poly.one()})
     rep = ring.verify_richardson_signs()
     leq = g.bruhat_leq
     w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)
@@ -516,11 +515,29 @@ def test_line_sweep_solves_only_the_fundamental_tables(engines, monkeypatch):
     assert sorted(asked) == sorted([d.zero_weight(), *units, *(_neg(u) for u in units)])
 
 
+def test_the_default_line_sweep_composes_each_table_once(engines, monkeypatch):
+    """The default A3 line sweep makes 1,872 row products: the tables it
+    composes are kept, so none is composed twice."""
+    import kflag.ring
+    from kflag.cli import _default_line_sweep
+
+    products = []
+    monkeypatch.setattr(kflag.ring, "_row_times",
+                        lambda row, table: products.append(1) or _row_times(row, table))
+    ring = SchubertRing(engines.model("A3"))
+    sweep = _default_line_sweep(ring.datum)
+    for lam in sweep:
+        for mu in sweep:
+            assert ring.verify_line_identities(lam, mu).ok
+    assert len(products) == 1872
+
+
 def test_a_large_weight_leaves_only_itself_and_the_model_tables(engines, monkeypatch):
     """B2 at (2^20 - 1) rho: each weight of its halving chain is composed
-    once in the call, and afterwards the memo holds the weight asked for
-    and the model's tables of +-omega_i, nothing of the chain.  The table
-    equals the one composed along (2^20 - 2) rho + rho, another chain."""
+    once in the call, and afterwards the memo holds the weight asked for,
+    the model's tables of +-omega_i and the chain's weights with
+    coordinates in {-1, 0, 1}, none of the larger ones.  The table equals
+    the one composed along (2^20 - 2) rho + rho, another chain."""
     import kflag.ring
 
     model = engines.model("B2")
@@ -539,7 +556,8 @@ def test_a_large_weight_leaves_only_itself_and_the_model_tables(engines, monkeyp
     table = ring._line_table(lam)
     assert len(products) == len(model.group) * sum(len(_line_parts(w)) - 1 for w in chain)
     units = [ring.datum.fundamental_weight(i) for i in (1, 2)]
-    assert set(ring._line_memo) == {lam, *units, *map(_neg, units)}
+    small = {w for w in chain if max(map(abs, w)) <= 1}
+    assert small and set(ring._line_memo) == {lam, *units, *map(_neg, units), *small}
     monkeypatch.undo()
     other = SchubertRing(model)
     left = other._line_table((2**20 - 2, 2**20 - 2))

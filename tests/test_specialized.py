@@ -373,12 +373,10 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     """The twin re-packs a row of the 8-bit table when a redone job first
-    reads it, and flattens it when its kernel first reads it.  The constant
-    of (e, w_o) fits its product but not its solve, and its redo reads rows
-    e and w_o only, of which the kernel reads e, where the product lives; a
-    redone line table reads every row.  The re-packed rows and the results
-    equal those of a model that never packs narrow, and the narrow flat
-    rows stay a plain list."""
+    reads it.  The constant of (e, w_o) fits its product but not its solve,
+    and its redo reads rows e and w_o only; a redone line table reads every
+    row.  The re-packed rows and the results equal those of a model that
+    never packs narrow, and the narrow flat rows stay a plain list."""
     from kflag import SchubertRing
 
     narrow = _model_at(monkeypatch, label, 8)
@@ -388,12 +386,11 @@ def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     got = small.structure_constants(g.identity, g.w_o)
     assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o))
     twin = narrow.wide
-    assert sorted(twin._classes) == [g.identity.index, g.w_o.index]
-    assert sorted(twin._rows) == [g.identity.index]
+    assert sorted(twin._rows) == [g.identity.index, g.w_o.index]
     lam = narrow.datum.fundamental_weight(1)
     assert {v.index: _by_index(row) for v, row in small._line_table(lam).items()} == {
         v.index: _by_index(row) for v, row in big._line_table(lam).items()}
-    assert sorted(twin._classes) == sorted(twin._rows) == list(range(len(g.elements)))
+    assert sorted(twin._rows) == list(range(len(g.elements)))
     for w, x in zip(g.elements, h.elements):
         assert _coefficient_row(twin, w) == _coefficient_row(wide, x)
     assert type(narrow._rows) is list and narrow.wide is twin
@@ -593,7 +590,8 @@ def test_every_row_is_in_element_order(label, engines):
 
 def test_a_table_row_without_its_pivot_fails_integrity(engines):
     """An injected row without its pivot is refused when it is first read,
-    as an integrity error; the other rows still read."""
+    through the rows or ``specialized_schubert_class``, as an integrity
+    error; the other rows still read."""
     from kflag import IntegrityError, SchubertModel
 
     g = engines.group("A2")
@@ -604,6 +602,8 @@ def test_a_table_row_without_its_pivot_fails_integrity(engines):
     model = SchubertModel(g, table=table)
     assert model._rows[2][0][0] is g.elements[2]
     word = ", ".join(map(str, w.word))
+    with pytest.raises(IntegrityError, match=rf"row \[{word}\] has no pivot"):
+        model.specialized_schubert_class(w)
     with pytest.raises(IntegrityError, match=rf"row \[{word}\] has no pivot"):
         model._rows[3]
 
@@ -658,14 +658,24 @@ def _both_routes(ring, elements, vec: dict, rows, flat_rows=None):
     """(kernel, method path) outcomes of one solve in ``ring``, a
     ``(UniPoly, poly_divexact)`` pair of one width.  The method path reads
     ``rows(w)``, a dict, and the kernel ``flat_rows(w)``, by default that
-    dict made a flat row, in its order."""
+    dict made a flat row, in its order.  The kernel takes ``vec`` as the
+    (shift, packed, bound) triples of its nonzero values, each first added
+    to the ring's zero, which raises the ring's ``TypeError`` for a value
+    of another width as the method path's division does."""
     poly, divide = ring
     if flat_rows is None:
         def flat_rows(w):
             return poly.flat_row(w, rows(w))
 
-    return (_outcome(poly.solve_at_one, elements, vec, flat_rows),
-            _outcome(_method_solve, elements, vec, rows, divide))
+    def kernel():
+        residual = {}
+        for w, p in vec.items():
+            p = poly.zero() + p
+            if p:
+                residual[w] = p._shift, p._packed, p._bound
+        return poly.solve_at_one(elements, residual, flat_rows)
+
+    return _outcome(kernel), _outcome(_method_solve, elements, vec, rows, divide)
 
 
 def _model_routes(model, vec: dict, elements=None):
@@ -786,3 +796,64 @@ def test_each_guard_of_the_solve_kernel_fires_where_the_method_path_does(vec, ro
     rows = {w: {u: packed(c) for u, c in row.items()} for w, row in rows.items()}
     got, want = _both_routes(ring, ["a", "b"], vec, rows.__getitem__)
     assert got == want and want[0] is PackedRangeError
+
+
+# -- the row product against the class product ---------------------------------------
+
+
+def _class_product(model, a, b):
+    """``EquivClass.__mul__`` of the classes of two flat rows' entries, as
+    the (shift, packed, bound) triples the kernel takes, in its order."""
+    poly = model.poly
+    prod = EquivClass(model.rank, poly.row_polys(a)) * EquivClass(model.rank, poly.row_polys(b))
+    return {u: (p._shift, p._packed, p._bound) for u, p in prod.restrictions.items()}
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_the_row_product_is_the_class_product(label, bits, monkeypatch):
+    """On every ordered pair of rows (u, v), with row v as built and
+    reversed, ``row_product`` gives the triples of the class product in
+    its order, or raises its error with its message.  The reversed rows
+    show that it walks the shorter row, as the class product does, and at
+    8 bits some products pass the range."""
+    from kflag import PackedRangeError
+
+    model = _model_at(monkeypatch, label, bits)
+    assert model.bits == bits
+    rows = [model._rows[w.index][2] for w in model.group.elements]
+    range_errors = 0
+    for a in rows:
+        for row in rows:
+            for b in (row, row[::-1]):
+                got = _outcome(model.poly.row_product, a, b)
+                want = _outcome(_class_product, model, a, b)
+                assert got == want
+                range_errors += type(want) is tuple and want[0] is PackedRangeError
+    assert (range_errors > 0) == (bits == 8)
+
+
+def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
+    """Structure constants and line tables, redone at 64 bits or not,
+    multiply flat rows only: no ``EquivClass`` or ``UniPoly`` product of
+    either width runs, while a class product still counts."""
+    from kflag import SchubertRing
+
+    model = _model_at(monkeypatch, "A3", 8)
+    g = model.group
+    products = []
+    for cls in (EquivClass, UniPoly, model.poly):
+        for name in ("__mul__", "__rmul__"):
+            if name in vars(cls):
+                orig = getattr(cls, name)
+                monkeypatch.setattr(cls, name, lambda *args, _orig=orig: (
+                    products.append(type(args[0]).__name__) or _orig(*args)))
+    ring = SchubertRing(model)
+    for u, v in _all_pairs(g):
+        ring.structure_constants(u, v)
+    for lam in _default_line_sweep(model.datum):
+        model.line_table(lam)
+    assert model._wide is not None and products == []
+    psi = model.wide.specialized_schubert_class
+    psi(g.identity) * psi(g.identity)
+    assert products[0] == "EquivClass" and "UniPoly" in products
