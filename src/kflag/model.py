@@ -294,6 +294,18 @@ class SchubertModel:
         the specialized classes exactly.  It runs here on packed integers,
         one ``poly.demazure_step`` per element, with the heights
         h(v, i) = <v(alpha_i), k> tabulated once.
+
+        psi_w = D_j psi_{w s_j} for every right descent j of w, as the
+        Demazure operators satisfy the braid relations (Demazure 1974,
+        Kostant-Kumar 1990), and the image of D_j is right s_j-invariant.
+        So psi_w is right invariant under W_J, J the right descents of w,
+        and the step divides once per coset v W_J in [e, w], at its minimal
+        point, and copies the rest.  Guards run at those points only: where
+        the generic route fits the width, this table equals it, integer for
+        integer and bound for bound, and where this build raises, the
+        generic route raises too.  The converse can fail: a sum guard at a
+        copied point can send the generic route to 64 bits while this table
+        stays at 32, with the same values.
         """
         group, poly = self.group, self.poly
         elements = group.elements
@@ -305,9 +317,10 @@ class SchubertModel:
         built = [{0: poly.flat_row(group.identity, point)[0]}]
         for w in elements[1:]:
             # elements are sorted by length, so the shorter factor is ready
-            i = w.word[-1]
-            prev = built[group.right_mul(w, i).index]
-            built.append(step(prev, heights[i - 1], partners[i - 1], elements))
+            x, i = w.index, w.word[-1]
+            partner = partners[i - 1]
+            built.append(step(built[partner[x]], heights[i - 1], partner, elements,
+                              [p for p in partners if p[x] < x and p is not partner]))
         return [(row[j], max(e[3] for e in row.values()), tuple(row.values()))
                 for j, row in enumerate(built)]
 

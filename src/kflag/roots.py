@@ -207,7 +207,7 @@ class RootDatum(FrozenRecord):
         if c == 0:
             return lam
         col = i - 1
-        return tuple(lam[k] - c * self.cartan[k][col] for k in range(self.rank))
+        return tuple([lam[k] - c * row[col] for k, row in enumerate(self.cartan)])
 
     def act(self, word: tuple[int, ...], lam: Weight) -> Weight:
         """Apply s_{i1} s_{i2} ... s_{ik} to lam (rightmost letter acts first)."""
@@ -314,10 +314,9 @@ class WeylGroup:
         by_key = {rec[0]: idx for idx, rec in enumerate(records)}
         r = datum.rank
         self._w_alpha = [rec[2] for rec in records]
-        # left[i-1][w]: index of s_i * w, via key(s_i w) = s_i(key(w))
-        self._left = [
-            [by_key[datum.reflect(i, rec[0])] for rec in records] for i in range(1, r + 1)
-        ]
+        # left[i-1][w]: index of s_i * w, via key(s_i w) = s_i(key(w)), which
+        # the enumeration has computed
+        self._left = [[by_key[rec[3][i]] for rec in records] for i in range(r)]
         # right[i-1][w]: index of w * s_i, via key(w s_i) = key(w) - w(alpha_i)
         self._right = [
             [
@@ -341,24 +340,27 @@ class WeylGroup:
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
 
     def _enumerate(self, max_size: int):
+        """One record (w(rho), length, w(alpha_1..r), s_1..r(w(rho))) per
+        element, by breadth-first search on left multiplication; the last
+        field is filled as the element leaves the frontier."""
         datum = self.datum
         r = datum.rank
         rho = datum.rho
         simples = tuple(datum.simple_root(i) for i in range(1, r + 1))
-        start = (rho, 0, simples)
+        start = [rho, 0, simples, None]
         seen = {rho: start}
         frontier = [start]
         while frontier:
             fresh = []
-            for key, length, w_alpha in frontier:
-                for i in range(1, r + 1):
-                    key2 = datum.reflect(i, key)
+            for rec in frontier:
+                key, length, w_alpha, _ = rec
+                rec[3] = reflected = [datum.reflect(i, key) for i in range(1, r + 1)]
+                for i, key2 in enumerate(reflected, 1):
                     if key2 in seen:
                         continue
-                    alpha2 = tuple(datum.reflect(i, a) for a in w_alpha)
-                    rec = (key2, length + 1, alpha2)
-                    seen[key2] = rec
-                    fresh.append(rec)
+                    alpha2 = tuple([datum.reflect(i, a) for a in w_alpha])
+                    seen[key2] = new = [key2, length + 1, alpha2, None]
+                    fresh.append(new)
                     if len(seen) > max_size:
                         raise BoundExceededError(
                             f"Weyl group exceeds the configured bound ({max_size})"

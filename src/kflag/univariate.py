@@ -351,7 +351,7 @@ def _packed(bits: int):
         got = divisors[h] = (d._shift, d._packed)
         return got
 
-    def demazure_step(f: dict, heights, partner, keys) -> dict:
+    def demazure_step(f: dict, heights, partner, keys, invariant=()) -> dict:
         """D_i of one row of the Schubert table: ``model.demazure`` with the
         weight t^h(v), h(v) = ``heights[v]``, and ``poly_divexact``, fused
         on packed integers.
@@ -362,13 +362,38 @@ def _packed(bits: int):
         method path computes, bound included: f(v) - t^h f(v s_i), its sum
         bound checked when both terms are there, divided by 1 - t^h with
         the quotient's exact norm certified against the divisor's bound 2.
-        Visited in that order, the guards raise where the method path's do.
+
+        As h(v s_i) = -h(v), (D_i f)(v s_i) = (D_i f)(v) with the same sum
+        bound and norm, so only the lower point of each pair divides and the
+        upper one copies it (or is left out with it).  Visited in index
+        order, which refines length, the guards raise where the method
+        path's do.
+
+        ``invariant`` holds more partner lists, of reflections s_j under
+        which the result is known to be right invariant (for a Schubert row
+        psi_w, w's other right descents).  A point v with some v s_j < v
+        copies that entry too, so only the minimal point of each orbit of
+        the group they generate with s_i divides.  Guards then run at those
+        points only: every value is still a quotient certified at this
+        width, and equal, bound included, to the method path's wherever
+        that fits the width, but a sum guard the method path would trip at
+        a copied point does not trip here.
         """
         todo = set(f)
         todo.update([partner[v] for v in f])
         get = f.get
         out = {}
+        lower = (partner, *invariant)
         for v in sorted(todo):
+            for p in lower:
+                u = p[v]
+                if u < v:
+                    break
+            if u < v:  # the lower point of v's pair or orbit is done: copy it
+                got = out.get(u)
+                if got is not None:
+                    out[v] = (keys[v], *got[1:])
+                continue
             a, c, h = get(v), get(partner[v]), heights[v]
             if c is None:
                 _, s, x, b = a

@@ -3,8 +3,9 @@
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
 the B4 sample, the B4 and A5 width comparison, the A4 pool test, the B3,
-C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks and the
-B4 line table at the weight bound are opt-in: set KFLAG_BIG_RANK=1.
+C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks, the
+B4 line table at the weight bound and the A5 and F4 table builds against
+the generic route are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 import line_oracle
 import pairing_oracle
 from test_model import braid_order, random_valid_class
+from test_specialized import _both_builds
 from test_ring import to_permutation
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "G2")
@@ -464,3 +466,24 @@ def test_criterion_10_model_integrity(engines):
     _announce(10, ",".join(DEFAULT_TYPES),
               f"{classes_per_type} random classes per type, "
               f"{demazure_checks} operator identities, no integrity errors")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A5 and F4 builds")
+@pytest.mark.parametrize("label", ["A5", "F4"])
+def test_criterion_10_table_build_is_the_generic_route(label, engines):
+    """The one-variable table, built once per coset of each row's right
+    descents, equals the generic Demazure route at 32 bits, row for row
+    and bound for bound, at the model's cocharacter and at the second one
+    of the normalization report."""
+    from kflag.model import _height_cocharacter
+
+    model = engines.model(label)
+    assert model.bits == 32
+    second = _height_cocharacter(model.datum, (1,) * (model.rank - 1) + (2,))
+    t0 = time.monotonic()
+    for k in (model.cocharacter, second):
+        got, want = _both_builds(model, k)
+        assert type(got) is list and got == want
+    elapsed = time.monotonic() - t0
+    _announce(10, label, f"{len(got)} rows equal the generic route at two cocharacters, "
+              f"{elapsed:.1f}s")

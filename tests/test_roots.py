@@ -132,6 +132,33 @@ def test_weyl_enumeration(letter, rank, engines):
     assert keys == sorted(keys)
 
 
+# SHA-256 of repr((_left, _right, _w_alpha, [(index, word, length, key)])),
+# as the group was enumerated when ``_left`` reflected every key a second time
+WEYL_TABLE_DIGESTS = {
+    "A3": "57f681c08c3c9d9804f93b4fa9ce0bd7be9247e8be7fe91f93b2080c35a7eaec",
+    "D4": "111bc5562a276d4d8f9edc284110fa33b279256ee151a809497aabf1b7e84b0e",
+    "B4": "a4f83a2c8ecae71fc0d32439987b1efa1a8ddee320e189126eee972f7f1a99c5",
+    "F4": "19ff81139981a952934ea74c364506d927326c2f6720d62cb4642ff1d47ca226",
+    "E6": "ca35868c63584724a43215c78dc4d697331d6e4d33a282b5f9c68f61aad5a254",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WEYL_TABLE_DIGESTS))
+def test_weyl_tables_are_unchanged(label):
+    """The multiplication tables, root images and elements are those of
+    the digest, and ``_left`` is key(s_i w) = s_i(key(w)) on every element."""
+    import hashlib
+
+    d = build_root_datum(label[0], int(label[1:]))
+    g = WeylGroup(d, max_size=51840)
+    tables = (g._left, g._right, g._w_alpha,
+              [(w.index, w.word, w.length, w.key) for w in g.elements])
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == WEYL_TABLE_DIGESTS[label]
+    by_key = {w.key: w.index for w in g.elements}
+    for i in range(1, d.rank + 1):
+        assert g._left[i - 1] == [by_key[d.reflect(i, w.key)] for w in g.elements]
+
+
 def test_a1_enumeration(engines):
     g = engines.group("A1")
     assert [w.length for w in g.elements] == [0, 1]

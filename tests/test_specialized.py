@@ -449,13 +449,16 @@ def _at_width(group, bits: int):
     return model
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4", "B4", "D4"])
 def test_the_packed_build_is_the_generic_demazure_route(label, engines):
     """At 32 bits, at the model's cocharacter and at the second one of
     ``verify_normalization``, every flat row equals the generic route's:
     the same fixed points in the same order, the same packed integers and
     the same norm bounds; the pivot is the entry at w and the row bound the
-    largest entry bound."""
+    largest entry bound.  The build divides once per coset of w's right
+    descents and copies the rest, so this checks that every copy is the
+    quotient the generic route divides out there."""
     from kflag.model import _height_cocharacter
 
     model = _at_width(engines.group(label), 32)
@@ -472,7 +475,10 @@ def test_the_packed_build_is_the_generic_demazure_route(label, engines):
 def test_the_packed_build_fails_where_the_generic_route_does(label, engines):
     """At 8 bits the build either equals the generic route or raises its
     error with its message.  Groups with up to six positive roots fit;
-    with more, the point class's product bound 2^N reaches 2^7 first."""
+    with more, the point class's product bound 2^N reaches 2^7 first.
+    (The build guards only the points it divides at, so in general a
+    generic route that raises need not mean a build that does; on these
+    groups it does.)"""
     model = _at_width(engines.group(label), 8)
     got, want = _both_builds(model, model.cocharacter)
     assert got == want
@@ -509,7 +515,9 @@ def _both_steps(model, i, f):
 def test_the_packed_step_raises_where_demazure_does(label, bits, monkeypatch):
     """D_i of every product psi_u . psi_v that fits the width: the packed
     step gives ``demazure``'s row, or raises its error with its message.
-    At 8 bits many steps pass the range, at 32 none does."""
+    At 8 bits many steps pass the range, at 32 none does.  As
+    (D_i f)(v s_i) = (D_i f)(v), a row holds v and v s_i both or neither,
+    with the same (shift, packed, bound)."""
     from kflag import PackedRangeError
 
     model = _model_at(monkeypatch, label, bits)
@@ -525,9 +533,45 @@ def test_the_packed_step_raises_where_demazure_does(label, bits, monkeypatch):
             got, want = _both_steps(model, i, f)
             assert got == want
             steps += 1
+            if type(got) is list:
+                row = {e[0].index: e[1:] for e in got}
+                assert all(row.get(g._right[i - 1][x]) == e for x, e in row.items())
             range_errors += type(want) is tuple and want[0] is PackedRangeError
     assert steps > len(_all_pairs(g))
     assert (range_errors > 0) == (bits == 8)
+
+
+def _step_with(model, w, lists):
+    """Row w by one ``demazure_step`` from the built row w s_i, i the last
+    letter of w's word, with ``lists`` as its invariance lists."""
+    from kflag.model import _degree
+
+    g, i = model.group, w.word[-1]
+    partner = g._right[i - 1]
+    prev = {e[0].index: e for e in model._rows[partner[w.index]][2]}
+    heights = [_degree(g.root_image(v, i), model.cocharacter) for v in g.elements]
+    return list(model.poly.demazure_step(prev, heights, partner, g.elements, lists).values())
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_only_right_descents_may_be_shared(label, engines):
+    """A Schubert row is right invariant under its right descents: the
+    step given their partner lists makes the built row.  Given the list of
+    a reflection that is no right descent, it gives another row for some w,
+    and so does a left descent in place of the right ones."""
+    model = engines.model(label)
+    g = model.group
+    wrong_right = wrong_left = 0
+    for w in g.elements[1:]:
+        x, i = w.index, w.word[-1]
+        right = [p for p in g._right if p[x] < x and p is not g._right[i - 1]]
+        assert _step_with(model, w, right) == list(model._rows[x][2])
+        others = [p for p in g._right if p[x] > x]
+        wrong_right += any(_step_with(model, w, [p]) != list(model._rows[x][2])
+                           for p in others)
+        left = [g._right[j] for j, p in enumerate(g._left) if p[x] < x and j != i - 1]
+        wrong_left += _step_with(model, w, left) != list(model._rows[x][2])
+    assert wrong_right > 0 and wrong_left > 0
 
 
 @pytest.mark.parametrize("case", ["sum", "certificate", "inexact", "cancel"])
