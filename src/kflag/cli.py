@@ -436,9 +436,9 @@ def cmd_verify(args) -> int:
     reports = [ring.verify_normalization()]
     if args.which in ("signs", "all"):
         pdata = group.parabolic(args.parabolic) if args.parabolic else None
-        reports.append(ring.verify_alternating_signs(parabolic=pdata, jobs=args.jobs))
+        reports.append(ring.verify_alternating_signs(parabolic=pdata))
     if args.which in ("richardson", "all"):
-        reports.append(ring.verify_richardson_signs(jobs=args.jobs))
+        reports.append(ring.verify_richardson_signs())
     line_objs = []
     if args.which in ("line", "all"):
         if args.lam is not None:
@@ -486,7 +486,7 @@ def _common_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda", dest="lam", help="weight in fundamental coordinates, comma-separated")
     parser.add_argument("--mu", dest="mu", help="second weight for the line-identity recursion")
     parser.add_argument("--which", choices=["signs", "richardson", "line", "all"], default="all")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps (>= 1)")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted, no effect (>= 1)")
     parser.add_argument("--cache-dir", dest="cache_dir", help=f"cache directory (default ${CACHE_ENV_VAR})")
     parser.add_argument("--max-weyl", dest="max_weyl", type=int, default=10000)
     parser.add_argument("--format", choices=["json", "csv"], default="json")

@@ -1,13 +1,13 @@
 """The Grothendieck ring of G/P in its four natural bases, with verifiers.
 
 Everything here reduces to the localization model: structure constants come
-from triangular expansion of pointwise products, chi and the pairing from
-the fixed-point pushforward, and the sign/positivity sweeps report
-violations as data rather than raising.
+from triangular expansion of pointwise products (or, for a sweep, from the
+Demazure recursion of ``_columns``), chi and the pairing from the
+fixed-point pushforward, and the sign/positivity sweeps report violations
+as data rather than raising.
 """
 from __future__ import annotations
 
-import os
 import time
 from functools import cached_property
 
@@ -304,9 +304,7 @@ class SchubertRing:
             elapsed_ms=_ms(t0),
         )
 
-    def verify_alternating_signs(
-        self, parabolic: ParabolicData | None = None, jobs: int = 1
-    ) -> SignReport:
+    def verify_alternating_signs(self, parabolic: ParabolicData | None = None) -> SignReport:
         """(-1)^N(u,v;w) c_{u,v}^w >= 0 and c = 0 when N < 0, over all triples."""
         t0 = time.monotonic()
         if parabolic is None:
@@ -320,7 +318,7 @@ class SchubertRing:
         pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i:]]
         # a G/P constant is read off the G/B one of the pair lifted by w_{o,P}
         mul = self.group.mul
-        _fill_constants(self, ((mul(u, wop), mul(v, wop)) for u, v in pairs), jobs)
+        _fill_constants(self, ((mul(u, wop), mul(v, wop)) for u, v in pairs))
         # a zero constant satisfies both rules, so only the nonzero ones
         # are checked, in the order of labels
         position = {w: i for i, w in enumerate(labels)}
@@ -344,12 +342,12 @@ class SchubertRing:
             elapsed_ms=_ms(t0),
         )
 
-    def verify_richardson_signs(self, jobs: int = 1) -> SignReport:
+    def verify_richardson_signs(self) -> SignReport:
         """Sign alternation and omega-basis nonnegativity for X^v intersect X_w.
 
         The O-basis coefficients c_u of [O_Y], Y = X^v intersect X_w, are
         the structure constants c_{w_o v, w}^u, shared with the sign sweep
-        through the memo (filled on the fork pool at jobs > 1); the duality identity
+        through the memo (filled by ``_fill_constants``); the duality identity
         [omega_Y] = sum_u (-1)^{dim Y - l(u)} c_u [omega_{X_u}] (Brion 2002)
         gives the omega-basis coordinates from them, so the two forms of
         the theorem fail at the same u and each failure is reported in both.
@@ -370,7 +368,7 @@ class SchubertRing:
         wo = self._w_o_times
         leq = group.bruhat_leq
         _fill_constants(self, ((wo[v.index], w) for w in group.elements
-                               for v in group.elements if leq(v, w)), jobs)
+                               for v in group.elements if leq(v, w)))
         self.basis_matrix(OMEGA_BASIS)
         support = [m.specialized_schubert_class(x).restrictions.keys() for x in group.elements]
         for w in group.elements:
@@ -606,29 +604,11 @@ def _int_exact_div(c: int, d: int) -> int:
     return q
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Each worker costs a fork and a round trip of its results; with fewer pairs
-# than this per worker a sweep runs faster serially.  On a 2-core host the
-# 300 pairs of A3 took 23 ms serially and 41 ms on two workers, the 1,176 of
-# B3 273 and 236 ms.
-MIN_PAIRS_PER_WORKER = 500
-
-
-def pool_size(jobs: int, pairs: int) -> int:
-    """Worker processes for a sweep: min(jobs, usable CPUs, pairs //
-    MIN_PAIRS_PER_WORKER), at least 1."""
-    return max(1, min(jobs, _usable_cpus(), pairs // MIN_PAIRS_PER_WORKER))
-
-
-# Shared state for fork-based parallel sweeps; set only around Pool usage.
-_PARALLEL_RING: SchubertRing | None = None
+# A sweep missing fewer constants than this many per element of W solves
+# each pair; from there one walk of the column tree is faster.  G/B and G/P
+# sign sweeps in process on one CPU, e_i tables included, broke even at
+# about 10 |W| pairs on G2, 14 |W| on A3, 12 |W| on B3 and 13-15 |W| on D4.
+WALK_PAIRS_PER_ELEMENT = 12
 
 
 def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
@@ -636,45 +616,80 @@ def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
     return (u.index, v.index) if u.index <= v.index else (v.index, u.index)
 
 
-def _constants_worker(keys):
-    """The constants of each memo key, run in a fork worker; elements
-    cross the process boundary as indices."""
-    ring = _PARALLEL_RING
-    elements = ring.group.elements
-    sc = ring.structure_constants
-    return [{w.index: c for w, c in sc(elements[u], elements[v]).items()} for u, v in keys]
-
-
-def _fill_constants(ring: SchubertRing, pairs, jobs: int) -> None:
-    """Fill ``ring._sc_memo`` for the pairs on the fork pool, for a sweep
-    that then reads every pair through ``structure_constants``.
-
-    Does nothing (the sweep computes serially) at ``jobs == 1``, where
-    ``pairs`` is not even read, when ``pool_size`` gives the pairs missing
-    from the memo one worker, or on a platform without ``fork``.
-    """
-    global _PARALLEL_RING
-    if jobs == 1:
+def _fill_constants(ring: SchubertRing, pairs) -> None:
+    """Fill ``ring._sc_memo`` for the pairs of a sweep, which then reads
+    every pair through ``structure_constants``.  With fewer than
+    ``WALK_PAIRS_PER_ELEMENT`` |W| keys missing it leaves each pair to the
+    solve; else it reads them off ``_columns``, each in descending element
+    index, the order ``solve_at_one`` returns."""
+    memo, elements = ring._sc_memo, ring.group.elements
+    rows: dict[int, list[int]] = {}
+    for u, v in dict.fromkeys(_memo_key(u, v) for u, v in pairs):
+        if (u, v) not in memo:
+            rows.setdefault(v, []).append(u)
+    if sum(map(len, rows.values())) < WALK_PAIRS_PER_ELEMENT * len(elements):
         return
-    memo = ring._sc_memo
-    keys = [k for k in dict.fromkeys(_memo_key(u, v) for u, v in pairs) if k not in memo]
-    workers = pool_size(jobs, len(keys))
-    if workers == 1:
-        return
-    import multiprocessing  # here, not at module load: only a pool needs it
+    for v, column in _columns(ring, rows):
+        for u in rows[v]:
+            memo[u, v] = {elements[w]: c for w, c in sorted(column[u].items(), reverse=True)}
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return
-    chunks = [keys[i::workers] for i in range(workers)]
-    _PARALLEL_RING = ring
-    try:
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_constants_worker, chunks)
-    finally:
-        _PARALLEL_RING = None
-    elements = ring.group.elements
-    for chunk, tables in zip(chunks, results):
-        for key, table in zip(chunk, tables):
-            memo[key] = {elements[w]: c for w, c in table.items()}
+
+def _columns(ring: SchubertRing, wanted):
+    """(v, column v) for each v.index in ``wanted``: column v lists
+    psi_u psi_v for every u, by u.index, as {w.index: c} with no zero c.
+
+    For i a right descent of v, v' = v s_i and u' = u s_i (Demazure 1974,
+    Kostant-Kumar 1990; derived in the README):
+      (R1) psi_u psi_v = D_i(psi_u psi_v') if u' < u;
+      (R2) psi_u psi_v = e_i [D_i(psi_u psi_v') - psi_u' psi_v]
+           + psi_u psi_v' - psi_u' psi_v' + psi_u' psi_v otherwise.
+    D_i acts by ``_demazure_rows``, e_i by the line table of -alpha_i, and
+    psi_u psi_e = [u = w_o] psi_e.  So column v follows from column v', i
+    the first right descent of v: a tree, walked depth first with at most
+    depth + 1 columns alive."""
+    group, datum = ring.group, ring.datum
+    n = len(group.elements)
+    partners = [[group.right_mul(w, i).index for w in group.elements]
+                for i in range(1, datum.rank + 1)]
+    d_rows = [_demazure_rows(p) for p in partners]
+    e_rows = [[{w.index: c for w, c in table[y].items()} for y in group.elements]
+              for table in (ring._line_table(_neg(datum.simple_root(i)))
+                            for i in range(1, datum.rank + 1))]
+    ed_rows = [[_row_times(d, e) for d in ds] for ds, e in zip(d_rows, e_rows)]
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        i = next(i for i, p in enumerate(partners) if p[v] < v)
+        children[partners[i][v]].append((v, i))
+
+    def walk(v, prev):
+        if v in wanted:
+            yield v, prev
+        for child, i in children[v]:
+            column = [None] * n
+            for u, x in enumerate(partners[i]):
+                if x > u:  # u' = x > u, as index order refines length: (R1), (R2)
+                    column[x] = r1 = _row_times(prev[x], d_rows[i])
+                    column[u] = _rule_two(prev[u], prev[x], r1, ed_rows[i])
+            yield from walk(child, column)
+
+    yield from walk(0, [{}] * (n - 1) + [{0: 1}])
+
+
+def _demazure_rows(partner: list) -> list:
+    """The table of D_i, ``partner[y]`` the index of y s_i: psi_y goes to
+    psi_{y s_i} if y s_i > y and to psi_y otherwise."""
+    return [{max(y, x): 1} for y, x in enumerate(partner)]
+
+
+def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
+    """(R2) from low = psi_u psi_v', high = psi_u' psi_v' and r1 = psi_u' psi_v
+    = D_i(high), with ``ed_rows`` the table of e_i D_i:
+    e_i D_i(low - high) + low - high + r1."""
+    diff = dict(low)
+    for y, c in high.items():
+        diff[y] = diff.get(y, 0) - c
+    out = _row_times(diff, ed_rows)
+    for vec in (diff, r1):
+        for y, c in vec.items():
+            out[y] = out.get(y, 0) + c
+    return {y: c for y, c in out.items() if c}

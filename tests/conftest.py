@@ -1,8 +1,6 @@
 """Shared fixtures: one lazily-built engine stack per group per session."""
 from __future__ import annotations
 
-import multiprocessing.pool
-
 import pytest
 
 from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
@@ -40,19 +38,3 @@ class EngineCache:
 def engines() -> EngineCache:
     return EngineCache()
 
-
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Send even a handful of pairs to a two-worker fork pool.  The list it
-    gives gets one entry per pool started: the number of chunks mapped."""
-    monkeypatch.setattr("kflag.ring.MIN_PAIRS_PER_WORKER", 1)
-    monkeypatch.setattr("kflag.ring._usable_cpus", lambda: 2)
-    started = []
-    real_map = multiprocessing.pool.Pool.map
-
-    def counting_map(self, func, iterable, chunksize=None):
-        started.append(len(iterable))
-        return real_map(self, func, iterable, chunksize)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counting_map)
-    return started

@@ -2,7 +2,7 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
-the B4 sample, the B4 and A5 width comparison, the A4 pool test, the B3,
+the B4 sample, the B4 and A5 width comparison, the A4 walk test, the B3,
 C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks, the
 B4 line table at the weight bound and the A5 and F4 table builds against
 the generic route are opt-in: set KFLAG_BIG_RANK=1.
@@ -25,7 +25,7 @@ from kflag import (
     weyl_dimension,
 )
 from kflag.cli import _default_line_sweep
-from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS, pool_size
+from kflag.ring import IDEAL_BASIS, O_BASIS, OMEGA_BASIS, OMEGA_BOUNDARY_BASIS
 from kflag.univariate import poly_divexact
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
@@ -110,30 +110,31 @@ def test_criterion_01_seeded_constants_agree_at_both_widths(label, engines, monk
     _announce(1, label, f"200 random pairs equal at 32 and 64 bits, {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 pool test")
-def test_criterion_01_sign_sweep_a4_pool_matches_serial(engines):
-    """The fork pool is the one place where elements cross a process
-    boundary: workers return tables keyed by index and the parent maps them
-    back to its own elements.  A4's 7,260 pairs reach two workers with the
-    real MIN_PAIRS_PER_WORKER."""
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 walk test")
+def test_criterion_01_sign_sweep_a4_walk_matches_solve(engines, monkeypatch):
+    """A4's 7,260 pairs, filled by the walk of the Demazure recursion and
+    solved pair by pair: the same report and the same memo, key order
+    included, keyed by the group's own elements."""
+    import kflag.ring
+
     group, model = engines.group("A4"), engines.model("A4")
-    n = len(group)
-    if pool_size(2, n * (n + 1) // 2) < 2:
-        pytest.skip("the pool needs two usable CPUs")
-    serial_ring, pooled_ring = SchubertRing(model), SchubertRing(model)
     t0 = time.monotonic()
-    serial = serial_ring.verify_alternating_signs(jobs=1)
-    pooled = pooled_ring.verify_alternating_signs(jobs=2)
+    walked_ring = SchubertRing(model)
+    walked = walked_ring.verify_alternating_signs()
+    monkeypatch.setattr(kflag.ring, "WALK_PAIRS_PER_ELEMENT", 10**9)
+    solved_ring = SchubertRing(model)
+    solved = solved_ring.verify_alternating_signs()
     elapsed = time.monotonic() - t0
-    assert serial.ok, serial.violations[:5]
-    assert (pooled.ok, pooled.checked, pooled.violations) == (
-        serial.ok, serial.checked, serial.violations
+    assert solved.ok, solved.violations[:5]
+    assert (walked.ok, walked.checked, walked.violations) == (
+        solved.ok, solved.checked, solved.violations
     )
-    assert pooled_ring._sc_memo == serial_ring._sc_memo
+    assert {k: list(cs.items()) for k, cs in walked_ring._sc_memo.items()} == {
+        k: list(cs.items()) for k, cs in solved_ring._sc_memo.items()}
     assert all(
-        w is group.elements[w.index] for cs in pooled_ring._sc_memo.values() for w in cs
+        w is group.elements[w.index] for cs in walked_ring._sc_memo.values() for w in cs
     )
-    _announce(1, "A4", f"{serial.checked} triples at --jobs 1 and 2 agree, {elapsed:.1f}s")
+    _announce(1, "A4", f"{solved.checked} triples by the walk and the solve agree, {elapsed:.1f}s")
 
 
 def test_criterion_02_oracle_equivalence_a2(engines):

@@ -161,23 +161,12 @@ def test_verify_signs_a1(capsys):
 
 
 def test_verify_signs_with_jobs(capsys):
-    code, obj, _ = run_json(
-        capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs", "--jobs", "2"
-    )
-    assert code == 0
-    assert obj["ok"] is True
-
-
-def test_verify_all_starts_one_pool(capsys, forced_pool):
-    """The sign sweep fills the memo on the pool; the Richardson report then
-    finds every pair it reads there and starts none, and the JSON is the
-    one of --jobs 1."""
-    argv = ("verify", "--type", "A", "--rank", "2", "--which", "all")
+    """--jobs is accepted and changes nothing: every sweep runs in process."""
+    argv = ("verify", "--type", "A", "--rank", "3", "--which", "all")
     _, serial, _ = run_json(capsys, *argv, "--jobs", "1")
-    assert forced_pool == []
-    code, pooled, _ = run_json(capsys, *argv, "--jobs", "2")
-    assert code == 0 and forced_pool == [2]
-    assert _strip_timings(pooled) == _strip_timings(serial)
+    code, obj, _ = run_json(capsys, *argv, "--jobs", "2")
+    assert code == 0 and obj["ok"] is True
+    assert _strip_timings(obj) == _strip_timings(serial)
 
 
 def test_integer_commands_build_no_laurent_poly(capsys, monkeypatch):
@@ -241,7 +230,7 @@ def test_verify_violations_exit_code(capsys, monkeypatch):
     themselves never produce any)."""
     from kflag.ring import SchubertRing, SignReport
 
-    def fake(self, parabolic=None, jobs=1):
+    def fake(self, parabolic=None):
         return SignReport(
             group="A2", name="signs", parabolic=None, checked=1,
             violations=[((1,), (2,), (), -1, 0)], elapsed_ms=0,
@@ -692,6 +681,27 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
     report = SchubertRing(SchubertModel(group)).verify_normalization()
     assert report.violations == [(group.elements[1].word, 2, 1)]
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs")
+    assert code == 3
+    assert "integrity" in err
+
+
+def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
+    """The same doubled row on A3, whose sign sweep is filled by the walk:
+    the e_i line tables the walk reads are solved against the doubled
+    pivot, and that exact division fails."""
+    from kflag import SchubertModel
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    init = SchubertModel.__init__
+
+    def corrupt(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        w = self.group.elements[1]
+        row = self.specialized_schubert_class(w)
+        self._rows[1] = self.poly.flat_row(w, (row + row).restrictions)
+
+    monkeypatch.setattr(SchubertModel, "__init__", corrupt)
+    code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--which", "signs")
     assert code == 3
     assert "integrity" in err
 

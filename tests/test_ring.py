@@ -6,20 +6,24 @@ import random
 
 import pytest
 
-from kflag import ConfigError, IntegrityError
+from kflag import ConfigError, IntegrityError, RootDatum, SchubertModel
 from kflag.ring import (
     IDEAL_BASIS,
     O_BASIS,
     OMEGA_BASIS,
     OMEGA_BOUNDARY_BASIS,
     SchubertRing,
+    _columns,
+    _fill_constants,
     _line_parts,
     _neg,
     _row_times,
+    _rule_two,
 )
 
 from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
 import pairing_oracle
+from test_specialized import _all_pairs
 
 
 def to_permutation(g, w, n):
@@ -196,39 +200,6 @@ def test_back_solve_on_a_chain():
         back_solve(["c"], {"c": 3}, rows, _int_exact_div)
 
 
-def test_pool_size_is_bounded(monkeypatch):
-    from kflag.ring import MIN_PAIRS_PER_WORKER, pool_size
-
-    many = 100 * MIN_PAIRS_PER_WORKER
-    # a platform without affinity masks falls back to the CPU count
-    monkeypatch.delattr("kflag.ring.os.sched_getaffinity", raising=False)
-    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
-    assert pool_size(8, many) == 4
-    assert pool_size(2, many) == 2
-    assert pool_size(8, 3 * MIN_PAIRS_PER_WORKER) == 3
-    assert pool_size(1, many) == 1
-    assert pool_size(8, 0) == 1
-    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: None)
-    assert pool_size(8, many) == 1
-    # pinned to one CPU of four (as under taskset -c 1), --jobs 2 stays serial
-    monkeypatch.setattr("kflag.ring.os.cpu_count", lambda: 4)
-    monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {1}, raising=False)
-    assert pool_size(2, many) == 1
-    monkeypatch.setattr("kflag.ring.os.sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
-    assert pool_size(8, many) == 3
-    assert pool_size(2, many) == 2
-    # every worker gets at least MIN_PAIRS_PER_WORKER pairs: the 300 pairs
-    # of A3 and anything smaller run serially at any --jobs
-    monkeypatch.setattr("kflag.ring._usable_cpus", lambda: 8)
-    assert pool_size(8, 300) == 1
-    assert pool_size(8, 21) == 1
-    assert pool_size(8, MIN_PAIRS_PER_WORKER) == 1
-    assert pool_size(8, 2 * MIN_PAIRS_PER_WORKER - 1) == 1
-    assert pool_size(8, 2 * MIN_PAIRS_PER_WORKER) == 2
-    assert pool_size(2, 1176) == 2  # B3 and C3
-    assert pool_size(8, 7260) == 8  # A4
-
-
 def test_duality_routes_agree(engines):
     """Model-level involution matches the basis-level dualizing formula:
     [O_{X_w}]^* = (-1)^codim [omega_{X_w}] . [L(2 rho)], with the right side
@@ -352,8 +323,9 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
     report solves each of the 24 rows of the three L(-omega_i) line tables
     once; their product is the L(-rho) table, which gives both omega-bases.
-    After the sign sweep the memo holds every constant, and only those line
-    rows are solved.  The spy is the model's one-variable solve, which every
+    After the sign sweep the memo holds every constant and those line
+    tables, which its walk composed its e_i tables from, so nothing is
+    solved.  The spy is the model's one-variable solve, which every
     constant and line row goes through."""
     from kflag import SchubertModel
 
@@ -374,7 +346,7 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     calls.clear()
     again = ring.verify_richardson_signs()
     assert again.ok and again.checked == 213
-    assert len(calls) == 3 * 24
+    assert calls == []
     # the line suite reads the same L(-rho) table at lambda = rho
     calls.clear()
     ring.line_bundle_coeffs(ring.group.w_o, tuple(-x for x in ring.datum.rho))
@@ -666,7 +638,7 @@ def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
 
     fake = {}
     monkeypatch.setattr(SchubertRing, "structure_constants", scrambled)
-    rep = SchubertRing(engines.model("A3")).verify_alternating_signs(jobs=1)
+    rep = SchubertRing(engines.model("A3")).verify_alternating_signs()
     want = []
     for i, u in enumerate(labels):
         for v in labels[i:]:
@@ -679,29 +651,125 @@ def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
     assert want and rep.violations == want
 
 
+# -- the Demazure recursion against the solve ----------------------------------------------
+
+
+def _mismatches(ring, pairs) -> list:
+    """The pairs (u, v), in either order, whose column of the walk differs
+    from the solve of (u, v).  Both orders are held against one solve, so
+    an empty list also shows that the columns commute."""
+    wanted = {}
+    for u, v in pairs:
+        want = {w.index: c for w, c in ring.model.structure_constants(u, v).items()}
+        wanted.setdefault(v.index, []).append((u, v, want))
+        wanted.setdefault(u.index, []).append((v, u, want))
+    return [(a.word, b.word) for index, column in _columns(ring, wanted)
+            for a, b, want in wanted[index] if column[a.index] != want]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_the_walk_equals_the_solve_on_every_pair(engines, label):
+    ring = SchubertRing(engines.model(label))
+    assert _mismatches(ring, _all_pairs(ring.group)) == []
+
+
+@pytest.mark.parametrize("label, seed", [("B4", 20261), ("C4", 20262)])
+def test_the_walk_equals_the_solve_on_a_sample(engines, label, seed):
+    elements = engines.group(label).elements
+    rng = random.Random(seed)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    assert _mismatches(SchubertRing(engines.model(label)), pairs) == []
+
+
+def _without_minus_high(low, high, *rest):
+    """(R2) with its -psi_u' psi_v' term dropped."""
+    out = dict(_rule_two(low, high, *rest))
+    for y, c in high.items():
+        out[y] = out.get(y, 0) + c
+    return {y: c for y, c in out.items() if c}
+
+
+_MUTATIONS = {
+    "e_i-as-L(+alpha_i)": lambda patch: patch.setattr(
+        RootDatum, "simple_root", lambda self, i, real=RootDatum.simple_root: _neg(real(self, i))),
+    "R2-without-minus-psi_u'psi_v'": lambda patch: patch.setattr(
+        "kflag.ring._rule_two", _without_minus_high),
+    "D_i-lifts-descents": lambda patch: patch.setattr(
+        "kflag.ring._demazure_rows", lambda partner: [{x: 1} for x in partner]),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_the_a3_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
+    _MUTATIONS[mutation](monkeypatch)
+    ring = SchubertRing(engines.model("A3"))
+    assert _mismatches(ring, _all_pairs(ring.group))
+
+
+def _spy(monkeypatch) -> tuple[list, list]:
+    """(walks, solves): one entry per ``_columns`` walk, its wanted columns,
+    and one per solved pair."""
+    walks, solves = [], []
+    columns, solve = _columns, SchubertModel.structure_constants
+    monkeypatch.setattr("kflag.ring._columns",
+                        lambda ring, wanted: walks.append(len(wanted)) or columns(ring, wanted))
+    monkeypatch.setattr(SchubertModel, "structure_constants",
+                        lambda self, u, v: solves.append((u, v)) or solve(self, u, v))
+    return walks, solves
+
+
+def test_a_fill_walks_from_k_pairs_per_element_and_solves_below(engines, monkeypatch):
+    """G2's 78 pairs are below WALK_PAIRS_PER_ELEMENT |W| = 144 and are
+    solved one by one; A3's 300 reach 288 and are filled by one walk, after
+    which neither the Richardson report nor the line suite's
+    fundamental-weight lemma solves a pair."""
+    walks, solves = _spy(monkeypatch)
+    assert SchubertRing(engines.model("G2")).verify_alternating_signs().ok
+    assert walks == [] and len(solves) == 78
+    del solves[:]
+    ring = SchubertRing(engines.model("A3"))
+    assert ring.verify_alternating_signs().ok
+    assert walks == [24] and solves == [] and len(ring._sc_memo) == 300
+    omega = ring.datum.fundamental_weight(1)
+    assert ring.verify_richardson_signs().ok and ring.verify_line_identities(omega, omega).ok
+    assert walks == [24] and solves == []
+
+
+def test_a_filled_entry_equals_the_solved_one_key_order_included(engines, monkeypatch):
+    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
+    ring = SchubertRing(engines.model("A3"))
+    elements = ring.group.elements
+    _fill_constants(ring, [(v, u) for u, v in _all_pairs(ring.group)])
+    assert len(ring._sc_memo) == 300
+    for (a, b), got in ring._sc_memo.items():
+        want = ring.model.structure_constants(elements[a], elements[b])
+        assert list(got.items()) == list(want.items())
+
+
 _SWEEPS = {
-    "A2-signs": ("A2", lambda ring, jobs: ring.verify_alternating_signs(jobs=jobs)),
-    "A3-signs-P13": ("A3", lambda ring, jobs: ring.verify_alternating_signs(
-        ring.group.parabolic([1, 3]), jobs=jobs)),
-    "A2-richardson": ("A2", lambda ring, jobs: ring.verify_richardson_signs(jobs=jobs)),
-    "A3-richardson": ("A3", lambda ring, jobs: ring.verify_richardson_signs(jobs=jobs)),
+    "A2-signs": ("A2", lambda ring: ring.verify_alternating_signs()),
+    "A3-signs": ("A3", lambda ring: ring.verify_alternating_signs()),
+    "A3-signs-P13": ("A3", lambda ring: ring.verify_alternating_signs(ring.group.parabolic([1, 3]))),
+    "A2-richardson": ("A2", lambda ring: ring.verify_richardson_signs()),
+    "A3-richardson": ("A3", lambda ring: ring.verify_richardson_signs()),
 }
 
 
 @pytest.mark.parametrize("sweep", list(_SWEEPS))
-def test_sign_sweep_parallel_matches_serial(engines, forced_pool, sweep):
-    """Each sweep that fills the memo on the pool reports what it reports
-    serially, from the same constants; fresh rings, so the workers compute
-    rather than read the memo."""
+def test_sign_sweep_filled_by_the_walk_equals_solved(engines, monkeypatch, sweep):
+    """Each sweep reports the same from constants filled by the walk as
+    from per-pair solves, and the two memos are equal, key order included;
+    fresh rings, so nothing is read from an earlier memo."""
     label, run = _SWEEPS[sweep]
-    serial_ring = SchubertRing(engines.model(label))
-    pooled_ring = SchubertRing(engines.model(label))
-    serial = run(serial_ring, 1)
-    assert forced_pool == []
-    pooled = run(pooled_ring, 2)
-    assert forced_pool == [2]
-    assert serial.ok
-    assert (pooled.ok, pooled.checked, pooled.violations) == (
-        serial.ok, serial.checked, serial.violations
+    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 10**9)
+    solved_ring = SchubertRing(engines.model(label))
+    solved = run(solved_ring)
+    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
+    walked_ring = SchubertRing(engines.model(label))
+    walked = run(walked_ring)
+    assert solved.ok
+    assert (walked.ok, walked.checked, walked.violations) == (
+        solved.ok, solved.checked, solved.violations
     )
-    assert pooled_ring._sc_memo == serial_ring._sc_memo
+    assert {k: list(cs.items()) for k, cs in walked_ring._sc_memo.items()} == {
+        k: list(cs.items()) for k, cs in solved_ring._sc_memo.items()}

@@ -198,36 +198,6 @@ def test_specialized_opposite_classes_match(label, engines):
         assert got == m.specialize(pairing_oracle.opposite_schubert_class(m, w))
 
 
-def test_fork_workers_inherit_the_specialized_table(engines, forced_pool):
-    from kflag import SchubertModel, SchubertRing
-
-    g = engines.group("A2")
-    ring = SchubertRing(SchubertModel(g))
-    pairs = [(u, v) for i, u in enumerate(g.elements) for v in g.elements[i:]]
-    _fill_constants(ring, pairs, 2)
-    assert forced_pool == [2] and len(ring._sc_memo) == len(pairs)
-    assert all(row is not None for row in ring.model._rows)
-    serial = SchubertRing(ring.model)
-    for u, v in pairs:
-        serial.structure_constants(u, v)
-    assert ring._sc_memo == serial._sc_memo
-    # pairs already in the memo, in either order, start no second pool
-    _fill_constants(ring, [(v, u) for u, v in pairs], 2)
-    assert forced_pool == [2]
-
-
-def test_fill_constants_at_one_job_reads_no_pair(engines, forced_pool):
-    def unread():
-        raise AssertionError("pairs read at --jobs 1")
-        yield
-
-    from kflag import SchubertRing
-
-    ring = SchubertRing(engines.model("A2"))
-    _fill_constants(ring, unread(), 1)
-    assert forced_pool == [] and ring._sc_memo == {}
-
-
 def test_laurent_divexact():
     # (t^-2 - t^3) / (1 - t^5) = t^-2, shifted operands on both sides
     a = UniPoly({-2: 1, 3: -1})
@@ -652,24 +622,25 @@ def test_a_table_row_without_its_pivot_fails_integrity(engines):
         model._rows[3]
 
 
-def test_fork_workers_redo_their_own_overflowing_jobs(monkeypatch, forced_pool):
-    """With 8-bit digits A3 constants overflow inside the fork workers;
-    each worker redoes its jobs on its own 64-bit twin, so the parent never
-    builds one, and the memo equals the serial 64-bit memo."""
+def test_the_walk_on_a_narrow_model_equals_the_wide_solve(monkeypatch):
+    """With 8-bit digits the e_i line tables of A3 overflow and are redone
+    on the 64-bit twin; the walk's memo then equals the 64-bit solves, with
+    the narrow model's own elements."""
     from kflag import SchubertRing
 
+    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
     narrow = _model_at(monkeypatch, "A3", 8)
     wide = _model_at(monkeypatch, "A3", 64)
-    pooled = SchubertRing(narrow)
-    _fill_constants(pooled, _all_pairs(narrow.group), 2)
-    assert forced_pool == [2] and narrow._wide is None
+    walked = SchubertRing(narrow)
+    _fill_constants(walked, _all_pairs(narrow.group))
+    assert narrow._wide is not None
     serial = SchubertRing(wide)
     for u, v in _all_pairs(wide.group):
         serial.structure_constants(u, v)
-    assert {k: _by_index(cs) for k, cs in pooled._sc_memo.items()} == {
+    assert {k: _by_index(cs) for k, cs in walked._sc_memo.items()} == {
         k: _by_index(cs) for k, cs in serial._sc_memo.items()}
     assert all(w is narrow.group.elements[w.index]
-               for cs in pooled._sc_memo.values() for w in cs)
+               for cs in walked._sc_memo.values() for w in cs)
 
 
 # -- the fused solve kernel against the method path --------------------------------

@@ -36,14 +36,14 @@ def test_project_declares_no_dependencies():
     assert project["dependencies"] == []
 
 
-# modules the CLI imports only on the paths that use them: the fork pool,
-# csv output, the cache and --cartan digests, and the weight-lattice ring;
-# dataclasses (with inspect) and fractions (with decimal) not at all
+# modules the CLI imports only on the paths that use them: csv output, the
+# cache and --cartan digests, and the weight-lattice ring; dataclasses (with
+# inspect), fractions (with decimal) and multiprocessing not at all
 LAZY_IMPORTS = ("multiprocessing", "csv", "hashlib", "dataclasses", "inspect", "fractions",
                 "decimal", "kflag.laurent")
 
 # what a whole integer command must still not have loaded when it is done
-NEVER_IMPORTED = ("kflag.laurent", "dataclasses", "fractions")
+NEVER_IMPORTED = ("kflag.laurent", "dataclasses", "fractions", "multiprocessing")
 
 
 def _loaded_in_subprocess(code: str) -> str:
@@ -63,12 +63,13 @@ def test_cli_startup_imports_only_what_it_runs():
 
 
 def test_an_integer_command_never_loads_the_weight_lattice_ring():
-    """A whole ``verify --which all`` run, sign, Richardson and line suites
-    included, loads none of ``NEVER_IMPORTED``."""
+    """A whole ``verify --which all --jobs 2`` run, sign, Richardson and line
+    suites included, loads none of ``NEVER_IMPORTED``."""
     code = (
         "import contextlib, io, sys, kflag.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = kflag.cli.main(['verify', '--type', 'A', '--rank', '2', '--which', 'all'])\n"
+        "    code = kflag.cli.main(['verify', '--type', 'A', '--rank', '2', '--which', 'all',\n"
+        "                           '--jobs', '2'])\n"
         f"print(code, [m for m in {NEVER_IMPORTED!r} if m in sys.modules])"
     )
     assert _loaded_in_subprocess(code) == "0 []\n"
