@@ -434,6 +434,9 @@ def cmd_verify(args) -> int:
     """Run the normalization check and the chosen sign, Richardson and line sweeps."""
     datum, group, ring = _build_ring(args)
     reports = [ring.verify_normalization()]
+    for word, at_k, at_k2 in reports[0].violations:
+        if at_k != at_k2:  # one class by two routes: a table is wrong, not the theorem
+            raise IntegrityError(f"chi of X_{list(word)} is {at_k} at k but {at_k2} at k2")
     if args.which in ("signs", "all"):
         pdata = group.parabolic(args.parabolic) if args.parabolic else None
         reports.append(ring.verify_alternating_signs(parabolic=pdata))

@@ -163,9 +163,9 @@ class SchubertModel:
     An injected table keeps the width of its entries.  ``bits`` and
     ``poly`` (the ``UniPoly`` class) are the model's width.  Every integer
     operation is one job of ``run_packed``, redone whole on ``wide``, the
-    64-bit twin, if it does not fit: the constants of a pair, a whole line
-    table, chi at a second cocharacter, and the public
-    ``integer_coefficients``, ``euler_characteristic`` and ``specialize``.
+    64-bit twin, if it does not fit: the constants of a pair, chi at a
+    second cocharacter, and the public ``integer_coefficients``,
+    ``euler_characteristic`` and ``specialize``.
     """
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
@@ -381,8 +381,8 @@ class SchubertModel:
     def _integer_solve(self, residual: dict) -> dict[WeylElement, int]:
         """Integer coefficients of a vector of (shift, packed, bound)
         triples at this width, with no redo: the fused kernel
-        ``poly.solve_at_one`` against this model's rows.  Every constant,
-        line row and ``integer_coefficients`` call solves here."""
+        ``poly.solve_at_one`` against this model's rows.  Every constant
+        and ``integer_coefficients`` call solves here."""
         rows = self._rows
         return self.poly.solve_at_one(self.group.elements, residual, lambda w: rows[w.index])
 
@@ -392,19 +392,6 @@ class SchubertModel:
         """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u and v, solved."""
         return self.run_packed(lambda m: m._integer_solve(
             m.poly.row_product(m._rows[u.index][2], m._rows[v.index][2])))
-
-    def line_table(self, lam) -> dict[WeylElement, dict[WeylElement, int]]:
-        """The integer constants of [L(lam)] . [O_{X_v}] for every v.  The line
-        class, t^-<v(lam), k> at v, packs to 1 with norm 1 at any width; a
-        row past the range redoes the whole table at 64 bits."""
-        lam = tuple(lam)
-        if len(lam) != self.rank:
-            raise ConfigError("weight has wrong length")
-        group, k = self.group, self.cocharacter
-        line = tuple((v, -_degree(group.apply(v, lam), k), 1, 1) for v in group.elements)
-        return self.run_packed(lambda m: {
-            v: m._integer_solve(m.poly.row_product(line, m._rows[v.index][2]))
-            for v in group.elements})
 
     def schubert_chi(self, heights) -> list[int]:
         """chi of every Schubert class, by w.index, at the cocharacter whose

@@ -101,6 +101,16 @@ class SchubertRing:
         """w_o x for every x, by x.index; built on first use."""
         return tuple(self.group.mul(self.group.w_o, x) for x in self.group.elements)
 
+    @cached_property
+    def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:
+        """(partners, first): partners[i][y] the index of y s_{i+1}, first[v]
+        the least i with partners[i][v] < v, v's first right descent (None for e)."""
+        group = self.group
+        partners = [[group.right_mul(w, i).index for w in group.elements]
+                    for i in range(1, self.datum.rank + 1)]
+        return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
+                          for v in range(len(group.elements))]
+
     # -- products and expansions --------------------------------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
@@ -219,13 +229,15 @@ class SchubertRing:
     def _line_table(self, lam: Weight):
         """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized.
 
-        The model solves only 0 and +-omega_i; by [L(lam + mu)] = [L(lam)] . [L(mu)]
-        any other table is the product of the tables of ``_line_parts(lam)``,
-        each distinct part made once.  The memo keeps the weights asked for
-        and every weight with coordinates in {-1, 0, 1}, the model's tables
-        among them; the larger weights of the chain are dropped on return,
-        so a large weight holds a few tables at a time.
+        ``_demazure_line_table`` makes only 0 and +-omega_i; by [L(lam + mu)]
+        = [L(lam)] . [L(mu)] any other table is the product of the tables of
+        ``_line_parts(lam)``, each distinct part made once.  The memo keeps the
+        weights asked for and every weight with coordinates in {-1, 0, 1},
+        the recursion's among them; the larger weights of the chain are
+        dropped on return, so a large weight holds a few tables at a time.
         """
+        if len(lam) != self.datum.rank:
+            raise ConfigError("weight has wrong length")
         memo = self._line_memo
 
         def table(mu):
@@ -239,7 +251,7 @@ class SchubertRing:
                 for other in others:
                     got = {v: _row_times(row, other) for v, row in got.items()}
             else:
-                got = self.model.line_table(mu)
+                got = _demazure_line_table(self, mu)
             if mu == lam or max(map(abs, mu)) <= 1:
                 memo[mu] = got
             return got
@@ -567,7 +579,7 @@ def _add(a: Weight, b: Weight) -> Weight:
 def _line_parts(lam: Weight) -> list[Weight]:
     """The weights whose line tables multiply to lam's: h, h and lam - 2h,
     h_i = lam_i / 2 rounded away from 0 where |lam_i| > 1, else 0, or for
-    h = 0 the lam_i omega_i; none for 0 and +-omega_i, which the model solves."""
+    h = 0 the lam_i omega_i; none for 0 and +-omega_i, which the recursion makes."""
     half = tuple(-(-c // 2) if c > 1 else c // 2 if c < -1 else 0 for c in lam)
     if any(half):
         parts = [half, half, tuple(c - 2 * h for c, h in zip(lam, half))]
@@ -605,9 +617,9 @@ def _int_exact_div(c: int, d: int) -> int:
 
 
 # A sweep missing fewer constants than this many per element of W solves
-# each pair; from there one walk of the column tree is faster.  G/B and G/P
-# sign sweeps in process on one CPU, e_i tables included, broke even at
-# about 10 |W| pairs on G2, 14 |W| on A3, 12 |W| on B3 and 13-15 |W| on D4.
+# each pair; from there one walk of the column tree is faster.  Walks on one
+# CPU, e_i tables (line recursion) included, broke even with the solves at
+# about 12 |W| pairs on G2, 10-11 |W| on A3, 7-8 |W| on B3, 8-10 |W| on D4.
 WALK_PAIRS_PER_ELEMENT = 12
 
 
@@ -649,8 +661,7 @@ def _columns(ring: SchubertRing, wanted):
     depth + 1 columns alive."""
     group, datum = ring.group, ring.datum
     n = len(group.elements)
-    partners = [[group.right_mul(w, i).index for w in group.elements]
-                for i in range(1, datum.rank + 1)]
+    partners, first = ring._right_steps
     d_rows = [_demazure_rows(p) for p in partners]
     e_rows = [[{w.index: c for w, c in table[y].items()} for y in group.elements]
               for table in (ring._line_table(_neg(datum.simple_root(i)))
@@ -658,8 +669,7 @@ def _columns(ring: SchubertRing, wanted):
     ed_rows = [[_row_times(d, e) for d in ds] for ds, e in zip(d_rows, e_rows)]
     children = [[] for _ in range(n)]
     for v in range(1, n):
-        i = next(i for i, p in enumerate(partners) if p[v] < v)
-        children[partners[i][v]].append((v, i))
+        children[partners[first[v]][v]].append((v, first[v]))
 
     def walk(v, prev):
         if v in wanted:
@@ -693,3 +703,41 @@ def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
         for y, c in vec.items():
             out[y] = out.get(y, 0) + c
     return {y: c for y, c in out.items() if c}
+
+
+def _demazure_line_table(ring: SchubertRing, lam: Weight):
+    """The table of a weight ``_line_parts`` does not split, reading no
+    Schubert table: row v is l_nu psi_v for nu = -lam, l_nu = L(-nu), in
+    descending element index as a solve returns it.  With i the first
+    right descent of v, v' = v s_i and mu = s_i nu (derived in the README):
+    l_nu psi_v = D_i(l_mu psi_v') + sign * sum of l_mu' psi_v' over the
+    ``_alpha_string`` of mu, and l_nu psi_e = psi_e."""
+    datum, elements = ring.datum, ring.group.elements
+    partners, first = ring._right_steps
+    memo: dict[tuple[Weight, int], dict[int, int]] = {}  # for this table only
+
+    def row(nu, v):
+        got = memo.get((nu, v))
+        if got is None and v:
+            i, partner = first[v], partners[first[v]]
+            mu, got = datum.reflect(i + 1, nu), {}
+            for y, c in row(mu, partner[v]).items():
+                y = max(y, partner[y])  # D_i: psi_y -> psi_max(y, y s_i)
+                got[y] = got.get(y, 0) + c
+            sign, string = _alpha_string(mu, datum.simple_root(i + 1), mu[i])
+            for weight in string:
+                for y, c in row(weight, partner[v]).items():
+                    got[y] = got.get(y, 0) + sign * c
+            got = memo[nu, v] = {y: c for y, c in got.items() if c}
+        return {0: 1} if got is None else got
+
+    table = {v: {elements[w]: c for w, c in sorted(row(_neg(lam), v.index).items(), reverse=True)}
+             for v in elements}
+    memo.clear()  # row refers to itself, so the memo would wait for the cycle collector
+    return table
+
+
+def _alpha_string(mu: Weight, alpha: Weight, n: int) -> tuple[int, list[Weight]]:
+    """(sign, weights), n = mu_i: (l_{s_i mu} - l_mu) / (1 - e_i) = sign * sum l_weight."""
+    js = range(1, n + 1) if n >= 0 else range(0, n, -1)
+    return 1 if n >= 0 else -1, [tuple(c - j * a for c, a in zip(mu, alpha)) for j in js]

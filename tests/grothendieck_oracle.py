@@ -286,6 +286,31 @@ class GrothendieckOracle:
         return self.expand(p_mul(self.polys[u], self.polys[v]))
 
 
+def truncate(f: Poly, top: int) -> Poly:
+    """f without its terms of degree above ``top``; from n(n-1)/2 up they
+    vanish in the quotient ring."""
+    return {e: c for e, c in f.items() if sum(e) <= top}
+
+
+def line_class(n: int, k: int, sign: int) -> Poly:
+    """[L(sign omega_k)] = prod_{j <= k} y_j^-sign with y_j = 1 - x_j, where
+    y_j^-1 is the geometric series in x_j cut at degree n(n-1)/2.  The sign
+    is pinned by chi(L(m omega_1)) = m + 1 on P^1."""
+    top = n * (n - 1) // 2
+    one = {(0,) * n: 1}
+    out = one
+    for j in range(1, k + 1):
+        if sign < 0:
+            factor = p_add(one, p_scale(x_var(n, j), -1))
+        else:
+            factor = power = one
+            for _ in range(top):
+                power = truncate(p_mul(power, x_var(n, j)), top)
+                factor = p_add(factor, power)
+        out = truncate(p_mul(out, factor), top)
+    return out
+
+
 def full_table(n: int) -> dict:
     """The complete table c[u][v][w] over S_n, codimension labels."""
     oracle = GrothendieckOracle(n)

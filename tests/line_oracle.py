@@ -1,4 +1,5 @@
-"""Line-suite oracle: every identity of the line-bundle suite, per pair.
+"""Line-suite oracle: every identity of the line-bundle suite, per pair,
+and line tables from the public API.
 
 The engine runs each check of ``SchubertRing.verify_line_identities`` once
 per ring for the weights it reads and memoizes the outcome.  This oracle
@@ -6,10 +7,23 @@ runs the whole suite afresh for one (lambda, mu) pair, reading the ring's
 line tables and structure constants directly, with additivity summed entry
 by entry; a report equal to it in counts and violations shows the memo
 neither loses nor moves a violation.
+
+``public_line_table`` is the reference for the ring's line tables: it
+solves each row by the model's public calls and shares no code with the
+ring's line recursion.
 """
 from __future__ import annotations
 
 from kflag import LineReport
+
+
+def public_line_table(model, lam) -> dict:
+    """[L(lam)] . [O_{X_v}] over the Schubert basis for every v: the
+    specialized line class times row v of the one-variable table, solved
+    by ``integer_coefficients`` (redone at 64 bits where it does not fit)."""
+    line = model.specialize(model.line_bundle_class(lam))
+    return {v: model.integer_coefficients(line * model.specialized_schubert_class(v))
+            for v in model.group.elements}
 
 
 def line_report(ring, lam, mu) -> LineReport:

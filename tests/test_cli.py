@@ -12,6 +12,8 @@ import pytest
 
 from kflag.cli import CACHE_ENV_VAR, main
 
+from line_oracle import public_line_table
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -663,8 +665,9 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
 def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
     """The exit-3 path with no cache: one row of the one-variable table,
     doubled in process, is still a class, so chi at the model's cocharacter
-    reads 2 while the freshly built second table reads 1; the sign sweep's
-    exact division by the doubled pivot then fails."""
+    reads 2 while the freshly built second table reads 1.  The library
+    reports that as a normalization violation; the CLI refuses it as a
+    route mismatch."""
     from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
 
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -686,9 +689,9 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
 
 
 def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
-    """The same doubled row on A3, whose sign sweep is filled by the walk:
-    the e_i line tables the walk reads are solved against the doubled
-    pivot, and that exact division fails."""
+    """The same doubled row on A3, whose sign sweep is filled by the walk,
+    which reads no one-variable row: the normalization report's route
+    mismatch still exits 3."""
     from kflag import SchubertModel
 
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -898,7 +901,7 @@ def _line_rows(capsys, *argv):
 def test_line_rows_past_the_narrow_range_equal_a_64_bit_direct_solve(capsys, monkeypatch, argv):
     """Solved directly, these line rows do not fit 32-bit digits.  The CLI
     composes them from the fundamental tables without the 64-bit twin, and
-    they equal the rows ``model.line_table`` solves on a 64-bit model."""
+    they equal the rows the public API solves on a 64-bit model."""
     from kflag import WeylGroup, build_root_datum
     from kflag.model import SchubertModel
 
@@ -913,14 +916,15 @@ def test_line_rows_past_the_narrow_range_equal_a_64_bit_direct_solve(capsys, mon
     assert model.bits == 64
     v = model.group.from_word([int(i) for i in argv[5].split(",")])
     lam = tuple(int(x) for x in argv[7].split(","))
-    assert rows == {w.word: c for w, c in model.line_table(lam)[v].items()}
+    assert rows == {w.word: c for w, c in public_line_table(model, lam)[v].items()}
 
 
 def test_line_rows_past_the_64_bit_range_are_answered(capsys, engines):
     """D4 at 1000 omega_1 is past the packed range of a direct solve; the
     composed rows are nonnegative, as the weight is dominant, and equal the
-    polynomial in n of degree l(v) through the direct rows at n omega_1,
-    n = 0, ..., l(v), since [L(omega_1)] - 1 is nilpotent on X_v."""
+    polynomial in n of degree l(v) through the rows the public API solves
+    at n omega_1, n = 0, ..., l(v), since [L(omega_1)] - 1 is nilpotent on
+    X_v."""
     from math import comb
 
     code, rows = _line_rows(capsys, "--type", "D", "--rank", "4",
@@ -928,7 +932,7 @@ def test_line_rows_past_the_64_bit_range_are_answered(capsys, engines):
     assert code == 0 and rows and min(rows.values()) >= 0
     model = engines.model("D4")
     v = model.group.from_word((1, 2))
-    direct = [model.line_table((n, 0, 0, 0))[v] for n in range(v.length + 1)]
+    direct = [public_line_table(model, (n, 0, 0, 0))[v] for n in range(v.length + 1)]
     want = {}
     for k in range(v.length + 1):  # Newton's forward differences at n = 0
         for j in range(k + 1):

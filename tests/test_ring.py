@@ -13,7 +13,10 @@ from kflag.ring import (
     OMEGA_BASIS,
     OMEGA_BOUNDARY_BASIS,
     SchubertRing,
+    _add,
+    _alpha_string,
     _columns,
+    _demazure_line_table,
     _fill_constants,
     _line_parts,
     _neg,
@@ -21,7 +24,15 @@ from kflag.ring import (
     _rule_two,
 )
 
-from grothendieck_oracle import GrothendieckOracle, compose, longest_perm
+from grothendieck_oracle import (
+    GrothendieckOracle,
+    compose,
+    line_class,
+    longest_perm,
+    p_mul,
+    truncate,
+)
+from line_oracle import public_line_table
 import pairing_oracle
 from test_specialized import _all_pairs
 
@@ -109,6 +120,47 @@ def test_full_table_matches_grothendieck_oracle(label, n, engines):
             got = ring.structure_constants(u, v)
             want = {w: c for w, c in oracle_table[(u, v)].items() if c}
             assert got == want, (u.word, v.word)
+
+
+def test_the_oracle_line_class_is_pinned_on_the_projective_line():
+    """chi(L(m omega_1)) = m + 1 on P^1, chi of an oracle class being the
+    sum of its coordinates, as chi(O_{X_w}) = 1; the other sign gives 1 - m."""
+    oracle = GrothendieckOracle(2)
+    for sign, chi in ((1, lambda m: m + 1), (-1, lambda m: 1 - m)):
+        power = {(0, 0): 1}
+        for m in range(5):
+            assert sum(oracle.expand(power).values()) == chi(m)
+            power = truncate(p_mul(power, line_class(2, 1, sign)), 1)
+
+
+def _oracle_line_mismatches(ring, n: int, flip: int):
+    """(k, sign, v) whose row of the ring's L(sign omega_k) table differs
+    from the oracle's [L(flip sign omega_k)] . G_{w_o v}, relabelled by
+    w -> w_o w; every row is compared."""
+    oracle = GrothendieckOracle(n)
+    group = ring.group
+    w_o_perm, top = longest_perm(n), n * (n - 1) // 2
+    perm_of = {w: compose(w_o_perm, to_permutation(group, w, n)) for w in group.elements}
+    label_of = {p: w for w, p in perm_of.items()}
+    out = []
+    for k in range(1, n):
+        for sign in (1, -1):
+            line = line_class(n, k, flip * sign)
+            lam = tuple(sign if j == k else 0 for j in range(1, n))
+            for v in group.elements:
+                got = oracle.expand(truncate(p_mul(line, oracle.polys[perm_of[v]]), top))
+                if ring.line_bundle_coeffs(v, lam) != {label_of[p]: c for p, c in got.items()}:
+                    out.append((k, sign, v.word))
+    return out
+
+
+@pytest.mark.parametrize("label,n", [("A2", 3), ("A3", 4)])
+def test_fundamental_line_tables_match_the_grothendieck_oracle(label, n, engines):
+    """Every row of the +-omega_k tables equals the oracle's product of
+    [L(+-omega_k)] with a Grothendieck polynomial; with the opposite sign
+    the rows differ."""
+    assert _oracle_line_mismatches(SchubertRing(engines.model(label)), n, 1) == []
+    assert _oracle_line_mismatches(SchubertRing(engines.model(label)), n, -1)
 
 
 # -- ideal sheaf classes -----------------------------------------------------------
@@ -320,13 +372,11 @@ def test_richardson_sweeps(engines):
 
 def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     """On A3 the 213 comparable pairs read 110 structure constants, since
-    (v, w) and (w_o w, w_o v) share the product of w_o v and w, and the
-    report solves each of the 24 rows of the three L(-omega_i) line tables
-    once; their product is the L(-rho) table, which gives both omega-bases.
-    After the sign sweep the memo holds every constant and those line
-    tables, which its walk composed its e_i tables from, so nothing is
-    solved.  The spy is the model's one-variable solve, which every
-    constant and line row goes through."""
+    (v, w) and (w_o w, w_o v) share the product of w_o v and w.  The
+    L(-rho) table, which gives both omega-bases, is solved nowhere: it is
+    the product of the recursion's L(-omega_i) tables.  After the sign
+    sweep the memo holds every constant, so nothing is solved.  The spy is
+    the model's one-variable solve, which every constant goes through."""
     from kflag import SchubertModel
 
     calls = []
@@ -339,7 +389,7 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     monkeypatch.setattr(SchubertModel, "_integer_solve", count)
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
-    assert len(calls) == 110 + 3 * 24
+    assert len(calls) == 110
 
     ring = SchubertRing(engines.model("A3"))
     assert ring.verify_alternating_signs().ok
@@ -433,11 +483,12 @@ def test_line_coeffs_sum_is_weyl_dimension(engines):
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_composed_line_tables_match_the_direct_solve(label, engines):
     """Every weight with coordinates in [-2, 2]: the ring's table, composed
-    from the tables of 0 and +-omega_i, equals the model's direct solve."""
+    from the recursion's tables of 0 and +-omega_i, equals the public-API
+    solve of each row."""
     model = engines.model(label)
     ring = SchubertRing(model)
     for lam in itertools.product(range(-2, 3), repeat=model.rank):
-        assert ring._line_table(lam) == model.line_table(lam), lam
+        assert ring._line_table(lam) == public_line_table(model, lam), lam
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -447,14 +498,12 @@ def test_composed_line_tables_match_the_direct_solve_at_random_weights(label, en
     rng = random.Random(label)
     for _ in range(8):
         lam = tuple(rng.randint(-6, 6) for _ in range(model.rank))
-        assert ring._line_table(lam) == model.line_table(lam), lam
+        assert ring._line_table(lam) == public_line_table(model, lam), lam
 
 
 def test_composed_line_table_matches_a_direct_solve_redone_at_64_bits(engines, monkeypatch):
-    """D4 at 100 omega_1: the direct route passes 2^31 and is redone on the
-    64-bit twin; the composed table asks for no twin and equals it."""
-    from kflag import SchubertModel
-
+    """D4 at 100 omega_1: the public-API solve passes 2^31 and is redone on
+    the 64-bit twin; the composed table asks for no twin and equals it."""
     asked = []
     twin = SchubertModel.wide
     monkeypatch.setattr(SchubertModel, "wide",
@@ -463,20 +512,100 @@ def test_composed_line_table_matches_a_direct_solve_redone_at_64_bits(engines, m
     lam = (100, 0, 0, 0)
     composed = SchubertRing(model)._line_table(lam)
     assert asked == []
-    assert composed == model.line_table(lam)
+    assert composed == public_line_table(model, lam)
     assert 32 in asked
 
 
+def _line_weights(datum) -> list:
+    """0, +-omega_i, +-alpha_i and +-rho."""
+    units = [f(i) for i in range(1, datum.rank + 1)
+             for f in (datum.fundamental_weight, datum.simple_root)]
+    return [datum.zero_weight(), *(w for u in (*units, datum.rho) for w in (u, _neg(u)))]
+
+
+def _line_mismatches(ring) -> list:
+    """(weight, v.word) for each row of the ring's tables of ``_line_weights``
+    that differs from the public-API solve."""
+    out = []
+    for lam in _line_weights(ring.datum):
+        got, want = ring._line_table(lam), public_line_table(ring.model, lam)
+        out += [(lam, v.word) for v in ring.group.elements if got[v] != want[v]]
+    return out
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_the_line_recursion_equals_the_public_solve_on_every_row(engines, label):
+    """The recursion's tables and those composed from them equal the
+    public-API solve, and each row of 0 and +-omega_i is held in
+    descending element index, the order of a solve."""
+    ring = SchubertRing(engines.model(label))
+    assert _line_mismatches(ring) == []
+    for lam in _line_weights(ring.datum):
+        if not _line_parts(lam):
+            for row in ring._line_table(lam).values():
+                assert [w.index for w in row] == sorted((w.index for w in row), reverse=True)
+
+
+def _string_from_one_below_zero(mu, alpha, n):
+    """The alpha_i-string with its n < 0 sum taken over j = 1..-n."""
+    sign, weights = _alpha_string(mu, alpha, n)
+    return sign, [_add(w, alpha) for w in weights] if n < 0 else weights
+
+
+_LINE_MUTATIONS = {
+    "l_{+nu}-for-l_{-nu}": lambda patch: patch.setattr(
+        "kflag.ring._demazure_line_table",
+        lambda ring, lam: _demazure_line_table(ring, _neg(lam))),
+    "n<0-sum-over-j=1..-n": lambda patch: patch.setattr(
+        "kflag.ring._alpha_string", _string_from_one_below_zero),
+    "alpha_i-string-dropped": lambda patch: patch.setattr(
+        "kflag.ring._alpha_string", lambda mu, alpha, n: (1, [])),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_LINE_MUTATIONS))
+def test_the_line_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
+    _LINE_MUTATIONS[mutation](monkeypatch)
+    assert _line_mismatches(SchubertRing(engines.model("A3")))
+
+
+def test_a_weight_of_the_wrong_length_is_refused(engines):
+    ring = SchubertRing(engines.model("A2"))
+    for lam in ((1,), (1, 0, 0)):
+        with pytest.raises(ConfigError, match="weight has wrong length"):
+            ring.line_bundle_coeffs(ring.group.w_o, lam)
+
+
+def test_no_line_table_is_solved(engines, monkeypatch):
+    """The model's one-variable solve is never called while the tables of
+    the default D4 line sweep are made, nor while a B4 walk's e_i tables
+    are."""
+    from kflag.cli import _default_line_sweep
+
+    calls = []
+    solve = SchubertModel._integer_solve
+    monkeypatch.setattr(SchubertModel, "_integer_solve",
+                        lambda self, f: calls.append(f) or solve(self, f))
+    ring = SchubertRing(engines.model("D4"))
+    sweep = _default_line_sweep(ring.datum)
+    for lam in sweep:
+        for mu in sweep:
+            for weight in (lam, _neg(lam), _add(lam, mu)):
+                ring._line_table(weight)
+    ring = SchubertRing(engines.model("B4"))
+    for i in range(1, ring.datum.rank + 1):
+        ring._line_table(_neg(ring.datum.simple_root(i)))
+    assert calls == []
+
+
 def test_line_sweep_solves_only_the_fundamental_tables(engines, monkeypatch):
-    """The default D4 line sweep asks the model for 2r + 1 tables, those of
-    0 and +-omega_i, once each."""
-    from kflag import SchubertModel
+    """The default D4 line sweep asks the recursion for 2r + 1 tables,
+    those of 0 and +-omega_i, once each; every other table is composed."""
     from kflag.cli import _default_line_sweep
 
     asked = []
-    solve = SchubertModel.line_table
-    monkeypatch.setattr(SchubertModel, "line_table",
-                        lambda self, lam: asked.append(lam) or solve(self, lam))
+    monkeypatch.setattr("kflag.ring._demazure_line_table",
+                        lambda ring, lam: asked.append(lam) or _demazure_line_table(ring, lam))
     ring = SchubertRing(engines.model("D4"))
     sweep = _default_line_sweep(ring.datum)
     for lam in sweep:

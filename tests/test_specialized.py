@@ -297,13 +297,13 @@ def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatc
 
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypatch):
-    """At 8-bit digits row e of a line table, the largest row, passes 2^7:
-    the table makes no 8-bit solve after that failure and then solves every
-    row at 64 bits.  The constant of (e, w_o) fits its product but not its
-    solve, so it is solved once at each width.  Both equal what a model
-    that never packs narrow gives.  A job starts from the model's width,
-    not from ``NARROW_BITS`` at call time: the 8-bit attempt comes first
-    with the default back at 32 bits, and with it set to 64."""
+    """At 8-bit digits chi of the squared point class passes 2^7: the job
+    makes no 8-bit step after that failure and is redone at 64 bits from
+    the weight-lattice class.  The constant of (e, w_o) fits its product
+    but not its solve, so it is solved once at each width.  Both equal what
+    a model that never packs narrow gives.  A job starts from the model's
+    width, not from ``NARROW_BITS`` at call time: the 8-bit attempt comes
+    first with the default back at 32 bits, and with it set to 64."""
     from kflag import PackedRangeError, SchubertModel, SchubertRing, univariate
 
     narrow = _model_at(monkeypatch, label, 8)
@@ -311,42 +311,45 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     assert (narrow.bits, wide.bits, univariate.NARROW_BITS) == (8, 64, 32)
     small, big = SchubertRing(narrow), SchubertRing(wide)
     calls = []
-    solve = SchubertModel._integer_solve
 
-    def spy(self, f):
-        try:
-            out = solve(self, f)
-        except PackedRangeError:
-            calls.append((self.bits, "overflow"))
-            raise
-        calls.append((self.bits, "solved"))
-        return out
+    def spy(real):
+        def run(self, *args):
+            try:
+                out = real(self, *args)
+            except PackedRangeError:
+                calls.append((self.bits, "overflow"))
+                raise
+            calls.append((self.bits, "done"))
+            return out
+        return run
 
-    monkeypatch.setattr(SchubertModel, "_integer_solve", spy)
-    lam = narrow.datum.fundamental_weight(1)
-    table = small._line_table(lam)
-    assert calls == [(8, "overflow")] + [(64, "solved")] * len(narrow.group.elements)
-    assert {v.index: _by_index(row) for v, row in table.items()} == {
-        v.index: _by_index(row) for v, row in big._line_table(lam).items()}
-    calls.clear()
+    for name in ("_integer_solve", "_euler_characteristic"):
+        monkeypatch.setattr(SchubertModel, name, spy(getattr(SchubertModel, name)))
     g, h = narrow.group, wide.group
+    point = narrow.schubert_class(g.identity)
+    chi = narrow.euler_characteristic(point * point)
+    assert calls == [(8, "overflow"), (64, "done")]
+    point = wide.schubert_class(h.identity)
+    assert chi == wide.euler_characteristic(point * point)
+    calls.clear()
     got = small.structure_constants(g.identity, g.w_o)
-    assert calls == [(8, "overflow"), (64, "solved")]
+    assert calls == [(8, "overflow"), (64, "done")]
     assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o)) == {0: 1}
     # nor does a default of 64 bits at call time skip the model's own width
     monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
     calls.clear()
     assert SchubertRing(narrow).structure_constants(g.identity, g.w_o) == got
-    assert calls == [(8, "overflow"), (64, "solved")]
+    assert calls == [(8, "overflow"), (64, "done")]
 
 
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     """The twin re-packs a row of the 8-bit table when a redone job first
     reads it.  The constant of (e, w_o) fits its product but not its solve,
-    and its redo reads rows e and w_o only; a redone line table reads every
-    row.  The re-packed rows and the results equal those of a model that
-    never packs narrow, and the narrow flat rows stay a plain list."""
+    and its redo reads rows e and w_o only; the redone solve of [L(rho)],
+    whose coefficients are all nonzero, reads every row.  The re-packed
+    rows and the results equal those of a model that never packs narrow,
+    and the narrow flat rows stay a plain list."""
     from kflag import SchubertRing
 
     narrow = _model_at(monkeypatch, label, 8)
@@ -357,9 +360,10 @@ def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o))
     twin = narrow.wide
     assert sorted(twin._rows) == [g.identity.index, g.w_o.index]
-    lam = narrow.datum.fundamental_weight(1)
-    assert {v.index: _by_index(row) for v, row in small._line_table(lam).items()} == {
-        v.index: _by_index(row) for v, row in big._line_table(lam).items()}
+    rho = [m.specialize(m.line_bundle_class(m.datum.rho)) for m in (narrow, wide)]
+    got = narrow.integer_coefficients(rho[0])
+    assert len(got) == len(g.elements)
+    assert _by_index(got) == _by_index(wide.integer_coefficients(rho[1]))
     assert sorted(twin._rows) == list(range(len(g.elements)))
     for w, x in zip(g.elements, h.elements):
         assert _coefficient_row(twin, w) == _coefficient_row(wide, x)
@@ -623,9 +627,10 @@ def test_a_table_row_without_its_pivot_fails_integrity(engines):
 
 
 def test_the_walk_on_a_narrow_model_equals_the_wide_solve(monkeypatch):
-    """With 8-bit digits the e_i line tables of A3 overflow and are redone
-    on the 64-bit twin; the walk's memo then equals the 64-bit solves, with
-    the narrow model's own elements."""
+    """With 8-bit digits the walk on A3 still builds no 64-bit twin, as its
+    e_i tables come from the line recursion and read no one-variable row;
+    its memo equals the 64-bit solves, with the narrow model's own
+    elements."""
     from kflag import SchubertRing
 
     monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
@@ -633,7 +638,7 @@ def test_the_walk_on_a_narrow_model_equals_the_wide_solve(monkeypatch):
     wide = _model_at(monkeypatch, "A3", 64)
     walked = SchubertRing(narrow)
     _fill_constants(walked, _all_pairs(narrow.group))
-    assert narrow._wide is not None
+    assert narrow._wide is None
     serial = SchubertRing(wide)
     for u, v in _all_pairs(wide.group):
         serial.structure_constants(u, v)
@@ -849,9 +854,10 @@ def test_the_row_product_is_the_class_product(label, bits, monkeypatch):
 
 
 def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
-    """Structure constants and line tables, redone at 64 bits or not,
-    multiply flat rows only: no ``EquivClass`` or ``UniPoly`` product of
-    either width runs, while a class product still counts."""
+    """Structure constants, redone at 64 bits or not, multiply flat rows
+    only, and line tables multiply no rows: no ``EquivClass`` or
+    ``UniPoly`` product of either width runs, while a class product still
+    counts."""
     from kflag import SchubertRing
 
     model = _model_at(monkeypatch, "A3", 8)
@@ -867,7 +873,7 @@ def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
     for u, v in _all_pairs(g):
         ring.structure_constants(u, v)
     for lam in _default_line_sweep(model.datum):
-        model.line_table(lam)
+        ring._line_table(lam)
     assert model._wide is not None and products == []
     psi = model.wide.specialized_schubert_class
     psi(g.identity) * psi(g.identity)
