@@ -12,8 +12,9 @@ route runs, so the integer commands never load it.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import (
     ConfigError,
@@ -150,10 +151,11 @@ class SchubertModel:
     The one-variable Schubert table, the specialization of every Schubert
     class, is built here (or injected from a cache) and never changed
     afterwards; the integer commands read only it.  Row w is held once, as
-    a flat row (``UniPoly.flat_row``), which the build makes,
-    ``row_product`` multiplies and the solve kernel reads.  An injected
-    table is sorted into element order and flattened row by row on first
-    read.  The table in the weight lattice is built on the first
+    a flat row {v.index: (shift, packed, bound)} with one tuple per coset
+    of w's right descents, which the build makes, ``row_product``
+    multiplies and the solve kernel reads.  An injected table is sorted
+    into element order and flattened row by row on first read.  The table
+    in the weight lattice is built on the first
     ``schubert_class`` call and assigned whole.  So a model can be shared
     across threads: at worst two threads make the same value, and either
     is kept.
@@ -194,12 +196,12 @@ class SchubertModel:
         self.bits = bits
         self.poly, self._divexact = _packed(bits)
 
-    def _flat_row(self, w: WeylElement, polys: dict) -> tuple:
+    def _flat_row(self, w: WeylElement, polys: dict) -> dict:
         """Row w of an injected table as a flat row in element order; a row
         without its pivot is no row of a unitriangular table."""
         if w not in polys:
             raise IntegrityError(f"restriction table row {list(w.word)} has no pivot")
-        return self.poly.flat_row(w, dict(sorted(polys.items(), key=lambda item: item[0].index)))
+        return self.poly.flat_row(dict(sorted((v.index, p) for v, p in polys.items())))
 
     @property
     def wide(self) -> "SchubertModel":
@@ -209,11 +211,11 @@ class SchubertModel:
         if self.bits == DIGIT_BITS:
             return self
         if self._wide is None:
-            narrow, row_polys, elements = self._rows, self.poly.row_polys, self.group.elements
+            narrow, row_polys = self._rows, self.poly.row_polys
             wide = object.__new__(SchubertModel)
             wide.__dict__.update(self.__dict__, _wide=None, _rows=_LazyRows(
-                lambda i: UniPoly.flat_row(elements[i], {
-                    v: UniPoly.repack(p) for v, p in row_polys(narrow[i][2]).items()})))
+                lambda i: UniPoly.flat_row({
+                    v: UniPoly.repack(p) for v, p in row_polys(narrow[i]).items()})))
             wide._set_width(DIGIT_BITS)
             self._wide = wide
         return self._wide
@@ -284,7 +286,7 @@ class SchubertModel:
             table[w.index] = self.demazure(i, table[prev.index], monomial, divide)
         return table
 
-    def _specialized_table(self, k) -> list[tuple]:
+    def _specialized_table(self, k) -> list[dict]:
         """Every Schubert class under e^lam -> t^<lam, k>, for a regular k,
         at this model's width, as flat rows by w.index.
 
@@ -292,37 +294,33 @@ class SchubertModel:
         1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
         the recursion of ``_build_schubert_table`` run in one variable gives
         the specialized classes exactly.  It runs here on packed integers,
-        one ``poly.demazure_step`` per element, with the heights
-        h(v, i) = <v(alpha_i), k> tabulated once.
+        one ``poly.demazure_step`` per element, with the degrees
+        <v(rho), k> tabulated once: they give h(v, i) = <v(alpha_i), k>.
 
         psi_w = D_j psi_{w s_j} for every right descent j of w, as the
         Demazure operators satisfy the braid relations (Demazure 1974,
         Kostant-Kumar 1990), and the image of D_j is right s_j-invariant.
-        So psi_w is right invariant under W_J, J the right descents of w,
-        and the step divides once per coset v W_J in [e, w], at its minimal
-        point, and copies the rest.  Guards run at those points only: where
-        the generic route fits the width, this table equals it, integer for
-        integer and bound for bound, and where this build raises, the
-        generic route raises too.  The converse can fail: a sum guard at a
-        copied point can send the generic route to 64 bits while this table
-        stays at 32, with the same values.
+        So psi_w is right invariant under W_J, J the right descents of w:
+        the step divides once per coset v W_J in [e, w], at its minimal
+        point (``_coset_minima``, made once per J), and shares that tuple.
+        Guards run there only: where the generic route fits the width, this
+        table equals it, integer for integer and bound for bound, and where
+        this build raises, the generic route raises too.  The converse can
+        fail: a sum guard at a shared point can send the generic route to
+        64 bits while this table stays at 32, with the same values.
         """
         group, poly = self.group, self.poly
-        elements = group.elements
-        simple = range(1, self.rank + 1)
-        heights = [[_degree(group.root_image(v, i), k) for v in elements] for i in simple]
-        partners = [[group.right_mul(v, i).index for v in elements] for i in simple]
-        point = self._point_class(_monomial_t(k, poly)).restrictions
-        step = poly.demazure_step
-        built = [{0: poly.flat_row(group.identity, point)[0]}]
+        elements, partners = group.elements, group._right
+        degrees = [_degree(v.key, k) for v in elements]
+        point = self._point_class(_monomial_t(k, poly)).restrictions[group.identity]
+        minima = cache(lambda descents: _coset_minima(partners, descents))  # for this build
+        rows = [poly.flat_row({0: point})]
         for w in elements[1:]:
             # elements are sorted by length, so the shorter factor is ready
-            x, i = w.index, w.word[-1]
-            partner = partners[i - 1]
-            built.append(step(built[partner[x]], heights[i - 1], partner, elements,
-                              [p for p in partners if p[x] < x and p is not partner]))
-        return [(row[j], max(e[3] for e in row.values()), tuple(row.values()))
-                for j, row in enumerate(built)]
+            x, partner = w.index, partners[w.word[-1] - 1]
+            reps = minima(tuple([p[x] < x for p in partners]))
+            rows.append(poly.demazure_step(rows[partner[x]], degrees, partner, reps))
+        return rows
 
     def schubert_class(self, w: WeylElement) -> EquivClass:
         """[O_{X_w}] in the weight lattice; the first call builds the table."""
@@ -362,7 +360,19 @@ class SchubertModel:
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
         """specialize([O_{X_w}]), row w of the one-variable table, made per call."""
-        return _row_class(self.rank, self.poly, self._rows[w.index])
+        return self._row_class(self._rows[w.index])
+
+    def schubert_support(self, w: WeylElement):
+        """The indices of the fixed points where [O_{X_w}] is nonzero."""
+        return self._rows[w.index].keys()
+
+    def _row_class(self, row: dict) -> EquivClass:
+        """The ``EquivClass`` of a flat row; its entries are nonzero."""
+        elements = self.group.elements
+        out = object.__new__(EquivClass)
+        out.rank = self.rank
+        out.restrictions = {elements[v]: p for v, p in self.poly.row_polys(row).items()}
+        return out
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
@@ -375,23 +385,24 @@ class SchubertModel:
         have either width; the solve runs as a job of ``run_packed``.
         """
         return self.run_packed(lambda m: m._integer_solve({
-            v: (p._shift, p._packed, p._bound)
+            v.index: (p._shift, p._packed, p._bound)
             for v, p in zip(f.restrictions, map(m.poly.repack, f.restrictions.values())) if p}))
 
     def _integer_solve(self, residual: dict) -> dict[WeylElement, int]:
         """Integer coefficients of a vector of (shift, packed, bound)
-        triples at this width, with no redo: the fused kernel
+        triples by index at this width, with no redo: the fused kernel
         ``poly.solve_at_one`` against this model's rows.  Every constant
         and ``integer_coefficients`` call solves here."""
-        rows = self._rows
-        return self.poly.solve_at_one(self.group.elements, residual, lambda w: rows[w.index])
+        elements = self.group.elements
+        values = self.poly.solve_at_one(range(len(elements)), residual, self._rows.__getitem__)
+        return {elements[w]: c for w, c in values.items()}
 
     # -- integer operations, each one job of ``run_packed`` ---------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u and v, solved."""
         return self.run_packed(lambda m: m._integer_solve(
-            m.poly.row_product(m._rows[u.index][2], m._rows[v.index][2])))
+            m.poly.row_product(m._rows[u.index], m._rows[v.index])))
 
     def schubert_chi(self, heights) -> list[int]:
         """chi of every Schubert class, by w.index, at the cocharacter whose
@@ -399,7 +410,7 @@ class SchubertModel:
         in the job and dropped."""
         k = _height_cocharacter(self.datum, heights)
         return self.run_packed(lambda m: [
-            m._euler_characteristic(_row_class(m.rank, m.poly, row), k)
+            m._euler_characteristic(m._row_class(row), k)
             for row in m._specialized_table(k)])
 
     # -- pushforward and expansion ------------------------------------------
@@ -478,17 +489,25 @@ class _LazyRows(dict):
         return got
 
 
-def _row_class(rank: int, poly, row: tuple) -> EquivClass:
-    """The ``EquivClass`` of a flat row; its entries are nonzero."""
-    out = object.__new__(EquivClass)
-    out.rank = rank
-    out.restrictions = poly.row_polys(row[2])
-    return out
+def _coset_minima(partners, descents) -> list[int]:
+    """By index v, the least index in v W_J, J (not empty) the s_j with
+    descents[j - 1] true and partners[j - 1][v] the index of v s_j: v, or
+    that of a lower v s_j (index order refines length)."""
+    lists = [p for p, d in zip(partners, descents) if d]
+    reps: list[int] = []
+    for v in range(len(partners[0])):
+        for p in lists:
+            if p[v] < v:
+                reps.append(reps[p[v]])
+                break
+        else:
+            reps.append(v)
+    return reps
 
 
 def _degree(lam, k) -> int:
     """<lam, k>: e^lam specializes to t to this power."""
-    return sum(x * c for x, c in zip(lam, k))
+    return sum(map(mul, lam, k))
 
 
 def _monomial_t(k, poly):

@@ -105,11 +105,9 @@ class SchubertRing:
     def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:
         """(partners, first): partners[i][y] the index of y s_{i+1}, first[v]
         the least i with partners[i][v] < v, v's first right descent (None for e)."""
-        group = self.group
-        partners = [[group.right_mul(w, i).index for w in group.elements]
-                    for i in range(1, self.datum.rank + 1)]
+        partners = self.group._right
         return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
-                          for v in range(len(group.elements))]
+                          for v in range(len(self.group.elements))]
 
     # -- products and expansions --------------------------------------------
 
@@ -382,13 +380,13 @@ class SchubertRing:
         _fill_constants(self, ((wo[v.index], w) for w in group.elements
                                for v in group.elements if leq(v, w)))
         self.basis_matrix(OMEGA_BASIS)
-        support = [m.specialized_schubert_class(x).restrictions.keys() for x in group.elements]
+        support = [m.schubert_support(x) for x in group.elements]
         for w in group.elements:
             for v in group.elements:
                 if not group.bruhat_leq(v, w):
                     # [O_{X^v}] is nonzero at w_o u exactly where psi_{w_o v} is at u
                     mirror = support[wo[v.index].index]
-                    if any(wo[u.index] in mirror for u in support[w.index]):
+                    if any(wo[u].index in mirror for u in support[w.index]):
                         violations.append((v.word, w.word, "nonzero-empty-intersection"))
                     continue
                 checked += 1
@@ -655,16 +653,16 @@ def _columns(ring: SchubertRing, wanted):
       (R1) psi_u psi_v = D_i(psi_u psi_v') if u' < u;
       (R2) psi_u psi_v = e_i [D_i(psi_u psi_v') - psi_u' psi_v]
            + psi_u psi_v' - psi_u' psi_v' + psi_u' psi_v otherwise.
-    D_i acts by ``_demazure_rows``, e_i by the line table of -alpha_i, and
-    psi_u psi_e = [u = w_o] psi_e.  So column v follows from column v', i
-    the first right descent of v: a tree, walked depth first with at most
-    depth + 1 columns alive."""
+    D_i acts by ``_demazure_rows``, e_i by ``_demazure_line_table`` of
+    -alpha_i, and psi_u psi_e = [u = w_o] psi_e.  So column v follows from
+    column v', i the first right descent of v: a tree, walked depth first
+    with at most depth + 1 columns alive."""
     group, datum = ring.group, ring.datum
     n = len(group.elements)
     partners, first = ring._right_steps
     d_rows = [_demazure_rows(p) for p in partners]
     e_rows = [[{w.index: c for w, c in table[y].items()} for y in group.elements]
-              for table in (ring._line_table(_neg(datum.simple_root(i)))
+              for table in (_demazure_line_table(ring, _neg(datum.simple_root(i)))
                             for i in range(1, datum.rank + 1))]
     ed_rows = [[_row_times(d, e) for d in ds] for ds, e in zip(d_rows, e_rows)]
     children = [[] for _ in range(n)]
@@ -706,12 +704,12 @@ def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
 
 
 def _demazure_line_table(ring: SchubertRing, lam: Weight):
-    """The table of a weight ``_line_parts`` does not split, reading no
-    Schubert table: row v is l_nu psi_v for nu = -lam, l_nu = L(-nu), in
-    descending element index as a solve returns it.  With i the first
-    right descent of v, v' = v s_i and mu = s_i nu (derived in the README):
-    l_nu psi_v = D_i(l_mu psi_v') + sign * sum of l_mu' psi_v' over the
-    ``_alpha_string`` of mu, and l_nu psi_e = psi_e."""
+    """The line table of any weight lam (the memo's unsplit ones, the walk's
+    -alpha_i), reading no Schubert table: row v is l_nu psi_v for nu = -lam,
+    l_nu = L(-nu), in descending element index as a solve returns it.  With
+    i the first right descent of v, v' = v s_i and mu = s_i nu (derived in
+    the README): l_nu psi_v = D_i(l_mu psi_v') + sign * sum of l_mu' psi_v'
+    over the ``_alpha_string`` of mu, and l_nu psi_e = psi_e."""
     datum, elements = ring.datum, ring.group.elements
     partners, first = ring._right_steps
     memo: dict[tuple[Weight, int], dict[int, int]] = {}  # for this table only

@@ -15,6 +15,7 @@ from .errors import BoundExceededError, ConfigError, IntegrityError
 from .records import FrozenRecord
 
 Weight = tuple[int, ...]
+MAX_CARTAN_RANK = 200  # the root cap r^2 + 56 was checked up to this rank
 
 
 def _chain_cartan(rank: int) -> list[list[int]]:
@@ -235,6 +236,8 @@ def root_datum_from_cartan(a, label: str = "custom") -> RootDatum:
     """Root datum from an explicit Cartan matrix (finite type, int entries)."""
     if not isinstance(a, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in a):
         raise ConfigError("Cartan matrix must be a list of integer rows")
+    if len(a) > MAX_CARTAN_RANK:  # before the O(r^3) validation
+        raise ConfigError(f"Cartan matrix rank {len(a)} exceeds {MAX_CARTAN_RANK}")
     a = tuple(tuple(row) for row in a)
     _validate_cartan(a)
     r = len(a)

@@ -24,12 +24,13 @@ it the guard raises ``PackedRangeError``, the signal to redo the work at
 never mix: an operation between them raises ``TypeError``, and ``repack``
 converts.
 
-Three loops run on the (shift, packed, bound) values of flat rows
-(``flat_row``), the Schubert table's one form, with the bounds and guards
-of the method path they fuse: ``demazure_step``, one divided difference of
-the build; ``row_product``, a pointwise product; ``solve_at_one``, the
-triangular solve.  ``digits`` is the one balanced-digit decoder, used by
-the loops, ``coefficients``, ``terms`` and ``poly_divexact``.
+Three loops run on flat rows (``flat_row``), the Schubert table's one
+form: dicts key -> (shift, packed, bound), a model's keyed by element
+index.  They keep the bounds and guards of the method path they fuse:
+``demazure_step``, one divided difference of the build; ``row_product``, a
+pointwise product; ``solve_at_one``, the triangular solve.  ``digits`` is
+the one balanced-digit decoder, used by the loops, ``coefficients``,
+``terms`` and ``poly_divexact``.
 """
 from __future__ import annotations
 
@@ -322,25 +323,20 @@ def _packed(bits: int):
             raise out_of_range(norm * b._bound)
         return make(a._shift - b._shift, q, norm)
 
-    # -- flat rows: the Schubert table as the build and the kernel read it --------
+    # -- flat rows: the Schubert table as the build and the kernels read it -------
 
-    def flat_row(w, polys: dict) -> tuple:
-        """Row w of a triangular basis as (pivot, bound, entries): ``entries``
-        is one (u, shift, packed, bound) tuple per item of ``polys`` (u ->
-        ``UniPoly`` of this width, nonzero), in its order, ``pivot`` the one
-        at w and ``bound`` the largest entry bound.  Raises KeyError without
-        a pivot."""
-        entries = []
-        for u, p in polys.items():
+    def flat_row(polys: dict) -> dict:
+        """A row of a triangular basis as the kernels read it: key ->
+        (shift, packed, bound) for each item of ``polys`` (key -> ``UniPoly``
+        of this width, nonzero), in its order."""
+        for p in polys.values():
             if type(p) is not UniPoly:
                 raise mixed(p)
-            entries.append((u, p._shift, p._packed, p._bound))
-        p = polys[w]
-        return (w, p._shift, p._packed, p._bound), max(e[3] for e in entries), tuple(entries)
+        return {u: (p._shift, p._packed, p._bound) for u, p in polys.items()}
 
-    def row_polys(entries) -> dict:
-        """The entries of a flat row as u -> ``UniPoly``, in their order."""
-        return {u: make(s, x, b) for u, s, x, b in entries}
+    def row_polys(row: dict) -> dict:
+        """The entries of a flat row as key -> ``UniPoly``, in their order."""
+        return {u: make(*e) for u, e in row.items()}
 
     divisors = {}  # h -> (shift, packed) of 1 - t^h
 
@@ -348,62 +344,47 @@ def _packed(bits: int):
         d = UniPoly.one_minus_power(h)
         if not d:
             raise ZeroDivisionError("division by zero polynomial")
-        got = divisors[h] = (d._shift, d._packed)
-        return got
+        return divisors.setdefault(h, (d._shift, d._packed))
 
-    def demazure_step(f: dict, heights, partner, keys, invariant=()) -> dict:
-        """D_i of one row of the Schubert table: ``model.demazure`` with the
-        weight t^h(v), h(v) = ``heights[v]``, and ``poly_divexact``, fused
-        on packed integers.
-
-        A row maps element index v -> (keys[v], shift, packed, bound) and
-        ``partner[v]`` is the index of v s_i.  The result is such a row,
-        with the indices in increasing order, and each value is the one the
+    def demazure_step(f: dict, degrees, partner, reps) -> dict:
+        """D_i of one flat row by element index: ``model.demazure`` with the
+        weight t^h(v), h(v) = <v(alpha_i), k> = degrees[v] - degrees[v s_i]
+        for degrees[v] = <v(rho), k>, and ``poly_divexact``, fused on packed
+        integers; ``partner[v]`` is the index of v s_i.  The result is a
+        flat row in increasing index order, and each value is the one the
         method path computes, bound included: f(v) - t^h f(v s_i), its sum
-        bound checked when both terms are there, divided by 1 - t^h with
-        the quotient's exact norm certified against the divisor's bound 2.
+        bound checked when both terms are there, divided by 1 - t^h with the
+        quotient's exact norm certified against the divisor's bound 2.
 
-        As h(v s_i) = -h(v), (D_i f)(v s_i) = (D_i f)(v) with the same sum
-        bound and norm, so only the lower point of each pair divides and the
-        upper one copies it (or is left out with it).  Visited in index
-        order, which refines length, the guards raise where the method
-        path's do.
-
-        ``invariant`` holds more partner lists, of reflections s_j under
-        which the result is known to be right invariant (for a Schubert row
-        psi_w, w's other right descents).  A point v with some v s_j < v
-        copies that entry too, so only the minimal point of each orbit of
-        the group they generate with s_i divides.  Guards then run at those
-        points only: every value is still a quotient certified at this
-        width, and equal, bound included, to the method path's wherever
-        that fits the width, but a sum guard the method path would trip at
-        a copied point does not trip here.
+        ``reps[v]`` is the least index of v's orbit under right
+        multiplications known to fix the result: {v, v s_i} at least, as
+        h(v s_i) = -h(v); v W_J for psi_w, J the right descents of w.  Only
+        an orbit's least point divides, in index order (which refines
+        length), and the others hold its very tuple (or are left out with
+        it).  So every value is a quotient certified at this width, equal to
+        the method path's wherever that fits, but a sum guard the method
+        path would trip at a shared point does not trip here.
         """
-        todo = set(f)
-        todo.update([partner[v] for v in f])
         get = f.get
         out = {}
-        lower = (partner, *invariant)
-        for v in sorted(todo):
-            for p in lower:
-                u = p[v]
-                if u < v:
-                    break
-            if u < v:  # the lower point of v's pair or orbit is done: copy it
+        for v in sorted({*f, *map(partner.__getitem__, f)}):
+            u = reps[v]
+            if u != v:  # v's minimal point is done: share its value
                 got = out.get(u)
                 if got is not None:
-                    out[v] = (keys[v], *got[1:])
+                    out[v] = got
                 continue
-            a, c, h = get(v), get(partner[v]), heights[v]
+            u = partner[v]
+            a, c, h = get(v), get(u), degrees[v] - degrees[u]
             if c is None:
-                _, s, x, b = a
+                s, x, b = a
             else:
-                _, cs, x, b = c
+                cs, x, b = c
                 cs += h
                 if a is None:
                     s, x = cs, -x
                 else:
-                    _, s, ax, ab = a
+                    s, ax, ab = a
                     b += ab
                     if b >= half:
                         raise out_of_range(b)
@@ -423,23 +404,23 @@ def _packed(bits: int):
             norm = sum(map(abs, digits(q)))
             if norm * 2 >= half:
                 raise out_of_range(norm * 2)
-            out[v] = (keys[v], s - ds, q, norm)
+            out[v] = (s - ds, q, norm)
         return out
 
-    def row_product(a: tuple, b: tuple) -> dict:
-        """``EquivClass.__mul__`` of two flat rows' entries, as the kernel's residual: it walks
+    def row_product(a: dict, b: dict) -> dict:
+        """``EquivClass.__mul__`` of two flat rows, as the kernel's residual: it walks
         the shorter row (``a`` on a tie) and raises at the first product bound out of range."""
         if len(a) > len(b):
             a, b = b, a
-        get = {e[0]: e for e in b}.get
+        get = b.get
         out = {}
-        for u, s, x, bound in a:
+        for u, (s, x, bound) in a.items():
             e = get(u)
             if e is not None:
-                bound *= e[3]
+                bound *= e[2]
                 if bound >= half:
                     raise out_of_range(bound)
-                out[u] = (s + e[1], x * e[2], bound)
+                out[u] = (s + e[0], x * e[1], bound)
         return out
 
     def solve_at_one(elements, residual: dict, rows) -> dict:
@@ -447,18 +428,16 @@ def _packed(bits: int):
         unitriangular basis, zero values omitted: ``model.back_solve`` with
         ``poly_divexact`` fused into one loop over packed integers.
 
-        ``elements`` is in an order refining Bruhat order and ``rows(w)`` is
-        basis vector w as a ``flat_row``, pivot included.  ``residual``, the
-        vector as nonzero (shift, packed, bound) triples, is used up.  Every
-        bound is the one the method path computes, checked in the same order:
-        the quotient certificate, then for each row entry, in the row's
-        order, the product bound and the difference bound.  No product bound
-        can reach the range unless the quotient's norm times the row's
-        largest entry bound does, so only then are they checked.  So this
-        raises where ``back_solve`` would: ``NotDivisibleError`` for an
+        ``elements`` lists the basis keys (a model's element indices) in an
+        order refining Bruhat order, ``rows(w)`` is vector w as a flat row,
+        pivot included, and ``residual``, the vector as nonzero (shift,
+        packed, bound) triples, is used up.  Every bound is the method
+        path's, checked in its order: the quotient certificate, then for
+        each row entry in order, the product and the difference bound.  So
+        this raises where ``back_solve`` would: ``NotDivisibleError`` for an
         inexact pivot, the range error, and ``NonzeroResidualError`` if
-        anything is left over.  Each quotient is read at t = 1 by
-        ``eval_at_one``'s residue and never built as a ``UniPoly``.
+        anything is left over.  No quotient is built as a ``UniPoly``: its
+        value at t = 1 is ``eval_at_one``'s residue.
         """
         values = {}
         get = residual.get
@@ -466,7 +445,8 @@ def _packed(bits: int):
             c = get(w)
             if c is None:
                 continue
-            (_, ps, px, pb), row_bound, entries = rows(w)
+            row = rows(w)
+            ps, px, pb = row[w]
             s, x, c_bound = c
             if not x & mask:
                 s, x = strip(s, x)
@@ -480,12 +460,11 @@ def _packed(bits: int):
             if value:
                 values[w] = value - mask if value > mask >> 1 else value
             qs = s - ps
-            guarded = qb * row_bound >= half
-            for u, ms, mx, mb in entries:
+            for u, (ms, mx, mb) in row.items():
                 b = qb * mb
-                if guarded and b >= half:
+                if b >= half:
                     raise out_of_range(b)
-                if u is w:  # the certified quotient cancels c: only the guard is left
+                if u == w:  # the certified quotient cancels c: only the guard is left
                     b += c_bound
                     if b >= half:
                         raise out_of_range(b)

@@ -677,7 +677,7 @@ def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
         init(self, *args, **kwargs)
         w = self.group.elements[1]
         row = self.specialized_schubert_class(w)
-        self._rows[1] = self.poly.flat_row(w, (row + row).restrictions)
+        self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
     group = WeylGroup(build_root_datum("A", 2))
@@ -701,7 +701,7 @@ def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
         init(self, *args, **kwargs)
         w = self.group.elements[1]
         row = self.specialized_schubert_class(w)
-        self._rows[1] = self.poly.flat_row(w, (row + row).restrictions)
+        self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--which", "signs")

@@ -430,7 +430,8 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     w, u = g.from_word([1, 2]), g.from_word([3, 2])
     assert not g.bruhat_leq(u, w)
     row = model.specialized_schubert_class(w)
-    model._rows[w.index] = model.poly.flat_row(w, {**row.restrictions, u: model.poly.one()})
+    model._rows[w.index] = model.poly.flat_row(
+        {**{v.index: p for v, p in row.restrictions.items()}, u.index: model.poly.one()})
     rep = ring.verify_richardson_signs()
     leq = g.bruhat_leq
     w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)
@@ -546,6 +547,18 @@ def test_the_line_recursion_equals_the_public_solve_on_every_row(engines, label)
                 assert [w.index for w in row] == sorted((w.index for w in row), reverse=True)
 
 
+@pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "G2", "D4"])
+def test_the_walk_makes_its_e_i_tables_directly(engines, label):
+    """The walk's e_i tables, the line tables of -alpha_i made by one
+    recursion each, equal the ones the memo composes from the parts of
+    -alpha_i."""
+    ring = SchubertRing(engines.model(label))
+    for i in range(1, ring.datum.rank + 1):
+        lam = _neg(ring.datum.simple_root(i))
+        assert _line_parts(lam)
+        assert _demazure_line_table(ring, lam) == ring._line_table(lam)
+
+
 def _string_from_one_below_zero(mu, alpha, n):
     """The alpha_i-string with its n < 0 sum taken over j = 1..-n."""
     sign, weights = _alpha_string(mu, alpha, n)
@@ -578,8 +591,8 @@ def test_a_weight_of_the_wrong_length_is_refused(engines):
 
 def test_no_line_table_is_solved(engines, monkeypatch):
     """The model's one-variable solve is never called while the tables of
-    the default D4 line sweep are made, nor while a B4 walk's e_i tables
-    are."""
+    the default D4 line sweep are made, nor while the B4 tables of the
+    -alpha_i are composed."""
     from kflag.cli import _default_line_sweep
 
     calls = []

@@ -78,6 +78,25 @@ def test_root_closure_cap_admits_every_finite_type(blocks, count):
     assert len(_close_positive_roots(a)) == count
 
 
+def test_a_cartan_matrix_past_the_rank_bound_is_refused_before_validation(monkeypatch):
+    """Rank 201 is refused with one line before the O(r^3) validation runs;
+    rank 200 reaches it, and A64 still builds."""
+    from kflag.roots import MAX_CARTAN_RANK
+
+    a64 = root_datum_from_cartan(cartan_matrix("A", 64))
+    assert len(a64.positive_roots) == 2080
+
+    def validated(a):
+        raise RuntimeError(f"validated rank {len(a)}")
+
+    monkeypatch.setattr("kflag.roots._validate_cartan", validated)
+    assert MAX_CARTAN_RANK == 200
+    with pytest.raises(ConfigError, match="^Cartan matrix rank 201 exceeds 200$"):
+        root_datum_from_cartan(cartan_matrix("A", 201))
+    with pytest.raises(RuntimeError, match="validated rank 200"):
+        root_datum_from_cartan(cartan_matrix("A", 200))
+
+
 @pytest.mark.parametrize("letter,rank", sorted(POSITIVE_ROOT_COUNTS))
 def test_positive_root_counts(letter, rank):
     d = build_root_datum(letter, rank)

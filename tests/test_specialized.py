@@ -390,13 +390,20 @@ def _coefficient_row(model, w) -> dict:
 
 
 def _build_outcome(build):
-    """The flat rows ``build()`` returns, or the error's type and message."""
+    """The flat rows ``build()`` returns, each as its list of items so that
+    their order counts, or the error's type and message."""
     from kflag import KflagError
 
     try:
-        return build()
+        return [list(row.items()) for row in build()]
     except KflagError as exc:
         return type(exc), str(exc)
+
+
+def _index_row(poly, f):
+    """The restrictions of a one-variable class as a flat row by element
+    index, in their order."""
+    return poly.flat_row({u.index: p for u, p in f.restrictions.items()})
 
 
 def _both_builds(model, k):
@@ -408,8 +415,7 @@ def _both_builds(model, k):
 
     def generic():
         table = model._build_schubert_table(_monomial_t(k, model.poly), model._divexact)
-        return [model.poly.flat_row(w, f.restrictions)
-                for w, f in zip(model.group.elements, table)]
+        return [_index_row(model.poly, f) for f in table]
 
     return _build_outcome(lambda: model._specialized_table(k)), _build_outcome(generic)
 
@@ -429,9 +435,9 @@ def test_the_packed_build_is_the_generic_demazure_route(label, engines):
     """At 32 bits, at the model's cocharacter and at the second one of
     ``verify_normalization``, every flat row equals the generic route's:
     the same fixed points in the same order, the same packed integers and
-    the same norm bounds; the pivot is the entry at w and the row bound the
-    largest entry bound.  The build divides once per coset of w's right
-    descents and copies the rest, so this checks that every copy is the
+    the same norm bounds, the pivot (the entry at w) among them.  The
+    build divides once per coset of w's right descents and shares that
+    value with the rest, so this checks that every shared value is the
     quotient the generic route divides out there."""
     from kflag.model import _height_cocharacter
 
@@ -440,9 +446,8 @@ def test_the_packed_build_is_the_generic_demazure_route(label, engines):
     for k in (model.cocharacter, second):
         got, want = _both_builds(model, k)
         assert type(got) is list and got == want
-        for w, (pivot, bound, entries) in zip(model.group.elements, got):
-            assert pivot[0] is w and pivot in entries
-            assert bound == max(e[3] for e in entries)
+        for w, entries in zip(model.group.elements, got):
+            assert w.index in dict(entries)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
@@ -459,29 +464,29 @@ def test_the_packed_build_fails_where_the_generic_route_does(label, engines):
     assert (type(got) is tuple) == (len(model.datum.positive_roots) > 6)
 
 
-def _step_input(poly, f):
-    """The restrictions of a one-variable class as a row of
-    ``demazure_step``: element index -> (u, shift, packed, bound)."""
-    polys = f.restrictions
-    return {u.index: e for u, e in zip(polys, poly.flat_row(next(iter(polys)), polys)[2])}
-
-
 def _both_steps(model, i, f):
     """(packed step, ``model.demazure``) outcomes of D_i f at the model's
-    width and cocharacter, each as a list of (u, shift, packed, bound)."""
+    width and cocharacter, each as a list of (u.index, (shift, packed,
+    bound)); the step shares values over the pairs {v, v s_i} only."""
     from kflag.model import _degree, _monomial_t
 
     g, poly, k = model.group, model.poly, model.cocharacter
-    heights = [_degree(g.root_image(v, i), k) for v in g.elements]
+    degrees = [_degree(v.key, k) for v in g.elements]
     partner = [g.right_mul(v, i).index for v in g.elements]
+    reps = [min(v, x) for v, x in enumerate(partner)]
 
     def generic():
-        out = model.demazure(i, f, _monomial_t(k, poly), model._divexact)
-        return list(_step_input(poly, out).values()) if out.restrictions else []
+        return _index_row(poly, model.demazure(i, f, _monomial_t(k, poly), model._divexact))
 
-    return (_build_outcome(lambda: list(poly.demazure_step(
-                _step_input(poly, f), heights, partner, g.elements).values())),
-            _build_outcome(generic))
+    return (_row_outcome(lambda: poly.demazure_step(_index_row(poly, f), degrees, partner, reps)),
+            _row_outcome(generic))
+
+
+def _row_outcome(make):
+    """The flat row ``make()`` returns as its list of items, or the error's
+    type and message."""
+    got = _build_outcome(lambda: [make()])
+    return got[0] if type(got) is list else got
 
 
 @pytest.mark.parametrize("bits", [8, 32])
@@ -508,44 +513,80 @@ def test_the_packed_step_raises_where_demazure_does(label, bits, monkeypatch):
             assert got == want
             steps += 1
             if type(got) is list:
-                row = {e[0].index: e[1:] for e in got}
+                row = dict(got)
                 assert all(row.get(g._right[i - 1][x]) == e for x, e in row.items())
             range_errors += type(want) is tuple and want[0] is PackedRangeError
     assert steps > len(_all_pairs(g))
     assert (range_errors > 0) == (bits == 8)
 
 
-def _step_with(model, w, lists):
+def _step_with(model, w, descents):
     """Row w by one ``demazure_step`` from the built row w s_i, i the last
-    letter of w's word, with ``lists`` as its invariance lists."""
-    from kflag.model import _degree
+    letter of w's word, sharing values over the cosets of the s_j with
+    descents[j - 1] true (``_coset_minima``)."""
+    from kflag.model import _coset_minima, _degree
 
     g, i = model.group, w.word[-1]
     partner = g._right[i - 1]
-    prev = {e[0].index: e for e in model._rows[partner[w.index]][2]}
-    heights = [_degree(g.root_image(v, i), model.cocharacter) for v in g.elements]
-    return list(model.poly.demazure_step(prev, heights, partner, g.elements, lists).values())
+    degrees = [_degree(v.key, model.cocharacter) for v in g.elements]
+    reps = _coset_minima(g._right, descents)
+    return list(model.poly.demazure_step(
+        model._rows[partner[w.index]], degrees, partner, reps).items())
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_only_right_descents_may_be_shared(label, engines):
     """A Schubert row is right invariant under its right descents: the
-    step given their partner lists makes the built row.  Given the list of
-    a reflection that is no right descent, it gives another row for some w,
-    and so does a left descent in place of the right ones."""
+    step given their coset minima makes the built row.  Given the minima
+    of a set with a reflection that is no right descent, it gives another
+    row for some w, and so does a left descent in place of the right ones."""
     model = engines.model(label)
     g = model.group
     wrong_right = wrong_left = 0
     for w in g.elements[1:]:
         x, i = w.index, w.word[-1]
-        right = [p for p in g._right if p[x] < x and p is not g._right[i - 1]]
-        assert _step_with(model, w, right) == list(model._rows[x][2])
-        others = [p for p in g._right if p[x] > x]
-        wrong_right += any(_step_with(model, w, [p]) != list(model._rows[x][2])
-                           for p in others)
-        left = [g._right[j] for j, p in enumerate(g._left) if p[x] < x and j != i - 1]
-        wrong_left += _step_with(model, w, left) != list(model._rows[x][2])
+        row = list(model._rows[x].items())
+        assert _step_with(model, w, [p[x] < x for p in g._right]) == row
+        others = [j for j, p in enumerate(g._right) if p[x] > x]
+        wrong_right += any(_step_with(model, w, [k in (i - 1, j) for k in range(model.rank)])
+                           != row for j in others)
+        left = [k == i - 1 or p[x] < x for k, p in enumerate(g._left)]
+        wrong_left += _step_with(model, w, left) != row
     assert wrong_right > 0 and wrong_left > 0
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_every_coset_of_the_right_descents_shares_one_value(label, engines):
+    """In a built row w every point v holds the very tuple of the least
+    point of v W_J, J the right descents of w, so the row holds one value
+    object per coset it meets, and the quotient count of the build is the
+    number of distinct value objects."""
+    from kflag.model import _coset_minima
+
+    model = engines.model(label)
+    g = model.group
+    for w in g.elements[1:]:
+        x = w.index
+        reps = _coset_minima(g._right, [p[x] < x for p in g._right])
+        row = model._rows[x]
+        assert all(e is row[reps[v]] for v, e in row.items())
+        assert len({id(e) for e in row.values()}) == len({reps[v] for v in row})
+
+
+@pytest.mark.parametrize("label, quotients", [("D4", 1837), ("B4", 7883)])
+def test_the_build_divides_once_per_coset(label, quotients, engines):
+    """Rows past e hold one value object per coset v W_J in [e, w], J the
+    right descents of w: as many as the quotients the build divides out,
+    counted here as the points v <= w with every v s_j, j in J, above v."""
+    model = engines.model(label)
+    g, rows = model.group, model._rows
+    assert sum(len({id(e) for e in rows[w.index].values()}) for w in g.elements[1:]) == quotients
+    minimal = 0
+    for w in g.elements[1:]:
+        descents = [p for p in g._right if p[w.index] < w.index]
+        minimal += sum(g.bruhat_leq(v, w) and all(p[v.index] > v.index for p in descents)
+                       for v in g.elements)
+    assert minimal == quotients
 
 
 @pytest.mark.parametrize("case", ["sum", "certificate", "inexact", "cancel"])
@@ -579,8 +620,7 @@ def _element_ordered(rows: list) -> bool:
     """Whether each flat row and its class list their fixed points in
     element order, the same fixed points in both."""
     return all(
-        [u.index for u, *_ in row[2]] == sorted(u.index for u, *_ in row[2])
-        and list(cls.restrictions) == [u for u, *_ in row[2]]
+        list(row) == sorted(row) and [u.index for u in cls.restrictions] == list(row)
         for row, cls in rows)
 
 
@@ -618,7 +658,7 @@ def test_a_table_row_without_its_pivot_fails_integrity(engines):
     w = g.elements[3]
     del table[3][w]
     model = SchubertModel(g, table=table)
-    assert model._rows[2][0][0] is g.elements[2]
+    assert 2 in model._rows[2]
     word = ", ".join(map(str, w.word))
     with pytest.raises(IntegrityError, match=rf"row \[{word}\] has no pivot"):
         model.specialized_schubert_class(w)
@@ -685,7 +725,7 @@ def _both_routes(ring, elements, vec: dict, rows, flat_rows=None):
     poly, divide = ring
     if flat_rows is None:
         def flat_rows(w):
-            return poly.flat_row(w, rows(w))
+            return poly.flat_row(rows(w))
 
     def kernel():
         residual = {}
@@ -700,18 +740,19 @@ def _both_routes(ring, elements, vec: dict, rows, flat_rows=None):
 
 def _model_routes(model, vec: dict, elements=None):
     """Both outcomes of solving ``vec`` against the model's rows, over the
-    group's elements unless others are given: the kernel reads the flat
-    rows the model solves with, the method path their classes, whose
-    entries are in the same order (``test_every_row_is_in_element_order``)."""
-    def rows(w):
-        return model.specialized_schubert_class(w).restrictions
+    group's elements unless others are given, keyed by element index as the
+    model solves: the kernel reads the flat rows the model solves with, the
+    method path their classes, whose entries are in the same order
+    (``test_every_row_is_in_element_order``)."""
+    g = model.group
 
-    def flat_rows(w):
-        return model._rows[w.index]
+    def rows(w):
+        cls = model.specialized_schubert_class(g.elements[w])
+        return {v.index: p for v, p in cls.restrictions.items()}
 
     return _both_routes((model.poly, model._divexact),
-                        model.group.elements if elements is None else elements, vec, rows,
-                        flat_rows)
+                        [w.index for w in (g.elements if elements is None else elements)],
+                        {v.index: p for v, p in vec.items()}, rows, model._rows.__getitem__)
 
 
 def _solve_inputs(model):
@@ -841,11 +882,11 @@ def test_the_row_product_is_the_class_product(label, bits, monkeypatch):
 
     model = _model_at(monkeypatch, label, bits)
     assert model.bits == bits
-    rows = [model._rows[w.index][2] for w in model.group.elements]
+    rows = [model._rows[w.index] for w in model.group.elements]
     range_errors = 0
     for a in rows:
         for row in rows:
-            for b in (row, row[::-1]):
+            for b in (row, dict(reversed(row.items()))):
                 got = _outcome(model.poly.row_product, a, b)
                 want = _outcome(_class_product, model, a, b)
                 assert got == want
