@@ -165,8 +165,8 @@ class SchubertModel:
     An injected table keeps the width of its entries.  ``bits`` and
     ``poly`` (the ``UniPoly`` class) are the model's width.  Every integer
     operation is one job of ``run_packed``, redone whole on ``wide``, the
-    64-bit twin, if it does not fit: the constants of a pair, chi at a
-    second cocharacter, and the public ``integer_coefficients``,
+    64-bit twin, if it does not fit: the constants of a pair, chi of every
+    row at one cocharacter, and the public ``integer_coefficients``,
     ``euler_characteristic`` and ``specialize``.
     """
 
@@ -405,13 +405,14 @@ class SchubertModel:
             m.poly.row_product(m._rows[u.index], m._rows[v.index])))
 
     def schubert_chi(self, heights) -> list[int]:
-        """chi of every Schubert class, by w.index, at the cocharacter whose
-        simple-root heights are ``heights``; its one-variable table is built
-        in the job and dropped."""
-        k = _height_cocharacter(self.datum, heights)
+        """chi of every Schubert class, by w.index, at the cocharacter of
+        simple-root heights ``heights``: over the model's rows (cached or
+        built) at its own cocharacter, else over a table built in the job."""
+        k, n = _height_cocharacter(self.datum, heights), len(self.group.elements)
         return self.run_packed(lambda m: [
-            m._euler_characteristic(m._row_class(row), k)
-            for row in m._specialized_table(k)])
+            m._euler_characteristic(m._row_class(row), k) for row in (
+                map(m._rows.__getitem__, range(n)) if k == m.cocharacter
+                else m._specialized_table(k))])
 
     # -- pushforward and expansion ------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import ConfigError, IntegrityError
 from .model import SchubertModel, back_solve
@@ -227,7 +228,7 @@ class SchubertRing:
     def _line_table(self, lam: Weight):
         """The coefficients of [L(lam)] . [O_{X_v}] for every v, memoized.
 
-        ``_demazure_line_table`` makes only 0 and +-omega_i; by [L(lam + mu)]
+        ``_demazure_line_table`` makes only 0 and +-omega_i, keyed here by element; by [L(lam + mu)]
         = [L(lam)] . [L(mu)] any other table is the product of the tables of
         ``_line_parts(lam)``, each distinct part made once.  The memo keeps the
         weights asked for and every weight with coordinates in {-1, 0, 1},
@@ -236,7 +237,7 @@ class SchubertRing:
         """
         if len(lam) != self.datum.rank:
             raise ConfigError("weight has wrong length")
-        memo = self._line_memo
+        memo, elements = self._line_memo, self.group.elements
 
         def table(mu):
             got = memo.get(mu)
@@ -248,8 +249,9 @@ class SchubertRing:
                 got, *others = map(tables.get, parts)
                 for other in others:
                     got = {v: _row_times(row, other) for v, row in got.items()}
-            else:
-                got = _demazure_line_table(self, mu)
+            else:  # each row in descending index, as a solve returns it
+                got = {v: {elements[w]: c for w, c in sorted(row.items(), reverse=True)}
+                       for v, row in zip(elements, _demazure_line_table(self, mu))}
             if mu == lam or max(map(abs, mu)) <= 1:
                 memo[mu] = got
             return got
@@ -289,22 +291,19 @@ class SchubertRing:
     # -- verifiers ----------------------------------------------------------------
 
     def verify_normalization(self) -> SignReport:
-        """chi([O_{X_w}]) = 1 by the fixed-point route at two cocharacters.
+        """chi([O_{X_w}]) = 1 at two cocharacters, both by ``model.schubert_chi``.
 
-        The first reads the one-variable rows the integer commands use at
-        the model's cocharacter k, which may come from a cache.  The second
-        runs over a table built here at k2, the cocharacter of simple-root
-        heights (1, ..., 1, 2), and dropped afterwards: it checks the
-        recursion at a specialization not proportional to k (from rank 2).
+        At the model's cocharacter k it reads the one-variable rows the
+        integer commands use, which may come from a cache.  At k2, the
+        cocharacter of simple-root heights (1, ..., 1, 2), it runs over a
+        table built there and dropped: it checks the recursion at a
+        specialization not proportional to k (from rank 2).
         """
         t0 = time.monotonic()
-        violations = []
-        m = self.model
-        second = m.schubert_chi((1,) * (self.datum.rank - 1) + (2,))
-        for w, at_k2 in zip(self.group.elements, second):
-            at_k = m.euler_characteristic(m.specialized_schubert_class(w))
-            if at_k != 1 or at_k2 != 1:
-                violations.append((w.word, at_k, at_k2))
+        ones = (1,) * self.datum.rank
+        second = self.model.schubert_chi(ones[1:] + (2,))
+        violations = [(w.word, at_k, at_k2) for w, at_k, at_k2 in zip(
+            self.group.elements, self.model.schubert_chi(ones), second) if (at_k, at_k2) != (1, 1)]
         return SignReport(
             group=self.datum.label,
             name="normalization",
@@ -329,18 +328,14 @@ class SchubertRing:
         # a G/P constant is read off the G/B one of the pair lifted by w_{o,P}
         mul = self.group.mul
         _fill_constants(self, ((mul(u, wop), mul(v, wop)) for u, v in pairs))
-        # a zero constant satisfies both rules, so only the nonzero ones
-        # are checked, in the order of labels
-        position = {w: i for i, w in enumerate(labels)}
+        # constants hold no zero c, which would satisfy both rules; labels
+        # are in index order, so each pair's violations are in label order
         violations = []
         for u, v in pairs:
             cs = constants(u, v)
-            for w in sorted((w for w in cs if w in position), key=position.__getitem__):
-                c = cs[w]
-                n = codim[w] - codim[u] - codim[v]
-                if n < 0 and c != 0:
-                    violations.append((u.word, v.word, w.word, c, n))
-                elif c and (c > 0) != (n % 2 == 0):
+            for w in sorted(cs, key=attrgetter("index")):
+                c, n = cs[w], codim[w] - codim[u] - codim[v]
+                if n < 0 or (c > 0) != (n % 2 == 0):
                     violations.append((u.word, v.word, w.word, c, n))
         size = len(labels)
         return SignReport(
@@ -615,9 +610,9 @@ def _int_exact_div(c: int, d: int) -> int:
 
 
 # A sweep missing fewer constants than this many per element of W solves
-# each pair; from there one walk of the column tree is faster.  Walks on one
-# CPU, e_i tables (line recursion) included, broke even with the solves at
-# about 12 |W| pairs on G2, 10-11 |W| on A3, 7-8 |W| on B3, 8-10 |W| on D4.
+# each pair; from there one walk of the column tree is faster.  On one CPU,
+# e_i tables included, the walk ties the solves at 6.5 |W| pairs (G2) and
+# is 1.8-4x faster at 12.5-24.5 |W| (A3, B3, D4 on P = {1}; README).
 WALK_PAIRS_PER_ELEMENT = 12
 
 
@@ -653,18 +648,15 @@ def _columns(ring: SchubertRing, wanted):
       (R1) psi_u psi_v = D_i(psi_u psi_v') if u' < u;
       (R2) psi_u psi_v = e_i [D_i(psi_u psi_v') - psi_u' psi_v]
            + psi_u psi_v' - psi_u' psi_v' + psi_u' psi_v otherwise.
-    D_i acts by ``_demazure_rows``, e_i by ``_demazure_line_table`` of
-    -alpha_i, and psi_u psi_e = [u = w_o] psi_e.  So column v follows from
-    column v', i the first right descent of v: a tree, walked depth first
-    with at most depth + 1 columns alive."""
-    group, datum = ring.group, ring.datum
-    n = len(group.elements)
+    D_i is ``_demazure``, e_i the index table of -alpha_i from
+    ``_demazure_line_table``, e_i D_i that table relabelled by ``_e_after_d``
+    and psi_u psi_e = [u = w_o] psi_e.  So column v follows from column v',
+    i the first right descent of v: a tree, walked depth first with at
+    most depth + 1 columns alive."""
     partners, first = ring._right_steps
-    d_rows = [_demazure_rows(p) for p in partners]
-    e_rows = [[{w.index: c for w, c in table[y].items()} for y in group.elements]
-              for table in (_demazure_line_table(ring, _neg(datum.simple_root(i)))
-                            for i in range(1, datum.rank + 1))]
-    ed_rows = [[_row_times(d, e) for d in ds] for ds, e in zip(d_rows, e_rows)]
+    n, root = len(partners[0]), ring.datum.simple_root
+    ed_rows = [_e_after_d(_demazure_line_table(ring, _neg(root(i + 1))), p)
+               for i, p in enumerate(partners)]
     children = [[] for _ in range(n)]
     for v in range(1, n):
         children[partners[first[v]][v]].append((v, first[v]))
@@ -676,17 +668,26 @@ def _columns(ring: SchubertRing, wanted):
             column = [None] * n
             for u, x in enumerate(partners[i]):
                 if x > u:  # u' = x > u, as index order refines length: (R1), (R2)
-                    column[x] = r1 = _row_times(prev[x], d_rows[i])
+                    column[x] = r1 = _demazure(prev[x], partners[i])
                     column[u] = _rule_two(prev[u], prev[x], r1, ed_rows[i])
             yield from walk(child, column)
 
     yield from walk(0, [{}] * (n - 1) + [{0: 1}])
 
 
-def _demazure_rows(partner: list) -> list:
-    """The table of D_i, ``partner[y]`` the index of y s_i: psi_y goes to
-    psi_{y s_i} if y s_i > y and to psi_y otherwise."""
-    return [{max(y, x): 1} for y, x in enumerate(partner)]
+def _demazure(row: dict, partner: list) -> dict:
+    """D_i of an integer vector {y.index: c}, ``partner[y]`` the index of
+    y s_i: the relabelling psi_y -> psi_{max(y, y s_i)}, zero sums dropped."""
+    out: dict[int, int] = {}
+    for y, c in row.items():
+        y = max(y, partner[y])
+        out[y] = out.get(y, 0) + c
+    return {y: c for y, c in out.items() if c}
+
+
+def _e_after_d(e_rows: list, partner: list) -> list:
+    """The table of e_i D_i: row y is e_i's row at max(y, y s_i), shared."""
+    return [e_rows[max(y, x)] for y, x in enumerate(partner)]
 
 
 def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
@@ -703,14 +704,14 @@ def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
     return {y: c for y, c in out.items() if c}
 
 
-def _demazure_line_table(ring: SchubertRing, lam: Weight):
+def _demazure_line_table(ring: SchubertRing, lam: Weight) -> list:
     """The line table of any weight lam (the memo's unsplit ones, the walk's
-    -alpha_i), reading no Schubert table: row v is l_nu psi_v for nu = -lam,
-    l_nu = L(-nu), in descending element index as a solve returns it.  With
-    i the first right descent of v, v' = v s_i and mu = s_i nu (derived in
-    the README): l_nu psi_v = D_i(l_mu psi_v') + sign * sum of l_mu' psi_v'
-    over the ``_alpha_string`` of mu, and l_nu psi_e = psi_e."""
-    datum, elements = ring.datum, ring.group.elements
+    -alpha_i), reading no Schubert table: row v.index is l_nu psi_v by w.index
+    for nu = -lam, l_nu = L(-nu).  With i the first right descent of v,
+    v' = v s_i and mu = s_i nu (derived in the README): l_nu psi_v =
+    D_i(l_mu psi_v') + sign * sum of l_mu' psi_v' over the ``_alpha_string``
+    of mu, with the walk's D_i, ``_demazure``, and l_nu psi_e = psi_e."""
+    datum = ring.datum
     partners, first = ring._right_steps
     memo: dict[tuple[Weight, int], dict[int, int]] = {}  # for this table only
 
@@ -718,10 +719,8 @@ def _demazure_line_table(ring: SchubertRing, lam: Weight):
         got = memo.get((nu, v))
         if got is None and v:
             i, partner = first[v], partners[first[v]]
-            mu, got = datum.reflect(i + 1, nu), {}
-            for y, c in row(mu, partner[v]).items():
-                y = max(y, partner[y])  # D_i: psi_y -> psi_max(y, y s_i)
-                got[y] = got.get(y, 0) + c
+            mu = datum.reflect(i + 1, nu)
+            got = _demazure(row(mu, partner[v]), partner)
             sign, string = _alpha_string(mu, datum.simple_root(i + 1), mu[i])
             for weight in string:
                 for y, c in row(weight, partner[v]).items():
@@ -729,8 +728,7 @@ def _demazure_line_table(ring: SchubertRing, lam: Weight):
             got = memo[nu, v] = {y: c for y, c in got.items() if c}
         return {0: 1} if got is None else got
 
-    table = {v: {elements[w]: c for w, c in sorted(row(_neg(lam), v.index).items(), reverse=True)}
-             for v in elements}
+    table = [row(_neg(lam), v) for v in range(len(partners[0]))]
     memo.clear()  # row refers to itself, so the memo would wait for the cycle collector
     return table
 

@@ -13,7 +13,9 @@ variety); translating to the dimension convention relabels by w -> w_o w.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 Poly = dict  # exponent tuple -> int coefficient
@@ -191,25 +193,51 @@ def _complete_homogeneous(n: int, k: int, first_var: int) -> Poly:
     return out
 
 
+@cache
+def _reducers(n: int) -> tuple:
+    """(k, x_k^k, the other terms of h_k(x_k, ..., x_n)) for k = 1..n."""
+    out = []
+    for k in range(1, n + 1):
+        lead = (0,) * (k - 1) + (k,) + (0,) * (n - k)
+        rest = _complete_homogeneous(n, k, k)
+        assert rest.pop(lead) == 1
+        out.append((k, lead, tuple(rest.items())))
+    return tuple(out)
+
+
 def reduce_mod_ideal(f: Poly, n: int) -> Poly:
     """Normal form modulo (e_1, ..., e_n) using the lex Groebner basis
-    {h_k(x_k, ..., x_n)}; leading term of the k-th generator is x_k^k."""
-    gens = [(_complete_homogeneous(n, k, k), k) for k in range(1, n + 1)]
-    out = dict(f)
-    changed = True
-    while changed:
-        changed = False
-        for g, k in gens:
-            lead = (0,) * (k - 1) + (k,) + (0,) * (n - k)
-            for e in sorted(out, reverse=True):
-                if all(e[j] >= lead[j] for j in range(n)):
-                    c = out[e]
-                    shift = tuple(a - b for a, b in zip(e, lead))
-                    out = p_add(out, p_scale(p_mul({shift: 1}, g), -c))
-                    changed = True
-                    break
-            if changed:
-                break
+    {h_k(x_k, ..., x_n)}; leading term of the k-th generator is x_k^k.
+
+    Terms are taken in descending lex order, each once: one divisible by
+    some x_k^k is replaced by its multiple of x_k^k - h_k, whose terms are
+    all lex-smaller.  Over a Groebner basis the normal form does not
+    depend on the order of the reductions."""
+    reducers = _reducers(n)
+    out = {e: c for e, c in f.items() if c}
+    heap = [tuple(-a for a in e) for e in out]
+    heapq.heapify(heap)
+    queued = set(out)
+    while heap:
+        e = tuple(-a for a in heapq.heappop(heap))
+        queued.discard(e)
+        c = out.get(e)
+        hit = c and next(((lead, rest) for k, lead, rest in reducers if e[k - 1] >= k), None)
+        if not hit:
+            continue
+        lead, rest = hit
+        del out[e]
+        shift = [a - b for a, b in zip(e, lead)]
+        for t, g in rest:
+            term = tuple(a + b for a, b in zip(shift, t))
+            m = out.get(term, 0) - c * g
+            if m:
+                out[term] = m
+            else:
+                out.pop(term, None)
+            if term not in queued:
+                queued.add(term)
+                heapq.heappush(heap, tuple(-a for a in term))
     return out
 
 
@@ -222,6 +250,7 @@ class GrothendieckOracle:
         self.perms = sorted(self.polys, key=inversions)
         self.reduced = {w: reduce_mod_ideal(p, n) for w, p in self.polys.items()}
         self._monomials = sorted({e for p in self.reduced.values() for e in p})
+        self._position = {e: r for r, e in enumerate(self._monomials)}
         if len(self._monomials) < len(self.perms):
             raise AssertionError("reduced basis spans too few monomials")
         self._inverse = self._invert_basis()
@@ -264,10 +293,10 @@ class GrothendieckOracle:
     def expand(self, f: Poly) -> dict[tuple[int, ...], int]:
         """Coordinates of a reduced polynomial over the reduced G_w basis."""
         red = reduce_mod_ideal(f, self.n)
-        vec = [Fraction(red.get(e, 0)) for e in self._monomials]
-        coords = [Fraction(0)] * len(self.perms)
-        for col in range(len(self.perms)):
-            coords[col] = sum(self._rhs[col][r] * vec[r] for r in range(len(vec)))
+        # only the terms of red on the basis monomials; any other fails the check below
+        vec = [(self._position[e], c) for e, c in red.items() if e in self._position]
+        coords = [sum((self._rhs[col][r] * c for r, c in vec), Fraction(0))
+                  for col in range(len(self.perms))]
         # verify exactly: sum coords * reduced basis == red
         acc: Poly = {}
         out = {}

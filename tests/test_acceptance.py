@@ -2,10 +2,11 @@
 
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
-the B4 sample, the B4 and A5 width comparison, the A4 walk test, the B3,
-C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks, the
-B4 line table at the weight bound and the A5 and F4 table builds against
-the generic route are opt-in: set KFLAG_BIG_RANK=1.
+the B4 sample, the B4 and A5 width comparison, the A4 walk test, the F4
+and D5 walk samples, the A4 line tables against the Grothendieck oracle,
+the B3, C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks,
+the B4 line table at the weight bound and the A5 and F4 table builds
+against the generic route are opt-in: set KFLAG_BIG_RANK=1.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import line_oracle
 import pairing_oracle
 from test_model import braid_order, random_valid_class
 from test_specialized import _both_builds
-from test_ring import to_permutation
+from test_ring import _mismatches, _oracle_line_mismatches, to_permutation
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "G2")
 BIG_RANK = os.environ.get("KFLAG_BIG_RANK") == "1"
@@ -137,6 +138,20 @@ def test_criterion_01_sign_sweep_a4_walk_matches_solve(engines, monkeypatch):
     _announce(1, "A4", f"{solved.checked} triples by the walk and the solve agree, {elapsed:.1f}s")
 
 
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the F4 and D5 walks")
+@pytest.mark.parametrize("label, count, seed", [("F4", 300, 20265), ("D5", 200, 20266)])
+def test_criterion_01_walk_equals_the_solve_on_a_big_sample(label, count, seed, engines):
+    """Seeded pairs of F4 and D5, in both orders: one walk of the whole
+    column tree gives each pair's column, which equals the pair's solve."""
+    elements = engines.group(label).elements
+    rng = random.Random(seed)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(count)]
+    t0 = time.monotonic()
+    assert _mismatches(SchubertRing(engines.model(label)), pairs) == []
+    elapsed = time.monotonic() - t0
+    _announce(1, label, f"{count} random pairs, walk = solve in both orders, {elapsed:.1f}s")
+
+
 def test_criterion_02_oracle_equivalence_a2(engines):
     ring = engines.ring("A2")
     group = engines.group("A2")
@@ -158,6 +173,16 @@ def test_criterion_02_oracle_equivalence_a2(engines):
                 assert got.get(w, 0) == want[w], (u.word, v.word, w.word)
                 entries += 1
     _announce(2, "A2", f"6x6 table, {entries} entries equal the isobaric oracle")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 line oracle")
+def test_criterion_02_fundamental_line_tables_a4_match_the_grothendieck_oracle(engines):
+    """Every row of the +-omega_k tables of A4 equals the oracle's product
+    of [L(+-omega_k)] with a Grothendieck polynomial, as on A2 and A3."""
+    t0 = time.monotonic()
+    assert _oracle_line_mismatches(SchubertRing(engines.model("A4")), 5, 1) == []
+    elapsed = time.monotonic() - t0
+    _announce(2, "A4", f"8 tables of 120 rows equal the Grothendieck oracle, {elapsed:.1f}s")
 
 
 def test_criterion_03_projective_space_calculus(engines):

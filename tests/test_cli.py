@@ -662,36 +662,9 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     assert "integrity" in err
 
 
-def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
-    """The exit-3 path with no cache: one row of the one-variable table,
-    doubled in process, is still a class, so chi at the model's cocharacter
-    reads 2 while the freshly built second table reads 1.  The library
-    reports that as a normalization violation; the CLI refuses it as a
-    route mismatch."""
-    from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
-
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    init = SchubertModel.__init__
-
-    def corrupt(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        w = self.group.elements[1]
-        row = self.specialized_schubert_class(w)
-        self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
-
-    monkeypatch.setattr(SchubertModel, "__init__", corrupt)
-    group = WeylGroup(build_root_datum("A", 2))
-    report = SchubertRing(SchubertModel(group)).verify_normalization()
-    assert report.violations == [(group.elements[1].word, 2, 1)]
-    code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs")
-    assert code == 3
-    assert "integrity" in err
-
-
-def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
-    """The same doubled row on A3, whose sign sweep is filled by the walk,
-    which reads no one-variable row: the normalization report's route
-    mismatch still exits 3."""
+def _double_row_one(monkeypatch) -> None:
+    """Every model built from now on, with no cache, holds row 1 of its
+    one-variable table doubled: still a class, but one with chi 2."""
     from kflag import SchubertModel
 
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -704,7 +677,46 @@ def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
         self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
+
+
+def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
+    """The exit-3 path with no cache: one row of the one-variable table,
+    doubled in process, is still a class, so chi at the model's cocharacter
+    reads 2 while the freshly built second table reads 1.  The library
+    reports that as a normalization violation; the CLI refuses it as a
+    route mismatch."""
+    from kflag import SchubertModel, SchubertRing, WeylGroup, build_root_datum
+
+    _double_row_one(monkeypatch)
+    group = WeylGroup(build_root_datum("A", 2))
+    report = SchubertRing(SchubertModel(group)).verify_normalization()
+    assert report.violations == [(group.elements[1].word, 2, 1)]
+    code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs")
+    assert code == 3
+    assert "integrity" in err
+
+
+def test_corrupted_table_fails_integrity_through_the_walk(monkeypatch, capsys):
+    """The same doubled row on A3, whose sign sweep is filled by the walk,
+    which reads no one-variable row: the normalization report's route
+    mismatch still exits 3."""
+    _double_row_one(monkeypatch)
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--which", "signs")
+    assert code == 3
+    assert "integrity" in err
+
+
+def test_a_planted_row_moves_chi_at_k_but_not_at_k2(monkeypatch, capsys):
+    """``schubert_chi`` reads the model's own rows at its cocharacter k, so
+    the doubled row reads chi 2 there, while the table it builds at k2
+    reads 1; the CLI, which reads both through it, still exits 3."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+
+    _double_row_one(monkeypatch)
+    model = SchubertModel(WeylGroup(build_root_datum("B", 2)))
+    assert model.schubert_chi((1, 1)) == [1, 2] + [1] * 6
+    assert model.schubert_chi((1, 2)) == [1] * 8
+    code, _, err = run_cli(capsys, "verify", "--type", "B", "--rank", "2", "--which", "signs")
     assert code == 3
     assert "integrity" in err
 

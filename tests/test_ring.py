@@ -550,13 +550,15 @@ def test_the_line_recursion_equals_the_public_solve_on_every_row(engines, label)
 @pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "G2", "D4"])
 def test_the_walk_makes_its_e_i_tables_directly(engines, label):
     """The walk's e_i tables, the line tables of -alpha_i made by one
-    recursion each, equal the ones the memo composes from the parts of
-    -alpha_i."""
+    recursion each and keyed by element index, equal the ones the memo
+    composes from the parts of -alpha_i."""
     ring = SchubertRing(engines.model(label))
     for i in range(1, ring.datum.rank + 1):
         lam = _neg(ring.datum.simple_root(i))
         assert _line_parts(lam)
-        assert _demazure_line_table(ring, lam) == ring._line_table(lam)
+        composed = ring._line_table(lam)
+        assert _demazure_line_table(ring, lam) == [
+            {w.index: c for w, c in composed[v].items()} for v in ring.group.elements]
 
 
 def _string_from_one_below_zero(mu, alpha, n):
@@ -837,7 +839,10 @@ _MUTATIONS = {
     "R2-without-minus-psi_u'psi_v'": lambda patch: patch.setattr(
         "kflag.ring._rule_two", _without_minus_high),
     "D_i-lifts-descents": lambda patch: patch.setattr(
-        "kflag.ring._demazure_rows", lambda partner: [{x: 1} for x in partner]),
+        "kflag.ring._demazure", lambda row, partner: {partner[y]: c for y, c in row.items()}),
+    "e_iD_i-relabelled-by-min": lambda patch: patch.setattr(
+        "kflag.ring._e_after_d",
+        lambda e_rows, partner: [e_rows[min(y, x)] for y, x in enumerate(partner)]),
 }
 
 
@@ -846,6 +851,18 @@ def test_the_a3_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
     _MUTATIONS[mutation](monkeypatch)
     ring = SchubertRing(engines.model("A3"))
     assert _mismatches(ring, _all_pairs(ring.group))
+
+
+def test_lifting_descents_in_the_shared_d_i_breaks_the_line_recursion(engines, monkeypatch):
+    """The walk's D_i is the line recursion's: the mutation that breaks the
+    A3 walk equality above also breaks every +-omega_i table."""
+    _MUTATIONS["D_i-lifts-descents"](monkeypatch)
+    ring = SchubertRing(engines.model("A3"))
+    for i in range(1, ring.datum.rank + 1):
+        omega = ring.datum.fundamental_weight(i)
+        for lam in (omega, _neg(omega)):
+            got, want = ring._line_table(lam), public_line_table(ring.model, lam)
+            assert any(got[v] != want[v] for v in ring.group.elements), lam
 
 
 def _spy(monkeypatch) -> tuple[list, list]:

@@ -267,6 +267,15 @@ def test_euler_characteristic_reads_rows_of_either_width(label, engines):
             assert model.euler_characteristic(narrow) == model.euler_characteristic(wide) == 1
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "D4"])
+def test_schubert_chi_at_the_model_cocharacter_is_chi_of_each_row(label, engines):
+    """The normalization report's one chi route, at the model's own
+    cocharacter, equals chi of each row by the public API."""
+    m = engines.model(label)
+    want = [m.euler_characteristic(m.specialized_schubert_class(w)) for w in m.group.elements]
+    assert m.schubert_chi((1,) * m.rank) == want
+
+
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatch):
     """At 8-bit digits the A3 and G2 tables fit, but many products and
