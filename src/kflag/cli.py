@@ -27,7 +27,7 @@ from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
 from .univariate import _packed, narrow_first
 
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
 
 EXIT_OK = 0
@@ -143,14 +143,26 @@ def _sha256(data: bytes) -> str:
 
 
 def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) -> dict:
-    """The one-variable Schubert table as rows [w, v, s, [c_0, ..., c_k]]:
-    the restriction of class w at fixed point v is t^s (c_0 + ... + c_k t^k)."""
+    """The one-variable Schubert table as a pool of its distinct values and
+    one row of references per element.  ``values[i] = [s, [c_0, ..., c_k]]``
+    is t^s (c_0 + ... + c_k t^k), each value once, in the order of first use
+    along the rows; ``rows[w] = [v_0, i_0, v_1, i_1, ...]``, by v.index as the
+    model keeps it, says class w restricts at fixed point v_j to values[i_j].
+    Only the pool is decoded: one value stands for every entry equal to it."""
+    refs: dict[tuple[int, int], int] = {}  # (shift, packed) -> index in the pool
+    pool: list[tuple[int, int, int]] = []
     rows = []
-    for w in group.elements:
-        cls = model.specialized_schubert_class(w)
-        for v, poly in sorted(cls.restrictions.items(), key=lambda t: t[0].index):
-            rows.append([w.index, v.index, *poly.coefficients()])
-    payload = {
+    for w in range(len(group.elements)):
+        row = []
+        for v, (shift, packed, bound) in model._rows[w].items():
+            i = refs.get((shift, packed))
+            if i is None:
+                i = refs[shift, packed] = len(pool)
+                pool.append((shift, packed, bound))
+            row += (v, i)
+        rows.append(row)
+    polys = model.poly.row_polys(dict(enumerate(pool))).values()
+    return {
         "schema_version": CACHE_SCHEMA_VERSION,
         "group": {
             "label": datum.label,
@@ -158,9 +170,9 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
             "cartan": [list(r) for r in datum.cartan],
         },
         "elements": [list(w.word) for w in group.elements],
-        "restrictions": rows,
+        "values": [list(p.coefficients()) for p in polys],
+        "rows": rows,
     }
-    return payload
 
 
 def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: SchubertModel) -> str | None:
@@ -195,9 +207,11 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
 
 def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
     """Load a cached one-variable table; any mismatch recomputes (returns
-    None) with one warning line.  The rows are packed by ``narrow_first``:
-    at 64 bits if one does not fit the narrow width, and a row that does
-    not fit 64 bits fails integrity (exit 3)."""
+    None) with one warning line.  Each pool value is packed once, and every
+    entry that refers to it holds that one ``UniPoly``.  The pool is packed
+    by ``narrow_first``: all at 64 bits if one value does not fit the
+    narrow width, and a value that does not fit 64 bits fails integrity
+    (exit 3)."""
     path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
     if not os.path.exists(path):
         return None
@@ -227,32 +241,47 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     if payload.get("elements") != [list(w.word) for w in group.elements]:
         print("warning: cache element list mismatch; recomputing", file=sys.stderr)
         return None
-    rows = payload.get("restrictions")
+    values, rows = payload.get("values"), payload.get("rows")
     elements = group.elements
-    n = len(elements)
 
-    def pack(bits: int) -> list[dict]:
-        poly = _packed(bits)[0]
-        table: list[dict] = [dict() for _ in elements]
-        for row in rows:
-            # [w, v, s, coefficients]; JSON true/false load as bool, a subclass of int
-            if type(row) is not list or len(row) != 4:
+    def pack(bits: int) -> list:
+        # [s, coefficients]; JSON true/false load as bool, a subclass of int
+        from_coefficients = _packed(bits)[0].from_coefficients
+        polys = []
+        for value in values:
+            if type(value) is not list or len(value) != 2 or type(value[0]) is not int:
                 raise ValueError
-            w_idx, v_idx, shift, coeffs = row
-            if not (type(w_idx) is int and 0 <= w_idx < n and type(v_idx) is int
-                    and 0 <= v_idx < n and type(shift) is int):
-                raise ValueError
-            table[w_idx][elements[v_idx]] = poly.from_coefficients(shift, coeffs)
-        return table
+            polys.append(from_coefficients(*value))
+        return polys
 
     try:
-        if not isinstance(rows, list):
+        if type(values) is not list:
             raise ValueError
-        return narrow_first(pack)
+        polys = narrow_first(pack)
     except ValueError:
-        print("warning: cache malformed (restrictions are not [w, v, s, coefficients] rows); "
-              "recomputing", file=sys.stderr)
+        print("warning: cache malformed (values are not [s, coefficients] pairs); recomputing",
+              file=sys.stderr)
         return None
+    if not (type(rows) is list and len(rows) == len(elements)
+            and all(_is_ref_row(row, len(elements), len(polys)) for row in rows)):
+        print("warning: cache malformed (rows are not [v, i, ...] references); recomputing",
+              file=sys.stderr)
+        return None
+    at, value = elements.__getitem__, polys.__getitem__
+    return [dict(zip(map(at, row[::2]), map(value, row[1::2]))) for row in rows]
+
+
+def _is_ref_row(row, points: int, values: int) -> bool:
+    """Whether row is [v_0, i_0, v_1, i_1, ...] of plain ints (no bools),
+    each v below ``points`` and each i below ``values``, none negative."""
+    if type(row) is not list or len(row) % 2:
+        return False
+    if not row:
+        return True
+    if set(map(type, row)) != {int}:
+        return False
+    vs, refs = row[::2], row[1::2]
+    return min(vs) >= 0 and max(vs) < points and min(refs) >= 0 and max(refs) < values
 
 
 def _build_ring(args):

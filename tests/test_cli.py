@@ -602,7 +602,7 @@ def test_cache_digest_mismatch_recomputes_with_warning(tmp_path, capsys):
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
-    payload["restrictions"][0][3][0] += 1  # tamper without fixing digest
+    payload["values"][0][1][0] += 1  # tamper without fixing digest
     open(path, "w").write(json.dumps(payload))
     code, obj, err = run_json(capsys, "verify", "--type", "A", "--rank", "2",
                               "--which", "signs", "--cache-dir", cache)
@@ -640,6 +640,17 @@ def _recompute_digest(payload):
     return payload
 
 
+def _repoint(payload, w, v, value):
+    """payload with the entry (w, v) of its rows pointed at a new pool
+    value, which the entry did not hold before; the digest is not fixed."""
+    row = payload["rows"][w]
+    at = 2 * row[::2].index(v) + 1
+    assert payload["values"][row[at]] != value
+    row[at] = len(payload["values"])
+    payload["values"].append(value)
+    return payload
+
+
 def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     """Digest-valid but mathematically wrong table: the verify self-check
     (normalization) must catch it and exit with the integrity code."""
@@ -647,14 +658,9 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
-    # replace one restriction entry of a non-unit class by a wrong nonzero
-    # one (zero has no schema-3 row), then fix the digest
-    victim = next(
-        row for row in payload["restrictions"] if row[0] == 1 and row[1] == 0
-    )
-    assert victim[2:] != [0, [1, -1]]
-    victim[2:] = [0, [1, -1]]
-    payload = _recompute_digest(payload)
+    # point one restriction entry of a non-unit class at a wrong nonzero
+    # value (zero is no pool value), then fix the digest
+    payload = _recompute_digest(_repoint(payload, 1, 0, [0, [1, -1]]))
     open(path, "w").write(json.dumps(payload))
     code, _, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2",
                            "--which", "signs", "--cache-dir", cache)
@@ -724,13 +730,7 @@ def test_a_planted_row_moves_chi_at_k_but_not_at_k2(monkeypatch, capsys):
 def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     """A digest-valid row with a coefficient of 2^63 cannot be packed
     exactly: the constants command exits 3 with one message, no traceback."""
-    cache = str(tmp_path / "cache")
-    run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
-    path = os.path.join(cache, "schubert-table-A2.json")
-    payload = json.loads(open(path).read())
-    victim = next(row for row in payload["restrictions"] if row[0] == 1 and row[1] == 1)
-    victim[2:] = [0, [2**63]]
-    open(path, "w").write(json.dumps(_recompute_digest(payload)))
+    cache = _a2_cache_with_row(tmp_path, capsys, [2**63])
     code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", cache)
     assert code == 3
     assert out == ""
@@ -738,21 +738,51 @@ def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_cache_table_fidelity(tmp_path):
-    """A table loaded from cache is exactly the computed one-variable table."""
+@pytest.mark.parametrize("letter, rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2), ("D", 4)])
+def test_cache_table_fidelity(tmp_path, letter, rank):
+    """A table loaded from cache is exactly the computed one-variable table:
+    each loaded row holds the built row's values in its key order, and the
+    model made from it reads the built flat rows, keys in the same order."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
     from kflag.cli import cache_load, cache_store
 
-    for letter, rank in (("A", 3), ("B", 2), ("G", 2), ("D", 4)):
-        datum = build_root_datum(letter, rank)
-        group = WeylGroup(datum)
-        model = SchubertModel(group)
-        cache_store(str(tmp_path), datum, group, model)
-        table = cache_load(str(tmp_path), datum, group)
-        assert table is not None
-        loaded = SchubertModel(group, table=table)
-        for w in group.elements:
-            assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
+    datum = build_root_datum(letter, rank)
+    group = WeylGroup(datum)
+    model = SchubertModel(group)
+    cache_store(str(tmp_path), datum, group, model)
+    table = cache_load(str(tmp_path), datum, group)
+    assert table is not None
+    loaded = SchubertModel(group, table=table)
+    for w in group.elements:
+        built = model.specialized_schubert_class(w).restrictions
+        assert list(table[w.index].items()) == list(built.items())
+        assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
+        assert _values_in_order(loaded._rows[w.index]) == _values_in_order(model._rows[w.index])
+
+
+def _values_in_order(flat_row) -> list:
+    """A flat row's (key, (shift, packed)) pairs in its order, bounds left out."""
+    return [(v, e[:2]) for v, e in flat_row.items()]
+
+
+def test_cache_pool_holds_each_value_once(tmp_path):
+    """D4's 9,817 restrictions are 202 distinct values: the pool holds each
+    once, every one is referenced, and the loaded table shares one
+    ``UniPoly`` per pool value."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+    from kflag.cli import _table_to_payload, cache_load, cache_store
+
+    datum = build_root_datum("D", 4)
+    group = WeylGroup(datum)
+    model = SchubertModel(group)
+    payload = _table_to_payload(datum, group, model)
+    values, rows = payload["values"], payload["rows"]
+    assert (len(values), sum(len(row) // 2 for row in rows)) == (202, 9817)
+    assert len({json.dumps(value) for value in values}) == len(values)
+    assert {i for row in rows for i in row[1::2]} == set(range(len(values)))
+    cache_store(str(tmp_path), datum, group, model)
+    table = cache_load(str(tmp_path), datum, group)
+    assert len({id(p) for row in table for p in row.values()}) == len(values)
 
 
 def _a2_stack():
@@ -787,6 +817,7 @@ def test_cache_store_bytes_are_the_sorted_dump(tmp_path):
     datum, group, model = _a2_stack()
     path = cache_store(str(tmp_path), datum, group, model)
     payload = _recompute_digest(_table_to_payload(datum, group, model))
+    assert sorted(payload) == ["digest", "elements", "group", "rows", "schema_version", "values"]
     want = json.dumps(payload, sort_keys=True)
     streamed = io.StringIO()
     json.dump(payload, streamed, sort_keys=True)
@@ -847,14 +878,13 @@ A2_CONSTANTS = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", 
 
 
 def _a2_cache_with_row(tmp_path, capsys, coeffs) -> str:
-    """An A2 cache whose row (w=1, v=1) is replaced by ``coeffs``, digest fixed."""
+    """An A2 cache whose entry (w=1, v=1) refers to a new pool value
+    [0, ``coeffs``], digest fixed."""
     cache = str(tmp_path / "cache")
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
     payload = json.loads(open(path).read())
-    victim = next(row for row in payload["restrictions"] if row[0] == 1 and row[1] == 1)
-    victim[2:] = [0, coeffs]
-    open(path, "w").write(json.dumps(_recompute_digest(payload)))
+    open(path, "w").write(json.dumps(_recompute_digest(_repoint(payload, 1, 1, [0, coeffs]))))
     return cache
 
 
@@ -961,35 +991,77 @@ def test_line_rows_past_the_64_bit_range_are_answered(capsys, engines):
         ("group", None),
         ("elements", {}),
         ("elements", "x"),
-        ("restrictions", {}),
-        ("restrictions", None),
-        ("restrictions", [[0, 0]]),
-        ("restrictions", [["0", 0, [[0, 1]]]]),
-        ("restrictions", [[0, 0, {"0": 1}]]),
-        ("restrictions", [[0, 0, [[0.5, 1]]]]),
-        ("restrictions", [[0, 0, [[True, 1]]]]),
-        ("restrictions", [[0, 0, [[0, 1, 2]]]]),
-        ("restrictions", [[-1, 0, [[0, 1]]]]),
-        ("restrictions", [[0, 6, [[0, 1]]]]),
-        ("restrictions", [[0, 0, [[0, 1]]]]),  # a schema-2 row
-        ("restrictions", [[0, 0, 0, []]]),
-        ("restrictions", [[0, 0, 0, [0, 1]]]),
-        ("restrictions", [[0, 0, 0, [1, 0]]]),
-        ("restrictions", [[0, 0, 0, [1, True]]]),
-        ("restrictions", [[0, 0, 0.0, [1]]]),
-        ("restrictions", [[0, 0, 0, "1"]]),
+        ("values", {}),
+        ("values", None),
+        ("values", [[0]]),
+        ("values", [["0", [1]]]),
+        ("values", [[0.5, [1]]]),
+        ("values", [[0.0, [1]]]),
+        ("values", [[True, [1]]]),
+        ("values", [[0, [1], 2]]),
+        ("values", [[0, []]]),
+        ("values", [[0, [0, 1]]]),
+        ("values", [[0, [1, 0]]]),
+        ("values", [[0, [1, True]]]),
+        ("values", [[0, [1.0]]]),
+        ("values", [[0, "1"]]),
+        ("values", [[0, {"0": 1}]]),
+        ("values", [[0, [[0, 1]]]]),  # a schema-2 term list
+        ("values", [[0, 0, 0, [1]]]),  # a schema-4 row
+        ("rows", {}),
+        ("rows", None),
+        ("rows", "x"),
+        ("rows", [[0, 0]] * 5),
+        ("rows", [[0, 0]] * 7),
+        ("rows", [[0, 0, 0]] * 6),
+        ("rows", [[0, "0"]] * 6),
+        ("rows", [[0, 0.0]] * 6),
+        ("rows", [[0, False]] * 6),
+        ("rows", [[-1, 0]] * 6),
+        ("rows", [[6, 0]] * 6),
+        ("rows", [[0, -1]] * 6),
+        ("rows", [[0, 99]] * 6),
+        ("rows", [{"0": 0}] * 6),
+        ("rows", [None] * 6),
     ],
 )
 def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, field, value):
     """A digest-valid cache whose fields have the wrong JSON type: one
     warning line, a recompute and a rewrite, never a traceback."""
+    _recomputed_once(tmp_path, capsys, monkeypatch, lambda payload: payload.update({field: value}))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p["rows"][1].__setitem__(1, len(p["values"])),  # a ref past the pool
+    lambda p: p["rows"][1].__setitem__(1, -1),
+    lambda p: p["rows"][1].__setitem__(0, 6),  # a v past |W|
+    lambda p: p["rows"][1].__setitem__(0, -1),
+    lambda p: p["rows"][1].append(0),  # an odd-length row
+    lambda p: p["rows"][2].__setitem__(0, True),  # true among the ints
+    lambda p: p["rows"][2].__setitem__(3, True),
+    lambda p: p["rows"].pop(),  # rows not |W| long
+    lambda p: p["rows"].append([0, 0]),
+    lambda p: p["values"][0][1].append(0),  # a pool value with a zero end coefficient
+    lambda p: p["values"][0][1].insert(0, 0),
+], ids=["ref-past-pool", "ref-negative", "v-past-W", "v-negative", "odd-row", "true-v",
+        "true-ref", "short-rows", "long-rows", "zero-last", "zero-first"])
+def test_malformed_pool_entry_recomputes(tmp_path, capsys, monkeypatch, mutate):
+    """One malformed entry in a digest-valid pool cache: one warning line,
+    the output of a run with no cache, and a rewrite."""
+    _recomputed_once(tmp_path, capsys, monkeypatch, mutate)
+
+
+def _recomputed_once(tmp_path, capsys, monkeypatch, mutate):
+    """An A2 cache changed by mutate(payload), digest fixed, gives one
+    warning line, the output of a run with no cache, and a rewrite that the
+    next run reads without a warning."""
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     code, want, err = run_cli(capsys, *A2_CONSTANTS)
     assert code == 0 and not err
     run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
     path = tmp_path / "schubert-table-A2.json"
     payload = json.loads(path.read_text())
-    payload[field] = value
+    mutate(payload)
     path.write_text(json.dumps(_recompute_digest(payload)))
     code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
     assert code == 0
@@ -1002,7 +1074,7 @@ def test_cache_with_wrong_typed_field_recomputes(tmp_path, capsys, monkeypatch, 
 
 def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     """A digest-valid A2 cache of an older schema: one warning, the output
-    of a run with no cache, and a rewrite at schema 4."""
+    of a run with no cache, and a rewrite at schema 5."""
     code, want, _ = run_cli(capsys, *A2_CONSTANTS)
     datum, group, _ = _a2_stack()
     payload = {
@@ -1017,7 +1089,7 @@ def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     assert code == 0
     assert err.splitlines() == ["warning: cache schema version mismatch; recomputing"]
     assert out == want
-    assert json.loads(path.read_text())["schema_version"] == 4
+    assert json.loads(path.read_text())["schema_version"] == 5
 
 
 def test_cache_schema_1_file_is_recomputed(tmp_path, capsys, monkeypatch):
@@ -1059,6 +1131,19 @@ def test_cache_schema_3_file_is_recomputed(tmp_path, capsys, monkeypatch):
         for v, p in model.specialized_schubert_class(w).restrictions.items()
     ]
     _old_schema_file_is_recomputed(tmp_path, capsys, 3, rows)
+
+
+def test_cache_schema_4_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    """A cache of one row [w, v, s, [c_0, ..., c_k]] per restriction
+    (schema 4, before the pool) is replaced with one warning."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _, group, model = _a2_stack()
+    rows = [
+        [w.index, v.index, *p.coefficients()]
+        for w in group.elements
+        for v, p in model.specialized_schubert_class(w).restrictions.items()
+    ]
+    _old_schema_file_is_recomputed(tmp_path, capsys, 4, rows)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kflag.cli import CACHE_ENV_VAR, main
@@ -141,3 +141,109 @@ def test_cli_exits_with_a_documented_code(invocation):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue(), argv
+
+
+# -- one malformed field or entry of a pool cache ---------------------------------
+
+A2_CONSTANTS = ["constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1"]
+non_ints = json_values.filter(lambda x: type(x) is not int)  # bools included
+non_lists = json_values.filter(lambda x: type(x) is not list)
+
+
+def _a2_pool_payload() -> dict:
+    """The schema-5 payload of A2's one-variable table."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+    from kflag.cli import _table_to_payload
+
+    datum = build_root_datum("A", 2)
+    group = WeylGroup(datum)
+    return _table_to_payload(datum, group, SchubertModel(group))
+
+
+@st.composite
+def pool_cache_mutations(draw):
+    """(payload, outcome): the A2 payload with one field or entry set to
+    something no well-formed schema-5 file of A2 holds there, and the
+    outcome it must have, "warning" or, for a coefficient past the 64-bit
+    packed range, "integrity".  A well-typed entry in range changes the
+    table, not its form, and is the self-checks' to catch."""
+    payload = _a2_pool_payload()
+    values, rows = payload["values"], payload["rows"]
+    where = draw(st.sampled_from(["field", "value", "shift", "coefficients", "coefficient",
+                                  "row", "entry", "rows"]))
+    outcome = "warning"
+    if where == "field":
+        field = draw(st.sampled_from(["schema_version", "group", "elements", "values", "rows"]))
+        new = draw(json_values)
+        assume(new != payload[field])
+        payload[field] = new
+    elif where in ("value", "row"):
+        pool = values if where == "value" else rows
+        i = draw(st.integers(0, len(pool) - 1))
+        if draw(st.booleans()):
+            pool[i] = draw(non_lists)
+        elif where == "value":
+            # a pair with an item more or less
+            pool[i] = draw(st.sampled_from([pool[i][:1], [*pool[i], draw(json_values)]]))
+        else:
+            pool[i].append(draw(st.integers(0, 5)))  # odd length
+    elif where == "shift":
+        draw(st.sampled_from(values))[0] = draw(non_ints)
+    elif where == "coefficients":
+        draw(st.sampled_from(values))[1] = draw(non_lists | st.just([]))
+    elif where == "coefficient":
+        coeffs = draw(st.sampled_from(values))[1]
+        j = draw(st.sampled_from(sorted({0, len(coeffs) - 1})))
+        kind = draw(st.sampled_from(["type", "zero", "range"]))
+        if kind == "range":
+            outcome = "integrity"
+            coeffs[j] = draw(st.sampled_from([1, -1])) * draw(st.integers(2**63, 2**80))
+        else:
+            coeffs[j] = draw(non_ints) if kind == "type" else 0
+    elif where == "entry":
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(row) - 1))
+        top = len(payload["elements"]) if j % 2 == 0 else len(values)  # v or a pool index
+        row[j] = draw(non_ints | st.integers(max_value=-1) | st.integers(min_value=top))
+    else:
+        if draw(st.booleans()):
+            rows.pop(draw(st.integers(0, len(rows) - 1)))
+        else:
+            rows.append(list(draw(st.sampled_from(rows))))
+    return payload, outcome
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_cache_mutations())
+def test_a_malformed_pool_cache_warns_once_or_fails_integrity(mutation):
+    """A digest-valid A2 pool cache with one malformed field or entry: exit
+    0 with one cache warning and the output of a run with no cache, or, for
+    a coefficient past the packed range, exit 3 with one integrity line;
+    never exit 1 or a traceback."""
+    import hashlib
+
+    payload, outcome = mutation
+    members = json.dumps(payload, sort_keys=True)[1:].encode()
+    digest = hashlib.sha256(members).hexdigest()
+    saved = os.environ.pop(CACHE_ENV_VAR, None)
+    try:
+        want = io.StringIO()
+        with contextlib.redirect_stdout(want):
+            assert main(A2_CONSTANTS) == 0
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "schubert-table-A2.json"), "wb") as fh:
+                fh.write(f'{{"digest": "{digest}", '.encode() + members)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*A2_CONSTANTS, "--cache-dir", tmp])
+    finally:
+        if saved is not None:
+            os.environ[CACHE_ENV_VAR] = saved
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) == 1, (payload, lines)
+    if outcome == "warning":
+        assert code == 0 and lines[0].startswith("warning: cache "), (payload, code, lines)
+        assert out.getvalue() == want.getvalue()
+    else:
+        assert code == 3 and lines[0].startswith("integrity failure"), (payload, code, lines)
