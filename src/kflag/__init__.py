@@ -61,7 +61,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 
 def __getattr__(name: str):

@@ -12,7 +12,7 @@ route runs, so the integer commands never load it.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -149,8 +149,9 @@ class SchubertModel:
     """The localization model for one Weyl group, with all class tables.
 
     The one-variable Schubert table, the specialization of every Schubert
-    class, is built here (or injected from a cache) and never changed
-    afterwards; the integer commands read only it.  Row w is held once, as
+    class, is built on first read (or injected from a cache) and never
+    changed afterwards; ``verify``, the cache and the public row readers
+    read it, and no other integer command does.  Row w is held once, as
     a flat row {v.index: (shift, packed, bound)} with one tuple per coset
     of w's right descents, which the build makes, ``row_product``
     multiplies and the solve kernel reads.  An injected table is sorted
@@ -162,6 +163,7 @@ class SchubertModel:
 
     The table is packed at ``univariate.NARROW_BITS`` unless a bound there
     reaches the packed range; then it is built at 64 bits (``narrow_first``).
+    The width is the table's, so reading it builds the table.
     An injected table keeps the width of its entries.  ``bits`` and
     ``poly`` (the ``UniPoly`` class) are the model's width.  Every integer
     operation is one job of ``run_packed``, redone whole on ``wide``, the
@@ -176,13 +178,7 @@ class SchubertModel:
         self.rank = self.datum.rank
         self.dimension = len(self.datum.positive_roots)
         self.cocharacter = _height_cocharacter(self.datum, (1,) * self.rank)
-        if table is None:
-            def build(bits):
-                self._set_width(bits)
-                return self._specialized_table(self.cocharacter)
-
-            self._rows = narrow_first(build)
-        else:
+        if table is not None:
             if len(table) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
             # a table holds one width, so its first entry shows which
@@ -191,6 +187,32 @@ class SchubertModel:
             self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i], table[i]))
         self._schubert: list[EquivClass] | None = None
         self._wide: SchubertModel | None = None
+        # for the e_i of ``ring._columns`` and ``ring._pair_product``: the
+        # integer line rows l_nu psi_v by (nu, v.index), nu a root or 0, and
+        # the tables of e_i D_i by i - 1, each made on first use
+        self._e_rows: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+        self._ed_tables: list = [None] * self.rank
+
+    def __getattr__(self, name: str):
+        """The one-variable table ``_rows`` and its width (``bits``,
+        ``poly``, ``_divexact``), built on first read when none was given."""
+        if name not in ("_rows", "bits", "poly", "_divexact"):
+            raise AttributeError(name)
+
+        def build(bits):
+            self._set_width(bits)
+            return self._specialized_table(self.cocharacter)
+
+        self._rows = narrow_first(build)
+        return getattr(self, name)
+
+    @cached_property
+    def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:
+        """(partners, first): partners[i][y] the index of y s_{i+1}, first[v]
+        the least i with partners[i][v] < v, v's first right descent (None for e)."""
+        partners = self.group._right
+        return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
+                          for v in range(len(self.group.elements))]
 
     def _set_width(self, bits: int) -> None:
         self.bits = bits
@@ -476,8 +498,8 @@ class SchubertModel:
 
 
 class _LazyRows(dict):
-    """Rows of a one-variable table by w.index, each made by ``make(index)``
-    on its first read and kept."""
+    """Rows of a table by element index (a one-variable table, or the
+    ring's e_i D_i), each made by ``make(index)`` on its first read and kept."""
 
     __slots__ = ("make",)
 

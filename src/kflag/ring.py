@@ -1,8 +1,8 @@
 """The Grothendieck ring of G/P in its four natural bases, with verifiers.
 
 Everything here reduces to the localization model: structure constants come
-from triangular expansion of pointwise products (or, for a sweep, from the
-Demazure recursion of ``_columns``), chi and the pairing from the
+from the Demazure rules R1 and R2, run on one pair (``_pair_product``) or,
+for a sweep, on whole columns (``_columns``), chi and the pairing from the
 fixed-point pushforward, and the sign/positivity sweeps report violations
 as data rather than raising.
 """
@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .errors import ConfigError, IntegrityError
-from .model import SchubertModel, back_solve
+from .model import SchubertModel, _LazyRows, back_solve
 from .records import FrozenRecord, Record
 from .roots import ParabolicData, Weight, WeylElement
 
@@ -102,22 +102,23 @@ class SchubertRing:
         """w_o x for every x, by x.index; built on first use."""
         return tuple(self.group.mul(self.group.w_o, x) for x in self.group.elements)
 
-    @cached_property
-    def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:
-        """(partners, first): partners[i][y] the index of y s_{i+1}, first[v]
-        the least i with partners[i][v] < v, v's first right descent (None for e)."""
-        partners = self.group._right
-        return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
-                          for v in range(len(self.group.elements))]
-
     # -- products and expansions --------------------------------------------
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Integer constants of [O_{X_u}] . [O_{X_v}] over the Schubert basis."""
+        """Integer constants of [O_{X_u}] . [O_{X_v}] over the Schubert basis,
+        by ``_pair_product``, in descending element index.  They sum to
+        chi(psi_u psi_v), the Euler characteristic of a Richardson variety:
+        1 if w_o u <= v, else 0 (Brion 2002); any other sum is refused."""
         key = _memo_key(u, v)
         got = self._sc_memo.get(key)
         if got is None:
-            got = self._sc_memo[key] = self.model.structure_constants(u, v)
+            group = self.group
+            row = _pair_product(self.model, *key)
+            if sum(row.values()) != group.bruhat_leq(group.mul(group.w_o, u), v):
+                raise IntegrityError(f"constants of {list(u.word)} x {list(v.word)} "
+                                     f"sum to {sum(row.values())}, not chi")
+            got = self._sc_memo[key] = {group.elements[w]: c
+                                        for w, c in sorted(row.items(), reverse=True)}
         return got
 
     def o_basis_product(self, a: dict[WeylElement, int], b: dict[WeylElement, int]):
@@ -609,10 +610,12 @@ def _int_exact_div(c: int, d: int) -> int:
     return q
 
 
-# A sweep missing fewer constants than this many per element of W solves
-# each pair; from there one walk of the column tree is faster.  On one CPU,
-# e_i tables included, the walk ties the solves at 6.5 |W| pairs (G2) and
-# is 1.8-4x faster at 12.5-24.5 |W| (A3, B3, D4 on P = {1}; README).
+# A sweep missing fewer constants than this many per element of W leaves
+# each pair to ``_pair_product``; from there one walk of the column tree is
+# faster on a full sweep.  On one CPU, e_i rows included, the walk took
+# 3.7 / 18.3 / 244 ms where the pairs took 4.7 / 30.3 / 418 ms (A3, B3, D4
+# at 12.5 / 24.5 / 96.5 |W|); the long lifted pairs of D4 on P = {1}, at
+# 24 |W|, took 199 ms against the walk's 266 ms (README).
 WALK_PAIRS_PER_ELEMENT = 12
 
 
@@ -624,9 +627,9 @@ def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
 def _fill_constants(ring: SchubertRing, pairs) -> None:
     """Fill ``ring._sc_memo`` for the pairs of a sweep, which then reads
     every pair through ``structure_constants``.  With fewer than
-    ``WALK_PAIRS_PER_ELEMENT`` |W| keys missing it leaves each pair to the
-    solve; else it reads them off ``_columns``, each in descending element
-    index, the order ``solve_at_one`` returns."""
+    ``WALK_PAIRS_PER_ELEMENT`` |W| keys missing it leaves each pair to
+    ``structure_constants``; else it reads them off ``_columns``, each in
+    descending element index, as ``structure_constants`` keeps them."""
     memo, elements = ring._sc_memo, ring.group.elements
     rows: dict[int, list[int]] = {}
     for u, v in dict.fromkeys(_memo_key(u, v) for u, v in pairs):
@@ -648,15 +651,13 @@ def _columns(ring: SchubertRing, wanted):
       (R1) psi_u psi_v = D_i(psi_u psi_v') if u' < u;
       (R2) psi_u psi_v = e_i [D_i(psi_u psi_v') - psi_u' psi_v]
            + psi_u psi_v' - psi_u' psi_v' + psi_u' psi_v otherwise.
-    D_i is ``_demazure``, e_i the index table of -alpha_i from
-    ``_demazure_line_table``, e_i D_i that table relabelled by ``_e_after_d``
+    D_i is ``_demazure``, e_i D_i the table of ``_e_after_d``
     and psi_u psi_e = [u = w_o] psi_e.  So column v follows from column v',
     i the first right descent of v: a tree, walked depth first with at
     most depth + 1 columns alive."""
-    partners, first = ring._right_steps
-    n, root = len(partners[0]), ring.datum.simple_root
-    ed_rows = [_e_after_d(_demazure_line_table(ring, _neg(root(i + 1))), p)
-               for i, p in enumerate(partners)]
+    partners, first = ring.model._right_steps
+    n = len(partners[0])
+    ed_rows = [_e_after_d(ring.model, i) for i in range(len(partners))]
     children = [[] for _ in range(n)]
     for v in range(1, n):
         children[partners[first[v]][v]].append((v, first[v]))
@@ -675,6 +676,46 @@ def _columns(ring: SchubertRing, wanted):
     yield from walk(0, [{}] * (n - 1) + [{0: 1}])
 
 
+def _pair_product(model: SchubertModel, u: int, v: int) -> dict[int, int]:
+    """psi_u psi_v as {w.index: c} with no zero c, for u.index <= v.index:
+    the rules R1 and R2 of ``_columns``, run as a recursion on the pair.
+
+    It recurses down u, the shorter factor, by its first right descent
+    i, to psi_e psi_y = [y = w_o] psi_e, and stops early where
+    psi_u psi_y is psi_u (y = w_o) or 0 (l(u) + l(y) < l(w_o), below the
+    dimension of a Richardson variety); the pairs it meets are memoized
+    for this call.  Each step reads the rows of e_i D_i it needs, lazily,
+    from ``_e_after_d``."""
+    partners, first = model._right_steps
+    elements = model.group.elements
+    top = len(elements) - 1
+    depth = elements[top].length
+    memo: dict[tuple[int, int], dict[int, int]] = {}  # for this pair only
+
+    def product(u, y):
+        got = memo.get((u, y))
+        if got is None:
+            if y == top:
+                got = {u: 1}
+            elif elements[u].length + elements[y].length < depth:
+                got = {}
+            else:
+                i = first[u]
+                partner = partners[i]
+                u1, x = partner[u], partner[y]
+                if x < y:  # (R1)
+                    got = _demazure(product(u1, y), partner)
+                else:  # (R2), with psi_{y'} psi_u by (R1)
+                    got = _rule_two(product(u1, y), product(u1, x), product(u, x),
+                                    _e_after_d(model, i))
+            memo[u, y] = got
+        return got
+
+    got = product(u, v)
+    del product  # it refers to itself: so the memo goes now, not at the next collection
+    return got
+
+
 def _demazure(row: dict, partner: list) -> dict:
     """D_i of an integer vector {y.index: c}, ``partner[y]`` the index of
     y s_i: the relabelling psi_y -> psi_{max(y, y s_i)}, zero sums dropped."""
@@ -685,12 +726,20 @@ def _demazure(row: dict, partner: list) -> dict:
     return {y: c for y, c in out.items() if c}
 
 
-def _e_after_d(e_rows: list, partner: list) -> list:
-    """The table of e_i D_i: row y is e_i's row at max(y, y s_i), shared."""
-    return [e_rows[max(y, x)] for y, x in enumerate(partner)]
+def _e_after_d(model: SchubertModel, i: int) -> _LazyRows:
+    """The table of e_i D_i, e_i = [L(-alpha_{i+1})], each row made on first
+    read: row y is e_i's row at max(y, y s_i), the ``_line_row`` of
+    alpha_{i+1}.  Table and rows are held by the model, in ``_ed_tables``
+    and ``_e_rows``, for every ring over it."""
+    got = model._ed_tables[i]
+    if got is None:
+        partner, alpha, memo = model.group._right[i], model.datum.simple_root(i + 1), model._e_rows
+        got = model._ed_tables[i] = _LazyRows(
+            lambda y: _line_row(model, memo, alpha, max(y, partner[y])))
+    return got
 
 
-def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
+def _rule_two(low: dict, high: dict, r1: dict, ed_rows) -> dict:
     """(R2) from low = psi_u psi_v', high = psi_u' psi_v' and r1 = psi_u' psi_v
     = D_i(high), with ``ed_rows`` the table of e_i D_i:
     e_i D_i(low - high) + low - high + r1."""
@@ -705,32 +754,31 @@ def _rule_two(low: dict, high: dict, r1: dict, ed_rows: list) -> dict:
 
 
 def _demazure_line_table(ring: SchubertRing, lam: Weight) -> list:
-    """The line table of any weight lam (the memo's unsplit ones, the walk's
-    -alpha_i), reading no Schubert table: row v.index is l_nu psi_v by w.index
-    for nu = -lam, l_nu = L(-nu).  With i the first right descent of v,
-    v' = v s_i and mu = s_i nu (derived in the README): l_nu psi_v =
-    D_i(l_mu psi_v') + sign * sum of l_mu' psi_v' over the ``_alpha_string``
-    of mu, with the walk's D_i, ``_demazure``, and l_nu psi_e = psi_e."""
-    datum = ring.datum
-    partners, first = ring._right_steps
-    memo: dict[tuple[Weight, int], dict[int, int]] = {}  # for this table only
+    """The line table of any weight lam, reading no Schubert table: row
+    v.index is the ``_line_row`` of -lam at v, memoized for this table only."""
+    memo: dict = {}
+    return [_line_row(ring.model, memo, _neg(lam), v) for v in range(len(ring.group.elements))]
 
-    def row(nu, v):
-        got = memo.get((nu, v))
-        if got is None and v:
-            i, partner = first[v], partners[first[v]]
-            mu = datum.reflect(i + 1, nu)
-            got = _demazure(row(mu, partner[v]), partner)
-            sign, string = _alpha_string(mu, datum.simple_root(i + 1), mu[i])
-            for weight in string:
-                for y, c in row(weight, partner[v]).items():
-                    got[y] = got.get(y, 0) + sign * c
-            got = memo[nu, v] = {y: c for y, c in got.items() if c}
-        return {0: 1} if got is None else got
 
-    table = [row(_neg(lam), v) for v in range(len(partners[0]))]
-    memo.clear()  # row refers to itself, so the memo would wait for the cycle collector
-    return table
+def _line_row(model: SchubertModel, memo: dict, nu: Weight, v: int) -> dict:
+    """l_nu psi_v by w.index, l_nu = L(-nu), with the rows it makes kept in
+    ``memo`` by (nu, v).  With i the first right descent of v, v' = v s_i and
+    mu = s_i nu (derived in the README): l_nu psi_v = D_i(l_mu psi_v') +
+    sign * sum of l_mu' psi_v' over the ``_alpha_string`` of mu, with the
+    walk's D_i, ``_demazure``, and l_nu psi_e = psi_e."""
+    got = memo.get((nu, v))
+    if got is None and v:
+        partners, first = model._right_steps
+        i = first[v]
+        partner, datum = partners[i], model.datum
+        mu = datum.reflect(i + 1, nu)
+        got = _demazure(_line_row(model, memo, mu, partner[v]), partner)
+        sign, string = _alpha_string(mu, datum.simple_root(i + 1), mu[i])
+        for weight in string:
+            for y, c in _line_row(model, memo, weight, partner[v]).items():
+                got[y] = got.get(y, 0) + sign * c
+        got = memo[nu, v] = {y: c for y, c in got.items() if c}
+    return {0: 1} if got is None else got
 
 
 def _alpha_string(mu: Weight, alpha: Weight, n: int) -> tuple[int, list[Weight]]:

@@ -3,7 +3,8 @@
 Each test prints one summary line; run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines as they print).  The large-rank sign sweep (B3, C3),
 the B4 sample, the B4 and A5 width comparison, the A4 walk test, the F4
-and D5 walk samples, the A4 line tables against the Grothendieck oracle,
+and D5 walk and recursion samples, the A4 line tables against the
+Grothendieck oracle,
 the B3, C3, A4 and D4 Richardson checks, the A4 and D4 omega-basis checks,
 the B4 line table at the weight bound and the A5 and F4 table builds
 against the generic route are opt-in: set KFLAG_BIG_RANK=1.
@@ -34,7 +35,7 @@ import line_oracle
 import pairing_oracle
 from test_model import braid_order, random_valid_class
 from test_specialized import _both_builds
-from test_ring import _mismatches, _oracle_line_mismatches, to_permutation
+from test_ring import _mismatches, _oracle_line_mismatches, recursion_mismatches, to_permutation
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "G2")
 BIG_RANK = os.environ.get("KFLAG_BIG_RANK") == "1"
@@ -91,21 +92,21 @@ def test_criterion_01_sign_sample_b4(engines):
 @pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B4 and A5 widths")
 @pytest.mark.parametrize("label", ["B4", "A5"])
 def test_criterion_01_seeded_constants_agree_at_both_widths(label, engines, monkeypatch):
-    """200 seeded random pairs: the constants of the model that packs at 32
-    bits first equal those of a model built and solved at 64 bits only."""
+    """200 seeded random pairs: the constants the model that packs at 32
+    bits first solves equal those of a model built and solved at 64 bits
+    only."""
     narrow = engines.model(label)
     assert narrow.bits == 32
     monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
     wide = SchubertModel(WeylGroup(engines.datum(label)))
     assert wide.bits == 64
-    rings = SchubertRing(narrow), SchubertRing(wide)
     rng = random.Random(20017)
     n = len(narrow.group.elements)
     t0 = time.monotonic()
     for _ in range(200):
         a, b = rng.randrange(n), rng.randrange(n)
-        got = [{w.index: c for w, c in ring.structure_constants(
-            ring.group.elements[a], ring.group.elements[b]).items()} for ring in rings]
+        got = [{w.index: c for w, c in model.structure_constants(
+            model.group.elements[a], model.group.elements[b]).items()} for model in (narrow, wide)]
         assert got[0] == got[1], (label, a, b)
     elapsed = time.monotonic() - t0
     _announce(1, label, f"200 random pairs equal at 32 and 64 bits, {elapsed:.1f}s")
@@ -114,7 +115,7 @@ def test_criterion_01_seeded_constants_agree_at_both_widths(label, engines, monk
 @pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 walk test")
 def test_criterion_01_sign_sweep_a4_walk_matches_solve(engines, monkeypatch):
     """A4's 7,260 pairs, filled by the walk of the Demazure recursion and
-    solved pair by pair: the same report and the same memo, key order
+    computed pair by pair: the same report and the same memo, key order
     included, keyed by the group's own elements."""
     import kflag.ring
 
@@ -150,6 +151,20 @@ def test_criterion_01_walk_equals_the_solve_on_a_big_sample(label, count, seed, 
     assert _mismatches(SchubertRing(engines.model(label)), pairs) == []
     elapsed = time.monotonic() - t0
     _announce(1, label, f"{count} random pairs, walk = solve in both orders, {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the F4 and D5 recursions")
+@pytest.mark.parametrize("label, count, seed", [("F4", 300, 20267), ("D5", 200, 20268)])
+def test_criterion_01_recursion_equals_the_solve_on_a_big_sample(label, count, seed, engines):
+    """Seeded pairs of F4 and D5: the recursion down either factor equals
+    the pair's solve, and the solved constants sum to [w_o u <= v]."""
+    elements = engines.group(label).elements
+    rng = random.Random(seed)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(count)]
+    t0 = time.monotonic()
+    assert recursion_mismatches(engines.model(label), pairs) == []
+    elapsed = time.monotonic() - t0
+    _announce(1, label, f"{count} random pairs, recursion = solve and sum rule, {elapsed:.1f}s")
 
 
 def test_criterion_02_oracle_equivalence_a2(engines):

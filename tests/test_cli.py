@@ -670,7 +670,8 @@ def test_corrupted_cache_with_valid_digest_fails_integrity(tmp_path, capsys):
 
 def _double_row_one(monkeypatch) -> None:
     """Every model built from now on, with no cache, holds row 1 of its
-    one-variable table doubled: still a class, but one with chi 2."""
+    one-variable table doubled: still a class, but one with chi 2.  The
+    table is built on first read, so reading row 1 here builds it."""
     from kflag import SchubertModel
 
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -683,6 +684,29 @@ def _double_row_one(monkeypatch) -> None:
         self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
+
+
+def test_a_planted_e_i_row_fails_constants_with_exit_3(monkeypatch, capsys):
+    """Every model built from now on holds the wrong e_1 row of
+    ``test_ring._plant_e_row``: ``constants`` of [1] x [1, 2] on A2, which
+    reads it, exits 3 with one line and no traceback."""
+    from kflag import SchubertModel
+    from test_ring import _plant_e_row
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    init = SchubertModel.__init__
+
+    def plant(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        _plant_e_row(self)
+
+    monkeypatch.setattr(SchubertModel, "__init__", plant)
+    code, out, err = run_cli(capsys, "constants", "--type", "A", "--rank", "2",
+                             "--u", "1", "--v", "1,2")
+    assert code == 3
+    assert out == ""
+    assert "integrity" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_corrupted_table_without_cache_fails_integrity(monkeypatch, capsys):
@@ -900,11 +924,12 @@ def _narrow_and_wide_runs(capsys, monkeypatch, *argv):
     return runs
 
 
-@pytest.mark.parametrize("argv", [A2_CONSTANTS, ("verify", "--type", "A", "--rank", "2")])
+@pytest.mark.parametrize("argv", [("verify", "--type", "A", "--rank", "2", "--which", "signs"),
+                                  ("verify", "--type", "A", "--rank", "2")])
 def test_cache_row_past_the_narrow_range_loads_at_64_bits(tmp_path, capsys, monkeypatch, argv):
     """A digest-valid row with a coefficient of 2^40 does not fit 32-bit
     digits: the whole table loads at 64 bits, and each command gives what
-    it gives with no narrow width at all."""
+    it gives with no narrow width at all.  Only ``verify`` reads the rows."""
     from kflag import UniPoly, WeylGroup, build_root_datum
     from kflag.cli import cache_load
 

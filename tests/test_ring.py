@@ -19,7 +19,9 @@ from kflag.ring import (
     _demazure_line_table,
     _fill_constants,
     _line_parts,
+    _line_row,
     _neg,
+    _pair_product,
     _row_times,
     _rule_two,
 )
@@ -376,17 +378,12 @@ def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     L(-rho) table, which gives both omega-bases, is solved nowhere: it is
     the product of the recursion's L(-omega_i) tables.  After the sign
     sweep the memo holds every constant, so nothing is solved.  The spy is
-    the model's one-variable solve, which every constant goes through."""
-    from kflag import SchubertModel
+    ``_pair_product``, which every constant the memo misses goes through."""
+    import kflag.ring
 
     calls = []
-    solve = SchubertModel._integer_solve
-
-    def count(self, f):
-        calls.append(f)
-        return solve(self, f)
-
-    monkeypatch.setattr(SchubertModel, "_integer_solve", count)
+    monkeypatch.setattr(kflag.ring, "_pair_product",
+                        lambda model, u, v: calls.append((u, v)) or _pair_product(model, u, v))
     rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
     assert rep.ok and rep.checked == 213
     assert len(calls) == 110
@@ -632,14 +629,23 @@ def test_line_sweep_solves_only_the_fundamental_tables(engines, monkeypatch):
 
 
 def test_the_default_line_sweep_composes_each_table_once(engines, monkeypatch):
-    """The default A3 line sweep makes 1,872 row products: the tables it
-    composes are kept, so none is composed twice."""
+    """The default A3 line sweep makes 1,872 row products of line tables
+    and basis rows: the tables it composes are kept, so none is composed
+    twice.  The products by e_i D_i in the constants of the
+    fundamental-weight lemma, whose tables are ``_LazyRows``, are not
+    counted."""
     import kflag.ring
+    from kflag.model import _LazyRows
     from kflag.cli import _default_line_sweep
 
     products = []
-    monkeypatch.setattr(kflag.ring, "_row_times",
-                        lambda row, table: products.append(1) or _row_times(row, table))
+
+    def count(row, table):
+        if not isinstance(table, _LazyRows):
+            products.append(1)
+        return _row_times(row, table)
+
+    monkeypatch.setattr(kflag.ring, "_row_times", count)
     ring = SchubertRing(engines.model("A3"))
     sweep = _default_line_sweep(ring.datum)
     for lam in sweep:
@@ -825,6 +831,64 @@ def test_the_walk_equals_the_solve_on_a_sample(engines, label, seed):
     assert _mismatches(SchubertRing(engines.model(label)), pairs) == []
 
 
+def recursion_mismatches(model, pairs, both_orders: bool = True) -> list:
+    """The pairs (u, v) whose constants by ``structure_constants`` of a
+    fresh ring (the recursion down the shorter factor, key order
+    included) or, with ``both_orders``, by ``_pair_product`` down the
+    longer factor differ from the model's solve, or whose solved constants
+    do not sum to chi(psi_u psi_v) = [w_o u <= v].  A pair whose recursion
+    fails its own sum check counts as a mismatch."""
+    group, bad = model.group, []
+    for u, v in pairs:
+        want = model.structure_constants(u, v)
+        by_index = {w.index: c for w, c in want.items()}
+        short, long = sorted((u.index, v.index))
+        try:
+            ok = (list(SchubertRing(model).structure_constants(u, v).items()) == list(want.items())
+                  and (not both_orders or _pair_product(model, long, short) == by_index))
+        except IntegrityError:
+            ok = False
+        if not ok or sum(want.values()) != group.bruhat_leq(group.mul(group.w_o, u), v):
+            bad.append((u.word, v.word))
+    return bad
+
+
+def _fresh_model(engines, label):
+    """A model of ``label`` with its table built and no e_i rows memoized,
+    so that a patched rule reaches every row and no shared model keeps one."""
+    model = SchubertModel(engines.group(label))
+    model.bits  # the table is built on first read
+    return model
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2"])
+def test_the_recursion_equals_the_solve_on_every_pair(engines, label):
+    model = _fresh_model(engines, label)
+    assert recursion_mismatches(model, _all_pairs(model.group)) == []
+
+
+def test_the_recursion_equals_the_solve_on_every_d4_pair(engines):
+    model = _fresh_model(engines, "D4")
+    assert recursion_mismatches(model, _all_pairs(model.group), both_orders=False) == []
+
+
+def test_the_recursion_equals_the_solve_on_a_reducible_group():
+    """A2 x A1 from a block Cartan matrix, as ``--cartan`` gives it: w_o is
+    the product of the blocks' longest elements, and every pair holds."""
+    from kflag import WeylGroup, root_datum_from_cartan
+
+    model = SchubertModel(WeylGroup(root_datum_from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]])))
+    assert recursion_mismatches(model, _all_pairs(model.group)) == []
+
+
+@pytest.mark.parametrize("label, seed", [("B4", 20263), ("C4", 20264)])
+def test_the_recursion_equals_the_solve_on_a_sample(engines, label, seed):
+    elements = engines.group(label).elements
+    rng = random.Random(seed)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    assert recursion_mismatches(engines.model(label), pairs) == []
+
+
 def _without_minus_high(low, high, *rest):
     """(R2) with its -psi_u' psi_v' term dropped."""
     out = dict(_rule_two(low, high, *rest))
@@ -841,23 +905,55 @@ _MUTATIONS = {
     "D_i-lifts-descents": lambda patch: patch.setattr(
         "kflag.ring._demazure", lambda row, partner: {partner[y]: c for y, c in row.items()}),
     "e_iD_i-relabelled-by-min": lambda patch: patch.setattr(
-        "kflag.ring._e_after_d",
-        lambda e_rows, partner: [e_rows[min(y, x)] for y, x in enumerate(partner)]),
+        "kflag.ring._e_after_d", _e_after_d_by_min),
 }
+
+
+def _e_after_d_by_min(model, i):
+    """The table of e_i D_i with row y read at min(y, y s_i)."""
+    alpha, memo = model.datum.simple_root(i + 1), {}
+    return [_line_row(model, memo, alpha, min(y, x)) for y, x in enumerate(model.group._right[i])]
 
 
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_the_a3_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
+    model = _fresh_model(engines, "A3")
     _MUTATIONS[mutation](monkeypatch)
-    ring = SchubertRing(engines.model("A3"))
-    assert _mismatches(ring, _all_pairs(ring.group))
+    assert _mismatches(SchubertRing(model), _all_pairs(model.group))
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_the_a3_recursion_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
+    model = _fresh_model(engines, "A3")
+    _MUTATIONS[mutation](monkeypatch)
+    assert recursion_mismatches(model, _all_pairs(model.group))
+
+
+def _plant_e_row(model) -> None:
+    """Add 1 to the coefficient of psi_e in the model's e_1 row at s_1,
+    which the recursion of [1] x [1, 2] reads."""
+    alpha, s1 = model.datum.simple_root(1), model.group.from_word([1]).index
+    row = _line_row(model, {}, alpha, s1)
+    model._e_rows[alpha, s1] = {**row, 0: row.get(0, 0) + 1}
+
+
+def test_a_planted_e_i_row_fails_the_sum_rule(engines):
+    """A wrong e_1 row in the A2 model's memo moves the sum of the
+    constants of [1] x [1, 2] off chi = 1: an integrity failure, in
+    either order, on any ring over that model."""
+    model = SchubertModel(engines.group("A2"))
+    _plant_e_row(model)
+    u, v = model.group.from_word([1]), model.group.from_word([1, 2])
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(IntegrityError, match="sum to 0"):
+            SchubertRing(model).structure_constants(a, b)
 
 
 def test_lifting_descents_in_the_shared_d_i_breaks_the_line_recursion(engines, monkeypatch):
     """The walk's D_i is the line recursion's: the mutation that breaks the
     A3 walk equality above also breaks every +-omega_i table."""
+    ring = SchubertRing(_fresh_model(engines, "A3"))
     _MUTATIONS["D_i-lifts-descents"](monkeypatch)
-    ring = SchubertRing(engines.model("A3"))
     for i in range(1, ring.datum.rank + 1):
         omega = ring.datum.fundamental_weight(i)
         for lam in (omega, _neg(omega)):
@@ -867,21 +963,20 @@ def test_lifting_descents_in_the_shared_d_i_breaks_the_line_recursion(engines, m
 
 def _spy(monkeypatch) -> tuple[list, list]:
     """(walks, solves): one entry per ``_columns`` walk, its wanted columns,
-    and one per solved pair."""
+    and one per pair computed alone, by ``_pair_product``."""
     walks, solves = [], []
-    columns, solve = _columns, SchubertModel.structure_constants
     monkeypatch.setattr("kflag.ring._columns",
-                        lambda ring, wanted: walks.append(len(wanted)) or columns(ring, wanted))
-    monkeypatch.setattr(SchubertModel, "structure_constants",
-                        lambda self, u, v: solves.append((u, v)) or solve(self, u, v))
+                        lambda ring, wanted: walks.append(len(wanted)) or _columns(ring, wanted))
+    monkeypatch.setattr("kflag.ring._pair_product",
+                        lambda model, u, v: solves.append((u, v)) or _pair_product(model, u, v))
     return walks, solves
 
 
 def test_a_fill_walks_from_k_pairs_per_element_and_solves_below(engines, monkeypatch):
     """G2's 78 pairs are below WALK_PAIRS_PER_ELEMENT |W| = 144 and are
-    solved one by one; A3's 300 reach 288 and are filled by one walk, after
-    which neither the Richardson report nor the line suite's
-    fundamental-weight lemma solves a pair."""
+    computed one by one; A3's 300 reach 288 and are filled by one walk,
+    after which neither the Richardson report nor the line suite's
+    fundamental-weight lemma computes a pair."""
     walks, solves = _spy(monkeypatch)
     assert SchubertRing(engines.model("G2")).verify_alternating_signs().ok
     assert walks == [] and len(solves) == 78

@@ -168,6 +168,9 @@ def test_integer_queries_never_build_the_laurent_table():
     ids=lambda argv: argv[0],
 )
 def test_integer_commands_never_build_the_laurent_table(argv, monkeypatch, capsys, tmp_path):
+    """No command builds the weight-lattice table.  With no cache only
+    ``verify`` builds the one-variable table; with one, the cold call
+    builds and writes it and the warm call reads it, with no warning."""
     from kflag import SchubertModel
     from kflag.cli import CACHE_ENV_VAR, main
 
@@ -182,8 +185,10 @@ def test_integer_commands_never_build_the_laurent_table(argv, monkeypatch, capsy
     monkeypatch.setattr(SchubertModel, "__init__", spy)
     full = [argv[0], "--type", "A", "--rank", "3", *argv[1:]]
     assert main(full) == 0
+    assert ("_rows" in vars(models[0])) == (argv[0] == "verify")
     # a cold and a warm call through the cache too
     assert main([*full, "--cache-dir", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["schubert-table-A3.json"]
     assert main([*full, "--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
     assert len(models) == 3
@@ -218,13 +223,16 @@ def test_laurent_divexact():
 
 def _model_at(monkeypatch, label: str, bits: int):
     """A fresh model of ``label`` whose table and jobs start at ``bits`` bits.
-    ``NARROW_BITS`` is patched only while the table is built: a model's
-    jobs start from its own width, whatever the default is by then."""
+    ``NARROW_BITS`` is patched only while the table is built, which reading
+    ``bits`` forces: a model's jobs start from its own width, whatever the
+    default is by then."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
 
     with monkeypatch.context() as patch:
         patch.setattr("kflag.univariate.NARROW_BITS", bits)
-        return SchubertModel(WeylGroup(build_root_datum(label[0], int(label[1:]))))
+        model = SchubertModel(WeylGroup(build_root_datum(label[0], int(label[1:]))))
+        model.bits  # the table is built on first read
+        return model
 
 
 def _by_index(coeffs: dict) -> dict:
@@ -280,8 +288,8 @@ def test_schubert_chi_at_the_model_cocharacter_is_chi_of_each_row(label, engines
 def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatch):
     """At 8-bit digits the A3 and G2 tables fit, but many products and
     solves do not: those jobs are redone on the 64-bit twin, and every
-    constant, line row and chi equals the one of a model that never packs
-    narrow."""
+    constant of the model's solve, line row and chi equals the one of a
+    model that never packs narrow."""
     from kflag import SchubertRing
 
     narrow = _model_at(monkeypatch, label, 8)
@@ -291,8 +299,8 @@ def test_constants_past_the_narrow_range_are_redone_at_64_bits(label, monkeypatc
     small, big = SchubertRing(narrow), SchubertRing(wide)
     for u, v in _all_pairs(g):
         x, y = wide.group.elements[u.index], wide.group.elements[v.index]
-        assert _by_index(small.structure_constants(u, v)) == _by_index(
-            big.structure_constants(x, y))
+        assert _by_index(narrow.structure_constants(u, v)) == _by_index(
+            wide.structure_constants(x, y))
     assert narrow._wide is not None  # some job did not fit 8 bits
     for lam in _default_line_sweep(narrow.datum):
         got = {v.index: _by_index(row) for v, row in small._line_table(lam).items()}
@@ -313,12 +321,11 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     a model that never packs narrow gives.  A job starts from the model's
     width, not from ``NARROW_BITS`` at call time: the 8-bit attempt comes
     first with the default back at 32 bits, and with it set to 64."""
-    from kflag import PackedRangeError, SchubertModel, SchubertRing, univariate
+    from kflag import PackedRangeError, SchubertModel, univariate
 
     narrow = _model_at(monkeypatch, label, 8)
     wide = _model_at(monkeypatch, label, 64)
     assert (narrow.bits, wide.bits, univariate.NARROW_BITS) == (8, 64, 32)
-    small, big = SchubertRing(narrow), SchubertRing(wide)
     calls = []
 
     def spy(real):
@@ -341,13 +348,13 @@ def test_a_job_past_the_narrow_range_is_redone_whole_at_64_bits(label, monkeypat
     point = wide.schubert_class(h.identity)
     assert chi == wide.euler_characteristic(point * point)
     calls.clear()
-    got = small.structure_constants(g.identity, g.w_o)
+    got = narrow.structure_constants(g.identity, g.w_o)
     assert calls == [(8, "overflow"), (64, "done")]
-    assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o)) == {0: 1}
+    assert _by_index(got) == _by_index(wide.structure_constants(h.identity, h.w_o)) == {0: 1}
     # nor does a default of 64 bits at call time skip the model's own width
     monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
     calls.clear()
-    assert SchubertRing(narrow).structure_constants(g.identity, g.w_o) == got
+    assert narrow.structure_constants(g.identity, g.w_o) == got
     assert calls == [(8, "overflow"), (64, "done")]
 
 
@@ -359,14 +366,11 @@ def test_a_redo_repacks_only_the_rows_it_reads(label, monkeypatch):
     whose coefficients are all nonzero, reads every row.  The re-packed
     rows and the results equal those of a model that never packs narrow,
     and the narrow flat rows stay a plain list."""
-    from kflag import SchubertRing
-
     narrow = _model_at(monkeypatch, label, 8)
     wide = _model_at(monkeypatch, label, 64)
     g, h = narrow.group, wide.group
-    small, big = SchubertRing(narrow), SchubertRing(wide)
-    got = small.structure_constants(g.identity, g.w_o)
-    assert _by_index(got) == _by_index(big.structure_constants(h.identity, h.w_o))
+    got = narrow.structure_constants(g.identity, g.w_o)
+    assert _by_index(got) == _by_index(wide.structure_constants(h.identity, h.w_o))
     twin = narrow.wide
     assert sorted(twin._rows) == [g.identity.index, g.w_o.index]
     rho = [m.specialize(m.line_bundle_class(m.datum.rho)) for m in (narrow, wide)]
@@ -904,8 +908,8 @@ def test_the_row_product_is_the_class_product(label, bits, monkeypatch):
 
 
 def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
-    """Structure constants, redone at 64 bits or not, multiply flat rows
-    only, and line tables multiply no rows: no ``EquivClass`` or
+    """The model's structure constants, redone at 64 bits or not, multiply
+    flat rows only, and line tables multiply no rows: no ``EquivClass`` or
     ``UniPoly`` product of either width runs, while a class product still
     counts."""
     from kflag import SchubertRing
@@ -921,7 +925,7 @@ def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
                     products.append(type(args[0]).__name__) or _orig(*args)))
     ring = SchubertRing(model)
     for u, v in _all_pairs(g):
-        ring.structure_constants(u, v)
+        model.structure_constants(u, v)
     for lam in _default_line_sweep(model.datum):
         ring._line_table(lam)
     assert model._wide is not None and products == []
