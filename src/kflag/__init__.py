@@ -18,7 +18,6 @@ from .errors import (
     KflagError,
     NonzeroResidualError,
     NotDivisibleError,
-    PackedRangeError,
     PoleAtOneError,
 )
 from .model import EquivClass, ExpansionResult, SchubertModel
@@ -46,7 +45,6 @@ __all__ = [
     "LineReport",
     "NonzeroResidualError",
     "NotDivisibleError",
-    "PackedRangeError",
     "ParabolicData",
     "PoleAtOneError",
     "RootDatum",
@@ -61,7 +59,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 
 def __getattr__(name: str):

@@ -25,7 +25,7 @@ from .errors import (
 from .model import SchubertModel
 from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
-from .univariate import _packed, narrow_first
+from .univariate import UniPoly
 
 CACHE_SCHEMA_VERSION = 5
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
@@ -208,10 +208,8 @@ def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: Schub
 def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict] | None:
     """Load a cached one-variable table; any mismatch recomputes (returns
     None) with one warning line.  Each pool value is packed once, and every
-    entry that refers to it holds that one ``UniPoly``.  The pool is packed
-    by ``narrow_first``: all at 64 bits if one value does not fit the
-    narrow width, and a value that does not fit 64 bits fails integrity
-    (exit 3)."""
+    entry that refers to it holds that one ``UniPoly``; a value that does
+    not fit its 64-bit digits fails integrity (exit 3)."""
     path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
     if not os.path.exists(path):
         return None
@@ -244,20 +242,15 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     values, rows = payload.get("values"), payload.get("rows")
     elements = group.elements
 
-    def pack(bits: int) -> list:
-        # [s, coefficients]; JSON true/false load as bool, a subclass of int
-        from_coefficients = _packed(bits)[0].from_coefficients
-        polys = []
-        for value in values:
-            if type(value) is not list or len(value) != 2 or type(value[0]) is not int:
-                raise ValueError
-            polys.append(from_coefficients(*value))
-        return polys
-
+    polys = []
     try:
         if type(values) is not list:
             raise ValueError
-        polys = narrow_first(pack)
+        for value in values:
+            # [s, coefficients]; JSON true/false load as bool, a subclass of int
+            if type(value) is not list or len(value) != 2 or type(value[0]) is not int:
+                raise ValueError
+            polys.append(UniPoly.from_coefficients(*value))
     except ValueError:
         print("warning: cache malformed (values are not [s, coefficients] pairs); recomputing",
               file=sys.stderr)

@@ -35,7 +35,3 @@ class PoleAtOneError(KflagError):
 class IntegrityError(KflagError):
     """Two independent computation routes disagree, or internal data is corrupt."""
 
-
-class PackedRangeError(IntegrityError):
-    """A norm bound reached the packed range of a width narrower than 64
-    bits: the digits may be wrong there, and the work is redone at 64."""

@@ -24,8 +24,7 @@ from .errors import (
     PoleAtOneError,
 )
 from .roots import RootDatum, WeylElement, WeylGroup, _eliminate
-from .univariate import DIGIT_BITS, UniPoly, _packed, narrow_first
-from .univariate import poly_divexact  # noqa: F401  (perfbench/layers.py wraps this name)
+from .univariate import UniPoly, poly_divexact
 
 
 def _laurent():
@@ -37,9 +36,8 @@ def _laurent():
 
 class EquivClass:
     """A localized equivariant K-class: fixed point -> restriction, a
-    ``LaurentPoly`` or, after ``SchubertModel.specialize``, a ``UniPoly``
-    of the model's width; the ring operations use only what both types
-    provide."""
+    ``LaurentPoly`` or, after ``SchubertModel.specialize``, a ``UniPoly``;
+    the ring operations use only what both types provide."""
 
     __slots__ = ("rank", "restrictions")
 
@@ -153,24 +151,22 @@ class SchubertModel:
     changed afterwards; ``verify``, the cache and the public row readers
     read it, and no other integer command does.  Row w is held once, as
     a flat row {v.index: (shift, packed, bound)} with one tuple per coset
-    of w's right descents, which the build makes, ``row_product``
-    multiplies and the solve kernel reads.  An injected table is sorted
-    into element order and flattened row by row on first read.  The table
-    in the weight lattice is built on the first
-    ``schubert_class`` call and assigned whole.  So a model can be shared
-    across threads: at worst two threads make the same value, and either
-    is kept.
+    of w's right descents, which the build makes and the solve kernel
+    reads.  An injected table is sorted into element order and flattened
+    row by row on first read.  The table in the weight lattice is built on
+    the first ``schubert_class`` call and assigned whole.  So a model can
+    be shared across threads: at worst two threads make the same value,
+    and either is kept.
 
-    The table is packed at ``univariate.NARROW_BITS`` unless a bound there
-    reaches the packed range; then it is built at 64 bits (``narrow_first``).
-    The width is the table's, so reading it builds the table.
-    An injected table keeps the width of its entries.  ``bits`` and
-    ``poly`` (the ``UniPoly`` class) are the model's width.  Every integer
-    operation is one job of ``run_packed``, redone whole on ``wide``, the
-    64-bit twin, if it does not fit: the constants of a pair, chi of every
-    row at one cocharacter, and the public ``integer_coefficients``,
-    ``euler_characteristic`` and ``specialize``.
+    Every one-variable value is packed at 64 bits: ``poly`` and
+    ``_divexact`` are ``UniPoly`` and ``poly_divexact``, and a norm bound
+    that reaches their range is an ``IntegrityError``.  A test that needs a
+    narrower ring's guards sets both on one instance before its table is
+    built.
     """
+
+    poly = UniPoly
+    _divexact = staticmethod(poly_divexact)
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
         self.group = group
@@ -181,12 +177,8 @@ class SchubertModel:
         if table is not None:
             if len(table) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
-            # a table holds one width, so its first entry shows which
-            entries = (p for row in table for p in row.values())
-            self._set_width(next(entries, UniPoly.zero()).DIGIT_BITS)
             self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i], table[i]))
         self._schubert: list[EquivClass] | None = None
-        self._wide: SchubertModel | None = None
         # for the e_i of ``ring._columns`` and ``ring._pair_product``: the
         # integer line rows l_nu psi_v by (nu, v.index), nu a root or 0, and
         # the tables of e_i D_i by i - 1, each made on first use
@@ -194,17 +186,11 @@ class SchubertModel:
         self._ed_tables: list = [None] * self.rank
 
     def __getattr__(self, name: str):
-        """The one-variable table ``_rows`` and its width (``bits``,
-        ``poly``, ``_divexact``), built on first read when none was given."""
-        if name not in ("_rows", "bits", "poly", "_divexact"):
+        """The one-variable table ``_rows``, built on first read when none was given."""
+        if name != "_rows":
             raise AttributeError(name)
-
-        def build(bits):
-            self._set_width(bits)
-            return self._specialized_table(self.cocharacter)
-
-        self._rows = narrow_first(build)
-        return getattr(self, name)
+        self._rows = self._specialized_table(self.cocharacter)
+        return self._rows
 
     @cached_property
     def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:
@@ -214,40 +200,12 @@ class SchubertModel:
         return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
                           for v in range(len(self.group.elements))]
 
-    def _set_width(self, bits: int) -> None:
-        self.bits = bits
-        self.poly, self._divexact = _packed(bits)
-
     def _flat_row(self, w: WeylElement, polys: dict) -> dict:
         """Row w of an injected table as a flat row in element order; a row
         without its pivot is no row of a unitriangular table."""
         if w not in polys:
             raise IntegrityError(f"restriction table row {list(w.word)} has no pivot")
         return self.poly.flat_row(dict(sorted((v.index, p) for v, p in polys.items())))
-
-    @property
-    def wide(self) -> "SchubertModel":
-        """This model at 64 bits: itself, or its twin, made on first use and
-        assigned whole.  The twin re-packs a row exactly, bounds kept, when
-        one of its jobs first reads it, so a redo pays only for those rows."""
-        if self.bits == DIGIT_BITS:
-            return self
-        if self._wide is None:
-            narrow, row_polys = self._rows, self.poly.row_polys
-            wide = object.__new__(SchubertModel)
-            wide.__dict__.update(self.__dict__, _wide=None, _rows=_LazyRows(
-                lambda i: UniPoly.flat_row({
-                    v: UniPoly.repack(p) for v, p in row_polys(narrow[i]).items()})))
-            wide._set_width(DIGIT_BITS)
-            self._wide = wide
-        return self._wide
-
-    def run_packed(self, job):
-        """job(model) for a one-variable job that packs its own inputs at
-        the model's width and reads only that model's rows: job(self), or
-        job(self.wide) once more if a norm bound reached the narrow range
-        (``narrow_first``).  At 64 bits a range error is final."""
-        return narrow_first(lambda bits: job(self.wide if bits == DIGIT_BITS else self), self.bits)
 
     # -- class constructors -----------------------------------------------
 
@@ -310,7 +268,7 @@ class SchubertModel:
 
     def _specialized_table(self, k) -> list[dict]:
         """Every Schubert class under e^lam -> t^<lam, k>, for a regular k,
-        at this model's width, as flat rows by w.index.
+        packed by ``poly``, as flat rows by w.index.
 
         Specialization is a ring homomorphism that sends each divisor
         1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
@@ -328,8 +286,8 @@ class SchubertModel:
         Guards run there only: where the generic route fits the width, this
         table equals it, integer for integer and bound for bound, and where
         this build raises, the generic route raises too.  The converse can
-        fail: a sum guard at a shared point can send the generic route to
-        64 bits while this table stays at 32, with the same values.
+        fail: a sum guard at a shared point can stop the generic route
+        where this build goes on.
         """
         group, poly = self.group, self.poly
         elements, partners = group.elements, group._right
@@ -370,15 +328,13 @@ class SchubertModel:
     # -- specialization -----------------------------------------------------
 
     def specialize(self, f: EquivClass) -> EquivClass:
-        """f under e^lam -> t^<lam, k>, restrictions in one variable, at the
-        model's width (at 64 bits if a norm reaches the narrow range).
+        """f under e^lam -> t^<lam, k>, restrictions in one variable.
 
         For the regular cocharacter k this is a ring homomorphism that sends
         every pivot prod_{beta}(1 - e^beta) to a nonzero polynomial.
         """
-        k = self.cocharacter
-        return self.run_packed(lambda m: EquivClass(
-            m.rank, {v: p.specialize(k, m.poly) for v, p in f.restrictions.items()}))
+        k, poly = self.cocharacter, self.poly
+        return EquivClass(self.rank, {v: p.specialize(k, poly) for v, p in f.restrictions.items()})
 
     def specialized_schubert_class(self, w: WeylElement) -> EquivClass:
         """specialize([O_{X_w}]), row w of the one-variable table, made per call."""
@@ -398,56 +354,44 @@ class SchubertModel:
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
-        solved in Z[t, 1/t].
+        solved in Z[t, 1/t] by the fused kernel ``poly.solve_at_one``
+        against this model's rows.
 
         Specialization commutes with the triangular solve, so the values at
         t = 1 equal ``expand_in_schubert_basis(g).specialized``.  A failed
         division or a nonzero residual raises, but one variable catches
-        fewer classes outside the span than the multivariate route.  f may
-        have either width; the solve runs as a job of ``run_packed``.
+        fewer classes outside the span than the multivariate route.
         """
-        return self.run_packed(lambda m: m._integer_solve({
-            v.index: (p._shift, p._packed, p._bound)
-            for v, p in zip(f.restrictions, map(m.poly.repack, f.restrictions.values())) if p}))
-
-    def _integer_solve(self, residual: dict) -> dict[WeylElement, int]:
-        """Integer coefficients of a vector of (shift, packed, bound)
-        triples by index at this width, with no redo: the fused kernel
-        ``poly.solve_at_one`` against this model's rows.  Every constant
-        and ``integer_coefficients`` call solves here."""
         elements = self.group.elements
+        residual = self.poly.flat_row({v.index: p for v, p in f.restrictions.items() if p})
         values = self.poly.solve_at_one(range(len(elements)), residual, self._rows.__getitem__)
         return {elements[w]: c for w, c in values.items()}
 
-    # -- integer operations, each one job of ``run_packed`` ---------------------
-
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u and v, solved."""
-        return self.run_packed(lambda m: m._integer_solve(
-            m.poly.row_product(m._rows[u.index], m._rows[v.index])))
+        """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u
+        and v, solved.  The tests' reference for ``SchubertRing``'s recursion."""
+        psi = self.specialized_schubert_class
+        return self.integer_coefficients(psi(u) * psi(v))
 
     def schubert_chi(self, heights) -> list[int]:
         """chi of every Schubert class, by w.index, at the cocharacter of
         simple-root heights ``heights``: over the model's rows (cached or
-        built) at its own cocharacter, else over a table built in the job."""
+        built) at its own cocharacter, else over a table built here."""
         k, n = _height_cocharacter(self.datum, heights), len(self.group.elements)
-        return self.run_packed(lambda m: [
-            m._euler_characteristic(m._row_class(row), k) for row in (
-                map(m._rows.__getitem__, range(n)) if k == m.cocharacter
-                else m._specialized_table(k))])
+        rows = (map(self._rows.__getitem__, range(n)) if k == self.cocharacter
+                else self._specialized_table(k))
+        return [self._euler_characteristic(self._row_class(row), k) for row in rows]
 
     # -- pushforward and expansion ------------------------------------------
 
     def euler_characteristic(self, f: EquivClass) -> int:
         """chi via the fixed-point (Lefschetz) sum in the specialized
-        variable, a job of ``run_packed``; f may be a model class or a
-        specialized one of either width."""
-        return self.run_packed(lambda m: m._euler_characteristic(f, m.cocharacter))
+        variable; f may be a model class or a specialized one."""
+        return self._euler_characteristic(f, self.cocharacter)
 
     def _euler_characteristic(self, f: EquivClass, k) -> int:
-        """chi of f under e^lam -> t^<lam, k> for a regular cocharacter k, at
-        this model's width; one-variable restrictions of f, of either width,
-        must be specialized at this k.
+        """chi of f under e^lam -> t^<lam, k> for a regular cocharacter k;
+        one-variable restrictions of f must be specialized at this k.
 
         v sends the positive roots to one of +-beta for each beta > 0,
         l(v) of them negative; as 1 - t^-h = -t^-h (1 - t^h), the
@@ -459,7 +403,7 @@ class SchubertModel:
         rho_k = _degree(self.datum.rho, k)
         num = poly.zero()
         for v, p in f.restrictions.items():
-            pv = poly.repack(p) if hasattr(p, "DIGIT_BITS") else p.specialize(k, poly)
+            pv = p if hasattr(p, "DIGIT_BITS") else p.specialize(k, poly)
             term = pv.shift(rho_k - _degree(v.key, k))
             num = num + (-term if v.length % 2 else term)
         factors = sorted(_degree(beta, k) for beta in self.datum.positive_roots)

@@ -294,8 +294,8 @@ class SchubertRing:
     def verify_normalization(self) -> SignReport:
         """chi([O_{X_w}]) = 1 at two cocharacters, both by ``model.schubert_chi``.
 
-        At the model's cocharacter k it reads the one-variable rows the
-        integer commands use, which may come from a cache.  At k2, the
+        At the model's cocharacter k it reads the model's one-variable rows,
+        which may come from a cache.  At k2, the
         cocharacter of simple-root heights (1, ..., 1, 2), it runs over a
         table built there and dropped: it checks the recursion at a
         specialization not proportional to k (from rank 2).

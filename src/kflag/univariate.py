@@ -14,23 +14,21 @@ operations.  Packing is a ring homomorphism, so the integers are always
 exact; reading coefficients back is unique while each lies in
 (-2^(b-1), 2^(b-1)).  Every value therefore carries a norm bound (sum and
 product bounds, the exact norm of a certified quotient), and a bound that
-reaches 2^(b-1) raises.
+reaches 2^(b-1) raises ``IntegrityError``.
 
-``_packed(bits)`` builds the ring for one width from the one implementation
-below.  ``UniPoly`` and ``poly_divexact`` are the ring at ``DIGIT_BITS`` =
-64, whose guard raises ``IntegrityError``: nothing wider is tried.  Below
-it the guard raises ``PackedRangeError``, the signal to redo the work at
-64 bits; the model packs at ``NARROW_BITS`` first.  Values of two widths
-never mix: an operation between them raises ``TypeError``, and ``repack``
-converts.
+``UniPoly`` and ``poly_divexact`` are the ring at ``DIGIT_BITS`` = 64, the
+one width the engine packs at.  ``_packed(bits)`` builds it from the one
+implementation below; the tests also build an 8-bit ring, whose range
+small groups reach, to drive every guard.  Values of two widths never mix:
+an operation between them raises ``TypeError``.
 
-Three loops run on flat rows (``flat_row``), the Schubert table's one
-form: dicts key -> (shift, packed, bound), a model's keyed by element
-index.  They keep the bounds and guards of the method path they fuse:
-``demazure_step``, one divided difference of the build; ``row_product``, a
-pointwise product; ``solve_at_one``, the triangular solve.  ``digits`` is
-the one balanced-digit decoder, used by the loops, ``coefficients``,
-``terms`` and ``poly_divexact``.
+Two loops run on flat rows (``flat_row``), the Schubert table's one form:
+dicts key -> (shift, packed, bound), a model's keyed by element index.
+They keep the bounds and guards of the method path they fuse:
+``demazure_step``, one divided difference of the build, and
+``solve_at_one``, the triangular solve.  ``digits`` is the one
+balanced-digit decoder, used by the loops, ``coefficients``, ``terms`` and
+``poly_divexact``.
 """
 from __future__ import annotations
 
@@ -38,35 +36,33 @@ import struct
 from functools import cache
 from types import MappingProxyType
 
-from .errors import IntegrityError, NonzeroResidualError, NotDivisibleError, PackedRangeError
+from .errors import IntegrityError, NonzeroResidualError, NotDivisibleError
 
-DIGIT_BITS = 64  # the width of ``UniPoly``, the widest one
-NARROW_BITS = 32  # the width a model packs its table and its jobs at first
+DIGIT_BITS = 64  # the width of ``UniPoly``
 
 # the ``struct`` code of one signed digit, by width; 8 bits is for tests
 # that need a narrow range small groups overflow
-_STRUCT_CODES = {8: "b", 32: "i", 64: "q"}
+_STRUCT_CODES = {8: "b", 64: "q"}
 
 
 @cache
 def _packed(bits: int):
-    """(UniPoly, poly_divexact) for digits of ``bits`` bits: 8, 32 or 64."""
+    """(UniPoly, poly_divexact) for digits of ``bits`` bits: 8 or 64."""
     signed = _STRUCT_CODES[bits]
     size = bits // 8  # bytes per digit
     half = 1 << (bits - 1)  # coefficients and norm bounds stay below this
     mask = (1 << bits) - 1  # the lowest digit; also 2^bits = 1 mod it
-    range_error = IntegrityError if bits == DIGIT_BITS else PackedRangeError
     new = object.__new__
 
     def out_of_range(bound: int) -> IntegrityError:
-        return range_error(
+        return IntegrityError(
             f"coefficient bound 2^{bound.bit_length() - 1} is out of the packed range 2^{bits - 1}"
         )
 
     def mixed(other) -> TypeError:
         width = getattr(other, "DIGIT_BITS", None)
         what = f"a {width}-bit UniPoly" if width else type(other).__name__
-        return TypeError(f"a {bits}-bit UniPoly does not combine with {what}; repack it first")
+        return TypeError(f"a {bits}-bit UniPoly does not combine with {what}")
 
     layouts = {}  # digit count n -> (offset, unpack, pack, bytes) for n digits
 
@@ -168,25 +164,14 @@ def _packed(bits: int):
             """t^shift (c_0 + c_1 t + ... + c_k t^k), the inverse of ``coefficients``.
 
             Raises ValueError unless coeffs is a non-empty list of plain ints
-            (booleans are refused) with c_0 and c_k nonzero, and the range
-            error if its L1 norm reaches 2^(bits-1).
+            (booleans are refused) with c_0 and c_k nonzero, and
+            ``IntegrityError`` if its L1 norm reaches 2^(bits-1).
             """
             if not (type(coeffs) is list and coeffs and coeffs[0] and coeffs[-1]):
                 raise ValueError("coefficients must be a non-empty list with nonzero ends")
             if set(map(type, coeffs)) != {int}:
                 raise ValueError("coefficients must be integers")
             return pack(shift, coeffs, sum(map(abs, coeffs)))
-
-        @classmethod
-        def repack(cls, p) -> "UniPoly":
-            """p at this width: p itself if it has it, else its coefficients
-            packed anew with its norm bound, which must be in range.  Keeping
-            the bound keeps every later guard where it is at p's width."""
-            if type(p) is UniPoly:
-                return p
-            if not p:
-                return zero
-            return pack(*p.coefficients(), p._bound)
 
         def coefficients(self) -> tuple[int, list[int]]:
             """(s, [c_0, ..., c_k]) with self = t^s (c_0 + ... + c_k t^k), c_0 and
@@ -302,7 +287,7 @@ def _packed(bits: int):
         A zero one gives an integer q whose balanced digits D satisfy
         D(B) Y(B) = X(B); if |D|_1 times the bound of b is below B / 2,
         both D Y and X decode uniquely, so D Y = X and D is the quotient,
-        with its exact norm.  Otherwise the range error: then no quotient
+        with its exact norm.  Otherwise ``IntegrityError``: then no quotient
         can be certified at this width, whether or not one exists.  By
         1 - t^h an inexact division always leaves a nonzero remainder:
         mod B^h - 1, X(B) is X folded to degree below h, still of norm
@@ -407,22 +392,6 @@ def _packed(bits: int):
             out[v] = (s - ds, q, norm)
         return out
 
-    def row_product(a: dict, b: dict) -> dict:
-        """``EquivClass.__mul__`` of two flat rows, as the kernel's residual: it walks
-        the shorter row (``a`` on a tie) and raises at the first product bound out of range."""
-        if len(a) > len(b):
-            a, b = b, a
-        get = b.get
-        out = {}
-        for u, (s, x, bound) in a.items():
-            e = get(u)
-            if e is not None:
-                bound *= e[2]
-                if bound >= half:
-                    raise out_of_range(bound)
-                out[u] = (s + e[0], x * e[1], bound)
-        return out
-
     def solve_at_one(elements, residual: dict, rows) -> dict:
         """The values at t = 1 of the coordinates of a vector against a
         unitriangular basis, zero values omitted: ``model.back_solve`` with
@@ -435,9 +404,10 @@ def _packed(bits: int):
         path's, checked in its order: the quotient certificate, then for
         each row entry in order, the product and the difference bound.  So
         this raises where ``back_solve`` would: ``NotDivisibleError`` for an
-        inexact pivot, the range error, and ``NonzeroResidualError`` if
-        anything is left over.  No quotient is built as a ``UniPoly``: its
-        value at t = 1 is ``eval_at_one``'s residue.
+        inexact pivot, ``IntegrityError`` for a bound out of range, and
+        ``NonzeroResidualError`` if anything is left over.  No quotient is
+        built as a ``UniPoly``: its value at t = 1 is ``eval_at_one``'s
+        residue.
         """
         values = {}
         get = residual.get
@@ -493,20 +463,10 @@ def _packed(bits: int):
             raise NonzeroResidualError("expansion left a nonzero residual")
         return values
 
-    for fn in (digits, flat_row, row_polys, demazure_step, row_product, solve_at_one):
+    for fn in (digits, flat_row, row_polys, demazure_step, solve_at_one):
         setattr(UniPoly, fn.__name__, staticmethod(fn))
     return UniPoly, poly_divexact
 
 
 UniPoly, poly_divexact = _packed(DIGIT_BITS)
 
-
-def narrow_first(build, bits: int | None = None):
-    """build(bits), at NARROW_BITS by default, or build(DIGIT_BITS) if a norm
-    bound there reached the packed range: how a table is built or loaded,
-    and how a model runs a job from its own width."""
-    try:
-        return build(bits or NARROW_BITS)
-    except PackedRangeError:
-        pass  # rebuilt after the handler, once the traceback is freed
-    return build(DIGIT_BITS)

@@ -89,29 +89,6 @@ def test_criterion_01_sign_sample_b4(engines):
     _announce(1, "B4", f"300 random pairs, signs and chi = sum c, {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the B4 and A5 widths")
-@pytest.mark.parametrize("label", ["B4", "A5"])
-def test_criterion_01_seeded_constants_agree_at_both_widths(label, engines, monkeypatch):
-    """200 seeded random pairs: the constants the model that packs at 32
-    bits first solves equal those of a model built and solved at 64 bits
-    only."""
-    narrow = engines.model(label)
-    assert narrow.bits == 32
-    monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
-    wide = SchubertModel(WeylGroup(engines.datum(label)))
-    assert wide.bits == 64
-    rng = random.Random(20017)
-    n = len(narrow.group.elements)
-    t0 = time.monotonic()
-    for _ in range(200):
-        a, b = rng.randrange(n), rng.randrange(n)
-        got = [{w.index: c for w, c in model.structure_constants(
-            model.group.elements[a], model.group.elements[b]).items()} for model in (narrow, wide)]
-        assert got[0] == got[1], (label, a, b)
-    elapsed = time.monotonic() - t0
-    _announce(1, label, f"200 random pairs equal at 32 and 64 bits, {elapsed:.1f}s")
-
-
 @pytest.mark.skipif(not BIG_RANK, reason="set KFLAG_BIG_RANK=1 for the A4 walk test")
 def test_criterion_01_sign_sweep_a4_walk_matches_solve(engines, monkeypatch):
     """A4's 7,260 pairs, filled by the walk of the Demazure recursion and
@@ -338,7 +315,6 @@ def test_criterion_07_one_variable_rows_keep_their_supports(label, engines):
         row = model.specialized_schubert_class(w).restrictions
         assert set(row) == set(model.schubert_class(w).restrictions) == below, w.word
         for u, p in row.items():
-            p = UniPoly.repack(p)  # the rows are narrow; the division here is at 64 bits
             for _ in range(model.dimension - w.length):
                 p = poly_divexact(p, one_minus_t)
             assert p.eval_at_one() != 0, (w.word, u.word)
@@ -513,14 +489,13 @@ def test_criterion_10_model_integrity(engines):
 @pytest.mark.parametrize("label, quotients", [("A5", 11933), ("F4", 83655)])
 def test_criterion_10_table_build_is_the_generic_route(label, quotients, engines):
     """The one-variable table, built once per coset of each row's right
-    descents, equals the generic Demazure route at 32 bits, row for row
+    descents, equals the generic Demazure route at 64 bits, row for row
     and bound for bound, at the model's cocharacter and at the second one
     of the normalization report.  Rows past e hold one value object per
     coset, as many as the quotients the build divides out."""
     from kflag.model import _height_cocharacter
 
     model = engines.model(label)
-    assert model.bits == 32
     assert sum(len({id(e) for e in row.values()}) for row in model._rows[1:]) == quotients
     second = _height_cocharacter(model.datum, (1,) * (model.rank - 1) + (2,))
     t0 = time.monotonic()

@@ -758,7 +758,7 @@ def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", cache)
     assert code == 3
     assert out == ""
-    assert "integrity" in err and "Traceback" not in err
+    assert err.startswith("integrity failure: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
 
@@ -912,37 +912,30 @@ def _a2_cache_with_row(tmp_path, capsys, coeffs) -> str:
     return cache
 
 
-def _narrow_and_wide_runs(capsys, monkeypatch, *argv):
-    """(code, output without timings, stderr) of argv as it runs, then with
-    every table and job at 64 bits from the start."""
-    runs = []
-    for bits in (None, 64):
-        if bits:
-            monkeypatch.setattr("kflag.univariate.NARROW_BITS", bits)
-        code, out, err = run_cli(capsys, *argv)
-        runs.append((code, _strip_timings(json.loads(out)) if out else out, err))
-    return runs
-
-
 @pytest.mark.parametrize("argv", [("verify", "--type", "A", "--rank", "2", "--which", "signs"),
                                   ("verify", "--type", "A", "--rank", "2")])
-def test_cache_row_past_the_narrow_range_loads_at_64_bits(tmp_path, capsys, monkeypatch, argv):
-    """A digest-valid row with a coefficient of 2^40 does not fit 32-bit
-    digits: the whole table loads at 64 bits, and each command gives what
-    it gives with no narrow width at all.  Only ``verify`` reads the rows."""
-    from kflag import UniPoly, WeylGroup, build_root_datum
+def test_cache_row_past_2_31_loads_with_no_warning(tmp_path, capsys, argv):
+    """A digest-valid row with a coefficient of 2^40, past 32-bit digits,
+    loads like any other value: the table is the built one with that one
+    entry changed, and ``verify``, the one command that reads the rows,
+    runs on it with no warning and finds the row wrong."""
+    from kflag import SchubertModel, UniPoly, WeylGroup, build_root_datum
     from kflag.cli import cache_load
 
     cache = _a2_cache_with_row(tmp_path, capsys, [2**40])
     datum = build_root_datum("A", 2)
-    table = cache_load(cache, datum, WeylGroup(datum))
-    assert {type(p) for row in table for p in row.values()} == {UniPoly}
-    narrow, wide = _narrow_and_wide_runs(capsys, monkeypatch, *argv, "--cache-dir", cache)
-    assert narrow == wide
-    assert narrow[0] in (1, 3)  # the row is wrong, and the checks see it
+    group = WeylGroup(datum)
+    table = cache_load(cache, datum, group)
+    built = SchubertModel(group)
+    want = [dict(built.specialized_schubert_class(w).restrictions) for w in group.elements]
+    want[1][group.elements[1]] = UniPoly({0: 2**40})
+    assert table == want
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert (code, out) == (3, "")  # the row is wrong, and chi of it shows that
+    assert err == "integrity failure: localization sum has a pole at t = 1\n"
 
 
-def test_cache_rows_load_at_the_narrow_width(tmp_path, capsys):
+def test_cache_rows_load_at_64_bits(tmp_path, capsys):
     from kflag import WeylGroup, build_root_datum
     from kflag.cli import cache_load
 
@@ -950,7 +943,7 @@ def test_cache_rows_load_at_the_narrow_width(tmp_path, capsys):
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     datum = build_root_datum("A", 2)
     table = cache_load(cache, datum, WeylGroup(datum))
-    assert {type(p).DIGIT_BITS for row in table for p in row.values()} == {32}
+    assert {type(p).DIGIT_BITS for row in table for p in row.values()} == {64}
 
 
 def _line_rows(capsys, *argv):
@@ -965,22 +958,16 @@ def _line_rows(capsys, *argv):
     ("--type", "B", "--rank", "3", "--v", "1,2,3", "--lambda", "200,0,0"),
     ("--type", "D", "--rank", "4", "--v", "1,2", "--lambda", "100,0,0,0"),
 ])
-def test_line_rows_past_the_narrow_range_equal_a_64_bit_direct_solve(capsys, monkeypatch, argv):
+def test_line_rows_past_2_31_equal_a_direct_solve(capsys, argv):
     """Solved directly, these line rows do not fit 32-bit digits.  The CLI
-    composes them from the fundamental tables without the 64-bit twin, and
-    they equal the rows the public API solves on a 64-bit model."""
+    composes them from the fundamental tables, and they equal the rows the
+    public API solves."""
     from kflag import WeylGroup, build_root_datum
     from kflag.model import SchubertModel
 
-    asked = []
-    twin = SchubertModel.wide
-    monkeypatch.setattr(SchubertModel, "wide",
-                        property(lambda self: asked.append(self.bits) or twin.fget(self)))
     code, rows = _line_rows(capsys, *argv)
-    assert code == 0 and asked == []
-    monkeypatch.setattr("kflag.univariate.NARROW_BITS", 64)
+    assert code == 0
     model = SchubertModel(WeylGroup(build_root_datum(argv[1], int(argv[3]))))
-    assert model.bits == 64
     v = model.group.from_word([int(i) for i in argv[5].split(",")])
     lam = tuple(int(x) for x in argv[7].split(","))
     assert rows == {w.word: c for w, c in public_line_table(model, lam)[v].items()}

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kflag import ConfigError, IntegrityError, RootDatum, SchubertModel
+from kflag import ConfigError, IntegrityError, RootDatum, SchubertModel, UniPoly
 from kflag.ring import (
     IDEAL_BASIS,
     O_BASIS,
@@ -499,19 +499,12 @@ def test_composed_line_tables_match_the_direct_solve_at_random_weights(label, en
         assert ring._line_table(lam) == public_line_table(model, lam), lam
 
 
-def test_composed_line_table_matches_a_direct_solve_redone_at_64_bits(engines, monkeypatch):
-    """D4 at 100 omega_1: the public-API solve passes 2^31 and is redone on
-    the 64-bit twin; the composed table asks for no twin and equals it."""
-    asked = []
-    twin = SchubertModel.wide
-    monkeypatch.setattr(SchubertModel, "wide",
-                        property(lambda self: asked.append(self.bits) or twin.fget(self)))
+def test_composed_line_table_matches_a_direct_solve_past_2_31(engines):
+    """D4 at 100 omega_1: the public-API solve passes 2^31, and the
+    composed table equals it."""
     model = engines.model("D4")
     lam = (100, 0, 0, 0)
-    composed = SchubertRing(model)._line_table(lam)
-    assert asked == []
-    assert composed == public_line_table(model, lam)
-    assert 32 in asked
+    assert SchubertRing(model)._line_table(lam) == public_line_table(model, lam)
 
 
 def _line_weights(datum) -> list:
@@ -595,9 +588,9 @@ def test_no_line_table_is_solved(engines, monkeypatch):
     from kflag.cli import _default_line_sweep
 
     calls = []
-    solve = SchubertModel._integer_solve
-    monkeypatch.setattr(SchubertModel, "_integer_solve",
-                        lambda self, f: calls.append(f) or solve(self, f))
+    solve = UniPoly.solve_at_one
+    monkeypatch.setattr(UniPoly, "solve_at_one",
+                        staticmethod(lambda *args: calls.append(args) or solve(*args)))
     ring = SchubertRing(engines.model("D4"))
     sweep = _default_line_sweep(ring.datum)
     for lam in sweep:
@@ -857,7 +850,7 @@ def _fresh_model(engines, label):
     """A model of ``label`` with its table built and no e_i rows memoized,
     so that a patched rule reaches every row and no shared model keeps one."""
     model = SchubertModel(engines.group(label))
-    model.bits  # the table is built on first read
+    model._rows  # the table is built on first read
     return model
 
 
