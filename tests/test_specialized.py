@@ -308,6 +308,97 @@ def test_a_job_past_the_range_fails_integrity_with_no_redo(label):
         b3.specialized_schubert_class(b3.group.identity)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_euler_characteristic_reads_rows_of_either_width(label, engines):
+    """chi of every Schubert row is 1, on the 64-bit model and on a model
+    at the tests' 8 bits: these groups' rows, and the numerators and
+    quotients of their chi, all fit 2^7."""
+    for model in (engines.model(label), _model_at(label, 8)):
+        chi = [model.euler_characteristic(model.specialized_schubert_class(w))
+               for w in model.group.elements]
+        assert chi == [1] * len(chi)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_constants_at_8_bits_are_the_64_bit_ones_or_fail_integrity(label):
+    """Over every pair (u, v), the 8-bit model's constants equal the 64-bit
+    model's, or its product or solve passes 2^7 and raises
+    ``IntegrityError``: a range error never yields a wrong constant.  A2
+    fits 8 bits everywhere; B2, G2 and A3 do not.  The ring's constants and
+    line tables come from recursions in plain ints, so they are the same
+    on either model."""
+    from kflag import IntegrityError, SchubertRing
+
+    narrow, wide = _model_at(label, 8), _model_at(label, 64)
+    small, big = SchubertRing(narrow), SchubertRing(wide)
+    fits = range_errors = 0
+    for (u, v), (x, y) in zip(_all_pairs(narrow.group), _all_pairs(wide.group)):
+        want = _by_index(wide.structure_constants(x, y))
+        assert _by_index(small.structure_constants(u, v)) == want
+        try:
+            got = narrow.structure_constants(u, v)
+        except IntegrityError as err:
+            assert str(err).endswith("out of the packed range 2^7")
+            range_errors += 1
+            continue
+        assert _by_index(got) == want
+        fits += 1
+    assert fits > 0 and (range_errors > 0) == (label != "A2")
+    for lam in _default_line_sweep(narrow.datum):
+        got = {v.index: _by_index(row) for v, row in small._line_table(lam).items()}
+        want = {v.index: _by_index(row) for v, row in big._line_table(lam).items()}
+        assert got == want, lam
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "G2"])
+def test_the_class_product_is_the_pointwise_reference_product(label, bits):
+    """On every ordered pair of rows (u, v), psi_u . psi_v holds the common
+    fixed points in element order, each with the product of the dict-based
+    reference, or it raises ``IntegrityError`` where a norm bound reaches
+    the width's range: at 8 bits on some pair of every group here but A2,
+    at 64 bits on none."""
+    from kflag import IntegrityError
+    from uni_reference import RefPoly
+
+    model = _model_at(label, bits)
+    rows = [model.specialized_schubert_class(w) for w in model.group.elements]
+    range_errors = 0
+    for f in rows:
+        for h in rows:
+            a, b = f.restrictions, h.restrictions
+            try:
+                got = (f * h).restrictions
+            except IntegrityError:
+                range_errors += 1
+                continue
+            assert list(got) == [x for x in a if x in b]
+            for x, p in got.items():
+                want = RefPoly(dict(a[x].terms)) * RefPoly(dict(b[x].terms))
+                assert dict(p.terms) == want.terms, (x, a[x], b[x])
+    assert (range_errors > 0) == (bits == 8 and label != "A2")
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_line_classes_at_8_bits_match_or_fail_integrity(label, engines):
+    """[L(lam)] over the default line sweep: the 8-bit model's integer
+    coefficients equal the multivariate route's, or its solve passes 2^7
+    and raises ``IntegrityError``, as it does on one weight of each group."""
+    from kflag import IntegrityError
+
+    m, narrow = engines.model(label), _model_at(label, 8)
+    range_errors = 0
+    for lam in _default_line_sweep(narrow.datum):
+        want = _by_index(reference(m, m.line_bundle_class(lam)))
+        try:
+            got = narrow.integer_coefficients(narrow.specialize(narrow.line_bundle_class(lam)))
+        except IntegrityError:
+            range_errors += 1
+            continue
+        assert _by_index(got) == want, lam
+    assert range_errors == 1
+
+
 # -- the packed build against the generic Demazure route ----------------------------
 
 
