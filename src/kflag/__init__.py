@@ -59,7 +59,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 
 def __getattr__(name: str):

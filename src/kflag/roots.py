@@ -277,6 +277,37 @@ def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     return total
 
 
+def _enumerate(start: int, steps, mask: int, n: int, max_size: int):
+    """Every w(rho) as a packed integer, sorted by (length, key), and its
+    length, by breadth-first search from ``start``.
+
+    Coordinate k of w(rho) is <rho, w^{-1}(alpha_k^vee)>, a coroot's height
+    up to sign, and a positive coroot of height h tops a chain of h positive
+    coroots, so every coordinate lies in [-n, n] for n positive roots.  A key
+    packs each coordinate plus n as one digit under ``mask``, coordinate 1
+    most significant, so integer order is the order of the key tuples.  With
+    ``steps`` the (shift, packed alpha_i) pairs, s_i subtracts digit i, less
+    n, times alpha_i.  s_i w is one longer than w exactly when that
+    coordinate is positive, so each level of the search is one length and
+    meets no element of another.
+    """
+    level, length = [start], 0
+    keys, lengths = [], []
+    while level:
+        keys += level
+        lengths += [length] * len(level)
+        fresh = set()
+        for u in level:
+            for shift, alpha in steps:
+                d = (u >> shift) & mask
+                if d > n:
+                    fresh.add(u - (d - n) * alpha)
+            if len(keys) + len(fresh) > max_size:
+                raise BoundExceededError(f"Weyl group exceeds the configured bound ({max_size})")
+        level, length = sorted(fresh), length + 1
+    return keys, lengths
+
+
 class WeylElement(FrozenRecord):
     """An element of one ``WeylGroup``, which builds each element once.
 
@@ -311,79 +342,61 @@ class WeylGroup:
 
     def __init__(self, datum: RootDatum, max_size: int = 10000):
         self.datum = datum
-        self._positive_set = frozenset(datum.positive_roots)
-        records = self._enumerate(max_size)
-        records.sort(key=lambda rec: (rec[1], rec[0]))
-        by_key = {rec[0]: idx for idx, rec in enumerate(records)}
         r = datum.rank
-        self._w_alpha = [rec[2] for rec in records]
-        # left[i-1][w]: index of s_i * w, via key(s_i w) = s_i(key(w)), which
-        # the enumeration has computed
-        self._left = [[by_key[rec[3][i]] for rec in records] for i in range(r)]
-        # right[i-1][w]: index of w * s_i, via key(w s_i) = key(w) - w(alpha_i)
-        self._right = [
-            [
-                by_key[tuple(k - a for k, a in zip(rec[0], rec[2][i - 1]))]
-                for rec in records
-            ]
-            for i in range(1, r + 1)
+        n = len(datum.positive_roots)
+        bits = (2 * n).bit_length()  # 2^bits > 2n; see _enumerate
+        mask = (1 << bits) - 1
+        shifts = [bits * (r - 1 - k) for k in range(r)]
+        steps = [(shifts[i], sum(datum.cartan[k][i] << shifts[k] for k in range(r)))
+                 for i in range(r)]  # (shift, packed alpha_i) of each s_i
+        start = sum((c + n) << shift for c, shift in zip(datum.rho, shifts))
+        keys, lengths = _enumerate(start, steps, mask, n, max_size)
+        index = {u: idx for idx, u in enumerate(keys)}
+        # left[i-1][w]: index of s_i * w, via key(s_i w) = s_i(key(w))
+        self._left = left = [
+            [index[u - (((u >> shift) & mask) - n) * alpha] for u in keys]
+            for shift, alpha in steps
         ]
-        lengths = [rec[1] for rec in records]
-        words = self._canonical_words(records, lengths)
+        words, inv = self._words_and_inverses(len(keys))
+        # right[i-1][w]: index of w * s_i = (s_i * w^{-1})^{-1}
+        self._right = [[inv[row[x]] for x in inv] for row in left]
+        coords = [[((u >> shift) & mask) - n for u in keys] for shift in shifts]
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(index=idx, word=words[idx], length=rec[1], key=rec[0])
-            for idx, rec in enumerate(records)
+            map(WeylElement, range(len(keys)), words, lengths, zip(*coords))
         )
         self.identity = self.elements[0]
         self.w_o = self.elements[-1]
-        if self.w_o.length != len(datum.positive_roots):
+        if self.w_o.length != n:
             raise IntegrityError("longest element length != number of positive roots")
         if self.w_o.key != tuple(-x for x in datum.rho):
             raise IntegrityError("w_o(rho) != -rho")
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
 
-    def _enumerate(self, max_size: int):
-        """One record (w(rho), length, w(alpha_1..r), s_1..r(w(rho))) per
-        element, by breadth-first search on left multiplication; the last
-        field is filled as the element leaves the frontier."""
-        datum = self.datum
-        r = datum.rank
-        rho = datum.rho
-        simples = tuple(datum.simple_root(i) for i in range(1, r + 1))
-        start = [rho, 0, simples, None]
-        seen = {rho: start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for rec in frontier:
-                key, length, w_alpha, _ = rec
-                rec[3] = reflected = [datum.reflect(i, key) for i in range(1, r + 1)]
-                for i, key2 in enumerate(reflected, 1):
-                    if key2 in seen:
-                        continue
-                    alpha2 = tuple([datum.reflect(i, a) for a in w_alpha])
-                    seen[key2] = new = [key2, length + 1, alpha2, None]
-                    fresh.append(new)
-                    if len(seen) > max_size:
-                        raise BoundExceededError(
-                            f"Weyl group exceeds the configured bound ({max_size})"
-                        )
-            frontier = fresh
-        return list(seen.values())
+    def _words_and_inverses(self, size: int):
+        """Lexicographically-minimal reduced words via greedy left descents,
+        and the index of each element's inverse.
 
-    def _canonical_words(self, records, lengths):
-        """Lexicographically-minimal reduced words via greedy left descents."""
-        words: list[tuple[int, ...] | None] = [None] * len(records)
-        words[0] = ()
-        r = self.datum.rank
-        for idx in range(1, len(records)):
-            length = lengths[idx]
-            for i in range(1, r + 1):
-                down = self._left[i - 1][idx]
-                if lengths[down] < length:
-                    words[idx] = (i,) + words[down]
+        s_i w is shorter than w exactly when its index is smaller.  For w =
+        s_i1 ... s_ik, w^{-1} = s_ik p^{-1} with p = s_i1 ... s_i(k-1), which
+        is the walk of the word through ``_left`` from the identity.  It is
+        memoized: w = s_i1 w' gives p = s_i1 p' and the same last letter
+        as w', and p is shorter than w, so its inverse is already known.
+        """
+        left = self._left
+        words: list[tuple[int, ...]] = [()]
+        pre, last, inv = [0] * size, [0] * size, [0] * size
+        for idx in range(1, size):
+            for i, row in enumerate(left):
+                down = row[idx]
+                if down < idx:
                     break
-        return words
+            words.append((i + 1,) + words[down])
+            if down:
+                last[idx], pre[idx] = last[down], row[pre[down]]
+            else:
+                last[idx] = i
+            inv[idx] = left[last[idx]][inv[pre[idx]]]
+        return words, inv
 
     # -- element access ------------------------------------------------
 
@@ -428,22 +441,25 @@ class WeylGroup:
         return self.elements[self._left[i - 1][w.index]]
 
     def root_image(self, w: WeylElement, i: int) -> Weight:
-        """w(alpha_i) in fundamental-weight coordinates."""
-        return self._w_alpha[w.index][i - 1]
+        """w(alpha_i) in fundamental-weight coordinates: w(rho) - w s_i(rho),
+        as s_i(rho) = rho - alpha_i."""
+        ws = self.elements[self._right[i - 1][w.index]]
+        return tuple([a - b for a, b in zip(w.key, ws.key)])
 
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
-        """l(w s_i) < l(w), i.e. w(alpha_i) is a negative root."""
-        return self._w_alpha[w.index][i - 1] not in self._positive_set
+        """l(w s_i) < l(w), i.e. w(alpha_i) is a negative root; index order
+        refines length."""
+        return self._right[i - 1][w.index] < w.index
 
     def has_left_descent(self, w: WeylElement, i: int) -> bool:
-        return self.elements[self._left[i - 1][w.index]].length < w.length
+        return self._left[i - 1][w.index] < w.index
 
     def apply(self, w: WeylElement, lam: Weight) -> Weight:
         return self.datum.act(w.word, lam)
 
     def inversion_count(self, w: WeylElement) -> int:
         """Number of positive roots sent to negative roots (equals length)."""
-        pos = self._positive_set
+        pos = frozenset(self.datum.positive_roots)
         return sum(
             1
             for beta in self.datum.positive_roots
@@ -467,12 +483,11 @@ class WeylGroup:
         got = memo.get((u_idx, w_idx))
         if got is not None:
             return got
-        i = next(
-            i for i in range(1, self.datum.rank + 1) if self.has_left_descent(w, i)
-        )
-        sw = self._left[i - 1][w_idx]
-        su = self._left[i - 1][u_idx]
-        if self.elements[su].length < u.length:
+        # the canonical word starts with the least left descent
+        left = self._left[w.word[0] - 1]
+        sw = left[w_idx]
+        su = left[u_idx]
+        if su < u_idx:
             out = self._bruhat(su, sw)
         else:
             out = self._bruhat(u_idx, sw)
@@ -502,10 +517,9 @@ class WeylGroup:
         longest = max(subgroup, key=lambda w: w.length)
         if sum(1 for w in subgroup if w.length == longest.length) != 1:
             raise IntegrityError("parabolic subgroup has no unique longest element")
+        rows = [self._right[i - 1] for i in idxs]
         reps = tuple(
-            w
-            for w in self.elements
-            if all(not self.has_right_descent(w, i) for i in idxs)
+            w for w in self.elements if all(row[w.index] > w.index for row in rows)
         )
         if len(reps) * len(subgroup) != len(self.elements):
             raise IntegrityError("coset representative count mismatch")

@@ -17,6 +17,8 @@ from kflag import (
 )
 from kflag.roots import _close_positive_roots, cartan_matrix
 
+from weyl_reference import reference_tables
+
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1,
     ("A", 2): 3,
@@ -151,8 +153,10 @@ def test_weyl_enumeration(letter, rank, engines):
     assert keys == sorted(keys)
 
 
-# SHA-256 of repr((_left, _right, _w_alpha, [(index, word, length, key)])),
-# as the group was enumerated when ``_left`` reflected every key a second time
+# SHA-256 of repr((_left, _right, root images, [(index, word, length, key)])),
+# as the group was enumerated when ``_left`` reflected every key a second time;
+# the root images are [(w(alpha_1), ..., w(alpha_r)) for each w], which the
+# group once stored and now computes on demand
 WEYL_TABLE_DIGESTS = {
     "A3": "57f681c08c3c9d9804f93b4fa9ce0bd7be9247e8be7fe91f93b2080c35a7eaec",
     "D4": "111bc5562a276d4d8f9edc284110fa33b279256ee151a809497aabf1b7e84b0e",
@@ -170,12 +174,67 @@ def test_weyl_tables_are_unchanged(label):
 
     d = build_root_datum(label[0], int(label[1:]))
     g = WeylGroup(d, max_size=51840)
-    tables = (g._left, g._right, g._w_alpha,
+    images = [tuple(g.root_image(w, i) for i in range(1, d.rank + 1)) for w in g.elements]
+    tables = (g._left, g._right, images,
               [(w.index, w.word, w.length, w.key) for w in g.elements])
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == WEYL_TABLE_DIGESTS[label]
     by_key = {w.key: w.index for w in g.elements}
     for i in range(1, d.rank + 1):
         assert g._left[i - 1] == [by_key[d.reflect(i, w.key)] for w in g.elements]
+
+
+# every (type, rank) with |W| <= 10,000
+SMALL_WEYL_TYPES = (
+    [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [pytest.param(build_root_datum(letter, rank), id=f"{letter}{rank}")
+     for letter, rank in SMALL_WEYL_TYPES]
+    + [pytest.param(root_datum_from_cartan(_block_cartan(("A", 1), ("B", 2), ("G", 2))),
+                    id="A1+B2+G2")],
+)
+def test_packed_enumeration_matches_the_tuple_route(datum):
+    """Keys, lengths, words and both multiplication tables equal those of
+    a breadth-first search on weight tuples, whose right table comes from
+    root images rather than inverses."""
+    g = WeylGroup(datum)
+    keys, lengths, words, left, right = reference_tables(datum)
+    assert [w.key for w in g.elements] == keys
+    assert [w.length for w in g.elements] == lengths
+    assert [w.word for w in g.elements] == words
+    assert g._left == left
+    assert g._right == right
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_right_descents_are_the_negative_root_images(label):
+    """has_right_descent(w, i) holds exactly when w(alpha_i), applied
+    through the word, is a negative root, and root_image is that root."""
+    d = build_root_datum(label[0], int(label[1:]))
+    g = WeylGroup(d)
+    positive = set(d.positive_roots)
+    negative = {tuple(-x for x in beta) for beta in d.positive_roots}
+    for w in g.elements:
+        for i in range(1, d.rank + 1):
+            image = d.act(w.word, d.simple_root(i))
+            assert g.root_image(w, i) == image
+            assert image in positive | negative
+            assert g.has_right_descent(w, i) == (image in negative)
+
+
+@pytest.mark.parametrize("label,order", [("G2", 12), ("D4", 192)])
+def test_weyl_bound_is_exact(label, order):
+    """max_size = |W| builds the group; one less raises."""
+    d = build_root_datum(label[0], int(label[1:]))
+    assert len(WeylGroup(d, max_size=order)) == order
+    message = rf"^Weyl group exceeds the configured bound \({order - 1}\)$"
+    with pytest.raises(BoundExceededError, match=message):
+        WeylGroup(d, max_size=order - 1)
 
 
 def test_a1_enumeration(engines):
