@@ -6,9 +6,11 @@ ring of G/P, its three companion bases, structure constants and
 line-bundle restriction coefficients, together with verification sweeps
 for the sign and positivity identities these objects satisfy.
 
-``LaurentPoly``, the weight-lattice ring, is imported on first use (a
-module ``__getattr__``), so a process that runs only the integer commands,
-as ``python -m kflag`` does, never loads ``kflag.laurent``.
+``LaurentPoly``, the weight-lattice ring, and ``UniPoly``, the
+one-variable ring, are imported on first use (a module ``__getattr__``).
+So a process that runs only the integer commands, as ``python -m kflag``
+does, never loads ``kflag.laurent``, and of those commands only ``verify``
+loads ``kflag.univariate``.
 """
 
 from .errors import (
@@ -31,7 +33,6 @@ from .roots import (
     root_datum_from_cartan,
     weyl_dimension,
 )
-from .univariate import UniPoly
 
 __all__ = [
     "BoundExceededError",
@@ -59,7 +60,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 
 def __getattr__(name: str):
@@ -67,4 +68,8 @@ def __getattr__(name: str):
         from .laurent import LaurentPoly
 
         return LaurentPoly
+    if name == "UniPoly":
+        from .univariate import UniPoly
+
+        return UniPoly
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

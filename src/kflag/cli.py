@@ -25,7 +25,6 @@ from .errors import (
 from .model import SchubertModel
 from .ring import SchubertRing, SignReport
 from .roots import RootDatum, WeylGroup, build_root_datum, cartan_matrix, root_datum_from_cartan
-from .univariate import UniPoly
 
 CACHE_SCHEMA_VERSION = 5
 CACHE_ENV_VAR = "KFLAG_CACHE_DIR"
@@ -175,14 +174,18 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
     }
 
 
+def _cache_path(cache_dir: str, datum: RootDatum) -> str:
+    return os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
+
+
 def cache_store(cache_dir: str, datum: RootDatum, group: WeylGroup, model: SchubertModel) -> str | None:
     """Write the Schubert restriction table through a unique temp file, so
     concurrent writers never interleave; failures warn and return None.
     Only a store needs ``tempfile``, so it is imported here."""
     import tempfile
 
-    name = f"schubert-table-{datum.label}.json"
-    path = os.path.join(cache_dir, name)
+    path = _cache_path(cache_dir, datum)
+    name = os.path.basename(path)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         # the sorted dump, the digest first; json.dumps runs the C encoder
@@ -209,8 +212,11 @@ def cache_load(cache_dir: str, datum: RootDatum, group: WeylGroup) -> list[dict]
     """Load a cached one-variable table; any mismatch recomputes (returns
     None) with one warning line.  Each pool value is packed once, and every
     entry that refers to it holds that one ``UniPoly``; a value that does
-    not fit its 64-bit digits fails integrity (exit 3)."""
-    path = os.path.join(cache_dir, f"schubert-table-{datum.label}.json")
+    not fit its 64-bit digits fails integrity (exit 3).  Only a load needs
+    ``kflag.univariate``, so it is imported here."""
+    from .univariate import UniPoly
+
+    path = _cache_path(cache_dir, datum)
     if not os.path.exists(path):
         return None
     try:
@@ -278,8 +284,12 @@ def _is_ref_row(row, points: int, values: int) -> bool:
 
 
 def _build_ring(args):
-    """The root datum, Weyl group and ring of checked arguments; the
-    one-variable table is read from, or written to, the cache if one is set."""
+    """The root datum, Weyl group and ring of checked arguments.
+
+    With a cache set, only ``verify``, the one command that reads the
+    one-variable table, loads the cache file, and it rewrites a file it
+    cannot use.  Every other command stores the table when the file is
+    missing, for a later ``verify``, and never opens one that is there."""
     if args.cartan is None:
         datum = build_root_datum(args.type, args.rank)
     else:
@@ -287,11 +297,14 @@ def _build_ring(args):
         datum = root_datum_from_cartan(args.cartan, label=f"custom-{digest}")
     group = WeylGroup(datum, max_size=args.max_weyl)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    table = None
-    if cache_dir:
+    table, store = None, False
+    if cache_dir and args.command == "verify":
         table = cache_load(cache_dir, datum, group)
+        store = table is None
+    elif cache_dir:
+        store = not os.path.exists(_cache_path(cache_dir, datum))
     model = SchubertModel(group, table=table)
-    if cache_dir and table is None:
+    if store:
         cache_store(cache_dir, datum, group, model)
     return datum, group, SchubertRing(model)
 
@@ -512,7 +525,8 @@ def _common_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mu", dest="mu", help="second weight for the line-identity recursion")
     parser.add_argument("--which", choices=["signs", "richardson", "line", "all"], default="all")
     parser.add_argument("--jobs", type=int, default=1, help="accepted, no effect (>= 1)")
-    parser.add_argument("--cache-dir", dest="cache_dir", help=f"cache directory (default ${CACHE_ENV_VAR})")
+    parser.add_argument("--cache-dir", dest="cache_dir",
+                        help=f"table cache directory (default ${CACHE_ENV_VAR}); only verify reads it")
     parser.add_argument("--max-weyl", dest="max_weyl", type=int, default=10000)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", help="write output to a file instead of stdout")

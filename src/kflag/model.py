@@ -8,7 +8,10 @@ pointwise; the pushforward to a point is the fixed-point sum, made
 computable in one variable by a generic cocharacter.
 
 ``kflag.laurent`` is imported (``_laurent``) only where a weight-lattice
-route runs, so the integer commands never load it.
+route runs, so no CLI command loads it, and ``kflag.univariate`` only
+where a model's one-variable ring is first read (``SchubertModel.poly``
+and ``_divexact``), so of the CLI commands only ``verify`` and a cache
+store load it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from .errors import (
     PoleAtOneError,
 )
 from .roots import RootDatum, WeylElement, WeylGroup, _eliminate
-from .univariate import UniPoly, poly_divexact
 
 
 def _laurent():
@@ -32,6 +34,19 @@ def _laurent():
     from .laurent import LaurentPoly
 
     return LaurentPoly
+
+
+#: the one-variable ring a model reads, by its name in ``kflag.univariate``
+_RING = {"poly": "UniPoly", "_divexact": "poly_divexact"}
+
+
+def __getattr__(name: str):
+    """``UniPoly`` and ``poly_divexact``, imported on first use."""
+    if name not in _RING.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import univariate
+
+    return getattr(univariate, name)
 
 
 class EquivClass:
@@ -159,14 +174,11 @@ class SchubertModel:
     and either is kept.
 
     Every one-variable value is packed at 64 bits: ``poly`` and
-    ``_divexact`` are ``UniPoly`` and ``poly_divexact``, and a norm bound
-    that reaches their range is an ``IntegrityError``.  A test that needs a
-    narrower ring's guards sets both on one instance before its table is
-    built.
+    ``_divexact`` are ``UniPoly`` and ``poly_divexact``, read from this
+    module on first use, and a norm bound that reaches their range is an
+    ``IntegrityError``.  A test that needs a narrower ring's guards sets
+    both on one instance before its table is built.
     """
-
-    poly = UniPoly
-    _divexact = staticmethod(poly_divexact)
 
     def __init__(self, group: WeylGroup, table: list[dict] | None = None):
         self.group = group
@@ -186,11 +198,17 @@ class SchubertModel:
         self._ed_tables: list = [None] * self.rank
 
     def __getattr__(self, name: str):
-        """The one-variable table ``_rows``, built on first read when none was given."""
-        if name != "_rows":
+        """The one-variable ring ``poly`` and ``_divexact`` and its table
+        ``_rows``, each set on first read unless the instance holds it."""
+        if name == "_rows":
+            value = self._specialized_table(self.cocharacter)
+        elif name in _RING:
+            # the module's name, imported on first use, or a wrapper set there
+            value = globals().get(_RING[name]) or __getattr__(_RING[name])
+        else:
             raise AttributeError(name)
-        self._rows = self._specialized_table(self.cocharacter)
-        return self._rows
+        setattr(self, name, value)
+        return value
 
     @cached_property
     def _right_steps(self) -> tuple[list[list[int]], list[int | None]]:

@@ -7,6 +7,7 @@ records are equal when they are of the same class and their fields are
 equal in order, and the repr lists the fields.  A ``FrozenRecord`` refuses
 assignment and hashes its fields; a mutable ``Record`` is unhashable.
 """
+from collections import deque
 
 
 class Record:
@@ -32,13 +33,30 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose fields are set once, by ``__init__``."""
+    """A record whose fields are set once, by ``__init__`` or, for many
+    records at once, by ``from_columns``.  Both write through the slot
+    descriptors' setters, which the refusing ``__setattr__`` does not
+    reach and which skip its per-call attribute lookup."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
+
+    @classmethod
+    def from_columns(cls, size: int, *columns) -> tuple:
+        """``size`` records, the i-th with fields ``columns[j][i]``, built
+        field by field: one C-level ``map`` of a slot setter per column, with
+        no ``__init__`` call.  A column may be any iterable."""
+        records = tuple(map(object.__new__, [cls] * size))
+        for set_field, column in zip(cls._setters, columns, strict=True):
+            deque(map(set_field, records, column), maxlen=0)
+        return records
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

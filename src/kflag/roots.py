@@ -361,8 +361,8 @@ class WeylGroup:
         # right[i-1][w]: index of w * s_i = (s_i * w^{-1})^{-1}
         self._right = [[inv[row[x]] for x in inv] for row in left]
         coords = [[((u >> shift) & mask) - n for u in keys] for shift in shifts]
-        self.elements: tuple[WeylElement, ...] = tuple(
-            map(WeylElement, range(len(keys)), words, lengths, zip(*coords))
+        self.elements: tuple[WeylElement, ...] = WeylElement.from_columns(
+            len(keys), range(len(keys)), words, lengths, zip(*coords)
         )
         self.identity = self.elements[0]
         self.w_o = self.elements[-1]

@@ -566,6 +566,17 @@ def _strip_timings(obj):
     return obj
 
 
+#: the one command that reads a cache file; the cache tests below load one
+#: through it, and compare its JSON with ``elapsed_ms`` removed
+A2_SIGNS = ("verify", "--type", "A", "--rank", "2", "--which", "signs")
+
+
+def run_a2_signs(capsys, *argv):
+    """(exit code, JSON without ``elapsed_ms`` or None, stderr) of ``A2_SIGNS``."""
+    code, obj, err = run_json(capsys, *A2_SIGNS, *argv)
+    return code, _strip_timings(obj), err
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ("verify", "--type", "A", "--rank", "2", "--which", "signs",
@@ -614,7 +625,7 @@ def test_cache_digest_mismatch_recomputes_with_warning(tmp_path, capsys):
 def test_cache_digest_covers_the_stored_bytes(tmp_path, capsys):
     """The digest is the SHA-256 of the file's bytes after its digest
     member.  The same payload stored with other separators decodes to the
-    same JSON but fails the digest, with one warning and a rewrite."""
+    same JSON but fails the digest: ``verify`` warns once and rewrites it."""
     cache = str(tmp_path / "cache")
     run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
     path = os.path.join(cache, "schubert-table-A2.json")
@@ -624,7 +635,7 @@ def test_cache_digest_covers_the_stored_bytes(tmp_path, capsys):
     assert data.startswith(head)
     assert hashlib.sha256(data[len(head):]).hexdigest() == payload["digest"]
     open(path, "w").write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    code, _, err = run_cli(capsys, "describe", "--type", "A", "--rank", "2", "--cache-dir", cache)
+    code, _, err = run_cli(capsys, *A2_SIGNS, "--cache-dir", cache)
     assert code == 0
     assert err.splitlines() == ["warning: cache digest mismatch; recomputing"]
     assert open(path, "rb").read() == data
@@ -753,9 +764,10 @@ def test_a_planted_row_moves_chi_at_k_but_not_at_k2(monkeypatch, capsys):
 
 def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
     """A digest-valid row with a coefficient of 2^63 cannot be packed
-    exactly: the constants command exits 3 with one message, no traceback."""
+    exactly: ``verify``, which loads it, exits 3 with one message, no
+    traceback."""
     cache = _a2_cache_with_row(tmp_path, capsys, [2**63])
-    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", cache)
+    code, out, err = run_cli(capsys, *A2_SIGNS, "--cache-dir", cache)
     assert code == 3
     assert out == ""
     assert err.startswith("integrity failure: ") and "Traceback" not in err
@@ -866,12 +878,11 @@ def test_cache_store_failure_removes_its_temp_file(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("body", ["[]", '"x"', "3", "null"])
 def test_cache_that_is_not_an_object_recomputes(tmp_path, capsys, monkeypatch, body):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    args = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
-    code, want, err = run_cli(capsys, *args)
+    code, want, err = run_a2_signs(capsys)
     assert code == 0 and not err
     path = tmp_path / "schubert-table-A2.json"
     path.write_text(body)
-    code, out, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    code, out, err = run_a2_signs(capsys, "--cache-dir", str(tmp_path))
     assert code == 0
     assert err.splitlines() == [
         "warning: cache malformed (not a JSON object); recomputing"
@@ -885,20 +896,16 @@ def test_unreadable_cache_recomputes(tmp_path, capsys, monkeypatch, body):
     """A cache file that is not UTF-8, or nests too deep to decode: one
     warning line, the output of a run with no cache, and a rewrite."""
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    args = ("describe", "--type", "A", "--rank", "2")
-    code, want, err = run_cli(capsys, *args)
+    code, want, err = run_a2_signs(capsys)
     assert code == 0 and not err
     path = tmp_path / "schubert-table-A2.json"
     path.write_bytes(body)
-    code, out, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    code, out, err = run_a2_signs(capsys, "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == want
     assert len(err.splitlines()) == 1
     assert err.startswith("warning: cache unreadable (") and err.endswith("; recomputing\n")
     assert json.loads(path.read_text())["schema_version"]
-
-
-A2_CONSTANTS = ("constants", "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
 
 
 def _a2_cache_with_row(tmp_path, capsys, coeffs) -> str:
@@ -1068,26 +1075,26 @@ def _recomputed_once(tmp_path, capsys, monkeypatch, mutate):
     warning line, the output of a run with no cache, and a rewrite that the
     next run reads without a warning."""
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    code, want, err = run_cli(capsys, *A2_CONSTANTS)
+    code, want, err = run_a2_signs(capsys)
     assert code == 0 and not err
-    run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    run_cli(capsys, *A2_SIGNS, "--cache-dir", str(tmp_path))
     path = tmp_path / "schubert-table-A2.json"
     payload = json.loads(path.read_text())
     mutate(payload)
     path.write_text(json.dumps(_recompute_digest(payload)))
-    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    code, out, err = run_a2_signs(capsys, "--cache-dir", str(tmp_path))
     assert code == 0
     assert len(err.splitlines()) == 1 and err.startswith("warning: cache ")
     assert err.endswith("; recomputing\n")
     assert out == want
-    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    code, out, err = run_a2_signs(capsys, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, want, "")
 
 
 def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     """A digest-valid A2 cache of an older schema: one warning, the output
     of a run with no cache, and a rewrite at schema 5."""
-    code, want, _ = run_cli(capsys, *A2_CONSTANTS)
+    code, want, _ = run_a2_signs(capsys)
     datum, group, _ = _a2_stack()
     payload = {
         "schema_version": version,
@@ -1097,7 +1104,7 @@ def _old_schema_file_is_recomputed(tmp_path, capsys, version, rows):
     }
     path = tmp_path / "schubert-table-A2.json"
     path.write_text(json.dumps(_recompute_digest(payload), sort_keys=True))
-    code, out, err = run_cli(capsys, *A2_CONSTANTS, "--cache-dir", str(tmp_path))
+    code, out, err = run_a2_signs(capsys, "--cache-dir", str(tmp_path))
     assert code == 0
     assert err.splitlines() == ["warning: cache schema version mismatch; recomputing"]
     assert out == want

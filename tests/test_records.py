@@ -49,6 +49,20 @@ def test_root_datum_is_a_frozen_value():
         RootDatum(*values, label="x")
 
 
+def test_from_columns_builds_what_the_constructor_builds():
+    """Records built a column at a time equal, and are as frozen as, those
+    of the constructor; a missing column is refused."""
+    d = build_root_datum("B", 2)
+    values = [getattr(d, name) for name in DATUM_FIELDS]
+    built = RootDatum.from_columns(2, *([v, v] for v in values))
+    assert built == (d, d) and built[0] is not built[1]
+    assert hash(built[0]) == hash(d)
+    for name in DATUM_FIELDS:
+        _refuses_assignment(built[0], name)
+    with pytest.raises(ValueError):
+        RootDatum.from_columns(1, *([v] for v in values[:-1]))
+
+
 def test_weyl_elements_compare_by_identity():
     g = WeylGroup(build_root_datum("A", 2))
     w = g.elements[3]

@@ -152,6 +152,7 @@ def test_integer_queries_never_build_the_laurent_table():
     assert model._schubert is None
 
 
+@pytest.mark.parametrize("via", ["--cache-dir", "KFLAG_CACHE_DIR"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -167,31 +168,75 @@ def test_integer_queries_never_build_the_laurent_table():
     ],
     ids=lambda argv: argv[0],
 )
-def test_integer_commands_never_build_the_laurent_table(argv, monkeypatch, capsys, tmp_path):
-    """No command builds the weight-lattice table.  With no cache only
-    ``verify`` builds the one-variable table; with one, the cold call
-    builds and writes it and the warm call reads it, with no warning."""
+def test_integer_commands_never_build_the_laurent_table(argv, via, monkeypatch, capsys, tmp_path):
+    """No command builds the weight-lattice table, and only ``verify``
+    reads the one-variable one.  With no cache only ``verify`` builds it.
+    With a cache set by ``via``, a cold call of any command builds and
+    writes the table, in the bytes ``verify`` writes.  Warm, ``verify``
+    loads the file and rewrites a corrupt one with one warning; every
+    other command calls no ``cache_load``, builds no table, writes nothing
+    to stderr and leaves the file as it was, corrupt or not."""
+    import kflag.cli
     from kflag import SchubertModel
     from kflag.cli import CACHE_ENV_VAR, main
 
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    models = []
-    init = SchubertModel.__init__
+    models, loads = [], []
+    init, load = SchubertModel.__init__, kflag.cli.cache_load
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
         models.append(self)
 
+    def spy_load(*args):
+        loads.append(load(*args))
+        return loads[-1]
+
     monkeypatch.setattr(SchubertModel, "__init__", spy)
-    full = [argv[0], "--type", "A", "--rank", "3", *argv[1:]]
-    assert main(full) == 0
-    assert ("_rows" in vars(models[0])) == (argv[0] == "verify")
-    # a cold and a warm call through the cache too
-    assert main([*full, "--cache-dir", str(tmp_path)]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["schubert-table-A3.json"]
-    assert main([*full, "--cache-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().err == ""
-    assert len(models) == 3
+    monkeypatch.setattr(kflag.cli, "cache_load", spy_load)
+    verify = argv[0] == "verify"
+    group = ["--type", "A", "--rank", "3"]
+    full = [argv[0], *group, *argv[1:]]
+
+    def run(cache_dir=None) -> str:
+        """One call, with ``cache_dir`` set through ``via``; its stderr."""
+        extra = []
+        if cache_dir is not None and via == "--cache-dir":
+            extra = ["--cache-dir", str(cache_dir)]
+        elif cache_dir is not None:
+            monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+        assert main([*full, *extra]) == 0
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        return capsys.readouterr().err
+
+    assert run() == ""
+    assert ("_rows" in vars(models[-1])) == verify
+    cold = tmp_path / "cold"
+    assert run(cold) == ""
+    assert [p.name for p in cold.iterdir()] == ["schubert-table-A3.json"]
+    path = cold / "schubert-table-A3.json"
+    table = path.read_bytes()
+    assert main(["verify", *group, "--which", "signs", "--cache-dir", str(tmp_path / "ref")]) == 0
+    assert (tmp_path / "ref" / "schubert-table-A3.json").read_bytes() == table
+    capsys.readouterr()
+    assert loads == [None] * (1 + verify)  # no file to load yet, then the reference's
+
+    loads.clear()
+    assert run(cold) == ""  # warm
+    assert path.read_bytes() == table
+    if verify:
+        assert len(loads) == 1 and loads[0] is not None and "_rows" in vars(models[-1])
+    else:
+        assert loads == [] and "_rows" not in vars(models[-1])
+
+    path.write_bytes(b"{not json")
+    err = run(cold)
+    if verify:
+        assert err.startswith("warning: cache unreadable (") and len(err.splitlines()) == 1
+        assert path.read_bytes() == table
+    else:
+        assert err == "" and path.read_bytes() == b"{not json"
+        assert loads == [] and "_rows" not in vars(models[-1])
     assert all(m._schubert is None for m in models)
 
 

@@ -37,10 +37,11 @@ def test_project_declares_no_dependencies():
 
 
 # modules the CLI imports only on the paths that use them: csv output, the
-# cache and --cartan digests, and the weight-lattice ring; dataclasses (with
-# inspect), fractions (with decimal) and multiprocessing not at all
+# cache and --cartan digests, the weight-lattice ring and the one-variable
+# ring; dataclasses (with inspect), fractions (with decimal) and
+# multiprocessing not at all
 LAZY_IMPORTS = ("multiprocessing", "csv", "hashlib", "dataclasses", "inspect", "fractions",
-                "decimal", "kflag.laurent")
+                "decimal", "kflag.laurent", "kflag.univariate")
 
 # what a whole integer command must still not have loaded when it is done
 NEVER_IMPORTED = ("kflag.laurent", "dataclasses", "fractions", "multiprocessing")
@@ -75,15 +76,48 @@ def test_an_integer_command_never_loads_the_weight_lattice_ring():
     assert _loaded_in_subprocess(code) == "0 []\n"
 
 
+def test_only_verify_loads_the_one_variable_ring():
+    """``describe``, ``constants``, ``parabolic-constants``, ``richardson``
+    and ``line-coeffs`` read no one-variable table, so a process that runs
+    all five has not loaded ``kflag.univariate``; ``verify`` loads it."""
+    commands = [
+        ["describe"],
+        ["constants", "--u", "1", "--v", "2,1"],
+        ["parabolic-constants", "--parabolic", "2", "--u", "1", "--v", "2,1"],
+        ["richardson", "--u", "1", "--v", "1,2"],
+        ["line-coeffs", "--v", "1,2", "--lambda", "1,-1"],
+        ["verify", "--which", "signs"],
+    ]
+    code = (
+        "import contextlib, io, sys, kflag.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = kflag.cli.main([argv[0], '--type', 'A', '--rank', '2', *argv[1:]])\n"
+        "    print(argv[0], code, 'kflag.univariate' in sys.modules)\n"
+    )
+    assert _loaded_in_subprocess(code).splitlines() == [
+        "describe 0 False", "constants 0 False", "parabolic-constants 0 False",
+        "richardson 0 False", "line-coeffs 0 False", "verify 0 True",
+    ]
+
+
 def test_every_public_name_resolves():
-    """``kflag.LaurentPoly`` is loaded on first use; every other name of
-    ``__all__`` resolves too, and an unknown one is an AttributeError."""
+    """``kflag.LaurentPoly`` and ``kflag.UniPoly`` are loaded on first use;
+    every other name of ``__all__`` resolves too, the model module's
+    ``UniPoly`` and ``poly_divexact`` resolve on first use, and an unknown
+    name is an AttributeError."""
     import kflag
+    import kflag.model
 
     for name in kflag.__all__:
         assert getattr(kflag, name).__name__ == name
     from kflag.laurent import LaurentPoly
+    from kflag.univariate import UniPoly, poly_divexact
 
     assert kflag.LaurentPoly is LaurentPoly
+    assert kflag.UniPoly is kflag.model.UniPoly is UniPoly
+    assert kflag.model.poly_divexact is poly_divexact
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kflag.model.no_such_name  # noqa: B018
     with pytest.raises(AttributeError, match="no_such_name"):
         kflag.no_such_name  # noqa: B018
