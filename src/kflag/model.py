@@ -135,9 +135,8 @@ def back_solve(elements, vec: dict, rows, divide) -> tuple[dict, dict]:
     ``rows(w)`` maps each u to the entry of basis vector w at u (pivot
     included) and ``divide(c, d)`` is the exact quotient, raising when there
     is none.  Returns the coordinates of ``vec`` and the residual left over.
-    The integer basis change and the weight-lattice expansion solve here;
-    one-variable classes go through the fused ``UniPoly.solve_at_one``,
-    which the tests check against this route.
+    The one triangular solve: the integer basis change, the weight-lattice
+    expansion and ``SchubertModel.integer_coefficients`` all run here.
     """
     residual = {w: c for w, c in vec.items() if c}
     coords = {}
@@ -166,12 +165,12 @@ class SchubertModel:
     changed afterwards; ``verify``, the cache and the public row readers
     read it, and no other integer command does.  Row w is held once, as
     a flat row {v.index: (shift, packed, bound)} with one tuple per coset
-    of w's right descents, which the build makes and the solve kernel
-    reads.  An injected table is sorted into element order and flattened
-    row by row on first read.  The table in the weight lattice is built on
-    the first ``schubert_class`` call and assigned whole.  So a model can
-    be shared across threads: at worst two threads make the same value,
-    and either is kept.
+    of w's right descents, which the build makes and the solve reads back
+    as ``UniPoly`` values.  An injected table is sorted into element order
+    and flattened row by row on first read.  The table in the weight
+    lattice is built on the first ``schubert_class`` call and assigned
+    whole.  So a model can be shared across threads: at worst two threads
+    make the same value, and either is kept.
 
     Every one-variable value is packed at 64 bits: ``poly`` and
     ``_divexact`` are ``UniPoly`` and ``poly_divexact``, read from this
@@ -372,18 +371,21 @@ class SchubertModel:
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
         """Integer Schubert-basis coefficients of f = ``specialize(g)``,
-        solved in Z[t, 1/t] by the fused kernel ``poly.solve_at_one``
-        against this model's rows.
+        solved in Z[t, 1/t] by ``back_solve`` against this model's rows,
+        keyed in descending element index, zero values omitted.
 
         Specialization commutes with the triangular solve, so the values at
         t = 1 equal ``expand_in_schubert_basis(g).specialized``.  A failed
         division or a nonzero residual raises, but one variable catches
         fewer classes outside the span than the multivariate route.
         """
-        elements = self.group.elements
-        residual = self.poly.flat_row({v.index: p for v, p in f.restrictions.items() if p})
-        values = self.poly.solve_at_one(range(len(elements)), residual, self._rows.__getitem__)
-        return {elements[w]: c for w, c in values.items()}
+        elements, poly, rows = self.group.elements, self.poly, self._rows
+        coords, residual = back_solve(range(len(elements)),
+                                      {v.index: p for v, p in f.restrictions.items()},
+                                      lambda w: poly.row_polys(rows[w]), self._divexact)
+        if residual:
+            raise NonzeroResidualError("expansion left a nonzero residual")
+        return {elements[w]: c for w, c in _values_at_one(coords).items()}
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Integer constants of [O_{X_u}] . [O_{X_v}]: the product of rows u

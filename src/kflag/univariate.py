@@ -22,12 +22,13 @@ implementation below; the tests also build an 8-bit ring, whose range
 small groups reach, to drive every guard.  Values of two widths never mix:
 an operation between them raises ``TypeError``.
 
-Two loops run on flat rows (``flat_row``), the Schubert table's one form:
-dicts key -> (shift, packed, bound), a model's keyed by element index.
-They keep the bounds and guards of the method path they fuse:
-``demazure_step``, one divided difference of the build, and
-``solve_at_one``, the triangular solve.  ``digits`` is the one
-balanced-digit decoder, used by the loops, ``coefficients``, ``terms`` and
+The Schubert table is held as flat rows (``flat_row``): dicts key ->
+(shift, packed, bound), a model's keyed by element index.  One loop runs on
+them, ``demazure_step``, one divided difference of the build, with the
+bounds and guards of the method path it fuses; readers take a row's
+entries back as ``UniPoly`` values by ``row_polys``, and the triangular
+solve is ``model.back_solve`` over them.  ``digits`` is the one
+balanced-digit decoder, used by the loop, ``coefficients``, ``terms`` and
 ``poly_divexact``.
 """
 from __future__ import annotations
@@ -36,7 +37,7 @@ import struct
 from functools import cache
 from types import MappingProxyType
 
-from .errors import IntegrityError, NonzeroResidualError, NotDivisibleError
+from .errors import IntegrityError, NotDivisibleError
 
 DIGIT_BITS = 64  # the width of ``UniPoly``
 
@@ -308,10 +309,10 @@ def _packed(bits: int):
             raise out_of_range(norm * b._bound)
         return make(a._shift - b._shift, q, norm)
 
-    # -- flat rows: the Schubert table as the build and the kernels read it -------
+    # -- flat rows: the Schubert table as the build makes and stores it -------
 
     def flat_row(polys: dict) -> dict:
-        """A row of a triangular basis as the kernels read it: key ->
+        """A row of a triangular basis as the build keeps it: key ->
         (shift, packed, bound) for each item of ``polys`` (key -> ``UniPoly``
         of this width, nonzero), in its order."""
         for p in polys.values():
@@ -392,78 +393,7 @@ def _packed(bits: int):
             out[v] = (s - ds, q, norm)
         return out
 
-    def solve_at_one(elements, residual: dict, rows) -> dict:
-        """The values at t = 1 of the coordinates of a vector against a
-        unitriangular basis, zero values omitted: ``model.back_solve`` with
-        ``poly_divexact`` fused into one loop over packed integers.
-
-        ``elements`` lists the basis keys (a model's element indices) in an
-        order refining Bruhat order, ``rows(w)`` is vector w as a flat row,
-        pivot included, and ``residual``, the vector as nonzero (shift,
-        packed, bound) triples, is used up.  Every bound is the method
-        path's, checked in its order: the quotient certificate, then for
-        each row entry in order, the product and the difference bound.  So
-        this raises where ``back_solve`` would: ``NotDivisibleError`` for an
-        inexact pivot, ``IntegrityError`` for a bound out of range, and
-        ``NonzeroResidualError`` if anything is left over.  No quotient is
-        built as a ``UniPoly``: its value at t = 1 is ``eval_at_one``'s
-        residue.
-        """
-        values = {}
-        get = residual.get
-        for w in reversed(elements):
-            c = get(w)
-            if c is None:
-                continue
-            row = rows(w)
-            ps, px, pb = row[w]
-            s, x, c_bound = c
-            if not x & mask:
-                s, x = strip(s, x)
-            q, r = divmod(x, px)
-            if r:
-                raise NotDivisibleError("univariate division is not exact")
-            qb = sum(map(abs, digits(q)))
-            if qb * pb >= half:
-                raise out_of_range(qb * pb)
-            value = q % mask
-            if value:
-                values[w] = value - mask if value > mask >> 1 else value
-            qs = s - ps
-            for u, (ms, mx, mb) in row.items():
-                b = qb * mb
-                if b >= half:
-                    raise out_of_range(b)
-                if u == w:  # the certified quotient cancels c: only the guard is left
-                    b += c_bound
-                    if b >= half:
-                        raise out_of_range(b)
-                    del residual[w]
-                    continue
-                ms += qs
-                mx *= q
-                old = get(u)
-                if old is None:
-                    residual[u] = (ms, -mx, b)
-                    continue
-                old_s, old_x, old_b = old
-                b += old_b
-                if b >= half:
-                    raise out_of_range(b)
-                d = ms - old_s
-                if d >= 0:
-                    n = old_x - (mx << (bits * d))
-                else:
-                    old_s, n = ms, (old_x << (bits * -d)) - mx
-                if n:
-                    residual[u] = (old_s, n, b)
-                else:
-                    del residual[u]
-        if residual:
-            raise NonzeroResidualError("expansion left a nonzero residual")
-        return values
-
-    for fn in (digits, flat_row, row_polys, demazure_step, solve_at_one):
+    for fn in (digits, flat_row, row_polys, demazure_step):
         setattr(UniPoly, fn.__name__, staticmethod(fn))
     return UniPoly, poly_divexact
 

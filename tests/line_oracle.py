@@ -20,7 +20,7 @@ from kflag import LineReport
 def public_line_table(model, lam) -> dict:
     """[L(lam)] . [O_{X_v}] over the Schubert basis for every v: the
     specialized line class times row v of the one-variable table, solved
-    by ``integer_coefficients`` (redone at 64 bits where it does not fit)."""
+    by ``integer_coefficients``."""
     line = model.specialize(model.line_bundle_class(lam))
     return {v: model.integer_coefficients(line * model.specialized_schubert_class(v))
             for v in model.group.elements}

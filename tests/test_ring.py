@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kflag import ConfigError, IntegrityError, RootDatum, SchubertModel, UniPoly
+from kflag import ConfigError, IntegrityError, RootDatum, SchubertModel
 from kflag.ring import (
     IDEAL_BASIS,
     O_BASIS,
@@ -588,9 +588,9 @@ def test_no_line_table_is_solved(engines, monkeypatch):
     from kflag.cli import _default_line_sweep
 
     calls = []
-    solve = UniPoly.solve_at_one
-    monkeypatch.setattr(UniPoly, "solve_at_one",
-                        staticmethod(lambda *args: calls.append(args) or solve(*args)))
+    solve = SchubertModel.integer_coefficients
+    monkeypatch.setattr(SchubertModel, "integer_coefficients",
+                        lambda *args: calls.append(args) or solve(*args))
     ring = SchubertRing(engines.model("D4"))
     sweep = _default_line_sweep(ring.datum)
     for lam in sweep:
@@ -797,13 +797,27 @@ def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
 # -- the Demazure recursion against the solve ----------------------------------------------
 
 
-def _mismatches(ring, pairs) -> list:
+_SOLVED = {}  # (group, u.index, v.index) -> the model's solve of (u, v), unpatched
+
+
+def _solved(model, u, v) -> dict:
+    """``model.structure_constants(u, v)``, solved once per group and pair
+    for every test that compares with it; a test that patches a rule passes
+    ``SchubertModel.structure_constants`` instead, so that it solves its own."""
+    key = model.group, u.index, v.index
+    got = _SOLVED.get(key)
+    if got is None:
+        got = _SOLVED[key] = model.structure_constants(u, v)
+    return got
+
+
+def _mismatches(ring, pairs, solve=_solved) -> list:
     """The pairs (u, v), in either order, whose column of the walk differs
-    from the solve of (u, v).  Both orders are held against one solve, so
-    an empty list also shows that the columns commute."""
+    from the solve of (u, v), ``solve(model, u, v)``.  Both orders are held
+    against one solve, so an empty list also shows that the columns commute."""
     wanted = {}
     for u, v in pairs:
-        want = {w.index: c for w, c in ring.model.structure_constants(u, v).items()}
+        want = {w.index: c for w, c in solve(ring.model, u, v).items()}
         wanted.setdefault(v.index, []).append((u, v, want))
         wanted.setdefault(u.index, []).append((v, u, want))
     return [(a.word, b.word) for index, column in _columns(ring, wanted)
@@ -824,16 +838,17 @@ def test_the_walk_equals_the_solve_on_a_sample(engines, label, seed):
     assert _mismatches(SchubertRing(engines.model(label)), pairs) == []
 
 
-def recursion_mismatches(model, pairs, both_orders: bool = True) -> list:
+def recursion_mismatches(model, pairs, both_orders: bool = True, solve=_solved) -> list:
     """The pairs (u, v) whose constants by ``structure_constants`` of a
     fresh ring (the recursion down the shorter factor, key order
     included) or, with ``both_orders``, by ``_pair_product`` down the
-    longer factor differ from the model's solve, or whose solved constants
-    do not sum to chi(psi_u psi_v) = [w_o u <= v].  A pair whose recursion
-    fails its own sum check counts as a mismatch."""
+    longer factor differ from the model's solve, ``solve(model, u, v)``,
+    or whose solved constants do not sum to chi(psi_u psi_v) =
+    [w_o u <= v].  A pair whose recursion fails its own sum check counts
+    as a mismatch."""
     group, bad = model.group, []
     for u, v in pairs:
-        want = model.structure_constants(u, v)
+        want = solve(model, u, v)
         by_index = {w.index: c for w, c in want.items()}
         short, long = sorted((u.index, v.index))
         try:
@@ -912,14 +927,16 @@ def _e_after_d_by_min(model, i):
 def test_the_a3_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
     model = _fresh_model(engines, "A3")
     _MUTATIONS[mutation](monkeypatch)
-    assert _mismatches(SchubertRing(model), _all_pairs(model.group))
+    assert _mismatches(SchubertRing(model), _all_pairs(model.group),
+                       SchubertModel.structure_constants)
 
 
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_the_a3_recursion_equality_catches_a_broken_rule(engines, monkeypatch, mutation):
     model = _fresh_model(engines, "A3")
     _MUTATIONS[mutation](monkeypatch)
-    assert recursion_mismatches(model, _all_pairs(model.group))
+    assert recursion_mismatches(model, _all_pairs(model.group),
+                                solve=SchubertModel.structure_constants)
 
 
 def _plant_e_row(model) -> None:

@@ -734,77 +734,14 @@ def test_the_walk_on_a_narrow_model_equals_the_wide_solve(monkeypatch):
                for cs in walked._sc_memo.values() for w in cs)
 
 
-# -- the fused solve kernel against the method path --------------------------------
-
-
-def _method_solve(elements, vec: dict, rows, divide) -> dict:
-    """The route ``UniPoly.solve_at_one`` fuses: ``back_solve`` with the
-    ring's exact division, then each value at t = 1."""
-    from kflag import NonzeroResidualError
-    from kflag.model import _values_at_one, back_solve
-
-    coords, residual = back_solve(elements, vec, rows, divide)
-    if residual:
-        raise NonzeroResidualError("expansion left a nonzero residual")
-    return _values_at_one(coords)
-
-
-def _outcome(solve, *args):
-    """The values as a list in solve order, or the error's type and message
-    as a tuple."""
-    from kflag import KflagError
-
-    try:
-        return list(solve(*args).items())
-    except (KflagError, TypeError) as exc:
-        return type(exc), str(exc)
-
-
-def _both_routes(ring, elements, vec: dict, rows, flat_rows=None):
-    """(kernel, method path) outcomes of one solve in ``ring``, a
-    ``(UniPoly, poly_divexact)`` pair of one width.  The method path reads
-    ``rows(w)``, a dict, and the kernel ``flat_rows(w)``, by default that
-    dict made a flat row, in its order.  The kernel takes ``vec`` as the
-    (shift, packed, bound) triples of its nonzero values, each first added
-    to the ring's zero, which raises the ring's ``TypeError`` for a value
-    of another width as the method path's division does."""
-    poly, divide = ring
-    if flat_rows is None:
-        def flat_rows(w):
-            return poly.flat_row(rows(w))
-
-    def kernel():
-        residual = {}
-        for w, p in vec.items():
-            p = poly.zero() + p
-            if p:
-                residual[w] = p._shift, p._packed, p._bound
-        return poly.solve_at_one(elements, residual, flat_rows)
-
-    return _outcome(kernel), _outcome(_method_solve, elements, vec, rows, divide)
-
-
-def _model_routes(model, vec: dict, elements=None):
-    """Both outcomes of solving ``vec`` against the model's rows, over the
-    group's elements unless others are given, keyed by element index as the
-    model solves: the kernel reads the flat rows the model solves with, the
-    method path their classes, whose entries are in the same order
-    (``test_every_row_is_in_element_order``)."""
-    g = model.group
-
-    def rows(w):
-        cls = model.specialized_schubert_class(g.elements[w])
-        return {v.index: p for v, p in cls.restrictions.items()}
-
-    return _both_routes((model.poly, model._divexact),
-                        [w.index for w in (g.elements if elements is None else elements)],
-                        {v.index: p for v, p in vec.items()}, rows, model._rows.__getitem__)
+# -- the one triangular solve, at 8 and 64 bits ------------------------------------
 
 
 def _solve_inputs(model):
-    """Every product psi_a . psi_b with a <= b, and every row product of the
-    line tables of omega_1, rho and -rho, at the model's width; a product
-    that passes the width's range is no input and is left out."""
+    """(n, psi_a . psi_b) for every a <= b, then (n, row product) for the
+    line tables of omega_1, rho and -rho, at the model's width, n counting
+    the inputs in that order; a product that passes the width's range is
+    no input and is left out."""
     from kflag import IntegrityError
     from kflag.model import _monomial_t
 
@@ -814,94 +751,93 @@ def _solve_inputs(model):
     for lam in (model.datum.fundamental_weight(1), rho, tuple(-x for x in rho)):
         lclass = model.line_bundle_class(lam, _monomial_t(model.cocharacter, model.poly))
         factors += [(lclass, psi(v)) for v in g.elements]
-    for a, b in factors:
+    for n, (a, b) in enumerate(factors):
         try:
-            yield a * b
+            yield n, a * b
         except IntegrityError:
             pass
 
 
-@pytest.mark.parametrize("bits", [8, 64])
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "G2"])
-def test_the_solve_kernel_matches_the_method_path(label, bits):
-    """On every product and line row the kernel returns the method path's
-    values in its order, or raises its error with its message: the guards
-    run on the same bounds in the same order.  At 8 bits some solves pass
-    the range, so both routes' range errors are compared too (1,072 solves
-    over the eight cases, 202 of them range errors)."""
+def test_the_8_bit_solve_is_the_64_bit_one_or_fails_integrity(label, engines):
+    """On every product and line row that fits 8 bits, the 8-bit model's
+    ``integer_coefficients`` gives the 64-bit model's values in its key
+    order, or a bound passes 2^7 and raises ``IntegrityError``: a range
+    error never yields a wrong value.  A2 fits 8 bits everywhere; A3, B2
+    and G2 do not (487 solves over the four groups, 202 of them range
+    errors)."""
     from kflag import IntegrityError
 
-    model = _model_at(label, bits)
-    assert model.poly.DIGIT_BITS == bits
+    narrow, wide = _model_at(label, 8), engines.model(label)
+    size = len(wide.group.elements)
+    wanted = dict(_solve_inputs(wide))
+    assert len(wanted) == size * (size + 7) // 2  # every input fits 64 bits
     solves = range_errors = 0
-    for prod in _solve_inputs(model):
-        got, want = _model_routes(model, prod.restrictions)
-        assert got == want
+    for n, prod in _solve_inputs(narrow):
+        want = _by_index(wide.integer_coefficients(wanted[n]))
         solves += 1
-        range_errors += type(want) is tuple and want[0] is IntegrityError
-    assert solves > len(model.group.elements) ** 2 // 2
-    # A2 fits 8 bits everywhere; A3, B2 and G2 do not
-    assert (range_errors > 0) == (bits == 8 and label != "A2")
+        try:
+            got = narrow.integer_coefficients(prod)
+        except IntegrityError as err:
+            assert str(err).endswith("out of the packed range 2^7")
+            range_errors += 1
+            continue
+        assert list(_by_index(got).items()) == list(want.items())
+    assert solves > size ** 2 // 2
+    assert (range_errors > 0) == (label != "A2")
 
 
-def test_the_solve_kernel_matches_the_method_path_on_a_d4_sample(engines):
-    """500 D4 pairs (u, v), drawn with a fixed seed: the kernel on the
-    model's flat rows gives ``back_solve``'s values in its order."""
-    import random
-
-    model, g = engines.model("D4"), engines.group("D4")
-    rng = random.Random(4)
-    psi = model.specialized_schubert_class
-    for _ in range(500):
-        u, v = rng.choice(g.elements), rng.choice(g.elements)
-        got, want = _model_routes(model, (psi(u) * psi(v)).restrictions)
-        assert got == want and type(want) is list
-
-
-def test_the_solve_kernel_raises_as_the_method_path_does(engines):
-    """An inexact pivot, a vector outside the span of the rows it is solved
-    against, and a value of the other width raise the same errors on both
-    routes."""
+def test_the_solve_raises_on_a_class_outside_the_span(engines):
+    """An inexact pivot, a vector the rows do not span and a value of the
+    other width each raise from ``integer_coefficients``."""
     from kflag import NonzeroResidualError
+    from kflag.model import back_solve
     from kflag.univariate import _packed
 
     m, g = engines.model("A2"), engines.group("A2")
     # 1 at e: its pivot is the point class's restriction, a product of binomials
-    got, want = _model_routes(m, {g.identity: m.poly.one()})
-    assert got == want and want[0] is NotDivisibleError
-    # the rows of every element but e do not span the point class
-    point = m.specialized_schubert_class(g.identity).restrictions
-    got, want = _model_routes(m, point, g.elements[1:])
-    assert got == want and want[0] is NonzeroResidualError
-    got, want = _model_routes(m, {g.w_o: _packed(8)[0].one()})  # 8 bits against 64
-    assert got == want and want[0] is TypeError
+    with pytest.raises(NotDivisibleError, match="univariate division is not exact"):
+        m.integer_coefficients(EquivClass(m.rank, {g.identity: m.poly.one()}))
+    # the rows of every element but e do not span the point class: the
+    # solve leaves it whole, and a point past A2's six is never solved
+    point = {v.index: p for v, p in m.specialized_schubert_class(g.identity).restrictions.items()}
+    coords, residual = back_solve(range(1, len(g.elements)), point,
+                                  lambda w: m.poly.row_polys(m._rows[w]), m._divexact)
+    assert coords == {} and residual == point
+    far = engines.group("A3").w_o
+    with pytest.raises(NonzeroResidualError, match="expansion left a nonzero residual"):
+        m.integer_coefficients(EquivClass(m.rank, {far: m.poly.one()}))
+    with pytest.raises(TypeError, match="a 64-bit UniPoly does not combine with a 8-bit UniPoly"):
+        m.integer_coefficients(EquivClass(m.rank, {g.w_o: _packed(8)[0].one()}))
 
 
-@pytest.mark.parametrize("vec, rows", [
+@pytest.mark.parametrize("vec, rows, guard", [
     # 2 x 100 at a, where nothing is left to subtract from: the product guard
-    ({"b": 2}, {"a": {"a": 1}, "b": {"b": 1, "a": 100}}),
+    ({"b": 2}, {"a": {"a": 1}, "b": {"b": 1, "a": 100}}, "__mul__"),
     # 2 x 50 fits, but 50 - 100 at a does not: the difference guard
-    ({"b": 2, "a": 50}, {"a": {"a": 1}, "b": {"b": 1, "a": 50}}),
+    ({"b": 2, "a": 50}, {"a": {"a": 1}, "b": {"b": 1, "a": 50}}, "__sub__"),
     # 60 (1 + t) over 1 + t: the quotient fits, but the pivot's own
     # difference, whose value is 0, has the bound 120 + 120
-    ({"b": {0: 60, 1: 60}}, {"a": {"a": 1}, "b": {"b": {0: 1, 1: 1}}}),
+    ({"b": {0: 60, 1: 60}}, {"a": {"a": 1}, "b": {"b": {0: 1, 1: 1}}}, "__sub__"),
 ])
-def test_each_guard_of_the_solve_kernel_fires_where_the_method_path_does(vec, rows):
-    """Two-element systems at 8 bits, each past the range 2^7 at one guard
-    the corpus inputs seldom reach first."""
+def test_each_guard_of_the_solve_fires_at_8_bits(vec, rows, guard):
+    """Two-element systems solved by ``back_solve`` in the 8-bit ring, each
+    past the range 2^7 at one guard the corpus inputs seldom reach first."""
     from kflag import IntegrityError
+    from kflag.model import back_solve
     from kflag.univariate import _packed
 
-    ring = _packed(8)
-    poly = ring[0]
+    poly, divide = _packed(8)
 
     def packed(c):
         return poly(c if isinstance(c, dict) else {0: c})
 
     vec = {w: packed(c) for w, c in vec.items()}
     rows = {w: {u: packed(c) for u, c in row.items()} for w, row in rows.items()}
-    got, want = _both_routes(ring, ["a", "b"], vec, rows.__getitem__)
-    assert got == want and want[0] is IntegrityError
+    message = r"^coefficient bound 2\^7 is out of the packed range 2\^7$"
+    with pytest.raises(IntegrityError, match=message) as info:
+        back_solve(["a", "b"], vec, rows.__getitem__, divide)
+    assert info.traceback[-1].name == guard
 
 
 def test_the_integer_path_builds_no_polynomial_product(monkeypatch):
