@@ -787,6 +787,40 @@ def test_the_8_bit_solve_is_the_64_bit_one_or_fails_integrity(label, engines):
     assert (range_errors > 0) == (label != "A2")
 
 
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "G2"])
+def test_the_64_bit_solve_of_each_line_row_is_the_multivariate_one(label, engines):
+    """The line rows of ``_solve_inputs`` at 64 bits: L(lam) . psi_v for
+    lam = omega_1, rho and -rho solves to the multivariate route's values,
+    keyed in descending element index."""
+    from kflag.model import _monomial_t
+
+    m, g = engines.model(label), engines.group(label)
+    rho = m.datum.rho
+    for lam in (m.datum.fundamental_weight(1), rho, tuple(-x for x in rho)):
+        lclass = m.line_bundle_class(lam, _monomial_t(m.cocharacter, m.poly))
+        assert lclass == m.specialize(m.line_bundle_class(lam))
+        for v in g.elements:
+            got = m.integer_coefficients(lclass * m.specialized_schubert_class(v))
+            assert got == reference(m, m.line_bundle_class(lam) * m.schubert_class(v))
+            keys = [w.index for w in got]
+            assert keys == sorted(keys, reverse=True)
+
+
+def test_the_solve_on_a_d4_sample_is_the_ring_recursion(engines):
+    """500 D4 pairs (u, v), drawn with a fixed seed: the solve of
+    psi_u . psi_v gives ``SchubertRing``'s recursion's constants in its
+    key order."""
+    import random
+
+    m, g, r = engines.model("D4"), engines.group("D4"), engines.ring("D4")
+    rng = random.Random(4)
+    psi = m.specialized_schubert_class
+    for _ in range(500):
+        u, v = rng.choice(g.elements), rng.choice(g.elements)
+        got = m.integer_coefficients(psi(u) * psi(v))
+        assert list(got.items()) == list(r.structure_constants(u, v).items())
+
+
 def test_the_solve_raises_on_a_class_outside_the_span(engines):
     """An inexact pivot, a vector the rows do not span and a value of the
     other width each raise from ``integer_coefficients``."""
