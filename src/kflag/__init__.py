@@ -60,7 +60,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 
 def __getattr__(name: str):

@@ -148,19 +148,9 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
     along the rows; ``rows[w] = [v_0, i_0, v_1, i_1, ...]``, by v.index as the
     model keeps it, says class w restricts at fixed point v_j to values[i_j].
     Only the pool is decoded: one value stands for every entry equal to it."""
-    refs: dict[tuple[int, int], int] = {}  # (shift, packed) -> index in the pool
-    pool: list[tuple[int, int, int]] = []
-    rows = []
-    for w in range(len(group.elements)):
-        row = []
-        for v, (shift, packed, bound) in model._rows[w].items():
-            i = refs.get((shift, packed))
-            if i is None:
-                i = refs[shift, packed] = len(pool)
-                pool.append((shift, packed, bound))
-            row += (v, i)
-        rows.append(row)
-    polys = model.poly.row_polys(dict(enumerate(pool))).values()
+    refs: dict = {}  # UniPoly -> its index in the pool, in order of first use
+    rows = [[x for v, p in model._rows[w].items() for x in (v, refs.setdefault(p, len(refs)))]
+            for w in range(len(group.elements))]
     return {
         "schema_version": CACHE_SCHEMA_VERSION,
         "group": {
@@ -169,7 +159,7 @@ def _table_to_payload(datum: RootDatum, group: WeylGroup, model: SchubertModel) 
             "cartan": [list(r) for r in datum.cartan],
         },
         "elements": [list(w.word) for w in group.elements],
-        "values": [list(p.coefficients()) for p in polys],
+        "values": [list(p.coefficients()) for p in refs],
         "rows": rows,
     }
 

@@ -164,13 +164,13 @@ class SchubertModel:
     class, is built on first read (or injected from a cache) and never
     changed afterwards; ``verify``, the cache and the public row readers
     read it, and no other integer command does.  Row w is held once, as
-    a flat row {v.index: (shift, packed, bound)} with one tuple per coset
-    of w's right descents, which the build makes and the solve reads back
-    as ``UniPoly`` values.  An injected table is sorted into element order
-    and flattened row by row on first read.  The table in the weight
-    lattice is built on the first ``schubert_class`` call and assigned
-    whole.  So a model can be shared across threads: at worst two threads
-    make the same value, and either is kept.
+    {v.index: UniPoly} with one value object per coset of w's right
+    descents, and every reader takes the values as they are.  An injected
+    table is sorted into element order and keyed by index row by row on
+    first read.  The table in the weight lattice is built on the first
+    ``schubert_class`` call and assigned whole.  So a model can be shared
+    across threads: at worst two threads make the same value, and either
+    is kept.
 
     Every one-variable value is packed at 64 bits: ``poly`` and
     ``_divexact`` are ``UniPoly`` and ``poly_divexact``, read from this
@@ -188,7 +188,7 @@ class SchubertModel:
         if table is not None:
             if len(table) != len(group.elements):
                 raise IntegrityError("restriction table has wrong size")
-            self._rows = _LazyRows(lambda i: self._flat_row(group.elements[i], table[i]))
+            self._rows = _LazyRows(lambda i: self._injected_row(group.elements[i], table[i]))
         self._schubert: list[EquivClass] | None = None
         # for the e_i of ``ring._columns`` and ``ring._pair_product``: the
         # integer line rows l_nu psi_v by (nu, v.index), nu a root or 0, and
@@ -217,12 +217,12 @@ class SchubertModel:
         return partners, [next((i for i, p in enumerate(partners) if p[v] < v), None)
                           for v in range(len(self.group.elements))]
 
-    def _flat_row(self, w: WeylElement, polys: dict) -> dict:
-        """Row w of an injected table as a flat row in element order; a row
-        without its pivot is no row of a unitriangular table."""
+    def _injected_row(self, w: WeylElement, polys: dict) -> dict:
+        """Row w of an injected table by element index, in element order; a
+        row without its pivot is no row of a unitriangular table."""
         if w not in polys:
             raise IntegrityError(f"restriction table row {list(w.word)} has no pivot")
-        return self.poly.flat_row(dict(sorted((v.index, p) for v, p in polys.items())))
+        return dict(sorted((v.index, p) for v, p in polys.items()))
 
     # -- class constructors -----------------------------------------------
 
@@ -285,7 +285,7 @@ class SchubertModel:
 
     def _specialized_table(self, k) -> list[dict]:
         """Every Schubert class under e^lam -> t^<lam, k>, for a regular k,
-        packed by ``poly``, as flat rows by w.index.
+        packed by ``poly``, as rows {v.index: value} by w.index.
 
         Specialization is a ring homomorphism that sends each divisor
         1 - e^{v(alpha_i)} to 1 - t^h with h != 0, so it commutes with D_i:
@@ -299,7 +299,7 @@ class SchubertModel:
         Kostant-Kumar 1990), and the image of D_j is right s_j-invariant.
         So psi_w is right invariant under W_J, J the right descents of w:
         the step divides once per coset v W_J in [e, w], at its minimal
-        point (``_coset_minima``, made once per J), and shares that tuple.
+        point (``_coset_minima``, made once per J), and shares that value.
         Guards run there only: where the generic route fits the width, this
         table equals it, integer for integer and bound for bound, and where
         this build raises, the generic route raises too.  The converse can
@@ -311,7 +311,7 @@ class SchubertModel:
         degrees = [_degree(v.key, k) for v in elements]
         point = self._point_class(_monomial_t(k, poly)).restrictions[group.identity]
         minima = cache(lambda descents: _coset_minima(partners, descents))  # for this build
-        rows = [poly.flat_row({0: point})]
+        rows = [{0: point}]
         for w in elements[1:]:
             # elements are sorted by length, so the shorter factor is ready
             x, partner = w.index, partners[w.word[-1] - 1]
@@ -362,11 +362,11 @@ class SchubertModel:
         return self._rows[w.index].keys()
 
     def _row_class(self, row: dict) -> EquivClass:
-        """The ``EquivClass`` of a flat row; its entries are nonzero."""
+        """The ``EquivClass`` of a row of the table; its entries are nonzero."""
         elements = self.group.elements
         out = object.__new__(EquivClass)
         out.rank = self.rank
-        out.restrictions = {elements[v]: p for v, p in self.poly.row_polys(row).items()}
+        out.restrictions = {elements[v]: p for v, p in row.items()}
         return out
 
     def integer_coefficients(self, f: EquivClass) -> dict[WeylElement, int]:
@@ -379,10 +379,10 @@ class SchubertModel:
         division or a nonzero residual raises, but one variable catches
         fewer classes outside the span than the multivariate route.
         """
-        elements, poly, rows = self.group.elements, self.poly, self._rows
+        elements = self.group.elements
         coords, residual = back_solve(range(len(elements)),
                                       {v.index: p for v, p in f.restrictions.items()},
-                                      lambda w: poly.row_polys(rows[w]), self._divexact)
+                                      self._rows.__getitem__, self._divexact)
         if residual:
             raise NonzeroResidualError("expansion left a nonzero residual")
         return {elements[w]: c for w, c in _values_at_one(coords).items()}

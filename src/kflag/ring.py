@@ -115,8 +115,7 @@ class SchubertRing:
             group = self.group
             row = _pair_product(self.model, *key)
             if sum(row.values()) != group.bruhat_leq(group.mul(group.w_o, u), v):
-                raise IntegrityError(f"constants of {list(u.word)} x {list(v.word)} "
-                                     f"sum to {sum(row.values())}, not chi")
+                raise _sum_error(u, v, row)
             got = self._sc_memo[key] = {group.elements[w]: c
                                         for w, c in sorted(row.items(), reverse=True)}
         return got
@@ -624,13 +623,21 @@ def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
     return (u.index, v.index) if u.index <= v.index else (v.index, u.index)
 
 
+def _sum_error(u: WeylElement, v: WeylElement, row: dict) -> IntegrityError:
+    """The refusal of constants of u x v that do not sum to chi."""
+    return IntegrityError(f"constants of {list(u.word)} x {list(v.word)} "
+                          f"sum to {sum(row.values())}, not chi")
+
+
 def _fill_constants(ring: SchubertRing, pairs) -> None:
     """Fill ``ring._sc_memo`` for the pairs of a sweep, which then reads
     every pair through ``structure_constants``.  With fewer than
     ``WALK_PAIRS_PER_ELEMENT`` |W| keys missing it leaves each pair to
     ``structure_constants``; else it reads them off ``_columns``, each in
-    descending element index, as ``structure_constants`` keeps them."""
-    memo, elements = ring._sc_memo, ring.group.elements
+    descending element index, as ``structure_constants`` keeps them, and
+    refuses a pair whose constants break its sum rule as it does."""
+    memo, group = ring._sc_memo, ring.group
+    elements, leq, w_o_times = group.elements, group._bruhat, ring._w_o_times
     rows: dict[int, list[int]] = {}
     for u, v in dict.fromkeys(_memo_key(u, v) for u, v in pairs):
         if (u, v) not in memo:
@@ -639,7 +646,10 @@ def _fill_constants(ring: SchubertRing, pairs) -> None:
         return
     for v, column in _columns(ring, rows):
         for u in rows[v]:
-            memo[u, v] = {elements[w]: c for w, c in sorted(column[u].items(), reverse=True)}
+            row = column[u]
+            if sum(row.values()) != leq(w_o_times[u].index, v):
+                raise _sum_error(elements[u], elements[v], row)
+            memo[u, v] = {elements[w]: c for w, c in sorted(row.items(), reverse=True)}
 
 
 def _columns(ring: SchubertRing, wanted):

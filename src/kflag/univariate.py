@@ -22,12 +22,11 @@ implementation below; the tests also build an 8-bit ring, whose range
 small groups reach, to drive every guard.  Values of two widths never mix:
 an operation between them raises ``TypeError``.
 
-The Schubert table is held as flat rows (``flat_row``): dicts key ->
-(shift, packed, bound), a model's keyed by element index.  One loop runs on
-them, ``demazure_step``, one divided difference of the build, with the
-bounds and guards of the method path it fuses; readers take a row's
-entries back as ``UniPoly`` values by ``row_polys``, and the triangular
-solve is ``model.back_solve`` over them.  ``digits`` is the one
+A model holds its Schubert table as rows of ``UniPoly`` values keyed by
+element index, and only this module reads their packed layout.  One loop
+builds them, ``demazure_step``, one divided difference of the build, with
+the bounds and guards of the method path it fuses; the triangular solve
+is ``model.back_solve`` over the rows as they are.  ``digits`` is the one
 balanced-digit decoder, used by the loop, ``coefficients``, ``terms`` and
 ``poly_divexact``.
 """
@@ -309,21 +308,6 @@ def _packed(bits: int):
             raise out_of_range(norm * b._bound)
         return make(a._shift - b._shift, q, norm)
 
-    # -- flat rows: the Schubert table as the build makes and stores it -------
-
-    def flat_row(polys: dict) -> dict:
-        """A row of a triangular basis as the build keeps it: key ->
-        (shift, packed, bound) for each item of ``polys`` (key -> ``UniPoly``
-        of this width, nonzero), in its order."""
-        for p in polys.values():
-            if type(p) is not UniPoly:
-                raise mixed(p)
-        return {u: (p._shift, p._packed, p._bound) for u, p in polys.items()}
-
-    def row_polys(row: dict) -> dict:
-        """The entries of a flat row as key -> ``UniPoly``, in their order."""
-        return {u: make(*e) for u, e in row.items()}
-
     divisors = {}  # h -> (shift, packed) of 1 - t^h
 
     def divisor(h: int) -> tuple[int, int]:
@@ -333,20 +317,21 @@ def _packed(bits: int):
         return divisors.setdefault(h, (d._shift, d._packed))
 
     def demazure_step(f: dict, degrees, partner, reps) -> dict:
-        """D_i of one flat row by element index: ``model.demazure`` with the
-        weight t^h(v), h(v) = <v(alpha_i), k> = degrees[v] - degrees[v s_i]
-        for degrees[v] = <v(rho), k>, and ``poly_divexact``, fused on packed
-        integers; ``partner[v]`` is the index of v s_i.  The result is a
-        flat row in increasing index order, and each value is the one the
-        method path computes, bound included: f(v) - t^h f(v s_i), its sum
-        bound checked when both terms are there, divided by 1 - t^h with the
-        quotient's exact norm certified against the divisor's bound 2.
+        """D_i of one row by element index, a dict v -> ``UniPoly``:
+        ``model.demazure`` with the weight t^h(v), h(v) = <v(alpha_i), k> =
+        degrees[v] - degrees[v s_i] for degrees[v] = <v(rho), k>, and
+        ``poly_divexact``, fused on packed integers; ``partner[v]`` is the
+        index of v s_i.  The result is a row in increasing index order, and
+        each value is the one the method path computes, bound included:
+        f(v) - t^h f(v s_i), its sum bound checked when both terms are
+        there, divided by 1 - t^h with the quotient's exact norm certified
+        against the divisor's bound 2.
 
         ``reps[v]`` is the least index of v's orbit under right
         multiplications known to fix the result: {v, v s_i} at least, as
         h(v s_i) = -h(v); v W_J for psi_w, J the right descents of w.  Only
         an orbit's least point divides, in index order (which refines
-        length), and the others hold its very tuple (or are left out with
+        length), and the others hold its very value (or are left out with
         it).  So every value is a quotient certified at this width, equal to
         the method path's wherever that fits, but a sum guard the method
         path would trip at a shared point does not trip here.
@@ -363,22 +348,20 @@ def _packed(bits: int):
             u = partner[v]
             a, c, h = get(v), get(u), degrees[v] - degrees[u]
             if c is None:
-                s, x, b = a
+                s, x = a._shift, a._packed
             else:
-                cs, x, b = c
-                cs += h
+                s, x = c._shift + h, c._packed
                 if a is None:
-                    s, x = cs, -x
+                    x = -x
                 else:
-                    s, ax, ab = a
-                    b += ab
+                    b = a._bound + c._bound
                     if b >= half:
                         raise out_of_range(b)
-                    d = cs - s
+                    d = s - a._shift
                     if d >= 0:
-                        x = ax - (x << (bits * d))
+                        s, x = a._shift, a._packed - (x << (bits * d))
                     else:
-                        s, x = cs, (ax << (bits * -d)) - x
+                        x = (a._packed << (bits * -d)) - x
                     if not x:
                         continue
                     if not x & mask:
@@ -390,10 +373,10 @@ def _packed(bits: int):
             norm = sum(map(abs, digits(q)))
             if norm * 2 >= half:
                 raise out_of_range(norm * 2)
-            out[v] = (s - ds, q, norm)
+            out[v] = make(s - ds, q, norm)
         return out
 
-    for fn in (digits, flat_row, row_polys, demazure_step):
+    for fn in (digits, demazure_step):
         setattr(UniPoly, fn.__name__, staticmethod(fn))
     return UniPoly, poly_divexact
 

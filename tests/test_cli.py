@@ -692,15 +692,14 @@ def _double_row_one(monkeypatch) -> None:
         init(self, *args, **kwargs)
         w = self.group.elements[1]
         row = self.specialized_schubert_class(w)
-        self._rows[1] = self.poly.flat_row({v.index: p for v, p in (row + row).restrictions.items()})
+        self._rows[1] = {v.index: p for v, p in (row + row).restrictions.items()}
 
     monkeypatch.setattr(SchubertModel, "__init__", corrupt)
 
 
-def test_a_planted_e_i_row_fails_constants_with_exit_3(monkeypatch, capsys):
-    """Every model built from now on holds the wrong e_1 row of
-    ``test_ring._plant_e_row``: ``constants`` of [1] x [1, 2] on A2, which
-    reads it, exits 3 with one line and no traceback."""
+def _plant_in_every_model(monkeypatch, words=([1],)) -> None:
+    """Every model built from now on, with no cache, holds the wrong e_1
+    rows of ``test_ring._plant_e_row`` at the elements of ``words``."""
     from kflag import SchubertModel
     from test_ring import _plant_e_row
 
@@ -709,14 +708,35 @@ def test_a_planted_e_i_row_fails_constants_with_exit_3(monkeypatch, capsys):
 
     def plant(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        _plant_e_row(self)
+        _plant_e_row(self, words)
 
     monkeypatch.setattr(SchubertModel, "__init__", plant)
+
+
+def test_a_planted_e_i_row_fails_constants_with_exit_3(monkeypatch, capsys):
+    """With the wrong e_1 row at s_1 in every model, ``constants`` of
+    [1] x [1, 2] on A2, which reads it, exits 3 with one line and no
+    traceback."""
+    _plant_in_every_model(monkeypatch)
     code, out, err = run_cli(capsys, "constants", "--type", "A", "--rank", "2",
                              "--u", "1", "--v", "1,2")
     assert code == 3
     assert out == ""
     assert "integrity" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_planted_e_i_rows_fail_a_walked_sweep_with_exit_3(monkeypatch, capsys):
+    """With the wrong e_1 rows of ``test_ring.WALKED_PLANTS`` in every
+    model, the A3 sign sweep, which walks, breaks the sum rule and exits 3
+    with one line and no traceback."""
+    from test_ring import WALKED_PLANTS
+
+    _plant_in_every_model(monkeypatch, WALKED_PLANTS)
+    code, out, err = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--which", "signs")
+    assert code == 3
+    assert out == ""
+    assert "not chi" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
 
@@ -778,7 +798,8 @@ def test_cache_row_out_of_packed_range_fails_integrity(tmp_path, capsys):
 def test_cache_table_fidelity(tmp_path, letter, rank):
     """A table loaded from cache is exactly the computed one-variable table:
     each loaded row holds the built row's values in its key order, and the
-    model made from it reads the built flat rows, keys in the same order."""
+    model made from it reads the built rows' values, keys in the same order
+    (``UniPoly ==`` leaves the bounds out)."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
     from kflag.cli import cache_load, cache_store
 
@@ -793,12 +814,26 @@ def test_cache_table_fidelity(tmp_path, letter, rank):
         built = model.specialized_schubert_class(w).restrictions
         assert list(table[w.index].items()) == list(built.items())
         assert loaded.specialized_schubert_class(w) == model.specialized_schubert_class(w)
-        assert _values_in_order(loaded._rows[w.index]) == _values_in_order(model._rows[w.index])
+        assert list(loaded._rows[w.index].items()) == list(model._rows[w.index].items())
 
 
-def _values_in_order(flat_row) -> list:
-    """A flat row's (key, (shift, packed)) pairs in its order, bounds left out."""
-    return [(v, e[:2]) for v, e in flat_row.items()]
+@pytest.mark.parametrize("letter, rank, digest", [
+    ("A", 3, "4cfccd61c62e22ea93dfae827a8763568ff3570d7246a4731fdad36a8cf8fb89"),
+    ("B", 2, "65ff1241904376a905beb21bbdc3b7b7450c3e70e06f5c810929db07773de8ce"),
+    ("G", 2, "4ec6f30aadc3d806d6314ef7a975c4429543aec832baa01496db3bcccb76df8f"),
+    ("D", 4, "4df77d3908056d24439699cbfa1394667bdb4ab2247149c2b42f584eb5f7b2ba"),
+])
+def test_cache_file_bytes_are_pinned(tmp_path, letter, rank, digest):
+    """A stored table is byte for byte the file of v0.34.0: the pool, its
+    order of first use and the rows of references do not move."""
+    from kflag import SchubertModel, WeylGroup, build_root_datum
+    from kflag.cli import cache_store
+
+    datum = build_root_datum(letter, rank)
+    group = WeylGroup(datum)
+    path = cache_store(str(tmp_path), datum, group, SchubertModel(group))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_cache_pool_holds_each_value_once(tmp_path):

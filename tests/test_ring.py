@@ -427,8 +427,8 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     w, u = g.from_word([1, 2]), g.from_word([3, 2])
     assert not g.bruhat_leq(u, w)
     row = model.specialized_schubert_class(w)
-    model._rows[w.index] = model.poly.flat_row(
-        {**{v.index: p for v, p in row.restrictions.items()}, u.index: model.poly.one()})
+    model._rows[w.index] = {**{v.index: p for v, p in row.restrictions.items()},
+                            u.index: model.poly.one()}
     rep = ring.verify_richardson_signs()
     leq = g.bruhat_leq
     w_o_w, w_o_u = g.mul(g.w_o, w), g.mul(g.w_o, u)
@@ -917,6 +917,17 @@ _MUTATIONS = {
 }
 
 
+@pytest.mark.parametrize("mutation", [m for m in _MUTATIONS if m != "D_i-lifts-descents"])
+def test_a_broken_rule_fails_the_sum_rule_of_a_walked_sweep(engines, monkeypatch, mutation):
+    """Three of the four broken rules move some sum of constants off chi,
+    so the A3 sweep, which walks, raises an integrity error; lifting
+    descents keeps every sum and is left to the equality tests."""
+    model = _fresh_model(engines, "A3")
+    _MUTATIONS[mutation](monkeypatch)
+    with pytest.raises(IntegrityError, match="not chi$"):
+        SchubertRing(model).verify_alternating_signs()
+
+
 def _e_after_d_by_min(model, i):
     """The table of e_i D_i with row y read at min(y, y s_i)."""
     alpha, memo = model.datum.simple_root(i + 1), {}
@@ -939,12 +950,21 @@ def test_the_a3_recursion_equality_catches_a_broken_rule(engines, monkeypatch, m
                                 solve=SchubertModel.structure_constants)
 
 
-def _plant_e_row(model) -> None:
-    """Add 1 to the coefficient of psi_e in the model's e_1 row at s_1,
-    which the recursion of [1] x [1, 2] reads."""
-    alpha, s1 = model.datum.simple_root(1), model.group.from_word([1]).index
-    row = _line_row(model, {}, alpha, s1)
-    model._e_rows[alpha, s1] = {**row, 0: row.get(0, 0) + 1}
+def _plant_e_row(model, words=([1],)) -> None:
+    """Add 1 to the coefficient of psi_e in the model's e_1 row at each
+    element of ``words``; the one at s_1 is read by the recursion of
+    [1] x [1, 2]."""
+    alpha = model.datum.simple_root(1)
+    for word in words:
+        v = model.group.from_word(word).index
+        row = _line_row(model, {}, alpha, v)
+        model._e_rows[alpha, v] = {**row, 0: row.get(0, 0) + 1}
+
+
+#: e_1 rows whose plant reaches the walk: with no sum check there, the
+#: sign sweeps of A3, B3, D4 and D4 on P = {1} report 66, 263, 8,934 and
+#: 1,880 violations, a false counterexample in place of an integrity error
+WALKED_PLANTS = ([1], [2, 1], [1, 2, 1])
 
 
 def test_a_planted_e_i_row_fails_the_sum_rule(engines):
@@ -957,6 +977,21 @@ def test_a_planted_e_i_row_fails_the_sum_rule(engines):
     for a, b in ((u, v), (v, u)):
         with pytest.raises(IntegrityError, match="sum to 0"):
             SchubertRing(model).structure_constants(a, b)
+
+
+@pytest.mark.parametrize("label, subset", [("A3", None), ("B3", None), ("D4", None), ("D4", [1])])
+def test_planted_e_i_rows_fail_the_sum_rule_through_the_walk(engines, monkeypatch, label, subset):
+    """Wrong e_1 rows reach a sweep's constants through the walk, which
+    checks each against the sum rule as ``structure_constants`` does: the
+    sweep raises an integrity error, with no pair computed alone, instead
+    of reporting the wrong constants as sign violations."""
+    model = SchubertModel(engines.group(label))
+    _plant_e_row(model, WALKED_PLANTS)
+    parabolic = subset and model.group.parabolic(subset)
+    walks, solves = _spy(monkeypatch)
+    with pytest.raises(IntegrityError, match=r"^constants of \[.*\] x \[.*\] sum to -?\d+, not chi$"):
+        SchubertRing(model).verify_alternating_signs(parabolic)
+    assert len(walks) == 1 and solves == []
 
 
 def test_lifting_descents_in_the_shared_d_i_breaks_the_line_recursion(engines, monkeypatch):

@@ -295,6 +295,12 @@ def _all_pairs(group):
     return [(u, v) for i, u in enumerate(group.elements) for v in group.elements[i:]]
 
 
+def _packed_items(row: dict) -> list:
+    """A row's (key, (shift, packed, bound)) items in its order: what
+    ``UniPoly ==``, which leaves the bound out, compares, and the bound."""
+    return [(v, (p._shift, p._packed, p._bound)) for v, p in row.items()]
+
+
 def test_the_model_packs_at_64_bits(engines):
     """The table and specialize() hold 64-bit values, and a value of
     another width never mixes in: a product, a solve and chi of it raise
@@ -448,32 +454,32 @@ def test_line_classes_at_8_bits_match_or_fail_integrity(label, engines):
 
 
 def _build_outcome(build):
-    """The flat rows ``build()`` returns, each as its list of items so that
-    their order counts, or the error's type and message."""
+    """The rows ``build()`` returns, each as its ``_packed_items`` so that
+    their order and bounds count, or the error's type and message."""
     from kflag import KflagError
 
     try:
-        return [list(row.items()) for row in build()]
+        return [_packed_items(row) for row in build()]
     except KflagError as exc:
         return type(exc), str(exc)
 
 
-def _index_row(poly, f):
-    """The restrictions of a one-variable class as a flat row by element
-    index, in their order."""
-    return poly.flat_row({u.index: p for u, p in f.restrictions.items()})
+def _index_row(f):
+    """The restrictions of a one-variable class as a row by element index,
+    in their order."""
+    return {u.index: p for u, p in f.restrictions.items()}
 
 
 def _both_builds(model, k):
     """(packed build, generic route) outcomes of the table at cocharacter k
     and the model's width: ``_specialized_table``, and ``demazure`` run
-    with ``_monomial_t`` and that width's ``poly_divexact``, its rows made
-    flat in the order ``demazure`` gives them."""
+    with ``_monomial_t`` and that width's ``poly_divexact``, its rows keyed
+    by index in the order ``demazure`` gives them."""
     from kflag.model import _monomial_t
 
     def generic():
         table = model._build_schubert_table(_monomial_t(k, model.poly), model._divexact)
-        return [_index_row(model.poly, f) for f in table]
+        return [_index_row(f) for f in table]
 
     return _build_outcome(lambda: model._specialized_table(k)), _build_outcome(generic)
 
@@ -482,7 +488,7 @@ def _both_builds(model, k):
     "label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4", "B4", "D4"])
 def test_the_packed_build_is_the_generic_demazure_route(label, engines):
     """At 64 bits, at the model's cocharacter and at the second one of
-    ``verify_normalization``, every flat row equals the generic route's:
+    ``verify_normalization``, every row equals the generic route's:
     the same fixed points in the same order, the same packed integers and
     the same norm bounds, the pivot (the entry at w) among them.  The
     build divides once per coset of w's right descents and shares that
@@ -525,14 +531,14 @@ def _both_steps(model, i, f):
     reps = [min(v, x) for v, x in enumerate(partner)]
 
     def generic():
-        return _index_row(poly, model.demazure(i, f, _monomial_t(k, poly), model._divexact))
+        return _index_row(model.demazure(i, f, _monomial_t(k, poly), model._divexact))
 
-    return (_row_outcome(lambda: poly.demazure_step(_index_row(poly, f), degrees, partner, reps)),
+    return (_row_outcome(lambda: poly.demazure_step(_index_row(f), degrees, partner, reps)),
             _row_outcome(generic))
 
 
 def _row_outcome(make):
-    """The flat row ``make()`` returns as its list of items, or the error's
+    """The row ``make()`` returns as its ``_packed_items``, or the error's
     type and message."""
     got = _build_outcome(lambda: [make()])
     return got[0] if type(got) is list else got
@@ -579,8 +585,8 @@ def _step_with(model, w, descents):
     partner = g._right[i - 1]
     degrees = [_degree(v.key, model.cocharacter) for v in g.elements]
     reps = _coset_minima(g._right, descents)
-    return list(model.poly.demazure_step(
-        model._rows[partner[w.index]], degrees, partner, reps).items())
+    return _packed_items(model.poly.demazure_step(
+        model._rows[partner[w.index]], degrees, partner, reps))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
@@ -594,7 +600,7 @@ def test_only_right_descents_may_be_shared(label, engines):
     wrong_right = wrong_left = 0
     for w in g.elements[1:]:
         x, i = w.index, w.word[-1]
-        row = list(model._rows[x].items())
+        row = _packed_items(model._rows[x])
         assert _step_with(model, w, [p[x] < x for p in g._right]) == row
         others = [j for j, p in enumerate(g._right) if p[x] > x]
         wrong_right += any(_step_with(model, w, [k in (i - 1, j) for k in range(model.rank)])
@@ -606,7 +612,7 @@ def test_only_right_descents_may_be_shared(label, engines):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
 def test_every_coset_of_the_right_descents_shares_one_value(label, engines):
-    """In a built row w every point v holds the very tuple of the least
+    """In a built row w every point v holds the very value of the least
     point of v W_J, J the right descents of w, so the row holds one value
     object per coset it meets, and the quotient count of the build is the
     number of distinct value objects."""
@@ -666,7 +672,7 @@ def test_each_guard_of_the_packed_step_fires_where_demazure_does(case, engines):
 
 
 def _element_ordered(rows: list) -> bool:
-    """Whether each flat row and its class list their fixed points in
+    """Whether each row and its class list their fixed points in
     element order, the same fixed points in both."""
     return all(
         list(row) == sorted(row) and [u.index for u in cls.restrictions] == list(row)
@@ -677,7 +683,7 @@ def _element_ordered(rows: list) -> bool:
 def test_every_row_is_in_element_order(label, engines):
     """Built, and injected with ``table=`` in reverse order, every row
     lists its fixed points in element order; the injected rows equal the
-    built ones."""
+    built ones, bounds included."""
     from kflag import SchubertModel
 
     g = engines.group(label)
@@ -689,7 +695,8 @@ def test_every_row_is_in_element_order(label, engines):
         pairs = [(model._rows[w.index], model.specialized_schubert_class(w))
                  for w in g.elements]
         assert _element_ordered(pairs)
-    assert [injected._rows[w.index] for w in g.elements] == built._rows
+    assert ([_packed_items(injected._rows[w.index]) for w in g.elements]
+            == list(map(_packed_items, built._rows)))
 
 
 def test_a_table_row_without_its_pivot_fails_integrity(engines):
@@ -836,7 +843,7 @@ def test_the_solve_raises_on_a_class_outside_the_span(engines):
     # solve leaves it whole, and a point past A2's six is never solved
     point = {v.index: p for v, p in m.specialized_schubert_class(g.identity).restrictions.items()}
     coords, residual = back_solve(range(1, len(g.elements)), point,
-                                  lambda w: m.poly.row_polys(m._rows[w]), m._divexact)
+                                  m._rows.__getitem__, m._divexact)
     assert coords == {} and residual == point
     far = engines.group("A3").w_o
     with pytest.raises(NonzeroResidualError, match="expansion left a nonzero residual"):
