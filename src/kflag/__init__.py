@@ -6,11 +6,12 @@ ring of G/P, its three companion bases, structure constants and
 line-bundle restriction coefficients, together with verification sweeps
 for the sign and positivity identities these objects satisfy.
 
-``LaurentPoly``, the weight-lattice ring, and ``UniPoly``, the
-one-variable ring, are imported on first use (a module ``__getattr__``).
-So a process that runs only the integer commands, as ``python -m kflag``
-does, never loads ``kflag.laurent``, and of those commands only ``verify``
-loads ``kflag.univariate``.
+``LaurentPoly``, the weight-lattice ring, ``UniPoly``, the one-variable
+ring, and ``EquivClass`` and ``ExpansionResult`` of ``kflag.tables`` are
+imported on first use (a module ``__getattr__``).  So a process that runs
+only the integer commands, as ``python -m kflag`` does, never loads
+``kflag.laurent``, and of those commands only ``verify`` and a cache
+store load ``kflag.univariate`` and ``kflag.tables``.
 """
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NotDivisibleError,
     PoleAtOneError,
 )
-from .model import EquivClass, ExpansionResult, SchubertModel
+from .model import SchubertModel
 from .ring import KClass, LineReport, SchubertRing, SignReport
 from .roots import (
     ParabolicData,
@@ -60,7 +61,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 
 def __getattr__(name: str):
@@ -72,4 +73,8 @@ def __getattr__(name: str):
         from .univariate import UniPoly
 
         return UniPoly
+    if name in ("EquivClass", "ExpansionResult"):
+        from . import tables
+
+        return getattr(tables, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,9 @@ fields in ``__slots__``, in constructor order.  As with a dataclass, two
 records are equal when they are of the same class and their fields are
 equal in order, and the repr lists the fields.  A ``FrozenRecord`` refuses
 assignment and hashes its fields; a mutable ``Record`` is unhashable.
+
+``Deferred`` puts a method that lives in another module on a class, so the
+module is compiled only when a caller first reads the method.
 """
 from collections import deque
 
@@ -66,3 +69,27 @@ class FrozenRecord(Record):
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+
+class Deferred:
+    """A method defined as the function of the same name in ``module``.
+
+    The first read, from the class or an instance, imports the module and
+    puts the function on the class in this descriptor's place, so a caller
+    that never reads the method never compiles its module, and every later
+    read is a plain attribute lookup.  Set on a class as
+    ``name = Deferred("kflag.module")``; the signature is the function's."""
+
+    __slots__ = ("module", "owner", "name")
+
+    def __init__(self, module: str):
+        self.module = module
+
+    def __set_name__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __get__(self, instance, owner=None):
+        # __import__ with a fromlist returns the submodule itself
+        fn = getattr(__import__(self.module, fromlist=[self.name]), self.name)
+        setattr(self.owner, self.name, fn)
+        return fn if instance is None else fn.__get__(instance, owner)

@@ -9,6 +9,7 @@ Simple reflections are indexed 1..rank throughout the public surface
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .errors import BoundExceededError, ConfigError, IntegrityError
@@ -493,6 +494,26 @@ class WeylGroup:
             out = self._bruhat(u_idx, sw)
         memo[(u_idx, w_idx)] = out
         return out
+
+    @cached_property
+    def _lower_masks(self) -> list[int]:
+        """By w.index, the interval [e, w] as an int whose bit u.index is set
+        for each u <= w, built on first use.  For s_i a right descent of w
+        and w' = w s_i, [e, w] is [e, w'] and its right translate by s_i
+        (the lifting property).  Unlike the ``_bruhat`` memo, they hold
+        |W|^2 bits whatever is asked: what a whole sweep reads."""
+        right = self._right
+        masks = [1]
+        for w in range(1, len(self.elements)):
+            partner = next(p for p in right if p[w] < w)
+            low = moved = masks[partner[w]]
+            rest = low
+            while rest:
+                bit = rest & -rest
+                moved |= 1 << partner[bit.bit_length() - 1]
+                rest ^= bit
+            masks.append(moved)
+        return masks
 
     # -- parabolic combinatorics ------------------------------------------
 

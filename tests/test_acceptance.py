@@ -257,16 +257,16 @@ def test_criterion_07_richardson_signs(engines):
 def test_criterion_07_omega_coordinates_by_duality(label, engines, monkeypatch):
     """The omega-basis coordinates the Richardson report reads off the
     O-basis coefficients equal the twist route's, in the same order."""
-    import kflag.ring
+    import kflag.reports
 
     seen = []
-    derive = kflag.ring._omega_coords
+    derive = kflag.reports._omega_coords
 
     def spy(coeffs, dim_y):
         seen.append(derive(coeffs, dim_y))
         return seen[-1]
 
-    monkeypatch.setattr(kflag.ring, "_omega_coords", spy)
+    monkeypatch.setattr(kflag.reports, "_omega_coords", spy)
     ring = engines.ring(label)
     g = engines.group(label)
     rep = ring.verify_richardson_signs()

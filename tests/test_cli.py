@@ -841,7 +841,8 @@ def test_cache_pool_holds_each_value_once(tmp_path):
     once, every one is referenced, and the loaded table shares one
     ``UniPoly`` per pool value."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
-    from kflag.cli import _table_to_payload, cache_load, cache_store
+    from kflag.cache import _table_to_payload
+    from kflag.cli import cache_load, cache_store
 
     datum = build_root_datum("D", 4)
     group = WeylGroup(datum)
@@ -883,7 +884,8 @@ def test_cache_store_bytes_are_the_sorted_dump(tmp_path):
     """The stored file is json.dumps(payload, sort_keys=True), byte for byte,
     which is also what the streaming json.dump writes, with the payload's
     digest the SHA-256 of the bytes after the digest member."""
-    from kflag.cli import _table_to_payload, cache_store
+    from kflag.cache import _table_to_payload
+    from kflag.cli import cache_store
 
     datum, group, model = _a2_stack()
     path = cache_store(str(tmp_path), datum, group, model)

@@ -156,7 +156,7 @@ non_lists = json_values.filter(lambda x: type(x) is not list)
 def _a2_pool_payload() -> dict:
     """The schema-5 payload of A2's one-variable table."""
     from kflag import SchubertModel, WeylGroup, build_root_datum
-    from kflag.cli import _table_to_payload
+    from kflag.cache import _table_to_payload
 
     datum = build_root_datum("A", 2)
     group = WeylGroup(datum)

@@ -395,6 +395,19 @@ def test_bruhat_matches_reflection_closure(label, engines):
             assert g.bruhat_leq(u, w) == ((u.index, w.index) in oracle)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+def test_lower_interval_masks_are_the_bruhat_order(label, engines):
+    """Bit u.index of ``_lower_masks[w.index]`` is set exactly when u <= w
+    by the left-descent recursion, on every pair."""
+    g = engines.group(label)
+    masks = g._lower_masks
+    assert len(masks) == len(g.elements)
+    for w in g.elements:
+        assert masks[w.index] >> len(g.elements) == 0
+        for u in g.elements:
+            assert (masks[w.index] >> u.index) & 1 == g._bruhat(u.index, w.index)
+
+
 def test_bruhat_is_partial_order(engines):
     g = engines.group("B2")
     for u in g.elements:

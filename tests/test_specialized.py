@@ -475,7 +475,7 @@ def _both_builds(model, k):
     and the model's width: ``_specialized_table``, and ``demazure`` run
     with ``_monomial_t`` and that width's ``poly_divexact``, its rows keyed
     by index in the order ``demazure`` gives them."""
-    from kflag.model import _monomial_t
+    from kflag.tables import _monomial_t
 
     def generic():
         table = model._build_schubert_table(_monomial_t(k, model.poly), model._divexact)
@@ -523,7 +523,7 @@ def _both_steps(model, i, f):
     """(packed step, ``model.demazure``) outcomes of D_i f at the model's
     width and cocharacter, each as a list of (u.index, (shift, packed,
     bound)); the step shares values over the pairs {v, v s_i} only."""
-    from kflag.model import _degree, _monomial_t
+    from kflag.tables import _degree, _monomial_t
 
     g, poly, k = model.group, model.poly, model.cocharacter
     degrees = [_degree(v.key, k) for v in g.elements]
@@ -579,7 +579,7 @@ def _step_with(model, w, descents):
     """Row w by one ``demazure_step`` from the built row w s_i, i the last
     letter of w's word, sharing values over the cosets of the s_j with
     descents[j - 1] true (``_coset_minima``)."""
-    from kflag.model import _coset_minima, _degree
+    from kflag.tables import _coset_minima, _degree
 
     g, i = model.group, w.word[-1]
     partner = g._right[i - 1]
@@ -616,7 +616,7 @@ def test_every_coset_of_the_right_descents_shares_one_value(label, engines):
     point of v W_J, J the right descents of w, so the row holds one value
     object per coset it meets, and the quotient count of the build is the
     number of distinct value objects."""
-    from kflag.model import _coset_minima
+    from kflag.tables import _coset_minima
 
     model = engines.model(label)
     g = model.group
@@ -652,7 +652,7 @@ def test_each_guard_of_the_packed_step_fires_where_demazure_does(case, engines):
     divisor's 2; an inexact division; and f(e) = t^h f(s), where both
     differences cancel and leave their fixed points out."""
     from kflag import IntegrityError
-    from kflag.model import _degree
+    from kflag.tables import _degree
 
     model = _at_width(engines.group("A1"), 8)
     e, s = model.group.elements
@@ -750,7 +750,7 @@ def _solve_inputs(model):
     the inputs in that order; a product that passes the width's range is
     no input and is left out."""
     from kflag import IntegrityError
-    from kflag.model import _monomial_t
+    from kflag.tables import _monomial_t
 
     g, psi = model.group, model.specialized_schubert_class
     factors = [(psi(u), psi(v)) for u, v in _all_pairs(g)]
@@ -799,7 +799,7 @@ def test_the_64_bit_solve_of_each_line_row_is_the_multivariate_one(label, engine
     """The line rows of ``_solve_inputs`` at 64 bits: L(lam) . psi_v for
     lam = omega_1, rho and -rho solves to the multivariate route's values,
     keyed in descending element index."""
-    from kflag.model import _monomial_t
+    from kflag.tables import _monomial_t
 
     m, g = engines.model(label), engines.group(label)
     rho = m.datum.rho
