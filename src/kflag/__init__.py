@@ -61,7 +61,7 @@ __all__ = [
     "weyl_dimension",
 ]
 
-__version__ = "0.36.0"
+__version__ = "0.37.0"
 
 
 def __getattr__(name: str):

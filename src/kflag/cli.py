@@ -351,11 +351,9 @@ def cmd_verify(args) -> int:
     for word, at_k, at_k2 in reports[0].violations:
         if at_k != at_k2:  # one class by two routes: a table is wrong, not the theorem
             raise IntegrityError(f"chi of X_{list(word)} is {at_k} at k but {at_k2} at k2")
-    if args.which in ("signs", "all"):
-        pdata = group.parabolic(args.parabolic) if args.parabolic else None
-        reports.append(ring.verify_alternating_signs(parabolic=pdata))
-    if args.which in ("richardson", "all"):
-        reports.append(ring.verify_richardson_signs())
+    # one sweep for the sign and Richardson reports; only the sign report reads P
+    on_p = args.parabolic and args.which in ("signs", "all")
+    reports += ring.verify_sweeps(args.which, group.parabolic(args.parabolic) if on_p else None)
     line_objs = []
     if args.which in ("line", "all"):
         if args.lam is not None:

@@ -4,9 +4,10 @@ These are the methods of ``SchubertRing`` that no structure-constant call
 runs.  Each is defined here as a function of the method's name and put on
 the class by ``records.Deferred``, so this module is compiled only when one
 of them is first read: by ``verify``, ``richardson``, ``line-coeffs`` and
-``parabolic-constants``, or a library caller.  They read constants through
-the ring's memo and its engine in ``kflag.ring``; the sign/positivity
-sweeps report violations as data rather than raising.
+``parabolic-constants``, or a library caller.  They read constants from
+the engine in ``kflag.ring``: one pair through ``structure_constants``, a
+sweep's pairs off one ``_sweep``.  The sign/positivity sweeps report
+violations as data rather than raising.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import time
 from operator import attrgetter
 
 from .errors import ConfigError, IntegrityError
-from .ring import KClass, LineReport, SignReport, _fill_constants, _line_row, _row_times
+from .ring import KClass, LineReport, SignReport, _line_row, _row_times, _sweep
 from .roots import ParabolicData, Weight, WeylElement
 
 O_BASIS = "O"
@@ -53,7 +54,7 @@ def ideal_sheaf_class(self, w: WeylElement) -> KClass:
     """
     out = {}
     for v in self.group.elements:
-        if v.length <= w.length and self.group.bruhat_leq(v, w):
+        if (self.group._lower_masks[w.index] >> v.index) & 1:
             out[v] = 1 if (w.length - v.length) % 2 == 0 else -1
     return KClass(O_BASIS, out)
 
@@ -98,7 +99,7 @@ def basis_matrix(self, basis: str) -> dict[WeylElement, dict[WeylElement, int]]:
         if row.get(w, 0) not in (1, -1):
             raise IntegrityError(f"basis {basis} is not unitriangular at {w!r}")
         for u in row:
-            if not self.group.bruhat_leq(u, w):
+            if not (self.group._lower_masks[w.index] >> u.index) & 1:
                 raise IntegrityError(f"basis {basis} is not Bruhat-triangular")
     self._basis_matrix_memo[basis] = rows
     return rows
@@ -134,8 +135,7 @@ def richardson_class(self, v: WeylElement, w: WeylElement) -> KClass:
     """[O_{X^v intersect X_w}]; the zero class when v is not below w.
 
     X^v is a translate of X_{w_o v} and G is connected, so in K(G/B)
-    the class is [O_{X_{w_o v}}] . [O_{X_w}], read from the
-    structure-constant memo.
+    the class is [O_{X_{w_o v}}] . [O_{X_w}].
     """
     return KClass(O_BASIS, dict(self.structure_constants(self._w_o_times[v.index], w)))
 
@@ -238,93 +238,97 @@ def verify_normalization(self) -> SignReport:
 
 def verify_alternating_signs(self, parabolic: ParabolicData | None = None) -> SignReport:
     """(-1)^N(u,v;w) c_{u,v}^w >= 0 and c = 0 when N < 0, over all triples."""
-    t0 = time.monotonic()
-    if parabolic is None:
-        labels, dim, wop = self.group.elements, self.dimension, self.group.identity
-        constants = self.structure_constants
-    else:
-        labels, dim = parabolic.min_reps, self.parabolic_dimension(parabolic)
-        wop = parabolic.longest_in_parabolic
-        constants = lambda u, v: self.parabolic_structure_constants(parabolic, u, v)
-    codim = {w: dim - w.length for w in labels}
-    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i:]]
-    # a G/P constant is read off the G/B one of the pair lifted by w_{o,P}
-    mul = self.group.mul
-    _fill_constants(self, ((mul(u, wop), mul(v, wop)) for u, v in pairs))
-    # constants hold no zero c, which would satisfy both rules; labels
-    # are in index order, so each pair's violations are in label order
-    violations = []
-    for u, v in pairs:
-        cs = constants(u, v)
-        for w in sorted(cs, key=attrgetter("index")):
-            c, n = cs[w], codim[w] - codim[u] - codim[v]
-            if n < 0 or (c > 0) != (n % 2 == 0):
-                violations.append((u.word, v.word, w.word, c, n))
-    size = len(labels)
-    return SignReport(
-        group=self.datum.label,
-        name="signs",
-        parabolic=parabolic.subset if parabolic else None,
-        checked=size * size * size,
-        violations=violations,
-        elapsed_ms=_ms(t0),
-    )
+    return self.verify_sweeps("signs", parabolic)[0]
 
 
 def verify_richardson_signs(self) -> SignReport:
-    """Sign alternation and omega-basis nonnegativity for X^v intersect X_w.
+    """Sign alternation and omega-basis nonnegativity for X^v intersect X_w."""
+    return self.verify_sweeps("richardson")[0]
 
-    The O-basis coefficients c_u of [O_Y], Y = X^v intersect X_w, are
-    the structure constants c_{w_o v, w}^u, shared with the sign sweep
-    through the memo (filled by ``_fill_constants``); the duality identity
-    [omega_Y] = sum_u (-1)^{dim Y - l(u)} c_u [omega_{X_u}] (Brion 2002)
-    gives the omega-basis coordinates from them, so the two forms of
-    the theorem fail at the same u and each failure is reported in both.
-    The omega rows themselves are checked once, for unitriangularity.
-    An incomparable pair must give the zero class: its two Schubert
-    rows must have disjoint supports once the opposite one is moved by
-    w_o.  The one-variable rows have the supports of the weight-lattice
-    ones: psi_w(u) for u <= w specializes to a polynomial that vanishes
-    at t = 1 to order exactly codim X_w, since its lowest-order term is
-    [X_w]|_u, a nonzero sum of products of positive roots (Billey), and
-    k pairs every positive root positively.
-    """
+
+def verify_sweeps(self, which: str, parabolic: ParabolicData | None = None) -> list[SignReport]:
+    """The sign report ("signs"), the Richardson report ("richardson") or
+    both ("all") from one ``_sweep``, and none for any other ``which``.
+    Each row is checked as it comes and dropped; the violations are sorted
+    at the end into label order.
+
+    Signs: (-1)^N(u,v;w) c_{u,v}^w >= 0, and c = 0 when N < 0, for each
+    pair of labels of G/B or of ``parabolic``, a G/P constant read off the
+    G/B one of the pair lifted by w_{o,P}.  Only nonzero c are checked: a
+    zero c satisfies both rules.
+
+    Richardson, on G/B: the O-basis coefficients c_u of [O_Y], Y = X^v
+    intersect X_w, are c_{w_o v, w}^u, so the row {a, b} with w_o a <= b
+    serves (w_o a, b) and (w_o b, a).  By duality (Brion 2002) the
+    omega-basis coordinates are (-1)^{dim Y - l(u)} c_u, so the two forms
+    of the theorem fail at the same u and each failure is listed in both;
+    the omega rows are checked once, for unitriangularity.  An incomparable
+    pair must give the zero class: the support of psi_w and that of
+    psi_{w_o v} moved by w_o, the one-variable rows' supports, which are
+    Bruhat intervals (README), must be disjoint.  This set-up is the
+    Richardson report's ``elapsed_ms`` in a shared sweep, the rest the
+    sign report's."""
     t0 = time.monotonic()
-    violations = []
-    checked = 0
     group = self.group
-    m = self.model
-    wo = self._w_o_times
-    leq = group.bruhat_leq
-    _fill_constants(self, ((wo[v.index], w) for w in group.elements
-                           for v in group.elements if leq(v, w)))
-    self.basis_matrix(OMEGA_BASIS)
-    support = [m.schubert_support(x) for x in group.elements]
-    for w in group.elements:
-        for v in group.elements:
-            if not group.bruhat_leq(v, w):
-                # [O_{X^v}] is nonzero at w_o u exactly where psi_{w_o v} is at u
-                mirror = support[wo[v.index].index]
-                if any(wo[u].index in mirror for u in support[w.index]):
-                    violations.append((v.word, w.word, "nonzero-empty-intersection"))
-                continue
-            checked += 1
-            dim_y = w.length - v.length
-            coeffs = self.structure_constants(wo[v.index], w)
+    elements, n = group.elements, len(group.elements)
+    signs, rich = which in ("signs", "all"), which in ("richardson", "all")
+    wo = [x.index for x in self._w_o_times]
+    rows, bad_signs, bad_rich, checked = {}, [], {}, 0
+    if signs:
+        if parabolic is None:
+            labels, dim, wop = elements, self.dimension, group.identity
+        else:
+            labels, dim = parabolic.min_reps, self.parabolic_dimension(parabolic)
+            wop = parabolic.longest_in_parabolic
+        codim = {w: dim - w.length for w in labels}
+        down = {group.mul(u, wop).index: u for u in labels}  # lifted index -> label
+        lifted = range(n) if parabolic is None else sorted(down)
+        rows = {b: lifted[:i + 1] for i, b in enumerate(lifted)}
+    if rich:
+        below = group._lower_masks
+        self.basis_matrix(OMEGA_BASIS)
+        support = [self.model.schubert_support(x) for x in elements]
+        for w in range(n):
+            for v in range(n):  # [O_{X^v}] is nonzero at w_o u where psi_{w_o v} is at u
+                if not (below[w] >> v) & 1 and not support[wo[v]].isdisjoint(
+                        wo[u] for u in support[w]):
+                    words = elements[v].word, elements[w].word
+                    bad_rich[w, v] = [(*words, "nonzero-empty-intersection")]
+        for b in range(n) if not signs or parabolic else ():
+            comparable = (a for a in range(b + 1) if (below[b] >> wo[a]) & 1)
+            rows[b] = sorted({*rows.get(b, ()), *comparable})
+        rich_ms = _ms(t0)
+    for a, b, row in _sweep(self, rows):
+        if signs and a in down and b in down:
+            u, v = sorted((down[a], down[b]), key=attrgetter("index"))
+            for x, c in row.items():
+                w = down.get(x)
+                if w is None:
+                    raise IntegrityError("coefficient outside parabolic image")
+                n_deg = codim[w] - codim[u] - codim[v]
+                if n_deg < 0 or (c > 0) != (n_deg % 2 == 0):
+                    bad_signs.append(((u.index, v.index, w.index),
+                                      (u.word, v.word, w.word, c, n_deg)))
+        if rich and (below[b] >> wo[a]) & 1:
+            checked += 1 + (a != b)
+            coeffs = {elements[x]: c for x, c in sorted(row.items(), reverse=True)}
+            dim_y = elements[a].length + elements[b].length - self.dimension
             omega = _omega_coords(coeffs, dim_y)
             bad = [u for u, c in omega.items() if c < 0]
-            for u in bad:
-                violations.append((v.word, w.word, u.word, coeffs[u], dim_y - u.length))
-            for u in bad:
-                violations.append((v.word, w.word, u.word, omega[u], "omega-basis"))
-    return SignReport(
-        group=self.datum.label,
-        name="richardson",
-        parabolic=None,
-        checked=checked,
-        violations=violations,
-        elapsed_ms=_ms(t0),
-    )
+            for w, v in {(b, wo[a]), (a, wo[b])} if bad else ():
+                words = elements[v].word, elements[w].word
+                bad_rich[w, v] = ([(*words, u.word, coeffs[u], dim_y - u.length) for u in bad]
+                                  + [(*words, u.word, omega[u], "omega-basis") for u in bad])
+    reports = []
+    if signs:
+        reports.append(SignReport(self.datum.label, "signs", parabolic and parabolic.subset,
+                                  len(labels) ** 3, [x for _, x in sorted(bad_signs)],
+                                  _ms(t0) - rich_ms if rich else _ms(t0)))
+    if rich:
+        reports.append(SignReport(self.datum.label, "richardson", None, checked,
+                                  [x for key in sorted(bad_rich) for x in bad_rich[key]],
+                                  rich_ms if signs else _ms(t0)))
+    return reports
 
 
 def verify_line_identities(self, lam, mu) -> LineReport:
@@ -442,9 +446,9 @@ def _fundamental_weight_lemma(ring):
         t_nw = ring._line_table(_neg(omega_i))
         t_pw = ring._line_table(omega_i)
         wosi = group.right_mul(group.w_o, i)
-        sc_pos = [ring.structure_constants(wosi, wo[w.index]) for w in group.elements]
+        sc = [ring.structure_constants(wosi, x) for x in group.elements]
         for v in group.elements:
-            sc_neg = ring.structure_constants(wosi, v)
+            sc_neg = sc[v.index]
             for w in group.elements:
                 if w is v:
                     continue
@@ -455,7 +459,7 @@ def _fundamental_weight_lemma(ring):
                          t_nw[v].get(w, 0), sc_neg.get(w, 0))
                     )
                 sign = -1 if (v.length - w.length) % 2 == 0 else 1
-                rhs = sign * sc_pos[w.index].get(wo[v.index], 0)
+                rhs = sign * sc[wo[w.index].index].get(wo[v.index], 0)
                 if t_pw[v].get(w, 0) != rhs:
                     violations.append(
                         ("lemma-plus", i, v.word, w.word, t_pw[v].get(w, 0), rhs)

@@ -89,7 +89,6 @@ class SchubertRing:
         self.group = model.group
         self.datum = model.datum
         self.dimension = model.dimension
-        self._sc_memo: dict[tuple[int, int], dict[WeylElement, int]] = {}
         self._line_memo: dict[Weight, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._basis_matrix_memo: dict[str, dict[WeylElement, dict[WeylElement, int]]] = {}
         self._line_check_memo: dict[tuple, tuple[int, list[tuple]]] = {}
@@ -115,16 +114,11 @@ class SchubertRing:
         by ``_pair_product``, in descending element index.  They sum to
         chi(psi_u psi_v), the Euler characteristic of a Richardson variety:
         1 if w_o u <= v, else 0 (Brion 2002); any other sum is refused."""
-        key = _memo_key(u, v)
-        got = self._sc_memo.get(key)
-        if got is None:
-            group = self.group
-            row = _pair_product(self.model, *key)
-            if sum(row.values()) != group.bruhat_leq(group.mul(group.w_o, u), v):
-                raise _sum_error(u, v, row)
-            got = self._sc_memo[key] = {group.elements[w]: c
-                                        for w, c in sorted(row.items(), reverse=True)}
-        return got
+        group = self.group
+        row = _pair_product(self.model, *sorted((u.index, v.index)))
+        if sum(row.values()) != group.bruhat_leq(group.mul(group.w_o, u), v):
+            raise _sum_error(u, v, row)
+        return {group.elements[w]: c for w, c in sorted(row.items(), reverse=True)}
 
     # -- parabolic calculus ------------------------------------------------------
 
@@ -145,6 +139,7 @@ class SchubertRing:
     _line_table = Deferred("kflag.reports")
     parabolic_structure_constants = Deferred("kflag.reports")
     verify_normalization = Deferred("kflag.reports")
+    verify_sweeps = Deferred("kflag.reports")
     verify_alternating_signs = Deferred("kflag.reports")
     verify_richardson_signs = Deferred("kflag.reports")
     verify_line_identities = Deferred("kflag.reports")
@@ -160,18 +155,13 @@ def _row_times(row: dict, table) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-# A sweep missing fewer constants than this many per element of W leaves
-# each pair to ``_pair_product``; from there one walk of the column tree is
+# A sweep reading fewer pairs than this many per element of W reads each
+# from ``_pair_product``; from there one walk of the column tree is
 # faster on a full sweep.  On one CPU, e_i rows included, the walk took
 # 3.7 / 18.3 / 244 ms where the pairs took 4.7 / 30.3 / 418 ms (A3, B3, D4
 # at 12.5 / 24.5 / 96.5 |W|); the long lifted pairs of D4 on P = {1}, at
 # 24 |W|, took 199 ms against the walk's 266 ms (README).
 WALK_PAIRS_PER_ELEMENT = 12
-
-
-def _memo_key(u: WeylElement, v: WeylElement) -> tuple[int, int]:
-    """The ``_sc_memo`` key of the product of u and v, which commutes."""
-    return (u.index, v.index) if u.index <= v.index else (v.index, u.index)
 
 
 def _sum_error(u: WeylElement, v: WeylElement, row: dict) -> IntegrityError:
@@ -180,28 +170,29 @@ def _sum_error(u: WeylElement, v: WeylElement, row: dict) -> IntegrityError:
                           f"sum to {sum(row.values())}, not chi")
 
 
-def _fill_constants(ring: SchubertRing, pairs) -> None:
-    """Fill ``ring._sc_memo`` for the pairs of a sweep, which then reads
-    every pair through ``structure_constants``.  With fewer than
-    ``WALK_PAIRS_PER_ELEMENT`` |W| keys missing it leaves each pair to
-    ``structure_constants``; else it reads them off ``_columns``, each in
-    descending element index, as ``structure_constants`` keeps them, and
-    refuses a pair whose constants break its sum rule as it does."""
-    memo, group = ring._sc_memo, ring.group
+def _sweep(ring: SchubertRing, rows):
+    """(a, b, psi_a psi_b as {w.index: c}) for each b in ``rows`` and each
+    a <= b in rows[b], made as it is read and refused, as by
+    ``structure_constants``, if it breaks its sum rule.  A full sweep
+    passes rows[b] = range(b + 1); nothing here grows with the pairs read.
+    With fewer than ``WALK_PAIRS_PER_ELEMENT`` |W| pairs each comes from
+    ``_pair_product``, in the order of ``rows``; else they come off
+    ``_columns``, in the order of its walk."""
+    group = ring.group
     elements, w_o_times = group.elements, ring._w_o_times
-    rows: dict[int, list[int]] = {}
-    for u, v in dict.fromkeys(_memo_key(u, v) for u, v in pairs):
-        if (u, v) not in memo:
-            rows.setdefault(v, []).append(u)
     if sum(map(len, rows.values())) < WALK_PAIRS_PER_ELEMENT * len(elements):
-        return
-    below = group._lower_masks  # [w_o u <= v] is bit (w_o u).index of [e, v]
-    for v, column in _columns(ring, rows):
-        for u in rows[v]:
-            row = column[u]
-            if sum(row.values()) != (below[v] >> w_o_times[u].index) & 1:
-                raise _sum_error(elements[u], elements[v], row)
-            memo[u, v] = {elements[w]: c for w, c in sorted(row.items(), reverse=True)}
+        chi = lambda a, b: group.bruhat_leq(w_o_times[a], elements[b])  # no |W|^2 bits: E6
+        columns = ((b, None) for b in rows)
+    else:
+        below = group._lower_masks  # [w_o a <= b] is bit (w_o a).index of [e, b]
+        chi = lambda a, b: (below[b] >> w_o_times[a].index) & 1
+        columns = _columns(ring, rows)
+    for b, column in columns:
+        for a in rows[b]:
+            row = _pair_product(ring.model, a, b) if column is None else column[a]
+            if sum(row.values()) != chi(a, b):
+                raise _sum_error(elements[a], elements[b], row)
+            yield a, b, row
 
 
 def _columns(ring: SchubertRing, wanted):
@@ -216,7 +207,8 @@ def _columns(ring: SchubertRing, wanted):
     D_i is ``_demazure``, e_i D_i the table of ``_e_after_d``
     and psi_u psi_e = [u = w_o] psi_e.  So column v follows from column v',
     i the first right descent of v: a tree, walked depth first with at
-    most depth + 1 columns alive."""
+    most depth + 1 columns alive.  No rule reads column w_o, which must be
+    psi_u psi_{w_o} = psi_u; a walk that makes any other is refused."""
     partners, first = ring.model._right_steps
     n = len(partners[0])
     ed_rows = [_e_after_d(ring.model, i) for i in range(len(partners))]
@@ -225,6 +217,11 @@ def _columns(ring: SchubertRing, wanted):
         children[partners[first[v]][v]].append((v, first[v]))
 
     def walk(v, prev):
+        if v == n - 1:
+            u = next((u for u, row in enumerate(prev) if row != {u: 1}), None)
+            if u is not None:
+                word = list(ring.group.elements[u].word)
+                raise IntegrityError(f"the walk's column of w_o is not psi_u at u = {word}")
         if v in wanted:
             yield v, prev
         for child, i in children[v]:

@@ -232,13 +232,14 @@ def test_verify_violations_exit_code(capsys, monkeypatch):
     themselves never produce any)."""
     from kflag.ring import SchubertRing, SignReport
 
-    def fake(self, parabolic=None):
-        return SignReport(
+    def fake(self, which, parabolic=None):
+        assert which == "signs" and parabolic is None
+        return [SignReport(
             group="A2", name="signs", parabolic=None, checked=1,
             violations=[((1,), (2,), (), -1, 0)], elapsed_ms=0,
-        )
+        )]
 
-    monkeypatch.setattr(SchubertRing, "verify_alternating_signs", fake)
+    monkeypatch.setattr(SchubertRing, "verify_sweeps", fake)
     code, obj, _ = run_json(
         capsys, "verify", "--type", "A", "--rank", "2", "--which", "signs"
     )
@@ -737,6 +738,21 @@ def test_planted_e_i_rows_fail_a_walked_sweep_with_exit_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "not chi" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_lifting_descents_fails_a_walked_sweep_with_exit_3(monkeypatch, capsys):
+    """With a D_i that lifts descents every sum of constants still holds,
+    but the A3 sign sweep's walk makes a wrong column of w_o, and exits 3
+    with one line and no traceback instead of reporting 116 violations."""
+    from test_ring import _MUTATIONS
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _MUTATIONS["D_i-lifts-descents"](monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--which", "signs")
+    assert code == 3
+    assert out == ""
+    assert "column of w_o" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
 

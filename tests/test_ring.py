@@ -16,11 +16,11 @@ from kflag.ring import (
     SchubertRing,
     _alpha_string,
     _columns,
-    _fill_constants,
     _line_row,
     _pair_product,
     _row_times,
     _rule_two,
+    _sweep,
 )
 
 from grothendieck_oracle import (
@@ -371,30 +371,24 @@ def test_richardson_sweeps(engines):
 
 def test_richardson_report_solves_once_per_pair(engines, monkeypatch):
     """On A3 the 213 comparable pairs read 110 structure constants, since
-    (v, w) and (w_o w, w_o v) share the product of w_o v and w.  The
-    L(-rho) table, which gives both omega-bases, is solved nowhere: it is
-    the product of the recursion's L(-omega_i) tables.  After the sign
-    sweep the memo holds every constant, so nothing is solved.  The spy is
-    ``_pair_product``, which every constant the memo misses goes through."""
-    import kflag.ring
-
-    calls = []
-    monkeypatch.setattr(kflag.ring, "_pair_product",
-                        lambda model, u, v: calls.append((u, v)) or _pair_product(model, u, v))
-    rep = SchubertRing(engines.model("A3")).verify_richardson_signs()
-    assert rep.ok and rep.checked == 213
-    assert len(calls) == 110
-
+    (v, w) and (w_o w, w_o v) share the product of w_o v and w: below
+    WALK_PAIRS_PER_ELEMENT |W| = 288, each is solved once, and nothing is
+    walked.  The L(-rho) table, which gives both omega-bases, is solved
+    nowhere: it is the product of the recursion's L(-omega_i) tables.
+    With the sign report, the 300 pairs are one walk and no pair is solved."""
+    walks, solves = _spy(monkeypatch)
     ring = SchubertRing(engines.model("A3"))
-    assert ring.verify_alternating_signs().ok
-    calls.clear()
-    again = ring.verify_richardson_signs()
-    assert again.ok and again.checked == 213
-    assert calls == []
+    rep = ring.verify_richardson_signs()
+    assert rep.ok and rep.checked == 213
+    assert walks == [] and len(solves) == len(set(solves)) == 110
     # the line suite reads the same L(-rho) table at lambda = rho
-    calls.clear()
+    del solves[:]
     ring.line_bundle_coeffs(ring.group.w_o, tuple(-x for x in ring.datum.rho))
-    assert calls == []
+    assert solves == []
+
+    signs, again = SchubertRing(engines.model("A3")).verify_sweeps("all")
+    assert signs.ok and again.ok and again.checked == 213
+    assert walks == [24] and solves == []
 
 
 def test_richardson_report_checks_the_omega_rows(engines, monkeypatch):
@@ -413,8 +407,9 @@ def test_richardson_report_flags_a_nonzero_empty_intersection(engines):
     makes X^v intersect X_w look nonempty for every v <= u with v not below
     w.  The same row also gives [O_{X^{w_o w}}] a restriction at w_o u, so
     the pairs (w_o w, x) with w_o u <= x and w_o w not below x are flagged
-    as well.  The row goes in after a first report has memoized the
-    constants and the omega rows, which a wrong row would fail to solve."""
+    as well.  The row goes in after a first report has memoized the omega
+    rows, which a wrong row would fail to solve; the constants come from
+    the recursion, which reads no table row."""
     from kflag import SchubertModel
 
     g = engines.group("A3")
@@ -755,33 +750,87 @@ def test_sign_sweep_rank_one_triple_count(engines):
     assert rep.checked == 8
 
 
-def test_sign_sweep_reports_violations_in_label_order(engines, monkeypatch):
-    """Only nonzero constants are checked; the report still lists every
-    violation once, pair by pair and in the order of the group's elements,
-    as a check of every w would."""
-    group = engines.group("A3")
-    labels = list(group.elements)
-    codim = {w: engines.ring("A3").codim(w) for w in labels}
-    rng = random.Random(5)
+def _scrambled_sweep(monkeypatch, keys, seed) -> dict:
+    """Make ``verify_sweeps`` read made-up constants: every pair of the
+    rows it asks for, in a shuffled order, with random signs on 6 of
+    ``keys``, listed in no particular order.  Returns the rows fed, by
+    (a, b)."""
+    rng, fed = random.Random(seed), {}
 
-    def scrambled(self, u, v):
-        # random signs and supports, listed in no particular order
-        out = {w: rng.choice([-2, -1, 1, 3]) for w in rng.sample(labels, 6)}
-        fake[(u, v)] = out
-        return out
+    def scrambled(ring, rows):
+        pairs = [(a, b) for b in rows for a in rows[b]]
+        rng.shuffle(pairs)
+        for a, b in pairs:
+            fed[a, b] = {x: rng.choice([-2, -1, 1, 3]) for x in rng.sample(keys, 6)}
+            yield a, b, fed[a, b]
 
-    fake = {}
-    monkeypatch.setattr(SchubertRing, "structure_constants", scrambled)
-    rep = SchubertRing(engines.model("A3")).verify_alternating_signs()
+    monkeypatch.setattr("kflag.reports._sweep", scrambled)
+    return fed
+
+
+def _sign_violations(labels, lift, codim, fed) -> list:
+    """The sign violations of the rows ``fed``, pair by pair in label
+    order and each pair over every w in label order, as a check of every
+    w would list them; ``lift`` maps a label to the index of its G/B pair."""
     want = []
     for i, u in enumerate(labels):
         for v in labels[i:]:
-            cs = fake[(u, v)]
+            cs = fed[tuple(sorted((lift[u], lift[v])))]
             for w in labels:
-                c = cs.get(w, 0)
+                c = cs.get(lift[w], 0)
                 n = codim[w] - codim[u] - codim[v]
                 if (n < 0 and c != 0) or (c and (c > 0) != (n % 2 == 0)):
                     want.append((u.word, v.word, w.word, c, n))
+    return want
+
+
+def test_sweeps_report_violations_in_label_order(engines, monkeypatch):
+    """Only nonzero constants are checked, and rows come in any order; each
+    report still lists every violation once, in the order of the group's
+    elements: the sign report pair by pair, the Richardson report by
+    (w, v) with a pair's O-basis failures before its omega-basis ones, each
+    by descending u, and a row serving (v, w) and (w_o w, w_o v) is read
+    for both."""
+    ring = SchubertRing(engines.model("A3"))
+    group = ring.group
+    labels = list(group.elements)
+    fed = _scrambled_sweep(monkeypatch, range(len(labels)), 5)
+    signs, rich = ring.verify_sweeps("all")
+    assert len(fed) == 300
+    want = _sign_violations(labels, {w: w.index for w in labels},
+                            {w: ring.codim(w) for w in labels}, fed)
+    assert want and signs.violations == want
+
+    want = []
+    for w in labels:
+        for v in labels:
+            if not group.bruhat_leq(v, w):
+                continue
+            cs = fed[tuple(sorted((group.mul(group.w_o, v).index, w.index)))]
+            dim_y = w.length - v.length
+            coeffs = [(labels[x], cs[x]) for x in sorted(cs, reverse=True)]
+            bad = [(u, c, (-1) ** (dim_y - u.length) * c) for u, c in coeffs
+                   if (-1) ** (dim_y - u.length) * c < 0]
+            want += [(v.word, w.word, u.word, c, dim_y - u.length) for u, c, _ in bad]
+            want += [(v.word, w.word, u.word, omega, "omega-basis") for u, _, omega in bad]
+    assert want and rich.checked == 213 and rich.violations == want
+
+
+def test_a_parabolic_sweep_reports_violations_in_label_order(engines, monkeypatch):
+    """The G/P sign report reads each pair of minimal representatives off
+    the G/B row of the pair lifted by w_{o,P}, whichever of the two lifts
+    has the lower index, and lists its violations in label order."""
+    ring = SchubertRing(engines.model("D4"))
+    group = ring.group
+    pdata = group.parabolic([1, 3])
+    labels = list(pdata.min_reps)
+    lift = {u: group.mul(u, pdata.longest_in_parabolic).index for u in labels}
+    assert any(lift[u] > lift[v] for i, u in enumerate(labels) for v in labels[i + 1:])
+    fed = _scrambled_sweep(monkeypatch, sorted(lift.values()), 6)
+    rep = ring.verify_alternating_signs(pdata)
+    assert len(fed) == 48 * 49 // 2 and rep.checked == 48 ** 3
+    dim = ring.parabolic_dimension(pdata)
+    want = _sign_violations(labels, lift, {w: dim - w.length for w in labels}, fed)
     assert want and rep.violations == want
 
 
@@ -811,8 +860,13 @@ def _mismatches(ring, pairs, solve=_solved) -> list:
         want = {w.index: c for w, c in solve(ring.model, u, v).items()}
         wanted.setdefault(v.index, []).append((u, v, want))
         wanted.setdefault(u.index, []).append((v, u, want))
-    return [(a.word, b.word) for index, column in _columns(ring, wanted)
-            for a, b, want in wanted[index] if column[a.index] != want]
+    bad = []
+    try:
+        for index, column in _columns(ring, wanted):
+            bad += [(a.word, b.word) for a, b, want in wanted[index] if column[a.index] != want]
+    except IntegrityError as err:  # a wrong column of w_o, which no pair reads
+        bad.append(str(err))
+    return bad
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
@@ -908,15 +962,37 @@ _MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", [m for m in _MUTATIONS if m != "D_i-lifts-descents"])
+#: how each broken rule fails the walked A3 sweep: three move some sum of
+#: constants off chi; lifting descents keeps every sum but not column w_o
+_WALK_FAILURES = {
+    "e_i-as-L(+alpha_i)": r"^constants of .* not chi$",
+    "R2-without-minus-psi_u'psi_v'": r"^constants of .* not chi$",
+    "D_i-lifts-descents": r"^the walk's column of w_o is not psi_u at u = \[[\d, ]*\]$",
+    "e_iD_i-relabelled-by-min": r"^constants of .* not chi$",
+}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_a_broken_rule_fails_the_sum_rule_of_a_walked_sweep(engines, monkeypatch, mutation):
-    """Three of the four broken rules move some sum of constants off chi,
-    so the A3 sweep, which walks, raises an integrity error; lifting
-    descents keeps every sum and is left to the equality tests."""
+    """Each of the four broken rules makes the A3 sweep, which walks, raise
+    an integrity error instead of reporting false violations."""
     model = _fresh_model(engines, "A3")
     _MUTATIONS[mutation](monkeypatch)
-    with pytest.raises(IntegrityError, match="not chi$"):
+    with pytest.raises(IntegrityError, match=_WALK_FAILURES[mutation]):
         SchubertRing(model).verify_alternating_signs()
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "A4"])
+def test_lifting_descents_fails_column_w_o_of_a_walked_sweep(engines, monkeypatch, label):
+    """A D_i that lifts descents keeps every sum of constants, and without
+    the check of column w_o the sign sweeps of A3, B3, D4 and A4 report
+    116, 1,152, 51,898 and 10,808 false violations; the walk refuses the
+    column instead, once, as its one-line integrity error."""
+    walks, solves = _spy(monkeypatch)
+    _MUTATIONS["D_i-lifts-descents"](monkeypatch)
+    with pytest.raises(IntegrityError, match=_WALK_FAILURES["D_i-lifts-descents"]):
+        SchubertRing(SchubertModel(engines.group(label))).verify_alternating_signs()
+    assert walks == [len(engines.group(label))] and solves == []
 
 
 def _e_after_d_by_min(model, i):
@@ -997,6 +1073,22 @@ def test_lifting_descents_in_the_shared_d_i_breaks_the_line_recursion(engines, m
             assert any(got[v] != want[v] for v in ring.group.elements), lam
 
 
+def test_a_sweep_leaves_no_per_pair_state(engines):
+    """After both A4 sweeps, 7,260 pairs, the ring holds nothing that grows
+    with the number of pairs: each of its memos has at most |W| = 120
+    entries.  The Richardson report reads comparability from the group's
+    interval masks, so the group's Bruhat memo gains no entry."""
+    group = engines.group("A4")
+    ring = SchubertRing(SchubertModel(group))
+    before = dict(group._bruhat_memo)
+    signs, rich = ring.verify_sweeps("all")
+    assert signs.ok and rich.ok and rich.checked > len(group)
+    assert group._bruhat_memo == before
+    sizes = {name: len(value) for name, value in vars(ring).items()
+             if isinstance(value, (dict, list, tuple))}
+    assert sizes and max(sizes.values()) <= len(group), sizes
+
+
 def _spy(monkeypatch) -> tuple[list, list]:
     """(walks, solves): one entry per ``_columns`` walk, its wanted columns,
     and one per pair computed alone, by ``_pair_product``."""
@@ -1008,58 +1100,77 @@ def _spy(monkeypatch) -> tuple[list, list]:
     return walks, solves
 
 
-def test_a_fill_walks_from_k_pairs_per_element_and_solves_below(engines, monkeypatch):
+def test_a_sweep_walks_from_k_pairs_per_element_and_solves_below(engines, monkeypatch):
     """G2's 78 pairs are below WALK_PAIRS_PER_ELEMENT |W| = 144 and are
-    computed one by one; A3's 300 reach 288 and are filled by one walk,
-    after which neither the Richardson report nor the line suite's
-    fundamental-weight lemma computes a pair."""
+    computed one by one; A3's 300 reach 288 and come off one walk, which
+    the Richardson report shares when both run."""
     walks, solves = _spy(monkeypatch)
     assert SchubertRing(engines.model("G2")).verify_alternating_signs().ok
-    assert walks == [] and len(solves) == 78
+    assert walks == [] and len(solves) == len(set(solves)) == 78
     del solves[:]
     ring = SchubertRing(engines.model("A3"))
     assert ring.verify_alternating_signs().ok
-    assert walks == [24] and solves == [] and len(ring._sc_memo) == 300
-    omega = ring.datum.fundamental_weight(1)
-    assert ring.verify_richardson_signs().ok and ring.verify_line_identities(omega, omega).ok
     assert walks == [24] and solves == []
+    assert all(rep.ok for rep in ring.verify_sweeps("all"))
+    assert walks == [24, 24] and solves == []
 
 
-def test_a_filled_entry_equals_the_solved_one_key_order_included(engines, monkeypatch):
-    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
+@pytest.mark.parametrize("threshold", [0, 10**9])
+def test_a_swept_row_equals_the_solved_one(engines, monkeypatch, threshold):
+    """Walked (threshold 0) or solved pair by pair, ``_sweep`` yields each
+    pair it is asked for once, as the model's solve by element index, and
+    ``structure_constants`` keeps the solve's key order."""
+    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", threshold)
     ring = SchubertRing(engines.model("A3"))
     elements = ring.group.elements
-    _fill_constants(ring, [(v, u) for u, v in _all_pairs(ring.group)])
-    assert len(ring._sc_memo) == 300
-    for (a, b), got in ring._sc_memo.items():
+    got = [(a, b, row) for a, b, row in _sweep(ring, {b: range(b + 1) for b in range(24)})]
+    assert sorted((b, a) for a, b, _ in got) == [(b, a) for b in range(24) for a in range(b + 1)]
+    for a, b, row in got:
         want = ring.model.structure_constants(elements[a], elements[b])
-        assert list(got.items()) == list(want.items())
+        assert row == {w.index: c for w, c in want.items()}
+        assert list(ring.structure_constants(elements[b], elements[a]).items()) == list(want.items())
+
+
+def _recorded_sweep(monkeypatch) -> dict:
+    """Every row ``verify_sweeps`` reads, by (a, b), as ``_sweep`` made it."""
+    import kflag.reports
+
+    seen, sweep = {}, kflag.reports._sweep
+
+    def record(ring, rows):
+        for a, b, row in sweep(ring, rows):
+            assert (a, b) not in seen
+            seen[a, b] = row
+            yield a, b, row
+
+    monkeypatch.setattr(kflag.reports, "_sweep", record)
+    return seen
 
 
 _SWEEPS = {
-    "A2-signs": ("A2", lambda ring: ring.verify_alternating_signs()),
-    "A3-signs": ("A3", lambda ring: ring.verify_alternating_signs()),
-    "A3-signs-P13": ("A3", lambda ring: ring.verify_alternating_signs(ring.group.parabolic([1, 3]))),
-    "A2-richardson": ("A2", lambda ring: ring.verify_richardson_signs()),
-    "A3-richardson": ("A3", lambda ring: ring.verify_richardson_signs()),
+    "A2-all": ("A2", None, "all"),
+    "A3-all": ("A3", None, "all"),
+    "A3-signs-P13": ("A3", [1, 3], "signs"),
+    "A3-all-P13": ("A3", [1, 3], "all"),
+    "A3-richardson": ("A3", None, "richardson"),
+    "B3-all": ("B3", None, "all"),
+    "D4-signs-P1": ("D4", [1], "signs"),
 }
 
 
 @pytest.mark.parametrize("sweep", list(_SWEEPS))
-def test_sign_sweep_filled_by_the_walk_equals_solved(engines, monkeypatch, sweep):
-    """Each sweep reports the same from constants filled by the walk as
-    from per-pair solves, and the two memos are equal, key order included;
-    fresh rings, so nothing is read from an earlier memo."""
-    label, run = _SWEEPS[sweep]
-    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 10**9)
-    solved_ring = SchubertRing(engines.model(label))
-    solved = run(solved_ring)
-    monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
-    walked_ring = SchubertRing(engines.model(label))
-    walked = run(walked_ring)
-    assert solved.ok
-    assert (walked.ok, walked.checked, walked.violations) == (
-        solved.ok, solved.checked, solved.violations
-    )
-    assert {k: list(cs.items()) for k, cs in walked_ring._sc_memo.items()} == {
-        k: list(cs.items()) for k, cs in solved_ring._sc_memo.items()}
+def test_sweeps_walked_equal_sweeps_solved(engines, monkeypatch, sweep):
+    """Each sweep reports the same from constants walked as from per-pair
+    solves, and reads the same rows, on fresh rings."""
+    label, subset, which = _SWEEPS[sweep]
+    seen = _recorded_sweep(monkeypatch)
+    parabolic = subset and engines.group(label).parabolic(subset)
+    reports, rows = {}, {}
+    for threshold in (10**9, 0):
+        monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", threshold)
+        reports[threshold] = [(rep.name, rep.ok, rep.checked, rep.violations) for rep in
+                              SchubertRing(engines.model(label)).verify_sweeps(which, parabolic)]
+        rows[threshold] = dict(seen)
+        seen.clear()
+    assert all(ok for _, ok, _, _ in reports[0]) and rows[0]
+    assert reports[0] == reports[10**9] and rows[0] == rows[10**9]

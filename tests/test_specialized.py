@@ -11,7 +11,7 @@ import pytest
 
 from kflag import EquivClass, LaurentPoly, NotDivisibleError, UniPoly
 from kflag.cli import _default_line_sweep
-from kflag.ring import _fill_constants
+from kflag.ring import _sweep
 from kflag.univariate import poly_divexact
 
 import pairing_oracle
@@ -722,23 +722,19 @@ def test_a_table_row_without_its_pivot_fails_integrity(engines):
 def test_the_walk_on_a_narrow_model_equals_the_wide_solve(monkeypatch):
     """With 8-bit digits the walk on A3 still builds no one-variable table,
     as its e_i tables come from the line recursion and read no packed
-    value; its memo equals the 64-bit solves, with the narrow model's own
-    elements."""
+    value; every row it yields equals the 64-bit solve."""
     from kflag import SchubertRing
 
     monkeypatch.setattr("kflag.ring.WALK_PAIRS_PER_ELEMENT", 0)
     narrow = _model_at("A3", 8)
     wide = _model_at("A3", 64)
-    walked = SchubertRing(narrow)
-    _fill_constants(walked, _all_pairs(narrow.group))
+    n = len(narrow.group.elements)
+    walked = {(a, b): row for a, b, row in _sweep(SchubertRing(narrow),
+                                                  {b: range(b + 1) for b in range(n)})}
     assert "_rows" not in vars(narrow)
     serial = SchubertRing(wide)
-    for u, v in _all_pairs(wide.group):
-        serial.structure_constants(u, v)
-    assert {k: _by_index(cs) for k, cs in walked._sc_memo.items()} == {
-        k: _by_index(cs) for k, cs in serial._sc_memo.items()}
-    assert all(w is narrow.group.elements[w.index]
-               for cs in walked._sc_memo.values() for w in cs)
+    assert walked == {(u.index, v.index): _by_index(serial.structure_constants(u, v))
+                      for u, v in _all_pairs(wide.group)}
 
 
 # -- the one triangular solve, at 8 and 64 bits ------------------------------------
